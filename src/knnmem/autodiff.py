@@ -320,6 +320,30 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def _scatter_add_rows(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[idx[k]] += values[k]`` into zeros of ``n_rows`` rows.
+
+    Distinct indices are a plain assignment. Otherwise a stable sort
+    groups equal indices and ``np.add.reduceat`` sums each group, several
+    times faster than ``np.add.at``; its summation order may differ from
+    sequential adds in the last bits.
+    """
+    out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
+    if idx.size == 0:
+        return out
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    first = np.empty(idx.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=first[1:])
+    if first.all():
+        out[idx] = values
+        return out
+    starts = np.flatnonzero(first)
+    out[sorted_idx[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
 def rows(table: Tensor, indices) -> Tensor:
     """Gather rows; gradients scatter-add back into the table."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -330,11 +354,112 @@ def rows(table: Tensor, indices) -> Tensor:
     out = Tensor(table.data[idx])
 
     def backward(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
-        _accum(table, buf)
+        _accum(table, _scatter_add_rows(idx, g, table.shape[0]))
 
     return _record(out, (table,), backward)
+
+
+def lstm_sequence(proj: Tensor, index, Wh: Tensor, b: Tensor, mask) -> Tensor:
+    """One whole masked LSTM pass from a zero state; returns the final ``h``.
+
+    ``proj`` holds precomputed input projections ``x @ Wx`` (gate order i,
+    f, g, o along columns); at step ``t`` row ``j`` reads
+    ``proj[index[t, j]]``. Where ``mask[t, j]`` is false the row skips the
+    step and its state carries over exactly. The pass is a single tape
+    node: the backward is hand-written BPTT that forms ``dWh`` and ``db``
+    with one product over all steps and scatter-adds the gate gradients
+    into ``proj``. Per-step activations are kept only when a tape is
+    active and some input needs a gradient.
+    """
+    idx = np.asarray(index, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    hidden = Wh.shape[0] if Wh.ndim == 2 else -1
+    width = 4 * hidden
+    if (proj.ndim != 2 or proj.shape[1] != width or Wh.shape != (hidden, width)
+            or b.shape != (1, width)):
+        raise AutodiffError(
+            f"lstm_sequence: incompatible shapes proj {proj.shape}, Wh {Wh.shape}, b {b.shape}"
+        )
+    if idx.ndim != 2 or mask.shape != idx.shape:
+        raise AutodiffError(f"lstm_sequence: index {idx.shape} and mask {mask.shape} must match (T, B)")
+    if idx.size and (idx.min() < 0 or idx.max() >= proj.shape[0]):
+        raise AutodiffError(f"lstm_sequence: index out of range for {proj.shape[0]} projection rows")
+    track = _ACTIVE_TAPE is not None and (proj.requires_grad or Wh.requires_grad or b.requires_grad)
+    P, W, bias = proj.data, Wh.data, b.data
+    n_steps, batch = idx.shape
+    h = np.zeros((batch, hidden), dtype=_DTYPE)
+    c = np.zeros((batch, hidden), dtype=_DTYPE)
+    steps = []
+    for t in range(n_steps):
+        act = np.flatnonzero(mask[t])
+        if act.size == 0:
+            continue
+        full = act.size == batch
+        h_prev, c_prev = (h, c) if full else (h[act], c[act])
+        s = P[idx[t, act]]
+        s += h_prev @ W
+        s += bias
+        g = np.tanh(s[:, 2 * hidden:3 * hidden])
+        # In place, s becomes 1 / (1 + exp(-s)); its g columns go unused.
+        with np.errstate(over="ignore"):
+            np.exp(np.negative(s, out=s), out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        i, f, o = s[:, :hidden], s[:, hidden:2 * hidden], s[:, 3 * hidden:]
+        c_new = f * c_prev
+        c_new += i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        # A full step rebinds h and c, so arrays saved for backward are
+        # never written again; a partial step writes only its active rows.
+        if full:
+            h, c = h_new, c_new
+        else:
+            h[act] = h_new
+            c[act] = c_new
+        if track:
+            steps.append((None if full else act, idx[t, act], h_prev, c_prev, s, g, tc))
+        # Free this step's arrays before the next step allocates its own,
+        # so without a tape the peak stays at one step's worth.
+        del h_prev, c_prev, s, g, tc, i, f, o, c_new, h_new
+    _check_finite(h, "lstm_sequence")
+    out = Tensor(h)
+
+    def backward(gh):
+        dh = np.array(gh, dtype=_DTYPE)
+        dc = np.zeros_like(dh)
+        dzs, h_prevs, proj_rows = [], [], []
+        for act, rows_t, h_prev, c_prev, s, g, tc in reversed(steps):
+            full = act is None
+            dh_a, dc_a = (dh, dc) if full else (dh[act], dc[act])
+            i, f, o = s[:, :hidden], s[:, hidden:2 * hidden], s[:, 3 * hidden:]
+            dc_a = dc_a + dh_a * o * (1.0 - tc * tc)
+            dz = np.empty((rows_t.size, width), dtype=_DTYPE)
+            dz[:, :hidden] = dc_a * g * i * (1.0 - i)
+            dz[:, hidden:2 * hidden] = dc_a * c_prev * f * (1.0 - f)
+            dz[:, 2 * hidden:3 * hidden] = dc_a * i * (1.0 - g * g)
+            dz[:, 3 * hidden:] = dh_a * tc * o * (1.0 - o)
+            dh_prev = dz @ W.T
+            dc_prev = dc_a * f
+            if full:
+                dh, dc = dh_prev, dc_prev
+            else:
+                dh[act] = dh_prev
+                dc[act] = dc_prev
+            dzs.append(dz)
+            h_prevs.append(h_prev)
+            proj_rows.append(rows_t)
+        if not dzs:
+            return
+        dZ = np.concatenate(dzs)
+        if Wh.requires_grad:
+            _accum(Wh, np.concatenate(h_prevs).T @ dZ)
+        if b.requires_grad:
+            _accum(b, dZ.sum(axis=0, keepdims=True))
+        if proj.requires_grad:
+            _accum(proj, _scatter_add_rows(np.concatenate(proj_rows), dZ, proj.shape[0]))
+
+    return _record(out, (proj, Wh, b), backward)
 
 
 def l2_norm_rows(a: Tensor) -> Tensor:

@@ -229,6 +229,7 @@ def cmd_train(config: RunConfig) -> int:
         metrics_path=out / "metrics.jsonl",
         config_echo=config.echo(),
         threads=config.threads,
+        bm25_params=config.bm25_params(),
     )
     pipeline = report.pop("_pipeline")
     save_checkpoint(out / "model.ckpt", pipeline.train_result.checkpoint)
@@ -337,7 +338,8 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
         else:
             train_config = dataclasses.replace(base, preset=value)
         report = run_setup("full", train_docs, dev_docs, labels, train_config,
-                           encoder_config, word_table=table, threads=config.threads)
+                           encoder_config, word_table=table, threads=config.threads,
+                           bm25_params=config.bm25_params())
         report.pop("_pipeline")
         row = {"axis": axis, "value": value, "dev_accuracy": report["dev_accuracy"],
                "best_epoch": report["best_epoch"]}

@@ -175,7 +175,10 @@ def load_run_config(path: str | Path | None = None,
     """Config file first, then overrides; any unknown key is an error."""
     data: dict[str, object] = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: malformed JSON config: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config file must hold a JSON object")
         unknown = sorted(set(raw) - set(_FIELDS))

@@ -2,11 +2,19 @@
 composed by a BiLSTM whose final forward/backward states form the text
 embedding.
 
-Encoding is batched: sequences are padded to the batch maximum and masked
-steps carry state through unchanged (exactly, since ``1*h + 0*h_new == h``
-in floats), so a sequence's embedding does not depend on what it is
-batched with. Character composition runs once per unique word in the
-batch and is gathered back per occurrence.
+Encoding is batched, and each LSTM input projection is computed once per
+distinct row, then gathered for every occurrence:
+
+- the character LSTM projects the whole character table once per batch
+  (``char_table @ Wx``) and runs over the batch's unique words;
+- each word direction projects ``[word vector; char composition]`` once
+  per unique word in the batch (``x @ Wx``).
+
+Each of the three passes is then one ``autodiff.lstm_sequence`` node: the
+recurrence runs in numpy, with a hand-written backward through time. Rows
+shorter than the batch maximum skip their padded steps, so their state
+carries over exactly and a sequence's embedding does not depend on what it
+is batched with.
 """
 
 from __future__ import annotations
@@ -185,7 +193,12 @@ def init_encoder_params(config: EncoderConfig, vocab: Vocabulary, seed: int,
 
 def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor,
               mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """One masked LSTM step; where mask is 0 the previous state carries over."""
+    """One masked LSTM step built from primitive ops; where mask is 0 the
+    previous state carries over.
+
+    The encoder runs whole passes with ``autodiff.lstm_sequence`` instead;
+    this op-level step is the reference the tests compare it against.
+    """
     hidden = p.hidden
     z = ad.add(ad.add(ad.matmul(x, p.Wx), ad.matmul(h_prev, p.Wh)), p.b)
     i = ad.sigmoid(ad.slice_cols(z, 0, hidden))
@@ -219,9 +232,6 @@ class TextEncoder:
     def named_params(self) -> dict[str, Tensor]:
         return self.params.named()
 
-    def _zeros(self, n: int, dim: int) -> Tensor:
-        return Tensor(np.zeros((n, dim)))
-
     def _char_compose_batch(self, words: Sequence[str]) -> Tensor:
         cfg = self.config
         clipped = [w[: cfg.max_word_chars] for w in words]
@@ -230,15 +240,13 @@ class TextEncoder:
         if n == 0 or lens.min() < 1:
             raise EncoderError("char composition needs nonempty words")
         max_len = int(lens.max())
-        ids = np.zeros((n, max_len), dtype=np.int64)
-        for row, word in enumerate(clipped):
-            ids[row, : len(word)] = [self.vocab.char_id(ch) for ch in word]
-        h = self._zeros(n, cfg.char_lstm_dim)
-        c = self._zeros(n, cfg.char_lstm_dim)
-        for t in range(max_len):
-            x_t = ad.rows(self.params.char_table, ids[:, t])
-            h, c = lstm_step(self.params.char_lstm, x_t, h, c, mask=lens > t)
-        return h
+        ids = np.zeros((max_len, n), dtype=np.int64)
+        for col, word in enumerate(clipped):
+            ids[: len(word), col] = [self.vocab.char_id(ch) for ch in word]
+        p = self.params.char_lstm
+        proj = ad.matmul(self.params.char_table, p.Wx)
+        steps = np.arange(max_len)[:, None]
+        return ad.lstm_sequence(proj, ids, p.Wh, p.b, mask=steps < lens)
 
     def encode_batch(self, token_seqs: Sequence[Sequence[str]]) -> Tensor:
         """Encode a batch of token sequences into a (batch, 2*hidden) tensor."""
@@ -252,34 +260,22 @@ class TextEncoder:
         batch = len(seqs)
         lens = np.array([len(s) for s in seqs], dtype=np.int64)
         max_len = int(lens.max())
-        word_ids = np.zeros((batch, max_len), dtype=np.int64)
         occ_ids = np.zeros((batch, max_len), dtype=np.int64)
-        for b, seq in enumerate(seqs):
-            for t, tok in enumerate(seq):
-                word_ids[b, t] = self.vocab.word_id(tok)
-                occ_ids[b, t] = uniq.setdefault(tok, len(uniq))
-        char_vecs = self._char_compose_batch(list(uniq))
-
-        def word_vectors(word_col: np.ndarray, occ_col: np.ndarray) -> Tensor:
-            return ad.concat(
-                [ad.rows(self.params.word.tensor, word_col), ad.rows(char_vecs, occ_col)],
-                axis=1,
-            )
-
-        h_f = self._zeros(batch, cfg.hidden)
-        c_f = self._zeros(batch, cfg.hidden)
-        for t in range(max_len):
-            x_t = word_vectors(word_ids[:, t], occ_ids[:, t])
-            h_f, c_f = lstm_step(self.params.fwd, x_t, h_f, c_f, mask=lens > t)
-
-        h_b = self._zeros(batch, cfg.hidden)
-        c_b = self._zeros(batch, cfg.hidden)
-        rows_idx = np.arange(batch)
-        for t in range(max_len):
-            pos = np.maximum(lens - 1 - t, 0)
-            x_t = word_vectors(word_ids[rows_idx, pos], occ_ids[rows_idx, pos])
-            h_b, c_b = lstm_step(self.params.bwd, x_t, h_b, c_b, mask=lens > t)
-
+        for row, seq in enumerate(seqs):
+            occ_ids[row, : len(seq)] = [uniq.setdefault(tok, len(uniq)) for tok in seq]
+        word_ids = [self.vocab.word_id(tok) for tok in uniq]
+        x = ad.concat(
+            [ad.rows(self.params.word.tensor, word_ids), self._char_compose_batch(list(uniq))],
+            axis=1,
+        )
+        steps = np.arange(max_len)[:, None]
+        mask = steps < lens
+        fwd_index = occ_ids.T
+        bwd_index = occ_ids[np.arange(batch), np.maximum(lens - 1 - steps, 0)]
+        h_f = ad.lstm_sequence(ad.matmul(x, self.params.fwd.Wx), fwd_index,
+                               self.params.fwd.Wh, self.params.fwd.b, mask)
+        h_b = ad.lstm_sequence(ad.matmul(x, self.params.bwd.Wx), bwd_index,
+                               self.params.bwd.Wh, self.params.bwd.b, mask)
         return ad.concat([h_f, h_b], axis=1)
 
     def encode_text(self, tokens: Sequence[str]) -> Tensor:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -265,21 +266,61 @@ def save_index(path: str | Path, index: InvertedIndex) -> None:
             _write_u32s(fh, tfs)
 
 
+def _manifest_arrays(manifest) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
+    """Doc ids, doc lengths, terms and posting counts, checked for shape."""
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not a JSON object")
+    doc_ids = np.asarray(manifest["doc_ids"], dtype=np.int64)
+    doc_lens = np.asarray(manifest["doc_lens"], dtype=np.int64)
+    terms = manifest["terms"]
+    counts = np.asarray(manifest["posting_counts"], dtype=np.int64)
+    if doc_ids.ndim != 1 or doc_ids.size == 0 or manifest["n_docs"] != doc_ids.size:
+        raise ValueError("doc_ids must be a nonempty list of n_docs ids")
+    if (doc_ids[1:] <= doc_ids[:-1]).any():
+        raise ValueError("doc_ids must be strictly ascending")
+    if doc_lens.shape != doc_ids.shape or (doc_lens < 0).any():
+        raise ValueError("doc_lens must give one length >= 0 per doc id")
+    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+        raise ValueError("terms must be a list of strings")
+    if counts.shape != (len(terms),) or (counts < 0).any():
+        raise ValueError("posting_counts must give one count >= 0 per term")
+    return doc_ids, doc_lens, terms, counts
+
+
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read a ``save_index`` file; a short, overlong or malformed part of it
+    raises ``RetrievalError``."""
     with Path(path).open("rb") as fh:
         magic = fh.read(len(_INDEX_MAGIC))
         if magic != _INDEX_MAGIC:
             raise RetrievalError(f"{path}: bad index magic {magic!r}")
-        (size,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(size).decode("utf-8"))
-        doc_ids = manifest["doc_ids"]
-        row_of = {d: r for r, d in enumerate(doc_ids)}
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise RetrievalError(f"{path}: truncated index header")
+        (size,) = struct.unpack("<Q", raw)
+        blob = fh.read(size)
+        if len(blob) != size:
+            raise RetrievalError(f"{path}: truncated index manifest")
+        try:
+            doc_ids, doc_lens, terms, counts = _manifest_arrays(json.loads(blob.decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise RetrievalError(f"{path}: malformed index manifest: {exc}") from None
+        del blob
+        want = 8 * int(counts.sum())
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body < want:
+            raise RetrievalError(f"{path}: truncated postings ({body} of {want} bytes)")
+        if body > want:
+            raise RetrievalError(f"{path}: {body - want} trailing bytes after the postings")
         postings_rows, postings_tfs = [], []
-        for count in manifest["posting_counts"]:
-            deltas = np.frombuffer(fh.read(4 * count), dtype="<u4").astype(np.int64)
-            tfs = np.frombuffer(fh.read(4 * count), dtype="<u4").astype(np.int64)
-            ids = np.cumsum(deltas)
-            postings_rows.append(np.asarray([row_of[int(d)] for d in ids], dtype=np.int64))
-            postings_tfs.append(tfs)
-    return InvertedIndex(doc_ids, manifest["doc_lens"], manifest["terms"],
-                         postings_rows, postings_tfs)
+        for count in counts.tolist():
+            # One term: `count` doc-id gaps, then `count` term frequencies.
+            # Row r holds doc_ids[r]; the ids ascend, so the last one has the
+            # largest row.
+            ids = np.cumsum(np.frombuffer(fh.read(4 * count), dtype="<u4"), dtype=np.int64)
+            rows = np.searchsorted(doc_ids, ids)
+            if count and (rows[-1] == doc_ids.size or (doc_ids[rows] != ids).any()):
+                raise RetrievalError(f"{path}: postings name a doc id missing from the manifest")
+            postings_rows.append(rows)
+            postings_tfs.append(np.frombuffer(fh.read(4 * count), dtype="<u4").astype(np.int64))
+    return InvertedIndex(doc_ids, doc_lens, terms, postings_rows, postings_tfs)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Tape, clip_global_norm, zero_grads
+from .autodiff import Adam, Tape, Tensor, clip_global_norm, zero_grads
 from .corpus import (
     Document,
     LabelSpace,
@@ -39,6 +39,7 @@ from .memory import (
     preset,
 )
 from .retrieval import (
+    Bm25Params,
     InvertedIndex,
     NeighborSet,
     build_index,
@@ -259,12 +260,19 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
         neighbor_classes=mc["neighbor_classes"],
         stop_grad_neighbors=mc["stop_grad_neighbors"],
     )
-    model = KnnTextModel.create(config, vocab, seed=0)
+    stored = checkpoint.tensors.get("word_emb")
+    want = (vocab.n_words, config.encoder.word_dim)
+    if stored is None or stored.shape != want:
+        got = "missing" if stored is None else f"shape {list(stored.shape)}"
+        raise CheckpointError(f"checkpoint word_emb is {got}; expected shape {list(want)}")
     packed = np.frombuffer(base64.b64decode(manifest["word_random_rows"]), dtype=np.uint8)
     random_rows = np.unpackbits(packed)[: vocab.n_words].astype(bool)
-    model.encoder.params.word = EmbeddingTable(
-        tensor=model.encoder.params.word.tensor, random_rows=random_rows
+    # The stored table stands in for the random one, which would only be overwritten.
+    word_table = EmbeddingTable(
+        tensor=Tensor(stored.astype(ad.get_default_dtype()), name="word_emb"),
+        random_rows=random_rows,
     )
+    model = KnnTextModel.create(config, vocab, seed=0, word_table=word_table)
     params = model.named_params()
     for spec in manifest["tensors"]:
         name = spec["name"]
@@ -438,12 +446,14 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
                  external_label_space: LabelSpace | None = None,
                  metrics_path: str | Path | None = None,
                  config_echo: dict | None = None,
-                 threads: int = 1) -> PipelineResult:
+                 threads: int = 1,
+                 bm25_params: Bm25Params = Bm25Params()) -> PipelineResult:
     """Index, retrieve, build, train, and evaluate in one pass.
 
     Neighbors come from ``external_docs`` when given (semi-supervised or
-    transfer setups), otherwise from the training corpus itself. The final
-    dev report is computed from the reloaded best checkpoint.
+    transfer setups), otherwise from the training corpus itself, ranked
+    with ``bm25_params``. The final dev report is computed from the
+    reloaded best checkpoint.
     """
     features = preset(config.preset)
     vocab = build_vocab(train_docs, min_count=config.min_count)
@@ -474,10 +484,11 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         same_corpus = external_docs is None
         neighbors = precompute_neighbors(
             index, train_docs, config.k_neighbors,
-            self_exclude=config.self_exclude and same_corpus, threads=threads,
+            self_exclude=config.self_exclude and same_corpus, params=bm25_params,
+            threads=threads,
         )
         for doc in dev_docs:
-            neighbors[doc.id] = search_knn(index, doc, config.k_neighbors)
+            neighbors[doc.id] = search_knn(index, doc, config.k_neighbors, params=bm25_params)
 
     result = train(model, train_docs, dev_docs, neighbors, neighbor_docs, config,
                    vocab, metrics_path=metrics_path, config_echo=config_echo)
@@ -505,7 +516,8 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
               word_table: EmbeddingTable | None = None,
               metrics_path: str | Path | None = None,
               config_echo: dict | None = None,
-              threads: int = 1) -> dict:
+              threads: int = 1,
+              bm25_params: Bm25Params = Bm25Params()) -> dict:
     """One experimental setup end to end; returns a report dict.
 
     ``semi_supervised`` forces the text-only neighbor features (M6) with
@@ -536,6 +548,7 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
         effective_train, dev_docs, label_space, effective_config, encoder_config,
         word_table=word_table, external_docs=ext_docs, external_label_space=ext_labels,
         metrics_path=metrics_path, config_echo=config_echo, threads=threads,
+        bm25_params=bm25_params,
     )
     per_class_train = [0] * label_space.c
     for doc in effective_train:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import knnmem.trainer as trainer
 from knnmem.cli import main
 from knnmem.datagen import make_separable_corpus, write_zhang_csv
+from knnmem.retrieval import Bm25Params, NeighborSet, search_knn
 
 FAST = ["--epochs", "2", "--lr", "0.01", "--batch-size", "8", "--k", "2",
         "--perspectives", "2", "--word-dim", "4", "--char-dim", "3",
@@ -127,6 +129,18 @@ class TestTrainEvalPredict:
                     "--text", "c0w1 c0w2 f3", *FAST, "--min-count", "2"])
         assert code == 0
 
+    def test_truncated_index_is_data_error(self, trained, tmp_path, capsys):
+        blob = (trained / "train.idx").read_bytes()
+        for cut in (4, 8, len(blob) // 2):
+            bad = tmp_path / "cut.idx"
+            bad.write_bytes(blob[: len(blob) - cut])
+            code = run(["predict", "--checkpoint", trained / "model.ckpt",
+                        "--train-cache", trained / "train.cache", "--index", bad,
+                        "--text", "c0w1 c0w2 f3", *FAST])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "truncated" in err and "Traceback" not in err
+
     def test_predict_empty_input_is_error(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n", encoding="utf-8")
@@ -194,6 +208,14 @@ class TestConfigHandling:
         assert code == 1
         assert "nonsense_key" in capsys.readouterr().err
 
+    def test_malformed_config_json_is_usage_error(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"epochs": 1,', encoding="utf-8")
+        code = run(["train", "--config", cfg, "--train", data_dir / "train.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "malformed JSON" in err and "Traceback" not in err
+
     def test_help_documents_config_keys(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--help"])
@@ -207,3 +229,26 @@ class TestConfigHandling:
 
     def test_unknown_command_rejected(self, capsys):
         assert main(["bogus"]) == 1
+
+
+class TestBm25ParamsReachTraining:
+    def test_train_neighbors_use_k1_and_b(self, data_dir, tmp_path, monkeypatch):
+        calls = []
+        real = trainer.run_pipeline
+
+        def spy(train_docs, dev_docs, *args, **kwargs):
+            calls.append((train_docs, dev_docs, real(train_docs, dev_docs, *args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(trainer, "run_pipeline", spy)
+        code = run(["train", "--train", data_dir / "train.csv", *FAST, "--epochs", "1",
+                    "--k1", "0.5", "--b", "0.3", "--out-dir", tmp_path])
+        assert code == 0
+        (train_docs, dev_docs, result), = calls
+        params = Bm25Params(k1=0.5, b=0.3)
+        for d in train_docs:
+            want = search_knn(result.index, d, 2, exclude_id=d.id, params=params)
+            assert result.neighbors[d.id] == NeighborSet(d.id, want.neighbors)
+        for d in dev_docs:
+            assert result.neighbors[d.id] == search_knn(result.index, d, 2, params=params)
+        assert any(result.neighbors[d.id] != search_knn(result.index, d, 2) for d in dev_docs)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import knnmem.autodiff as ad
-from knnmem.autodiff import Tape, grad_check
+from knnmem.autodiff import Tape, Tensor, grad_check
 from knnmem.corpus import Document, build_vocab
 from knnmem.encoder import (
     EncoderConfig,
     EncoderError,
     TextEncoder,
     load_pretrained_embeddings,
+    lstm_step,
     random_embedding_table,
 )
 
@@ -39,6 +40,97 @@ def ref_lstm_step(Wx, Wh, b, x, h, c):
     o = 1.0 / (1.0 + np.exp(-z[:, 3 * hidden:]))
     c2 = f * c + i * g
     return o * np.tanh(c2), c2
+
+
+def reference_encode_batch(enc, token_seqs):
+    """The per-timestep encoder: one `lstm_step` (about 20 tape nodes) per step."""
+    cfg, params, vocab = enc.config, enc.params, enc.vocab
+    seqs = [list(s)[: cfg.max_tokens] for s in token_seqs]
+    uniq = {}
+    for seq in seqs:
+        for tok in seq:
+            uniq.setdefault(tok, len(uniq))
+    words = [w[: cfg.max_word_chars] for w in uniq]
+    wlens = np.array([len(w) for w in words])
+    h = c = Tensor(np.zeros((len(words), cfg.char_lstm_dim)))
+    for t in range(int(wlens.max())):
+        ids = [vocab.char_id(w[t]) if t < len(w) else 0 for w in words]
+        h, c = lstm_step(params.char_lstm, ad.rows(params.char_table, ids), h, c, mask=wlens > t)
+    char_vecs = h
+    lens = np.array([len(s) for s in seqs])
+
+    def x_at(pos):
+        toks = [seq[min(p, len(seq) - 1)] for seq, p in zip(seqs, pos)]
+        return ad.concat([ad.rows(params.word.tensor, [vocab.word_id(t) for t in toks]),
+                          ad.rows(char_vecs, [uniq[t] for t in toks])], axis=1)
+
+    finals = []
+    for lstm, backward in ((params.fwd, False), (params.bwd, True)):
+        h = c = Tensor(np.zeros((len(seqs), cfg.hidden)))
+        for t in range(int(lens.max())):
+            pos = np.maximum(lens - 1 - t, 0) if backward else np.full(len(seqs), t)
+            h, c = lstm_step(lstm, x_at(pos), h, c, mask=lens > t)
+        finals.append(h)
+    return ad.concat(finals, axis=1)
+
+
+def encoder_grads(enc, encode, seqs, weights):
+    params = enc.named_params()
+    ad.zero_grads(params.values())
+    with Tape() as tape:
+        out = encode(enc, seqs)
+        loss = ad.sum(ad.mul(ad.tanh(out), weights))
+    tape.backward(loss)
+    return out.data, {n: p.grad for n, p in params.items()}
+
+
+RAGGED = [["the", "cat", "sat", "on", "the", "mat", "mat"], ["dog"],
+          ["birds", "fly", "high", "up", "the", "dog"], ["a", "a", "cat", "zzzzunknownzzzz"]]
+
+
+class TestFusedMatchesStepReference:
+    """`encode_batch` (fused passes) against a loop of `lstm_step` calls."""
+
+    @pytest.mark.parametrize("config", [
+        TINY,
+        EncoderConfig(),
+        EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=5, max_tokens=5,
+                      max_word_chars=3),
+    ], ids=["tiny", "paper", "clipped"])
+    def test_values_and_every_gradient(self, config):
+        vocab = make_vocab([" ".join(s) for s in RAGGED[:3]])
+        enc = TextEncoder.create(config, vocab, seed=13)
+        enc.params.word.tensor.requires_grad = True  # cover word_emb's gradient too
+        weights = np.random.default_rng(3).uniform(-1.0, 1.0, (len(RAGGED), config.l))
+        got, got_grads = encoder_grads(enc, TextEncoder.encode_batch, RAGGED, weights)
+        want, want_grads = encoder_grads(enc, reference_encode_batch, RAGGED, weights)
+        assert np.allclose(got, want, rtol=0, atol=1e-10)
+        assert set(got_grads) == set(want_grads)
+        for name, grad in want_grads.items():
+            assert grad is not None and got_grads[name] is not None, name
+            assert np.allclose(got_grads[name], grad, rtol=1e-10, atol=1e-10), name
+
+    def test_tape_length_independent_of_max_len(self, tiny_encoder):
+        lengths = []
+        for seq_len in (2, 9):
+            with Tape() as tape:
+                tiny_encoder.encode_batch([["the", "cat"] * seq_len, ["dog"]])
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+    def test_float32_outputs(self):
+        ad.set_default_dtype(np.float32)
+        try:
+            vocab = make_vocab(["the cat sat"])
+            enc = TextEncoder.create(TINY, vocab, seed=2)
+            with Tape() as tape:
+                out = enc.encode_batch([["the", "cat"], ["sat"]])
+                loss = ad.sum(out)
+            tape.backward(loss)
+            assert out.data.dtype == np.float32
+            assert enc.params.char_lstm.Wh.grad.dtype == np.float32
+        finally:
+            ad.set_default_dtype(np.float64)
 
 
 class TestShapes:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -252,6 +254,72 @@ class TestFileFormats:
         p = tmp_path / "bad.idx"
         p.write_bytes(b"NOTANIDX" + b"\x00" * 16)
         with pytest.raises(RetrievalError, match="magic"):
+            load_index(p)
+
+
+class TestIndexFileErrors:
+    """A damaged index file is a `RetrievalError`, never a silent load."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        corpus = [doc(3, ["a", "b"]), doc(5, ["b", "c", "b"]), doc(9, ["c", "d"])]
+        p = tmp_path / "corpus.idx"
+        save_index(p, build_index(corpus))
+        return p
+
+    @staticmethod
+    def write_index(path, manifest, postings=b""):
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(b"KNNIDX01" + struct.pack("<Q", len(blob)) + blob + postings)
+
+    def test_every_truncation_is_an_error(self, saved):
+        blob = saved.read_bytes()
+        for cut in range(1, len(blob)):
+            saved.write_bytes(blob[: len(blob) - cut])
+            with pytest.raises(RetrievalError):
+                load_index(saved)
+
+    def test_trailing_bytes(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00" * 4)
+        with pytest.raises(RetrievalError, match="trailing"):
+            load_index(saved)
+
+    def test_malformed_manifest_json(self, saved):
+        blob = bytearray(saved.read_bytes())
+        blob[16] = ord("#")  # first byte of the JSON manifest
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(RetrievalError, match="manifest"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("change", [
+        {"terms": None},
+        {"posting_counts": [1]},
+        {"doc_lens": [1]},
+        {"n_docs": 3},
+        {"doc_ids": [4, 4]},
+        {"doc_ids": [7, 4]},
+    ])
+    def test_bad_manifest_keys(self, tmp_path, change):
+        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"],
+                    "posting_counts": [2]}
+        manifest.update(change)
+        p = tmp_path / "bad.idx"
+        self.write_index(p, manifest, struct.pack("<4I", 4, 3, 1, 1))
+        with pytest.raises(RetrievalError, match="manifest"):
+            load_index(p)
+
+    def test_missing_manifest_key(self, tmp_path):
+        p = tmp_path / "bad.idx"
+        self.write_index(p, {"n_docs": 1, "doc_ids": [1], "doc_lens": [1], "terms": []})
+        with pytest.raises(RetrievalError, match="manifest"):
+            load_index(p)
+
+    def test_posting_with_unknown_doc_id(self, tmp_path):
+        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"],
+                    "posting_counts": [2]}
+        p = tmp_path / "bad.idx"
+        self.write_index(p, manifest, struct.pack("<4I", 4, 2, 1, 1))  # ids 4 and 6
+        with pytest.raises(RetrievalError, match="doc id"):
             load_index(p)
 
 

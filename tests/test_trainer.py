@@ -271,6 +271,33 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="word vocabulary hash"):
             model_from_checkpoint(ckpt)
 
+    def test_restore_draws_no_random_word_table(self, world, monkeypatch):
+        import knnmem.encoder as encoder
+
+        train_docs, _, labels = world
+        ckpt = self._m1_checkpoint(train_docs, labels)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("restore drew a random word table")
+
+        monkeypatch.setattr(encoder, "random_embedding_table", forbidden)
+        model = model_from_checkpoint(ckpt)
+        assert np.array_equal(model.encoder.params.word.tensor.data, ckpt.tensors["word_emb"])
+
+    def test_missing_word_emb_is_error(self, world):
+        train_docs, _, labels = world
+        ckpt = self._m1_checkpoint(train_docs, labels)
+        del ckpt.tensors["word_emb"]
+        with pytest.raises(CheckpointError, match="word_emb is missing"):
+            model_from_checkpoint(ckpt)
+
+    def test_wrong_shape_word_emb_is_error(self, world):
+        train_docs, _, labels = world
+        ckpt = self._m1_checkpoint(train_docs, labels)
+        ckpt.tensors["word_emb"] = ckpt.tensors["word_emb"][:, :2]
+        with pytest.raises(CheckpointError, match="word_emb is shape"):
+            model_from_checkpoint(ckpt)
+
 
 class TestSetups:
     def test_unbalanced_counts(self, world):
