@@ -27,14 +27,13 @@ from .corpus import (
     CorpusError,
     Document,
     LabelSpace,
-    build_vocab,
     load_corpus_cache,
     load_dataset,
     save_corpus_cache,
     split_dev,
     tokenize,
 )
-from .encoder import EncoderError, load_pretrained_embeddings
+from .encoder import EncoderError
 from .memory import ModelError
 from .retrieval import (
     RetrievalError,
@@ -173,13 +172,6 @@ def _load_train_dev(config: RunConfig) -> tuple[list[Document], list[Document], 
     return train_docs, dev_docs, labels
 
 
-def _word_table(config: RunConfig, vocab):
-    if config.embeddings:
-        return load_pretrained_embeddings(config.embeddings, vocab, seed=config.seed,
-                                          fallback_dim=config.word_dim)
-    return None
-
-
 def _out_dir(config: RunConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,9 +201,6 @@ def cmd_index(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     train_docs, dev_docs, labels = _load_train_dev(config)
-    vocab = build_vocab(train_docs, min_count=config.min_count)
-    table = _word_table(config, vocab)
-    encoder_config = config.encoder_config(word_dim=table.dim if table else None)
     out = _out_dir(config)
     external_docs = None
     external_labels = None
@@ -221,11 +210,12 @@ def cmd_train(config: RunConfig) -> int:
         external_labels = config.external_label_space()
         external_docs = load_dataset(config.external_csv, external_labels)
     report = run_setup(
-        config.setup, train_docs, dev_docs, labels, config.train_config(), encoder_config,
+        config.setup, train_docs, dev_docs, labels, config.train_config(),
+        config.encoder_config(),
         external_docs=external_docs, external_label_space=external_labels,
         low_resource_fraction=config.low_resource_fraction,
         per_class_counts=config.unbalanced_tuple(),
-        word_table=table,
+        embeddings=config.embeddings,
         metrics_path=out / "metrics.jsonl",
         config_echo=config.echo(),
         threads=config.threads,
@@ -314,9 +304,6 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     train_docs, dev_docs, labels = _load_train_dev(config)
-    vocab = build_vocab(train_docs, min_count=config.min_count)
-    table = _word_table(config, vocab)
-    encoder_config = config.encoder_config(word_dim=table.dim if table else None)
     out = _out_dir(config)
     if args.axis == "K":
         values = [("K", k) for k in range(0, args.axis_max + 1)]
@@ -338,7 +325,8 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
         else:
             train_config = dataclasses.replace(base, preset=value)
         report = run_setup("full", train_docs, dev_docs, labels, train_config,
-                           encoder_config, word_table=table, threads=config.threads,
+                           config.encoder_config(), embeddings=config.embeddings,
+                           threads=config.threads,
                            bm25_params=config.bm25_params())
         report.pop("_pipeline")
         row = {"axis": axis, "value": value, "dev_accuracy": report["dev_accuracy"],

@@ -93,9 +93,9 @@ class RunConfig:
             return LabelSpace(tuple(n.strip() for n in self.external_class_names.split(",")))
         return LabelSpace.of_size(self.external_classes)
 
-    def encoder_config(self, word_dim: int | None = None) -> EncoderConfig:
+    def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
-            word_dim=word_dim if word_dim is not None else self.word_dim,
+            word_dim=self.word_dim,
             char_dim=self.char_dim,
             char_lstm_dim=self.char_lstm_dim,
             hidden=self.hidden,

@@ -173,6 +173,11 @@ def init_encoder_params(config: EncoderConfig, vocab: Vocabulary, seed: int,
                         word_table: EmbeddingTable | None = None) -> EncoderParams:
     if word_table is None:
         word_table = random_embedding_table(vocab.n_words, config.word_dim, seed)
+    if word_table.tensor.shape[0] != vocab.n_words:
+        raise EncoderError(
+            f"embedding table has {word_table.tensor.shape[0]} rows; "
+            f"the vocabulary has {vocab.n_words} words"
+        )
     if word_table.dim != config.word_dim:
         raise EncoderError(
             f"embedding width {word_table.dim} != configured word_dim {config.word_dim}"

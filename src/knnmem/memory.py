@@ -1,9 +1,26 @@
 """kNN external memory: multi-perspective cosine attention over retrieved
 neighbors, attention-weighted label/text features, and the softmax head.
 
-Attention-weighted sums are evaluated in a canonical row order (sorted on
-the contribution values), so the outputs are exactly invariant to the
-order in which neighbors are listed.
+The head runs a whole batch through a fixed number of tape ops, whatever the
+batch size B and the neighbor counts K_b:
+
+- all P = sum(K_b) (query, neighbor) pairs are gathered into two (P, l)
+  matrices, reweighted by the (I, l) perspective rows, and matched with one
+  ``cosine_rows`` over P*I rows, giving (P, I) attention;
+- each attentive sum gathers the pairs into a (B, K_max) table whose padding
+  reads an appended zero attention row, then one broadcast ``mul`` and one
+  ``sum`` over K give its (B, I*w) feature block; a query without neighbors
+  gets zeros;
+- one ``concat`` builds the feature matrix.
+
+A query's pairs are summed in a canonical order: one ``np.lexsort`` over all
+pairs, by query, then by attention, then by label (label sum) or embedding
+(text sum). Pairs of one query that tie on every key contribute identical
+terms, so the features are exactly invariant to the order in which neighbors
+are listed; padding adds exact zeros after a query's own terms, so they do
+not depend on what else is in the batch. ``match_multi_perspective``,
+``attentive_label_distribution`` and ``attentive_text_embedding`` run one
+query through the same code.
 """
 
 from __future__ import annotations
@@ -85,73 +102,128 @@ class MatchingParams:
                    perspectives=perspectives, mode=mode)
 
 
-def match_multi_perspective(h: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tensor:
-    """Similarity vector of length I: cosine of the two embeddings after
-    elementwise reweighting by each perspective row (plain cosine in
-    vanilla mode)."""
-    h2 = ad.reshape(h, (1, h.size))
-    n2 = ad.reshape(h_nbr, (1, h_nbr.size))
-    if h2.shape != n2.shape:
-        raise ModelError(f"embedding lengths differ: {h.size} vs {h_nbr.size}")
+def _match_pairs(h_query: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tensor:
+    """(P, I) similarities of P (query, neighbor) embedding pairs, given as two
+    (P, l) matrices: every pair and perspective goes through one
+    ``cosine_rows`` over P*I reweighted rows (P plain cosines in vanilla
+    mode)."""
+    n_pairs, emb_len = h_query.shape
     if params.mode == VANILLA_COSINE:
-        return cosine_similarity_rows(h2, n2)
-    if params.W is None or params.W.shape[1] != h2.shape[1]:
+        return ad.reshape(ad.cosine_rows(h_query, h_nbr), (n_pairs, 1))
+    if params.W is None or params.W.shape[1] != emb_len:
         raise ModelError("matching weights do not fit the embedding length")
-    return cosine_similarity_rows(ad.mul(params.W, h2), ad.mul(params.W, n2))
+    perspectives = params.W.shape[0]
+    W = ad.reshape(params.W, (1, perspectives, emb_len))
+
+    def reweighted(x: Tensor) -> Tensor:
+        scaled = ad.mul(W, ad.reshape(x, (n_pairs, 1, emb_len)))
+        return ad.reshape(scaled, (n_pairs * perspectives, emb_len))
+
+    sims = ad.cosine_rows(reweighted(h_query), reweighted(h_nbr))
+    return ad.reshape(sims, (n_pairs, perspectives))
 
 
-def cosine_similarity_rows(a: Tensor, b: Tensor) -> Tensor:
-    return ad.cosine_rows(a, b)
+def match_multi_perspective(h: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tensor:
+    """Similarity vector of length I for one pair: cosine of the two
+    embeddings after elementwise reweighting by each perspective row (plain
+    cosine in vanilla mode)."""
+    if h.size != h_nbr.size:
+        raise ModelError(f"embedding lengths differ: {h.size} vs {h_nbr.size}")
+    sims = _match_pairs(ad.reshape(h, (1, h.size)), ad.reshape(h_nbr, (1, h_nbr.size)), params)
+    return ad.reshape(sims, (sims.size,))
 
 
-def _canonical_order(*key_groups: np.ndarray) -> np.ndarray:
-    """Lexicographic row order over the stacked key columns; any permutation
-    of identical row multisets maps to the same ordered sequence."""
-    keys: list[np.ndarray] = []
-    for group in key_groups:
-        for col in reversed(range(group.shape[1])):
-            keys.append(group[:, col])
-    return np.lexsort(tuple(keys))
+def _canonical_slots(pair_query: np.ndarray, n_queries: int,
+                     *key_groups: np.ndarray) -> np.ndarray:
+    """(n_queries, K_max) pair indices in canonical order, padded with P.
+
+    Row b lists query b's pairs sorted lexicographically by the columns of
+    each key group in turn (one ``np.lexsort`` over all pairs, the query as
+    primary key). Pairs of one query that tie on every key contribute
+    identical terms, so any permutation of a query's neighbors yields the
+    same ordered sequence.
+    """
+    keys = [group[:, col] for group in reversed(key_groups)
+            for col in reversed(range(group.shape[1]))]
+    keys.append(pair_query)
+    order = np.lexsort(tuple(keys))
+    n_pairs = pair_query.size
+    counts = np.bincount(pair_query, minlength=n_queries)
+    query = pair_query[order]
+    slots = np.full((n_queries, int(counts.max())), n_pairs, dtype=np.int64)
+    slots[query, np.arange(n_pairs) - (np.cumsum(counts) - counts)[query]] = order
+    return slots
+
+
+def _weighted_sum(attention: Tensor, slots: np.ndarray, values: Tensor) -> Tensor:
+    """Per query b and perspective i, the sum over k of
+    ``attention[slots[b, k], i] * values[b * K_max + k]``; (n_queries, I*w).
+
+    The pad index P reads an appended zero row of attention, so padding adds
+    exact zeros after a query's own terms and its sums do not depend on what
+    it is batched with.
+    """
+    n_queries, k_max = slots.shape
+    perspectives, width = attention.shape[1], values.shape[1]
+    padded = ad.concat([attention, Tensor(np.zeros((1, perspectives)))], axis=0)
+    att = ad.reshape(ad.rows(padded, slots.reshape(-1)), (n_queries, k_max, perspectives, 1))
+    weighted = ad.mul(att, ad.reshape(values, (n_queries, k_max, 1, width)))
+    return ad.reshape(ad.sum(weighted, axis=1), (n_queries, perspectives * width))
+
+
+def _attentive_labels(attention: Tensor, pair_query: np.ndarray, n_queries: int,
+                      labels: np.ndarray, c: int) -> Tensor:
+    """Per query and perspective, the attention-weighted sum of its
+    neighbors' one-hot labels: (n_queries, I*c) from (P, I) pair attention."""
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise ModelError(f"neighbor label out of range for c={c}")
+    n_pairs, perspectives = attention.shape
+    if n_pairs == 0:
+        return Tensor(np.zeros((n_queries, perspectives * c)))
+    slots = _canonical_slots(pair_query, n_queries, attention.data, labels[:, None])
+    # Padding may read any label: its attention is zero.
+    onehot = np.eye(c)[np.append(labels, 0)[slots.reshape(-1)]]
+    return _weighted_sum(attention, slots, Tensor(onehot))
+
+
+def _attentive_texts(attention: Tensor, pair_query: np.ndarray, n_queries: int,
+                     table: Tensor, table_rows: np.ndarray) -> Tensor:
+    """Per query and perspective, the attention-weighted sum of its
+    neighbors' embeddings ``table[table_rows[p]]``: (n_queries, I*l)."""
+    n_pairs, perspectives = attention.shape
+    if n_pairs == 0:
+        return Tensor(np.zeros((n_queries, perspectives * table.shape[1])))
+    slots = _canonical_slots(pair_query, n_queries, attention.data, table.data[table_rows])
+    # Padding may read any row: its attention is zero.
+    padded_rows = np.append(table_rows, table_rows[0])
+    return _weighted_sum(attention, slots, ad.rows(table, padded_rows[slots.reshape(-1)]))
 
 
 def attentive_label_distribution(attention: Tensor, neighbor_labels: Sequence[int],
                                  c: int) -> Tensor:
-    """Per perspective, the attention-weighted sum of neighbor one-hot labels;
-    perspectives concatenated into a vector of length I*c."""
+    """Per perspective, the attention-weighted sum of one query's neighbor
+    one-hot labels; perspectives concatenated into a vector of length I*c."""
     if attention.ndim != 2:
         raise ModelError(f"attention must be 2-d, got shape {attention.shape}")
-    k, perspectives = attention.shape
+    k = attention.shape[0]
     labels = np.asarray(neighbor_labels, dtype=np.int64)
     if labels.shape[0] != k:
         raise ModelError(f"{k} attention rows vs {labels.shape[0]} labels")
-    if k == 0:
-        return Tensor(np.zeros(perspectives * c))
-    if labels.min() < 0 or labels.max() >= c:
-        raise ModelError(f"neighbor label out of range for c={c}")
-    order = _canonical_order(labels[:, None].astype(np.float64), attention.data)
-    att_sorted = ad.rows(attention, order)
-    onehot = np.zeros((k, c))
-    onehot[np.arange(k), labels[order]] = 1.0
-    summed = ad.matmul(ad.transpose(att_sorted), Tensor(onehot))
-    return ad.reshape(summed, (perspectives * c,))
+    out = _attentive_labels(attention, np.zeros(k, dtype=np.int64), 1, labels, c)
+    return ad.reshape(out, (out.size,))
 
 
 def attentive_text_embedding(attention: Tensor, neighbor_embeddings: Tensor) -> Tensor:
-    """Per perspective, the attention-weighted sum of neighbor embeddings;
-    perspectives concatenated into a vector of length I*l."""
+    """Per perspective, the attention-weighted sum of one query's neighbor
+    embeddings; perspectives concatenated into a vector of length I*l."""
     if attention.ndim != 2 or neighbor_embeddings.ndim != 2:
         raise ModelError("attention and embeddings must be 2-d")
-    k, perspectives = attention.shape
+    k = attention.shape[0]
     if neighbor_embeddings.shape[0] != k:
         raise ModelError(f"{k} attention rows vs {neighbor_embeddings.shape[0]} embeddings")
-    emb_len = neighbor_embeddings.shape[1]
-    if k == 0:
-        return Tensor(np.zeros(perspectives * emb_len))
-    order = _canonical_order(neighbor_embeddings.data, attention.data)
-    att_sorted = ad.rows(attention, order)
-    emb_sorted = ad.rows(neighbor_embeddings, order)
-    summed = ad.matmul(ad.transpose(att_sorted), emb_sorted)
-    return ad.reshape(summed, (perspectives * emb_len,))
+    out = _attentive_texts(attention, np.zeros(k, dtype=np.int64), 1,
+                           neighbor_embeddings, np.arange(k))
+    return ad.reshape(out, (out.size,))
 
 
 def feature_width(features: FeatureConfig, embedding_len: int, perspectives: int,
@@ -168,7 +240,8 @@ def feature_width(features: FeatureConfig, embedding_len: int, perspectives: int
 
 def assemble_features(h: Tensor | None, attn_label: Tensor | None,
                       attn_text: Tensor | None, features: FeatureConfig) -> Tensor:
-    """Fixed-order concatenation [text embedding; attentive label; attentive text]."""
+    """Fixed-order concatenation [text embedding; attentive label; attentive
+    text] along the last axis, for one vector or a (batch, width) matrix."""
     parts = []
     if features.use_text_embedding:
         if h is None:
@@ -182,7 +255,7 @@ def assemble_features(h: Tensor | None, attn_label: Tensor | None,
         if attn_text is None:
             raise ModelError("attentive-text feature enabled but no embedding given")
         parts.append(attn_text)
-    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=parts[0].ndim - 1)
 
 
 @dataclass
@@ -327,67 +400,50 @@ class KnnTextModel:
             shared = neighbor_docs.get(doc.id) is doc
             input_slots.append(slot_for(doc.id if shared else ("query", pos), doc.tokens))
 
-        neighbor_slots: list[list[int]] = []
-        neighbor_sets: list[NeighborSet] = []
+        # Every (query, neighbor) pair of the batch, queries in batch order and
+        # each query's neighbors in listed order.
+        pair_query: list[int] = []
+        pair_neighbors: list[tuple[int, float]] = []
+        pair_slots: list[int] = []
+        pair_labels: list[int] = []
         if features.uses_memory:
             if neighbor_map is None:
                 raise ModelError("memory features enabled but no neighbor map given")
-            for doc in docs:
+            for pos, doc in enumerate(docs):
                 ns = neighbor_map.get(doc.id)
                 if ns is None:
                     raise ModelError(f"no precomputed neighbors for doc {doc.id}")
-                row_slots = []
-                for nbr_id, _ in ns.neighbors:
+                for nbr_id, score in ns.neighbors:
                     nbr = neighbor_docs.get(nbr_id)
                     if nbr is None:
                         raise ModelError(f"neighbor doc {nbr_id} missing from lookup")
-                    row_slots.append(slot_for(nbr_id, nbr.tokens))
-                neighbor_slots.append(row_slots)
-                neighbor_sets.append(ns)
+                    pair_query.append(pos)
+                    pair_neighbors.append((nbr_id, score))
+                    pair_slots.append(slot_for(nbr_id, nbr.tokens))
+                    pair_labels.append(nbr.label)
 
         H = self.encoder.encode_batch(seqs)
-        H_nbr = H.detach() if cfg.stop_grad_neighbors else H
-
-        emb_len = cfg.encoder.l
-        n_perspectives = cfg.effective_perspectives
-        c_nbr = cfg.effective_neighbor_classes
-        attention_records: list[list[NeighborAttentionRecord]] = []
-
+        h = ad.rows(H, input_slots)
+        attention_records: list[list[NeighborAttentionRecord]] = [[] for _ in docs]
         if not features.uses_memory:
-            feat_mat = ad.rows(H, input_slots)
-            attention_records = [[] for _ in docs]
+            feat_mat = h
         else:
-            rows_out = []
-            for pos, doc in enumerate(docs):
-                h_b = ad.rows(H, [input_slots[pos]])
-                ns, row_slots = neighbor_sets[pos], neighbor_slots[pos]
-                h_vec = ad.reshape(h_b, (emb_len,)) if features.use_text_embedding else None
-                attn_label = attn_text = None
-                records: list[NeighborAttentionRecord] = []
-                if row_slots:
-                    att_rows = []
-                    for s in row_slots:
-                        sim = match_multi_perspective(h_b, ad.rows(H_nbr, [s]), self.matching)
-                        att_rows.append(ad.reshape(sim, (1, n_perspectives)))
-                    att = att_rows[0] if len(att_rows) == 1 else ad.concat(att_rows, axis=0)
-                    labels = [neighbor_docs[nbr_id].label for nbr_id, _ in ns.neighbors]
-                    if features.use_attn_label:
-                        attn_label = attentive_label_distribution(att, labels, c_nbr)
-                    if features.use_attn_text:
-                        attn_text = attentive_text_embedding(att, ad.rows(H_nbr, row_slots))
-                    for (nbr_id, score), a_row, label in zip(ns.neighbors, att.data, labels):
-                        records.append(NeighborAttentionRecord(
-                            doc_id=nbr_id, bm25_score=score,
-                            attention=[float(v) for v in a_row], label=label))
-                else:
-                    if features.use_attn_label:
-                        attn_label = Tensor(np.zeros(n_perspectives * c_nbr))
-                    if features.use_attn_text:
-                        attn_text = Tensor(np.zeros(n_perspectives * emb_len))
-                feat = assemble_features(h_vec, attn_label, attn_text, features)
-                rows_out.append(ad.reshape(feat, (1, feat.size)))
-                attention_records.append(records)
-            feat_mat = rows_out[0] if len(rows_out) == 1 else ad.concat(rows_out, axis=0)
+            H_nbr = H.detach() if cfg.stop_grad_neighbors else H
+            query = np.asarray(pair_query, dtype=np.int64)
+            nbr_slots = np.asarray(pair_slots, dtype=np.int64)
+            att = _match_pairs(ad.rows(h, query), ad.rows(H_nbr, nbr_slots), self.matching)
+            attn_label = attn_text = None
+            if features.use_attn_label:
+                attn_label = _attentive_labels(att, query, len(docs),
+                                               np.asarray(pair_labels, dtype=np.int64),
+                                               cfg.effective_neighbor_classes)
+            if features.use_attn_text:
+                attn_text = _attentive_texts(att, query, len(docs), H_nbr, nbr_slots)
+            feat_mat = assemble_features(h, attn_label, attn_text, features)
+            for pos, (nbr_id, score), label, a_row in zip(pair_query, pair_neighbors,
+                                                          pair_labels, att.data.tolist()):
+                attention_records[pos].append(NeighborAttentionRecord(
+                    doc_id=nbr_id, bm25_score=score, attention=a_row, label=label))
 
         if feat_mat.shape[1] != self.classifier.W.shape[0]:
             raise ModelError(

@@ -31,7 +31,7 @@ from .corpus import (
     build_vocab,
     subsample,
 )
-from .encoder import EmbeddingTable, EncoderConfig
+from .encoder import EmbeddingTable, EncoderConfig, load_pretrained_embeddings
 from .memory import (
     MULTI_PERSPECTIVE,
     KnnTextModel,
@@ -97,6 +97,9 @@ class EpochStats:
     epoch: int
     train_loss: float
     dev_accuracy: float
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_rate: float
 
 
 @dataclass
@@ -358,7 +361,11 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
           config_echo: dict | None = None) -> TrainResult:
     """Run exactly ``config.epochs`` passes with per-epoch seeded reshuffles,
     evaluate on dev after each epoch, and return the best-on-dev checkpoint
-    (earliest epoch wins ties)."""
+    (earliest epoch wins ties).
+
+    The global gradient norm is measured before clipping on every step, also
+    when ``clip_norm`` is 0 and nothing is clipped; each epoch records its
+    mean, its max and the share of steps that were clipped."""
     if not train_docs:
         raise TrainingError("empty training corpus")
     params = model.named_params()
@@ -378,6 +385,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(train_docs))
             loss_sum, seen = 0.0, 0
+            grad_norms: list[float] = []
             for batch_index, start in enumerate(range(0, len(train_docs), config.batch_size)):
                 batch = [train_docs[i] for i in order[start:start + config.batch_size]]
                 zero_grads(params.values())
@@ -389,22 +397,21 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
                         f"non-finite loss at epoch {epoch}, batch {batch_index}"
                     )
                 tape.backward(result.loss)
-                if config.clip_norm and config.clip_norm > 0:
-                    clip_global_norm(trainable, config.clip_norm)
+                grad_norms.append(clip_global_norm(trainable, config.clip_norm))
                 optimizer.step()
                 loss_sum += loss_val * len(batch)
                 seen += len(batch)
             dev_report = evaluate(model, dev_docs, neighbors, neighbor_docs,
                                   batch_size=config.eval_batch_size)
-            stats = EpochStats(epoch=epoch, train_loss=loss_sum / seen,
-                               dev_accuracy=dev_report.accuracy)
+            clipped = sum(n > config.clip_norm for n in grad_norms) if config.clip_norm > 0 else 0
+            stats = EpochStats(
+                epoch=epoch, train_loss=loss_sum / seen, dev_accuracy=dev_report.accuracy,
+                grad_norm_mean=math.fsum(grad_norms) / len(grad_norms),
+                grad_norm_max=max(grad_norms), clip_rate=clipped / len(grad_norms),
+            )
             history.append(stats)
             if metrics_fh:
-                metrics_fh.write(json.dumps({
-                    "epoch": epoch,
-                    "train_loss": stats.train_loss,
-                    "dev_accuracy": stats.dev_accuracy,
-                }, sort_keys=True) + "\n")
+                metrics_fh.write(json.dumps(dataclasses.asdict(stats), sort_keys=True) + "\n")
                 metrics_fh.flush()
             if best is None or dev_report.accuracy > best.dev_accuracy:
                 best = make_checkpoint(model, vocab, epoch, dev_report.accuracy, config_echo)
@@ -441,7 +448,7 @@ class PipelineResult:
 def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
                  label_space: LabelSpace, config: TrainConfig,
                  encoder_config: EncoderConfig, *,
-                 word_table: EmbeddingTable | None = None,
+                 embeddings: str | Path | None = None,
                  external_docs: Sequence[Document] | None = None,
                  external_label_space: LabelSpace | None = None,
                  metrics_path: str | Path | None = None,
@@ -452,11 +459,18 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
 
     Neighbors come from ``external_docs`` when given (semi-supervised or
     transfer setups), otherwise from the training corpus itself, ranked
-    with ``bm25_params``. The final dev report is computed from the
-    reloaded best checkpoint.
+    with ``bm25_params``. Word vectors from the ``embeddings`` file are
+    loaded against the vocabulary built here from ``train_docs``, and the
+    file's width sets ``word_dim``. The final dev report is computed from
+    the reloaded best checkpoint.
     """
     features = preset(config.preset)
     vocab = build_vocab(train_docs, min_count=config.min_count)
+    word_table = None
+    if embeddings is not None:
+        word_table = load_pretrained_embeddings(embeddings, vocab, seed=config.seed,
+                                                fallback_dim=encoder_config.word_dim)
+        encoder_config = dataclasses.replace(encoder_config, word_dim=word_table.dim)
     model_config = ModelConfig(
         encoder=encoder_config,
         preset=config.preset,
@@ -513,7 +527,7 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
               external_label_space: LabelSpace | None = None,
               low_resource_fraction: float = 0.1,
               per_class_counts: Sequence[int] | None = None,
-              word_table: EmbeddingTable | None = None,
+              embeddings: str | Path | None = None,
               metrics_path: str | Path | None = None,
               config_echo: dict | None = None,
               threads: int = 1,
@@ -546,7 +560,7 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
             raise TrainingError("transfer setup needs a preset with the attentive-label feature")
     result = run_pipeline(
         effective_train, dev_docs, label_space, effective_config, encoder_config,
-        word_table=word_table, external_docs=ext_docs, external_label_space=ext_labels,
+        embeddings=embeddings, external_docs=ext_docs, external_label_space=ext_labels,
         metrics_path=metrics_path, config_echo=config_echo, threads=threads,
         bm25_params=bm25_params,
     )

@@ -252,3 +252,29 @@ class TestBm25ParamsReachTraining:
         for d in dev_docs:
             assert result.neighbors[d.id] == search_knn(result.index, d, 2, params=params)
         assert any(result.neighbors[d.id] != search_knn(result.index, d, 2) for d in dev_docs)
+
+
+class TestEmbeddingsFollowVocabulary:
+    def test_low_resource_train_keeps_file_vectors(self, data_dir, tmp_path):
+        import numpy as np
+
+        from knnmem.trainer import load_checkpoint, model_from_checkpoint
+
+        docs, _ = make_separable_corpus(12, 3, seed=5)
+        words = sorted({t for d in docs for t in d.tokens})
+        rng = np.random.default_rng(4)
+        vectors = {w: rng.normal(size=4) for w in words}
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"{w} {' '.join(repr(float(v)) for v in vec)}\n"
+                                for w, vec in vectors.items()), encoding="utf-8")
+        out = tmp_path / "run"
+        code = run(["train", "--train", data_dir / "train.csv", *FAST, "--epochs", "1",
+                    "--setup", "low_resource", "--low-resource-fraction", "0.3",
+                    "--embeddings", path, "--out-dir", out])
+        assert code == 0
+        model = model_from_checkpoint(load_checkpoint(out / "model.ckpt"))
+        vocab = model.encoder.vocab
+        assert vocab.n_words < len(words) + 1
+        table = model.encoder.params.word.tensor.data
+        for word, row in vocab.word_to_id.items():
+            assert np.array_equal(table[row], vectors[word]), word

@@ -354,3 +354,89 @@ class TestModel:
         model, docs, lookup, neighbors = self.model("M7")
         result = model.forward_batch(docs, neighbors, lookup)
         assert np.allclose(result.probabilities.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestBatchedHead:
+    """The memory head of ``forward_batch`` runs a whole batch at once; each
+    query must still see exactly its own neighbors."""
+
+    COUNTS = (0, 1, 3, 3, 1, 0)
+
+    def build(self, mode="multi_perspective", seed=0, counts=COUNTS):
+        config = ModelConfig(encoder=TINY, preset="M7", perspectives=2, n_classes=3, mode=mode)
+        docs, vocab, lookup, _ = toy_world()
+        model = KnnTextModel.create(config, vocab, seed=seed)
+        neighbors = {
+            d.id: NeighborSet(d.id, tuple((o.id, 1.0 + 0.1 * o.id)
+                                          for o in docs if o.id != d.id)[:k])
+            for d, k in zip(docs, counts)
+        }
+        return model, docs, lookup, neighbors
+
+    def test_ragged_logits_match_scalar_oracle(self):
+        model, docs, lookup, neighbors = self.build()
+        result = model.forward_batch(docs, neighbors, lookup)
+        emb = dict(zip((d.id for d in docs),
+                       model.encoder.encode_batch([d.tokens for d in docs]).data.tolist()))
+        W = model.matching.W.data.tolist()
+        n_perspectives, c, length = 2, 3, TINY.l
+        for pos, d in enumerate(docs):
+            ids = [nbr_id for nbr_id, _ in neighbors[d.id].neighbors]
+            s = [oracle_match(emb[d.id], emb[n], W) for n in ids]
+            if ids:
+                label = oracle_attn_label(s, [lookup[n].label for n in ids], c)
+                text = oracle_attn_text(s, [emb[n] for n in ids])
+            else:
+                label, text = [0.0] * (n_perspectives * c), [0.0] * (n_perspectives * length)
+            feat = np.array(emb[d.id] + label + text)
+            want = feat @ model.classifier.W.data + model.classifier.b.data[0]
+            assert np.allclose(result.logits[pos], want, rtol=0, atol=1e-10)
+            records = result.attention[pos]
+            assert [r.doc_id for r in records] == ids
+            assert [r.bm25_score for r in records] == [score for _, score in neighbors[d.id].neighbors]
+            assert [r.label for r in records] == [lookup[n].label for n in ids]
+            for rec, want_att in zip(records, s):
+                assert np.allclose(rec.attention, want_att, rtol=0, atol=1e-12)
+
+    def test_shuffled_neighbors_give_identical_logits(self):
+        model, docs, lookup, neighbors = self.build()
+        base = model.forward_batch(docs, neighbors, lookup).logits
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            shuffled = {}
+            for doc_id, ns in neighbors.items():
+                pairs = list(ns.neighbors)
+                rng.shuffle(pairs)
+                shuffled[doc_id] = NeighborSet(doc_id, tuple(pairs))
+            out = model.forward_batch(docs, shuffled, lookup)
+            assert np.array_equal(out.logits, base)
+
+    def test_query_alone_equals_query_in_batch(self):
+        model, docs, lookup, neighbors = self.build()
+        batched = model.forward_batch(docs, neighbors, lookup).logits
+        for pos, d in enumerate(docs):
+            alone = model.forward_batch([d], neighbors, lookup).logits[0]
+            assert np.allclose(alone, batched[pos], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["multi_perspective", "vanilla_cosine"])
+    def test_grad_check_on_ragged_batch(self, mode):
+        model, docs, lookup, neighbors = self.build(mode=mode, seed=6)
+        batch = docs[:3]  # 0, 1 and 3 neighbors
+
+        def loss_fn():
+            return model.forward_batch(batch, neighbors, lookup).loss
+
+        params = {n: p for n, p in model.named_params().items() if p.requires_grad}
+        assert ("match.W" in params) == (mode == "multi_perspective")
+        report = grad_check(loss_fn, params, h=1e-5)
+        assert report.worst() < 1e-3, report.max_rel_err
+
+    def test_tape_length_independent_of_batch_and_k(self):
+        lengths = set()
+        for counts in ((1,) * 6, (3,) * 6, (1, 2, 3, 3, 2, 1)):
+            model, docs, lookup, neighbors = self.build(counts=counts)
+            for size in (1, 3, 6):
+                with Tape() as tape:
+                    model.forward_batch(docs[:size], neighbors, lookup)
+                lengths.add(len(tape))
+        assert len(lengths) == 1, lengths

@@ -366,3 +366,81 @@ class TestConfigValidation:
     def test_vanilla_mode_allows_any_perspectives(self):
         config = TrainConfig(mode="vanilla_cosine", perspectives=0)
         assert config.mode == "vanilla_cosine"
+
+
+class TestEmbeddingsFollowVocabulary:
+    def test_low_resource_rows_hold_file_vectors(self, world, tmp_path):
+        train_docs, dev_docs, labels = world
+        full_vocab = build_vocab(train_docs)
+        rng = np.random.default_rng(3)
+        vectors = {w: rng.normal(size=TINY.word_dim) for w in sorted(full_vocab.word_to_id)}
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"{w} {' '.join(repr(float(v)) for v in vec)}\n"
+                                for w, vec in vectors.items()), encoding="utf-8")
+        report = run_setup("low_resource", train_docs, dev_docs, labels,
+                           quick_config(epochs=1), TINY, low_resource_fraction=0.3,
+                           embeddings=path)
+        model = report["_pipeline"].model
+        vocab = model.encoder.vocab
+        assert vocab.n_words < full_vocab.n_words
+        table = model.encoder.params.word
+        assert table.tensor.shape[0] == vocab.n_words
+        for word, row in vocab.word_to_id.items():
+            assert np.array_equal(table.tensor.data[row], vectors[word]), word
+            assert not table.random_rows[row]
+
+    def test_table_rows_must_match_vocabulary(self, world):
+        from knnmem.encoder import EncoderError, random_embedding_table
+
+        train_docs, _, labels = world
+        vocab = build_vocab(train_docs)
+        config = ModelConfig(encoder=TINY, preset="M7", perspectives=2, n_classes=labels.c)
+        table = random_embedding_table(vocab.n_words + 5, TINY.word_dim, seed=0)
+        with pytest.raises(EncoderError, match="rows"):
+            KnnTextModel.create(config, vocab, seed=0, word_table=table)
+
+
+class TestGradNormTelemetry:
+    def run_with_spy(self, world, tmp_path, monkeypatch, clip_norm):
+        """Train 2 epochs; return the metrics lines and, per clip call, the
+        returned norm and whether any gradient changed."""
+        import knnmem.trainer as trainer_mod
+
+        calls = []
+        real = trainer_mod.clip_global_norm
+
+        def spy(params, max_norm):
+            params = list(params)
+            before = [p.grad.copy() for p in params]
+            norm = real(params, max_norm)
+            changed = any(not np.array_equal(b, p.grad) for b, p in zip(before, params))
+            calls.append((norm, changed))
+            return norm
+
+        monkeypatch.setattr(trainer_mod, "clip_global_norm", spy)
+        train_docs, dev_docs, labels = world
+        metrics = tmp_path / "metrics.jsonl"
+        run_pipeline(train_docs, dev_docs, labels, quick_config(epochs=2, clip_norm=clip_norm),
+                     TINY, metrics_path=metrics)
+        lines = [json.loads(line) for line in metrics.read_text().splitlines()]
+        return lines[:-1], calls
+
+    def test_epoch_lines_carry_pre_clip_norm(self, world, tmp_path, monkeypatch):
+        epochs, calls = self.run_with_spy(world, tmp_path, monkeypatch, clip_norm=1e-3)
+        steps = len(calls) // 2
+        assert len(epochs) == 2 and len(calls) == 2 * steps
+        for line, chunk in zip(epochs, (calls[:steps], calls[steps:])):
+            norms = [n for n, _ in chunk]
+            assert line["grad_norm_mean"] == pytest.approx(sum(norms) / steps, rel=1e-12)
+            assert line["grad_norm_max"] == max(norms)
+            assert line["grad_norm_max"] > 1e-3  # measured before clipping
+            assert line["clip_rate"] == 1.0
+        assert all(changed for _, changed in calls)
+
+    def test_zero_clip_norm_measures_without_scaling(self, world, tmp_path, monkeypatch):
+        epochs, calls = self.run_with_spy(world, tmp_path, monkeypatch, clip_norm=0.0)
+        assert calls and not any(changed for _, changed in calls)
+        for line in epochs:
+            assert line["grad_norm_mean"] > 0.0
+            assert line["grad_norm_max"] >= line["grad_norm_mean"]
+            assert line["clip_rate"] == 0.0
