@@ -186,8 +186,7 @@ def cmd_index(config: RunConfig) -> int:
     index = build_index(docs)
     neighbors = precompute_neighbors(index, docs, config.k_neighbors,
                                      self_exclude=config.self_exclude,
-                                     params=config.bm25_params(),
-                                     threads=config.threads)
+                                     params=config.bm25_params())
     out = _out_dir(config)
     save_index(out / "train.idx", index)
     save_neighbors(out / "train.nbr", neighbors)
@@ -218,7 +217,6 @@ def cmd_train(config: RunConfig) -> int:
         embeddings=config.embeddings,
         metrics_path=out / "metrics.jsonl",
         config_echo=config.echo(),
-        threads=config.threads,
         bm25_params=config.bm25_params(),
     )
     pipeline = report.pop("_pipeline")
@@ -326,7 +324,6 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
             train_config = dataclasses.replace(base, preset=value)
         report = run_setup("full", train_docs, dev_docs, labels, train_config,
                            config.encoder_config(), embeddings=config.embeddings,
-                           threads=config.threads,
                            bm25_params=config.bm25_params())
         report.pop("_pipeline")
         row = {"axis": axis, "value": value, "dev_accuracy": report["dev_accuracy"],

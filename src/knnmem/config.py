@@ -71,7 +71,6 @@ class RunConfig:
     external_class_names: str | None = _f(None, "comma-separated class names of the external corpus")
     # io
     out_dir: str = _f("runs", "directory for output artifacts")
-    threads: int = _f(1, "worker threads for retrieval precomputation (1 = bit-reproducible)")
 
     def __post_init__(self):
         if self.float_width not in (32, 64):
@@ -80,8 +79,6 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.setup not in SETUPS:
             raise ConfigError(f"setup must be one of {SETUPS}, got {self.setup!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     def label_space(self) -> LabelSpace:
         if self.class_names:

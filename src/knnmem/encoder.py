@@ -13,8 +13,12 @@ distinct row, then gathered for every occurrence:
 Each of the three passes is then one ``autodiff.lstm_sequence`` node: the
 recurrence runs in numpy, with a hand-written backward through time. Rows
 shorter than the batch maximum skip their padded steps, so their state
-carries over exactly and a sequence's embedding does not depend on what it
-is batched with.
+carries over exactly: padding never enters a sequence's embedding. The
+embedding is still not bit-identical across batch compositions, because
+BLAS picks its matrix-product kernel by row count. At paper dimensions
+(OpenBLAS 0.3.31, Haswell kernels, 1 or 2 threads) every sequence encoded
+alone differed from its row in a 300-sequence batch, by at most 1.0e-17,
+and 162 of 300 rows differed when the sequences were encoded in pairs.
 """
 
 from __future__ import annotations

@@ -453,7 +453,6 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
                  external_label_space: LabelSpace | None = None,
                  metrics_path: str | Path | None = None,
                  config_echo: dict | None = None,
-                 threads: int = 1,
                  bm25_params: Bm25Params = Bm25Params()) -> PipelineResult:
     """Index, retrieve, build, train, and evaluate in one pass.
 
@@ -499,7 +498,6 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         neighbors = precompute_neighbors(
             index, train_docs, config.k_neighbors,
             self_exclude=config.self_exclude and same_corpus, params=bm25_params,
-            threads=threads,
         )
         for doc in dev_docs:
             neighbors[doc.id] = search_knn(index, doc, config.k_neighbors, params=bm25_params)
@@ -530,7 +528,6 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
               embeddings: str | Path | None = None,
               metrics_path: str | Path | None = None,
               config_echo: dict | None = None,
-              threads: int = 1,
               bm25_params: Bm25Params = Bm25Params()) -> dict:
     """One experimental setup end to end; returns a report dict.
 
@@ -561,7 +558,7 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
     result = run_pipeline(
         effective_train, dev_docs, label_space, effective_config, encoder_config,
         embeddings=embeddings, external_docs=ext_docs, external_label_space=ext_labels,
-        metrics_path=metrics_path, config_echo=config_echo, threads=threads,
+        metrics_path=metrics_path, config_echo=config_echo,
         bm25_params=bm25_params,
     )
     per_class_train = [0] * label_space.c

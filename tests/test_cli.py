@@ -208,6 +208,15 @@ class TestConfigHandling:
         assert code == 1
         assert "nonsense_key" in capsys.readouterr().err
 
+    def test_removed_threads_key_is_usage_error(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"epochs": 1, "threads": 2}), encoding="utf-8")
+        code = run(["index", "--config", cfg, "--train", data_dir / "train.csv",
+                    "--out-dir", tmp_path / "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown config keys: threads" in err and "Traceback" not in err
+
     def test_malformed_config_json_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"epochs": 1,', encoding="utf-8")
@@ -223,7 +232,7 @@ class TestConfigHandling:
         text = capsys.readouterr().out
         for flag in ("--epochs", "--lr", "--k-neighbors", "--preset", "--perspectives",
                      "--self-exclude", "--clip-norm", "--max-tokens", "--unbalanced-counts",
-                     "--float-width", "--threads"):
+                     "--float-width"):
             assert flag in text
         assert "default: 15" in text  # epochs default documented
 

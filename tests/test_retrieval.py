@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knnmem
 from knnmem.corpus import Document
 from knnmem.retrieval import (
     Bm25Params,
+    InvertedIndex,
     NeighborSet,
     RetrievalError,
     bm25_score,
@@ -178,6 +184,126 @@ class TestSearchKnn:
         assert result.ids() == [0, 1]
 
 
+def assert_matches_oracle(index, raw, query, k, exclude_id=None, params=Bm25Params()):
+    got = search_knn(index, query, k, exclude_id=exclude_id, params=params)
+    want = oracle_rank(raw, query, k, exclude_id=exclude_id, k1=params.k1, b=params.b)
+    assert got.ids() == [i for i, _ in want]
+    for (_, gs), (_, ws) in zip(got.neighbors, want):
+        assert gs == pytest.approx(ws, abs=1e-9)
+    return got
+
+
+class TestPackedScorer:
+    """`search_knn` over packed postings and memoised impacts, against the oracle."""
+
+    @staticmethod
+    def indexed(corpus):
+        return build_index(corpus), {d.id: list(d.tokens) for d in corpus}
+
+    def test_exact_ties_from_duplicate_documents(self):
+        rng = np.random.default_rng(31)
+        for trial in range(6):
+            base = random_corpus(rng, 20, 8)
+            copies = [doc(100 + d.id, d.tokens) for d in base[::3]]
+            index, raw = self.indexed(base + copies)
+            for original in copies:
+                query = list(original.tokens)
+                assert_matches_oracle(index, raw, query, 6)
+                got = dict(assert_matches_oracle(index, raw, query, len(raw)).neighbors)
+                assert got[original.id] == got[original.id - 100]  # an exact tie
+
+    def test_k_equal_to_and_above_n_docs(self):
+        rng = np.random.default_rng(32)
+        corpus = random_corpus(rng, 15, 5)
+        index, raw = self.indexed(corpus)
+        for d in corpus[:5]:
+            for k in (15, 16, 40):
+                assert_matches_oracle(index, raw, list(d.tokens), k)
+                assert_matches_oracle(index, raw, list(d.tokens), k, exclude_id=d.id)
+
+    def test_unknown_exclude_id(self):
+        rng = np.random.default_rng(33)
+        corpus = random_corpus(rng, 25, 10)
+        index, raw = self.indexed(corpus)
+        for d in corpus[:5]:
+            got = assert_matches_oracle(index, raw, list(d.tokens), 6, exclude_id=999)
+            assert got.query_id == 999
+            assert got.neighbors == search_knn(index, d, 6).neighbors
+
+    def test_unknown_and_repeated_query_terms(self):
+        rng = np.random.default_rng(34)
+        corpus = random_corpus(rng, 25, 10)
+        index, raw = self.indexed(corpus)
+        assert len(assert_matches_oracle(index, raw, ["nope", "never", "nope"], 5)) == 0
+        for d in corpus[:6]:
+            query = list(d.tokens) * 3 + ["nope"]
+            got = assert_matches_oracle(index, raw, query, 5)
+            assert got == search_knn(index, sorted(set(d.tokens)), 5)
+
+    def test_params_alternate_on_one_index(self):
+        rng = np.random.default_rng(35)
+        corpus = random_corpus(rng, 40, 12)
+        index, raw = self.indexed(corpus)
+        other = Bm25Params(0.5, 0.3)
+        for d in corpus[:6] * 2:
+            for params in (other, Bm25Params()):
+                assert_matches_oracle(index, raw, list(d.tokens), 7, exclude_id=d.id,
+                                      params=params)
+        assert search_knn(index, corpus[0], 7, params=other) != search_knn(index, corpus[0], 7)
+
+    def test_scores_equal_bm25_score_exactly(self):
+        rng = np.random.default_rng(36)
+        for params in (Bm25Params(), Bm25Params(0.5, 0.3), Bm25Params(0.0, 1.0)):
+            corpus = random_corpus(rng, 60, 30, max_len=30)
+            index = build_index(corpus)
+            for d in corpus[:15]:
+                for nbr, score in search_knn(index, d, 10, exclude_id=d.id, params=params).neighbors:
+                    assert score == bm25_score(index, d, nbr, params)
+
+    def test_round_trip_keeps_per_term_views(self, tmp_path):
+        rng = np.random.default_rng(37)
+        corpus = random_corpus(rng, 30, 12)
+        index, raw = self.indexed(corpus)
+        p = tmp_path / "corpus.idx"
+        save_index(p, index)
+        loaded = load_index(p)
+        for idx in (index, loaded):
+            assert idx.post_start[0] == 0 and idx.post_start[-1] == idx.post_rows.size
+            for t in range(len(idx.terms)):
+                a, z = idx.post_start[t], idx.post_start[t + 1]
+                assert np.array_equal(idx.postings_rows[t], idx.post_rows[a:z])
+                assert np.array_equal(idx.postings_tfs[t], idx.post_tfs[a:z])
+                assert np.shares_memory(idx.postings_rows[t], idx.post_rows)
+                assert np.shares_memory(idx.postings_tfs[t], idx.post_tfs)
+        assert np.array_equal(loaded.post_start, index.post_start)
+        for d in corpus[:5]:
+            assert_matches_oracle(loaded, raw, list(d.tokens), 5, exclude_id=d.id)
+
+
+_HASHSEED_SCRIPT = """
+import numpy as np
+from knnmem.corpus import Document
+from knnmem.retrieval import build_index, precompute_neighbors
+rng = np.random.default_rng(5)
+corpus = [Document(id=i, label=0, title="", body="",
+                   tokens=tuple(f"w{rng.integers(0, 60)}" for _ in range(rng.integers(5, 40))))
+          for i in range(300)]
+print(repr(sorted(precompute_neighbors(build_index(corpus), corpus, 5).items())))
+"""
+
+
+def test_precompute_does_not_depend_on_hash_seed():
+    src = str(Path(knnmem.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _HASHSEED_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 class TestPrecompute:
     def test_single_doc_self_exclude(self):
         corpus = [doc(0, ["a", "b"])]
@@ -200,14 +326,6 @@ class TestPrecompute:
         cache = precompute_neighbors(index, corpus, k=30, self_exclude=True)
         for d in corpus:
             assert d.id not in cache[d.id].ids()
-
-    def test_threads_match_serial(self):
-        rng = np.random.default_rng(13)
-        corpus = random_corpus(rng, 40, 10)
-        index = build_index(corpus)
-        serial = precompute_neighbors(index, corpus, k=4, threads=1)
-        threaded = precompute_neighbors(index, corpus, k=4, threads=3)
-        assert serial == threaded
 
 
 class TestFileFormats:
@@ -321,6 +439,46 @@ class TestIndexFileErrors:
         self.write_index(p, manifest, struct.pack("<4I", 4, 2, 1, 1))  # ids 4 and 6
         with pytest.raises(RetrievalError, match="doc id"):
             load_index(p)
+
+    def test_repeated_doc_id_in_a_term(self, tmp_path):
+        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"],
+                    "posting_counts": [2]}
+        p = tmp_path / "bad.idx"
+        self.write_index(p, manifest, struct.pack("<4I", 4, 0, 1, 1))  # ids 4 and 4
+        with pytest.raises(RetrievalError, match="repeat"):
+            load_index(p)
+
+    def test_terms_out_of_order(self, tmp_path):
+        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["y", "x"],
+                    "posting_counts": [1, 1]}
+        p = tmp_path / "bad.idx"
+        self.write_index(p, manifest, struct.pack("<4I", 4, 1, 7, 1))
+        with pytest.raises(RetrievalError, match="manifest"):
+            load_index(p)
+
+
+class TestSaveIndexRange:
+    """Every value `save_index` writes as a u32 must fit in one."""
+
+    @pytest.mark.parametrize("ids", [(1, 2**32 + 1), (-1, 3)])
+    def test_doc_id_outside_u32(self, tmp_path, ids):
+        p = tmp_path / "out.idx"
+        with pytest.raises(RetrievalError, match="doc id"):
+            save_index(p, build_index([doc(i, ["a"]) for i in ids]))
+        assert not p.exists()
+
+    def test_term_frequency_outside_u32(self, tmp_path):
+        index = InvertedIndex([0], [1], ["a"], np.array([0, 1]), np.array([0]), np.array([2**32]))
+        p = tmp_path / "out.idx"
+        with pytest.raises(RetrievalError, match="term frequency"):
+            save_index(p, index)
+        assert not p.exists()
+
+    def test_largest_u32_doc_id_round_trips(self, tmp_path):
+        p = tmp_path / "out.idx"
+        index = build_index([doc(0, ["a", "b"]), doc(2**32 - 1, ["a"])])
+        save_index(p, index)
+        assert load_index(p).postings("a") == [(0, 1), (2**32 - 1, 1)]
 
 
 def test_bm25_params_validation():
