@@ -6,7 +6,6 @@ from .retrieval import Bm25Params, InvertedIndex, NeighborSet, bm25_score, build
 from .autodiff import Adam, Tape, Tensor, grad_check
 from .encoder import EncoderConfig, TextEncoder, load_pretrained_embeddings
 from .memory import PRESETS, FeatureConfig, KnnTextModel, MatchingParams, ModelConfig
-from .baseline import BilstmBaseline
 from .trainer import Checkpoint, EvalReport, TrainConfig, evaluate, load_checkpoint, run_pipeline, run_setup, save_checkpoint, train
 from .config import RunConfig, load_run_config
 

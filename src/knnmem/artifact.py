@@ -1,0 +1,72 @@
+"""The one binary container shared by the index and the checkpoint.
+
+Layout::
+
+    magic     8 bytes naming the artifact and its version
+    length    u64, little-endian: the byte length of the manifest
+    manifest  canonical JSON (sorted keys, compact separators), UTF-8
+    body      raw bytes whose exact length the manifest determines
+
+``read_artifact`` makes every framing check (bad magic, short header,
+short manifest, short body, trailing bytes) and raises the caller's error
+type for each, so every artifact fails the same typed way.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import struct
+from pathlib import Path
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
+
+
+def write_artifact(path: str | Path, magic: bytes, manifest: dict,
+                   body_parts: Iterable) -> None:
+    """Write the container; ``body_parts`` are bytes-like objects (such as
+    C-contiguous numpy arrays) written one after the other."""
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with Path(path).open("wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for part in body_parts:
+            fh.write(part)
+
+
+def read_artifact(path: str | Path, magic: bytes, error: type[Exception],
+                  parse: Callable[[object], tuple[T, int]], *,
+                  kind: str, body_name: str) -> tuple[T, bytes]:
+    """Read a ``write_artifact`` file and return ``parse``'s value and the body.
+
+    ``parse`` takes the decoded manifest and returns its value and the body's
+    byte length. A ``KeyError``, ``TypeError`` or ``ValueError`` (which
+    covers ``UnicodeDecodeError`` and ``json.JSONDecodeError``) raised while
+    decoding or parsing the manifest becomes ``error``, as does every framing
+    fault; messages name the file, ``kind`` and ``body_name``.
+    """
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        got = fh.read(len(magic))
+        if got != magic:
+            raise error(f"{path}: bad {kind} magic {got!r}")
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise error(f"{path}: truncated {kind} header")
+        (length,) = struct.unpack("<Q", raw)
+        if length > size - fh.tell():
+            raise error(f"{path}: truncated {kind} manifest")
+        blob = fh.read(length)
+        try:
+            value, want = parse(json.loads(blob.decode("utf-8")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"{path}: malformed {kind} manifest: {exc}") from None
+        del blob
+        have = size - fh.tell()
+        if have < want:
+            raise error(f"{path}: truncated {body_name} ({have} of {want} bytes)")
+        if have > want:
+            raise error(f"{path}: {have - want} trailing bytes after the {body_name}")
+        return value, fh.read(want)

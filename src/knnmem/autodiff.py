@@ -309,17 +309,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise AutodiffError(f"transpose: expected 2-d tensor, got shape {a.shape}")
-    out = Tensor(a.data.T)
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _record(out, (a,), backward)
-
-
 def _scatter_add_rows(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     """``out[idx[k]] += values[k]`` into zeros of ``n_rows`` rows.
 
@@ -460,19 +449,6 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, b: Tensor, mask) -> Tensor:
             _accum(proj, _scatter_add_rows(np.concatenate(proj_rows), dZ, proj.shape[0]))
 
     return _record(out, (proj, Wh, b), backward)
-
-
-def l2_norm_rows(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise AutodiffError(f"l2_norm_rows: expected 2-d tensor, got shape {a.shape}")
-    norms = np.sqrt((a.data * a.data).sum(axis=1))
-    out = Tensor(norms)
-
-    def backward(g):
-        safe = np.where(norms > 0.0, norms, 1.0)
-        _accum(a, (g / safe)[:, None] * a.data * (norms > 0.0)[:, None])
-
-    return _record(out, (a,), backward)
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -39,9 +39,7 @@ from .retrieval import (
     RetrievalError,
     build_index,
     load_index,
-    precompute_neighbors,
     save_index,
-    save_neighbors,
     search_knn,
 )
 from .trainer import (
@@ -97,7 +95,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_index = sub.add_parser("index",
-                             help="build the inverted index and neighbor cache")
+                             help="build the BM25 index and the memory corpus cache")
     _add_config_flags(p_index)
     p_index.add_argument("--train", dest="train_csv_arg", metavar="CSV",
                          help="training CSV (alias for --train-csv)")
@@ -184,17 +182,13 @@ def cmd_index(config: RunConfig) -> int:
     labels = config.label_space()
     docs = load_dataset(config.train_csv, labels)
     index = build_index(docs)
-    neighbors = precompute_neighbors(index, docs, config.k_neighbors,
-                                     self_exclude=config.self_exclude,
-                                     params=config.bm25_params())
     out = _out_dir(config)
     save_index(out / "train.idx", index)
-    save_neighbors(out / "train.nbr", neighbors)
     save_corpus_cache(out / "train.cache", docs)
     (out / "index.config.json").write_text(
         json.dumps(config.echo(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"indexed {index.n_docs} docs, {len(index.terms)} terms, avgdl {index.avg_doc_len:.2f}")
-    print(f"wrote {out / 'train.idx'}, {out / 'train.nbr'}, {out / 'train.cache'}")
+    print(f"wrote {out / 'train.idx'}, {out / 'train.cache'}")
     return 0
 
 

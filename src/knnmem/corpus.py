@@ -294,8 +294,11 @@ def load_corpus_cache(path: str | Path, label_space: LabelSpace | None = None) -
             parts = line.split("\t")
             if len(parts) != 3:
                 raise CorpusError(f"line {lineno}: expected 3 tab-separated fields")
-            doc_id, label, toks = int(parts[0]), int(parts[1]), parts[2].split(" ")
-            toks = [t for t in toks if t]
+            try:
+                doc_id, label = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise CorpusError(f"line {lineno}: id and label must be integers") from None
+            toks = [t for t in parts[2].split(" ") if t]
             if not toks:
                 raise CorpusError(f"line {lineno}: cached document has no tokens")
             if label_space is not None and not 0 <= label < label_space.c:

@@ -5,9 +5,6 @@ Scoring uses the non-negative idf variant
     idf(t) = ln(1 + (N - df(t) + 0.5) / (df(t) + 0.5))
 
 and the usual saturated term-frequency weight with parameters k1, b.
-Retrieval depends only on surface tokens, so neighbor lists are
-precomputed once and cached to disk.
-
 Postings are packed: the postings of term id ``t`` are the slice
 ``post_start[t]:post_start[t + 1]`` of ``post_rows`` (internal rows,
 ascending) and ``post_tfs`` (term frequencies). Each posting's BM25
@@ -24,18 +21,16 @@ same order as ``bm25_score`` and equals it bit for bit, in every process.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .artifact import read_artifact, write_artifact
 from .corpus import Document
 
 _INDEX_MAGIC = b"KNNIDX01"
@@ -260,36 +255,6 @@ def precompute_neighbors(index: InvertedIndex, corpus: Sequence[Document], k: in
     return out
 
 
-def save_neighbors(path: str | Path, neighbors: Mapping[int, NeighborSet]) -> None:
-    """One line per doc: ``doc_id<TAB>nbr:score,...`` with 6-decimal scores."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc_id in sorted(neighbors):
-            ns = neighbors[doc_id]
-            body = ",".join(f"{nbr}:{score:.6f}" for nbr, score in ns.neighbors)
-            fh.write(f"{doc_id}\t{body}\n")
-
-
-def load_neighbors(path: str | Path) -> dict[int, NeighborSet]:
-    out: dict[int, NeighborSet] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                head, _, body = line.partition("\t")
-                doc_id = int(head)
-                pairs = []
-                if body:
-                    for item in body.split(","):
-                        nbr, _, score = item.partition(":")
-                        pairs.append((int(nbr), float(score)))
-            except ValueError:
-                raise RetrievalError(f"{path}: malformed neighbor cache at line {lineno}") from None
-            out[doc_id] = NeighborSet(doc_id, tuple(pairs))
-    return out
-
-
 def _tf_mask(counts: np.ndarray) -> np.ndarray:
     """Marks the term frequencies among the u32 words of the postings block,
     where each term writes its ``count`` doc-id gaps, then its ``count``
@@ -298,7 +263,7 @@ def _tf_mask(counts: np.ndarray) -> np.ndarray:
 
 
 def save_index(path: str | Path, index: InvertedIndex) -> None:
-    """Binary index file: magic, length-prefixed JSON manifest, LE-u32 postings.
+    """Index file: an ``artifact`` container whose body is the LE-u32 postings.
 
     Posting doc ids are delta-encoded (first id raw, then gaps); term
     frequencies are raw. A doc id or term frequency that does not fit in
@@ -326,16 +291,12 @@ def save_index(path: str | Path, index: InvertedIndex) -> None:
         "terms": index.terms,
         "posting_counts": counts.tolist(),
     }
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(_INDEX_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(words)
+    write_artifact(path, _INDEX_MAGIC, manifest, [words])
 
 
-def _manifest_arrays(manifest) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
-    """Doc ids, doc lengths, terms and posting counts, checked for shape."""
+def _manifest_arrays(manifest) -> tuple[tuple[np.ndarray, np.ndarray, list[str], np.ndarray], int]:
+    """Doc ids, doc lengths, terms and posting counts, checked for shape, and
+    the byte length of the postings they describe."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest is not a JSON object")
     doc_ids = np.asarray(manifest["doc_ids"], dtype=np.int64)
@@ -354,41 +315,22 @@ def _manifest_arrays(manifest) -> tuple[np.ndarray, np.ndarray, list[str], np.nd
         raise ValueError("terms must be strictly ascending")
     if counts.shape != (len(terms),) or (counts < 0).any():
         raise ValueError("posting_counts must give one count >= 0 per term")
-    return doc_ids, doc_lens, terms, counts
+    return (doc_ids, doc_lens, terms, counts), 8 * int(counts.sum())
 
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a ``save_index`` file; a short, overlong or malformed part of it
     raises ``RetrievalError``."""
-    with Path(path).open("rb") as fh:
-        magic = fh.read(len(_INDEX_MAGIC))
-        if magic != _INDEX_MAGIC:
-            raise RetrievalError(f"{path}: bad index magic {magic!r}")
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise RetrievalError(f"{path}: truncated index header")
-        (size,) = struct.unpack("<Q", raw)
-        blob = fh.read(size)
-        if len(blob) != size:
-            raise RetrievalError(f"{path}: truncated index manifest")
-        try:
-            doc_ids, doc_lens, terms, counts = _manifest_arrays(json.loads(blob.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise RetrievalError(f"{path}: malformed index manifest: {exc}") from None
-        del blob
-        want = 8 * int(counts.sum())
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if body < want:
-            raise RetrievalError(f"{path}: truncated postings ({body} of {want} bytes)")
-        if body > want:
-            raise RetrievalError(f"{path}: {body - want} trailing bytes after the postings")
-        words = np.frombuffer(fh.read(want), dtype="<u4")
+    (doc_ids, doc_lens, terms, counts), body = read_artifact(
+        path, _INDEX_MAGIC, RetrievalError, _manifest_arrays,
+        kind="index", body_name="postings")
+    words = np.frombuffer(body, dtype="<u4")
     # Each step frees what it no longer needs: a loaded index is built next
     # to the running one, and these arrays are the size of the postings.
     tf_mask = _tf_mask(counts)
     tfs = words[tf_mask]
     gaps = words[np.logical_not(tf_mask, out=tf_mask)]
-    del words, tf_mask
+    del body, words, tf_mask
     gaps = gaps.astype(np.int64)
     post_start = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=post_start[1:])

@@ -12,7 +12,6 @@ import base64
 import dataclasses
 import json
 import math
-import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .artifact import read_artifact, write_artifact
 from .autodiff import Adam, Tape, Tensor, clip_global_norm, zero_grads
 from .corpus import (
     Document,
@@ -47,7 +47,8 @@ from .retrieval import (
     search_knn,
 )
 
-_CKPT_MAGIC = b"KNNTXT01"
+_CKPT_MAGIC = b"KNNTXT02"
+_FLOAT_DTYPES = {4: "<f4", 8: "<f8"}
 
 SETUPS = ("full", "low_resource", "unbalanced", "semi_supervised", "transfer")
 
@@ -179,104 +180,120 @@ def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
 
 
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
+    """Checkpoint file: an ``artifact`` container whose body is every tensor,
+    in manifest order, as little-endian floats of the active width, which
+    the manifest records as ``float_bytes``."""
     width = np.dtype(ad.get_default_dtype()).itemsize
-    blob = json.dumps(checkpoint.manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<B", width))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        dtype = "<f8" if width == 8 else "<f4"
-        for spec in checkpoint.manifest["tensors"]:
-            fh.write(np.ascontiguousarray(checkpoint.tensors[spec["name"]], dtype=dtype).tobytes())
+    manifest = {**checkpoint.manifest, "float_bytes": width}
+    write_artifact(path, _CKPT_MAGIC, manifest, [
+        np.ascontiguousarray(checkpoint.tensors[spec["name"]], dtype=_FLOAT_DTYPES[width])
+        for spec in manifest["tensors"]
+    ])
+
+
+def _tensor_specs(manifest) -> tuple[tuple[dict, int, list[tuple[str, tuple[int, ...]]]], int]:
+    """The manifest, its float width and each tensor's name and shape,
+    checked for type, and the byte length of the tensor data."""
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not a JSON object")
+    width = manifest["float_bytes"]
+    if type(width) is not int or width not in _FLOAT_DTYPES:
+        raise ValueError(f"unknown float width {width!r}")
+    specs = []
+    for spec in manifest["tensors"]:
+        name, shape = spec["name"], spec["shape"]
+        if not isinstance(name, str):
+            raise ValueError(f"tensor name {name!r} is not a string")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"tensor {name} shape {shape!r} is not a list of integers >= 0")
+        if type(spec["frozen"]) is not bool:
+            raise ValueError(f"tensor {name} frozen flag {spec['frozen']!r} is not a boolean")
+        specs.append((name, tuple(shape)))
+    return (manifest, width, specs), width * sum(math.prod(shape) for _, shape in specs)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with Path(path).open("rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
-        raw = fh.read(1)
-        if len(raw) != 1:
-            raise CheckpointError(f"{path}: truncated checkpoint header")
-        (width,) = struct.unpack("<B", raw)
-        if width not in (4, 8):
-            raise CheckpointError(f"{path}: unknown float width {width}")
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise CheckpointError(f"{path}: truncated checkpoint header")
-        (size,) = struct.unpack("<Q", raw)
-        blob = fh.read(size)
-        if len(blob) != size:
-            raise CheckpointError(f"{path}: truncated checkpoint manifest")
-        manifest = json.loads(blob.decode("utf-8"))
-        dtype = "<f8" if width == 8 else "<f4"
-        tensors = {}
-        for spec in manifest["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * width)
-            if len(raw) != count * width:
-                raise CheckpointError(f"{path}: truncated tensor data for {spec['name']}")
-            tensors[spec["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after tensor data")
+    """Read a ``save_checkpoint`` file; a short, overlong or malformed part of
+    it, or a float width other than the active one, raises ``CheckpointError``.
+    Each tensor is a read-only view of the file's body."""
+    (manifest, width, specs), body = read_artifact(
+        path, _CKPT_MAGIC, CheckpointError, _tensor_specs,
+        kind="checkpoint", body_name="tensor data")
     expected = np.dtype(ad.get_default_dtype()).itemsize
     if width != expected:
         raise CheckpointError(
             f"{path}: checkpoint float width {width} != active width {expected}; "
             f"set the matching default dtype before loading"
         )
+    tensors, offset = {}, 0
+    for name, shape in specs:
+        count = math.prod(shape)
+        tensors[name] = np.frombuffer(body, dtype=_FLOAT_DTYPES[width], count=count,
+                                      offset=offset).reshape(shape)
+        offset += count * width
     return Checkpoint(manifest=manifest, tensors=tensors)
 
 
 def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = None,
                           expected_classes: int | None = None) -> KnnTextModel:
     """Rebuild the trained model. Without ``vocab`` the vocabulary is the one
-    stored in the manifest; either way it must match the stored hashes."""
+    stored in the manifest; either way it must match the stored hashes. A
+    manifest that lacks a field or holds one of the wrong type raises
+    ``CheckpointError``."""
     manifest = checkpoint.manifest
-    vc = manifest["vocab"]
-    if vocab is None:
-        if "words" not in vc or "chars" not in vc:
-            raise CheckpointError(
-                "checkpoint predates the stored vocabulary (no word/char list); retrain it"
+    try:
+        vc, mc = manifest["vocab"], manifest["model"]
+        word_hash, char_hash = vc["word_hash"], vc["char_hash"]
+        if vocab is None and "words" in vc and "chars" in vc:
+            vocab = Vocabulary(
+                word_to_id={t: i for i, t in enumerate(vc["words"], start=1)},
+                char_to_id={c: i for i, c in enumerate(vc["chars"], start=1)},
             )
-        vocab = Vocabulary(
-            word_to_id={t: i for i, t in enumerate(vc["words"], start=1)},
-            char_to_id={c: i for i, c in enumerate(vc["chars"], start=1)},
+        config = ModelConfig(
+            encoder=EncoderConfig(**mc["encoder"]),
+            preset=mc["preset"],
+            perspectives=mc["perspectives"],
+            mode=mc["mode"],
+            n_classes=mc["n_classes"],
+            neighbor_classes=mc["neighbor_classes"],
+            stop_grad_neighbors=mc["stop_grad_neighbors"],
         )
-    if vc["word_hash"] != vocab.word_hash():
-        raise CheckpointError("word vocabulary hash mismatch")
-    if vc["char_hash"] != vocab.char_hash():
-        raise CheckpointError("char vocabulary hash mismatch")
-    mc = manifest["model"]
-    if expected_classes is not None and expected_classes != mc["n_classes"]:
+        packed = base64.b64decode(manifest["word_random_rows"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
+    if vocab is None:
         raise CheckpointError(
-            f"n_classes mismatch: checkpoint has {mc['n_classes']}, expected {expected_classes}"
+            "checkpoint predates the stored vocabulary (no word/char list); retrain it"
         )
-    config = ModelConfig(
-        encoder=EncoderConfig(**mc["encoder"]),
-        preset=mc["preset"],
-        perspectives=mc["perspectives"],
-        mode=mc["mode"],
-        n_classes=mc["n_classes"],
-        neighbor_classes=mc["neighbor_classes"],
-        stop_grad_neighbors=mc["stop_grad_neighbors"],
-    )
+    if word_hash != vocab.word_hash():
+        raise CheckpointError("word vocabulary hash mismatch")
+    if char_hash != vocab.char_hash():
+        raise CheckpointError("char vocabulary hash mismatch")
+    if expected_classes is not None and expected_classes != config.n_classes:
+        raise CheckpointError(
+            f"n_classes mismatch: checkpoint has {config.n_classes}, expected {expected_classes}"
+        )
     stored = checkpoint.tensors.get("word_emb")
     want = (vocab.n_words, config.encoder.word_dim)
     if stored is None or stored.shape != want:
         got = "missing" if stored is None else f"shape {list(stored.shape)}"
         raise CheckpointError(f"checkpoint word_emb is {got}; expected shape {list(want)}")
-    packed = np.frombuffer(base64.b64decode(manifest["word_random_rows"]), dtype=np.uint8)
-    random_rows = np.unpackbits(packed)[: vocab.n_words].astype(bool)
+    random_rows = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+    if random_rows.size < vocab.n_words:
+        raise CheckpointError(
+            f"checkpoint word_random_rows holds {random_rows.size} bits; "
+            f"expected at least {vocab.n_words}"
+        )
     # The stored table stands in for the random one, which would only be overwritten.
     word_table = EmbeddingTable(
         tensor=Tensor(stored.astype(ad.get_default_dtype()), name="word_emb"),
-        random_rows=random_rows,
+        random_rows=random_rows[: vocab.n_words].astype(bool),
     )
     model = KnnTextModel.create(config, vocab, seed=0, word_table=word_table)
     params = model.named_params()
+    missing = params.keys() - {spec["name"] for spec in manifest["tensors"]}
+    if missing:
+        raise CheckpointError(f"checkpoint has no tensor for {', '.join(sorted(missing))}")
     for spec in manifest["tensors"]:
         name = spec["name"]
         if name not in params:
@@ -285,7 +302,8 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
             raise CheckpointError(
                 f"shape mismatch for {name}: manifest {spec['shape']} vs model {params[name].data.shape}"
             )
-        params[name].data = checkpoint.tensors[name].astype(ad.get_default_dtype())
+        if params[name] is not word_table.tensor:  # word_emb holds its copy already
+            params[name].data = checkpoint.tensors[name].astype(ad.get_default_dtype())
         params[name].requires_grad = not spec["frozen"]
     return model
 

@@ -1,4 +1,5 @@
-"""Standalone BiLSTM text classifier: encoder + affine + softmax, no retrieval.
+"""Reference oracle: a standalone BiLSTM text classifier (encoder + affine +
+softmax, no retrieval), written apart from ``KnnTextModel``.
 
 Parameter names and per-name seeded initialization match the full model's
 text-embedding-only configuration, so with a shared seed the two produce
@@ -12,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .corpus import Document, Vocabulary
-from .encoder import EmbeddingTable, EncoderConfig, TextEncoder, param_rng
+from knnmem import autodiff as ad
+from knnmem.autodiff import Tensor
+from knnmem.corpus import Document, Vocabulary
+from knnmem.encoder import EmbeddingTable, EncoderConfig, TextEncoder, param_rng
 
 
 @dataclass

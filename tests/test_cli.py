@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -27,6 +28,31 @@ def run(args):
     return main([str(a) for a in args])
 
 
+_DROP = object()
+_MALFORMED = "malformed checkpoint manifest"
+
+
+def rewrite_manifest(src, dst, change):
+    """Copy a checkpoint file with its manifest replaced by ``change`` (bytes),
+    or with one field, named by a key path, set to a value or dropped."""
+    blob = src.read_bytes()
+    (size,) = struct.unpack("<Q", blob[8:16])
+    if isinstance(change, bytes):
+        raw = change
+    else:
+        keys, value = change
+        manifest = json.loads(blob[16:16 + size])
+        target = manifest
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        raw = json.dumps(manifest).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:])
+
+
 class TestIndexCommand:
     def test_writes_artifacts_and_stats(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -35,15 +61,21 @@ class TestIndexCommand:
         assert code == 0
         captured = capsys.readouterr()
         assert "docs" in captured.out and "terms" in captured.out and "avgdl" in captured.out
-        for name in ("train.idx", "train.nbr", "train.cache", "index.config.json"):
+        for name in ("train.idx", "train.cache", "index.config.json"):
             assert (out / name).exists()
+
+    def test_writes_no_neighbor_cache(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
+                    "--out-dir", out]) == 0
+        assert not (out / "train.nbr").exists()
 
     def test_rerun_is_identical(self, data_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
                         "--k", "2", "--out-dir", out]) == 0
-        for name in ("train.idx", "train.nbr", "train.cache"):
+        for name in ("train.idx", "train.cache"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_missing_input_nonzero_exit_stderr(self, tmp_path, capsys):
@@ -140,6 +172,44 @@ class TestTrainEvalPredict:
             assert code == 2
             err = capsys.readouterr().err
             assert "truncated" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("change, match", [
+        (b"{not json", _MALFORMED),
+        (b'{"x":1}', _MALFORMED),
+        ((("vocab",), _DROP), _MALFORMED),
+        ((("model",), _DROP), _MALFORMED),
+        ((("vocab", "words"), 5), _MALFORMED),
+        ((("word_random_rows",), _DROP), _MALFORMED),
+        ((("word_random_rows",), "!!!"), _MALFORMED),
+        ((("word_random_rows",), "AA=="), "at least"),
+        ((("tensors", 0, "shape"), [-1, 4]), _MALFORMED),
+        ((("tensors", 0, "shape"), [2.5, 4]), _MALFORMED),
+        ((("tensors", 0, "shape"), "4x4"), _MALFORMED),
+        ((("float_bytes",), 2), _MALFORMED),
+    ])
+    def test_malformed_checkpoint_manifest_is_data_error(self, trained, tmp_path, capsys,
+                                                         change, match):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_manifest(trained / "model.ckpt", bad, change)
+        with pytest.raises(trainer.CheckpointError, match=match):
+            trainer.model_from_checkpoint(trainer.load_checkpoint(bad))
+        code = run(["predict", "--checkpoint", bad,
+                    "--train-cache", trained / "train.cache", "--index", trained / "train.idx",
+                    "--text", "c0w1 c0w2 f3", *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+
+    def test_non_integer_cache_id_is_data_error(self, trained, tmp_path, capsys):
+        lines = (trained / "train.cache").read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "bad.cache"
+        bad.write_text("\n".join(["x" + lines[0]] + lines[1:]) + "\n", encoding="utf-8")
+        code = run(["predict", "--checkpoint", trained / "model.ckpt",
+                    "--train-cache", bad, "--index", trained / "train.idx",
+                    "--text", "c0w1 c0w2 f3", *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 1: id and label" in err and "Traceback" not in err
 
     def test_predict_empty_input_is_error(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

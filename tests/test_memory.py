@@ -3,7 +3,6 @@ import pytest
 
 import knnmem.autodiff as ad
 from knnmem.autodiff import Tape, Tensor, grad_check
-from knnmem.baseline import BilstmBaseline
 from knnmem.corpus import Document, build_vocab
 from knnmem.encoder import EncoderConfig
 from knnmem.memory import (
@@ -24,6 +23,7 @@ from knnmem.memory import (
 )
 from knnmem.retrieval import NeighborSet
 
+from bilstm_baseline import BilstmBaseline
 from eq_oracles import oracle_attn_label, oracle_attn_text, oracle_match
 
 TINY = EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=4, max_tokens=16)

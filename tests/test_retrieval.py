@@ -21,10 +21,8 @@ from knnmem.retrieval import (
     bm25_score,
     build_index,
     load_index,
-    load_neighbors,
     precompute_neighbors,
     save_index,
-    save_neighbors,
     search_knn,
 )
 
@@ -329,23 +327,6 @@ class TestPrecompute:
 
 
 class TestFileFormats:
-    def test_neighbor_cache_round_trip_and_bytes(self, tmp_path):
-        rng = np.random.default_rng(21)
-        corpus = random_corpus(rng, 20, 8)
-        index = build_index(corpus)
-        cache = precompute_neighbors(index, corpus, k=4)
-        p1, p2 = tmp_path / "a.nbr", tmp_path / "b.nbr"
-        save_neighbors(p1, cache)
-        reloaded = load_neighbors(p1)
-        assert set(reloaded) == set(cache)
-        for doc_id, ns in cache.items():
-            got = reloaded[doc_id]
-            assert got.ids() == ns.ids()
-            for (gi, gs), (wi, ws) in zip(got.neighbors, ns.neighbors):
-                assert abs(gs - ws) < 1e-6
-        save_neighbors(p2, cache)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_index_round_trip(self, tmp_path):
         rng = np.random.default_rng(22)
         corpus = random_corpus(rng, 25, 9)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -297,6 +298,56 @@ class TestCheckpoints:
         ckpt.tensors["word_emb"] = ckpt.tensors["word_emb"][:, :2]
         with pytest.raises(CheckpointError, match="word_emb is shape"):
             model_from_checkpoint(ckpt)
+
+    def test_unlisted_model_tensor_is_error(self, world):
+        train_docs, _, labels = world
+        ckpt = self._m1_checkpoint(train_docs, labels)
+        ckpt.manifest["tensors"] = [s for s in ckpt.manifest["tensors"] if s["name"] != "clf.W"]
+        with pytest.raises(CheckpointError, match="no tensor for clf.W"):
+            model_from_checkpoint(ckpt)
+
+
+class TestCheckpointFileErrors:
+    """A damaged checkpoint file is a `CheckpointError`, never a silent load."""
+
+    @pytest.fixture
+    def saved(self, world, tmp_path):
+        train_docs, _, labels = world
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, TestCheckpoints._m1_checkpoint(train_docs, labels))
+        return path
+
+    def test_every_truncation_is_an_error(self, saved):
+        blob = saved.read_bytes()
+        (size,) = struct.unpack("<Q", blob[8:16])
+        for keep in range(len(blob)):
+            saved.write_bytes(blob[:keep])
+            match = ("magic" if keep < 8 else "truncated checkpoint header" if keep < 16
+                     else "truncated checkpoint manifest" if keep < 16 + size
+                     else "truncated tensor data")
+            with pytest.raises(CheckpointError, match=match):
+                load_checkpoint(saved)
+
+    def test_trailing_bytes(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(saved)
+
+    def test_previous_format_magic(self, saved):
+        saved.write_bytes(b"KNNTXT01" + saved.read_bytes()[8:])
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(saved)
+
+    def test_float32_file_under_float64_names_widths(self, world, tmp_path):
+        train_docs, _, labels = world
+        path = tmp_path / "f32.ckpt"
+        ad.set_default_dtype(np.float32)
+        try:
+            save_checkpoint(path, TestCheckpoints._m1_checkpoint(train_docs, labels))
+        finally:
+            ad.set_default_dtype(np.float64)
+        with pytest.raises(CheckpointError, match="float width 4 != active width 8"):
+            load_checkpoint(path)
 
 
 class TestSetups:
