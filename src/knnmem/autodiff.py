@@ -312,24 +312,26 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def _scatter_add_rows(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     """``out[idx[k]] += values[k]`` into zeros of ``n_rows`` rows.
 
-    Distinct indices are a plain assignment. Otherwise a stable sort
-    groups equal indices and ``np.add.reduceat`` sums each group, several
-    times faster than ``np.add.at``; its summation order may differ from
-    sequential adds in the last bits.
+    One stable sort by (multiplicity, index) makes all indices that occur
+    ``k`` times one contiguous ``(rows, k, width)`` block of gathered
+    values, summed with one ``np.add.reduce`` along its middle axis: one
+    gather and one sum per distinct multiplicity, each reading whole
+    contiguous rows (an ``np.add.reduceat`` along axis 0 walks each group
+    column by column and is several times slower on wide rows). The
+    result matches ``np.add.at`` to rounding.
     """
     out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
-    if idx.size == 0:
-        return out
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    first = np.empty(idx.size, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=first[1:])
-    if first.all():
-        out[idx] = values
-        return out
-    starts = np.flatnonzero(first)
-    out[sorted_idx[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    counts = np.bincount(idx)
+    order = np.lexsort((idx, counts[idx]))
+    present = np.flatnonzero(counts)
+    present = present[np.argsort(counts[present], kind="stable")]
+    ks, firsts = np.unique(counts[present], return_index=True)
+    start = 0
+    for rows_k, k in zip(np.split(present, firsts[1:]), ks.tolist()):
+        stop = start + rows_k.size * k
+        block = values[order[start:stop]].reshape((rows_k.size, k) + values.shape[1:])
+        out[rows_k] = np.add.reduce(block, axis=1)
+        start = stop
     return out
 
 
@@ -355,10 +357,16 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, b: Tensor, mask) -> Tensor:
     f, g, o along columns); at step ``t`` row ``j`` reads
     ``proj[index[t, j]]``. Where ``mask[t, j]`` is false the row skips the
     step and its state carries over exactly. The pass is a single tape
-    node: the backward is hand-written BPTT that forms ``dWh`` and ``db``
-    with one product over all steps and scatter-adds the gate gradients
-    into ``proj``. Per-step activations are kept only when a tape is
-    active and some input needs a gradient.
+    node whose backward is hand-written BPTT.
+
+    Per-step activations are kept only when a tape is active and some
+    input needs a gradient; the forward then also copies each step's
+    ``h_prev`` rows into one ``(mask.sum(), h)`` stack, in step order. The
+    backward writes each step's gate gradients in place into its rows of
+    one ``(mask.sum(), 4h)`` buffer ``dZ``, applying the gate derivatives
+    (``s(1-s)``, ``1-g**2`` in the g columns) as one contiguous block.
+    ``dWh`` is then one product ``H_prev.T @ dZ``, ``db`` one column sum,
+    and ``dproj`` one scatter-add of ``dZ`` over the rows ``index[mask]``.
     """
     idx = np.asarray(index, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -378,13 +386,20 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, b: Tensor, mask) -> Tensor:
     n_steps, batch = idx.shape
     h = np.zeros((batch, hidden), dtype=_DTYPE)
     c = np.zeros((batch, hidden), dtype=_DTYPE)
-    steps = []
+    if track:
+        H_prev = np.empty((int(mask.sum()), hidden), dtype=_DTYPE)
+    steps, off = [], 0
     for t in range(n_steps):
         act = np.flatnonzero(mask[t])
         if act.size == 0:
             continue
         full = act.size == batch
-        h_prev, c_prev = (h, c) if full else (h[act], c[act])
+        if track:
+            h_prev = H_prev[off:off + act.size]
+            np.take(h, act, axis=0, out=h_prev)
+        else:
+            h_prev = h if full else h[act]
+        c_prev = c if full else c[act]
         s = P[idx[t, act]]
         s += h_prev @ W
         s += bias
@@ -407,7 +422,8 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, b: Tensor, mask) -> Tensor:
             h[act] = h_new
             c[act] = c_new
         if track:
-            steps.append((None if full else act, idx[t, act], h_prev, c_prev, s, g, tc))
+            steps.append((None if full else act, off, c_prev, s, g, tc))
+            off += act.size
         # Free this step's arrays before the next step allocates its own,
         # so without a tape the peak stays at one step's worth.
         del h_prev, c_prev, s, g, tc, i, f, o, c_new, h_new
@@ -415,38 +431,48 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, b: Tensor, mask) -> Tensor:
     out = Tensor(h)
 
     def backward(gh):
+        if not steps:
+            return
         dh = np.array(gh, dtype=_DTYPE)
         dc = np.zeros_like(dh)
-        dzs, h_prevs, proj_rows = [], [], []
-        for act, rows_t, h_prev, c_prev, s, g, tc in reversed(steps):
+        dZ = np.empty((H_prev.shape[0], width), dtype=_DTYPE)
+        deriv = np.empty((batch, width), dtype=_DTYPE)
+        work = np.empty((batch, hidden), dtype=_DTYPE)
+        gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+        for act, off, c_prev, s, g, tc in reversed(steps):
+            n = len(s)
+            dz, d, tmp = dZ[off:off + n], deriv[:n], work[:n]
             full = act is None
             dh_a, dc_a = (dh, dc) if full else (dh[act], dc[act])
-            i, f, o = s[:, :hidden], s[:, hidden:2 * hidden], s[:, 3 * hidden:]
-            dc_a = dc_a + dh_a * o * (1.0 - tc * tc)
-            dz = np.empty((rows_t.size, width), dtype=_DTYPE)
-            dz[:, :hidden] = dc_a * g * i * (1.0 - i)
-            dz[:, hidden:2 * hidden] = dc_a * c_prev * f * (1.0 - f)
-            dz[:, 2 * hidden:3 * hidden] = dc_a * i * (1.0 - g * g)
-            dz[:, 3 * hidden:] = dh_a * tc * o * (1.0 - o)
-            dh_prev = dz @ W.T
-            dc_prev = dc_a * f
+            # dc += dh * o * (1 - tc**2)
+            np.multiply(tc, tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= s[:, go]
+            tmp *= dh_a
+            dc_a += tmp
+            # Gate gradients before the derivative block: dc*g, dc*c_prev,
+            # dc*i and dh*tanh(c) for gates i, f, g and o.
+            np.multiply(dc_a, g, out=dz[:, gi])
+            np.multiply(dc_a, c_prev, out=dz[:, gf])
+            np.multiply(dc_a, s[:, gi], out=dz[:, gg])
+            np.multiply(dh_a, tc, out=dz[:, go])
+            np.subtract(1.0, s, out=d)
+            d *= s
+            np.multiply(g, g, out=d[:, gg])
+            np.subtract(1.0, d[:, gg], out=d[:, gg])
+            dz *= d
+            dc_a *= s[:, gf]
             if full:
-                dh, dc = dh_prev, dc_prev
+                np.matmul(dz, W.T, out=dh)
             else:
-                dh[act] = dh_prev
-                dc[act] = dc_prev
-            dzs.append(dz)
-            h_prevs.append(h_prev)
-            proj_rows.append(rows_t)
-        if not dzs:
-            return
-        dZ = np.concatenate(dzs)
+                dh[act] = dz @ W.T
+                dc[act] = dc_a
         if Wh.requires_grad:
-            _accum(Wh, np.concatenate(h_prevs).T @ dZ)
+            _accum(Wh, H_prev.T @ dZ)
         if b.requires_grad:
             _accum(b, dZ.sum(axis=0, keepdims=True))
         if proj.requires_grad:
-            _accum(proj, _scatter_add_rows(np.concatenate(proj_rows), dZ, proj.shape[0]))
+            _accum(proj, _scatter_add_rows(idx[mask], dZ, proj.shape[0]))
 
     return _record(out, (proj, Wh, b), backward)
 

@@ -5,9 +5,10 @@ Every command reads one JSON config file (``--config``) whose keys are the
 ``RunConfig`` fields; explicit flags override file values. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure.
 
-The checkpoint carries the training vocabulary, so ``eval`` and ``predict``
-serve with the word and char ids the model was trained on, whatever their
-own ``--min-count``; ``train.cache`` only supplies the memory corpus.
+The checkpoint carries the training vocabulary and float width, so ``eval``
+and ``predict`` serve with the word and char ids and the precision the
+model was trained with, whatever their own ``--min-count`` and
+``--float-width``; ``train.cache`` only supplies the memory corpus.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .trainer import (
     NumericFailure,
     TrainingError,
     evaluate,
-    load_checkpoint,
     model_from_checkpoint,
     predict_with_provenance,
+    read_checkpoint,
     run_setup,
     save_checkpoint,
     write_provenance,
@@ -185,8 +186,10 @@ def cmd_index(config: RunConfig) -> int:
     out = _out_dir(config)
     save_index(out / "train.idx", index)
     save_corpus_cache(out / "train.cache", docs)
+    # Only these settings shaped train.idx and train.cache.
+    shaped = {k: getattr(config, k) for k in ("train_csv", "classes", "class_names")}
     (out / "index.config.json").write_text(
-        json.dumps(config.echo(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        json.dumps(shaped, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"indexed {index.n_docs} docs, {len(index.terms)} terms, avgdl {index.avg_doc_len:.2f}")
     print(f"wrote {out / 'train.idx'}, {out / 'train.cache'}")
     return 0
@@ -227,8 +230,11 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _restore(args: argparse.Namespace, labels: LabelSpace):
-    """Model with its own training vocabulary, index, and memory corpus by doc id."""
-    model = model_from_checkpoint(load_checkpoint(args.checkpoint), expected_classes=labels.c)
+    """Model with its own training vocabulary and float width, index, and
+    memory corpus by doc id."""
+    checkpoint = read_checkpoint(args.checkpoint)
+    ad.set_default_dtype(np.float32 if checkpoint.manifest["float_bytes"] == 4 else np.float64)
+    model = model_from_checkpoint(checkpoint, expected_classes=labels.c)
     index = load_index(args.index)
     neighbor_docs = {d.id: d for d in load_corpus_cache(args.train_cache)}
     return model, index, neighbor_docs
@@ -252,7 +258,8 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
         "per_class_accuracy": report.per_class,
         "confusion": report.confusion.tolist(),
         "total": report.total,
-        "config": config.echo(),
+        # The width served at is the checkpoint's, not --float-width.
+        "config": {**config.echo(), "float_width": 8 * np.dtype(ad.get_default_dtype()).itemsize},
     }
     (out / "eval.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                    encoding="utf-8")

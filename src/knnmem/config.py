@@ -60,7 +60,8 @@ class RunConfig:
     eval_batch_size: int = _f(64, "batch size for evaluation passes")
     clip_norm: float = _f(5.0, "global gradient-norm clip; 0 disables")
     seed: int = _f(0, "seed for init, shuffling, and subsampling")
-    float_width: int = _f(64, "tensor precision: 64 or 32 bits")
+    float_width: int = _f(64, "tensor precision of train and sweep: 64 or 32 bits "
+                                 "(eval and predict use the checkpoint's)")
     # setups
     setup: str = _f("full", "experimental setup: full, low_resource, unbalanced, semi_supervised, transfer")
     low_resource_fraction: float = _f(0.1, "per-class fraction kept in the low_resource setup")

@@ -212,19 +212,14 @@ def _tensor_specs(manifest) -> tuple[tuple[dict, int, list[tuple[str, tuple[int,
     return (manifest, width, specs), width * sum(math.prod(shape) for _, shape in specs)
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a ``save_checkpoint`` file; a short, overlong or malformed part of
-    it, or a float width other than the active one, raises ``CheckpointError``.
-    Each tensor is a read-only view of the file's body."""
+def read_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a ``save_checkpoint`` file at the float width it was written
+    with (its manifest's ``float_bytes``); a short, overlong or malformed
+    part of it raises ``CheckpointError``. Each tensor is a read-only view
+    of the file's body."""
     (manifest, width, specs), body = read_artifact(
         path, _CKPT_MAGIC, CheckpointError, _tensor_specs,
         kind="checkpoint", body_name="tensor data")
-    expected = np.dtype(ad.get_default_dtype()).itemsize
-    if width != expected:
-        raise CheckpointError(
-            f"{path}: checkpoint float width {width} != active width {expected}; "
-            f"set the matching default dtype before loading"
-        )
     tensors, offset = {}, 0
     for name, shape in specs:
         count = math.prod(shape)
@@ -232,6 +227,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                                       offset=offset).reshape(shape)
         offset += count * width
     return Checkpoint(manifest=manifest, tensors=tensors)
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """``read_checkpoint``, and a float width other than the active one
+    raises ``CheckpointError`` too."""
+    checkpoint = read_checkpoint(path)
+    width = checkpoint.manifest["float_bytes"]
+    expected = np.dtype(ad.get_default_dtype()).itemsize
+    if width != expected:
+        raise CheckpointError(
+            f"{path}: checkpoint float width {width} != active width {expected}; "
+            f"set the matching default dtype before loading"
+        )
+    return checkpoint
 
 
 def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = None,

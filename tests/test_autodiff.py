@@ -479,3 +479,41 @@ class TestRowsBackward:
             want = np.zeros((6, 3))
             np.add.at(want, np.asarray(idx, dtype=np.int64), weights)
             assert np.allclose(table.grad, want, rtol=1e-15, atol=1e-15)
+
+
+class TestScatterAddRows:
+    """`_scatter_add_rows` against `np.add.at` on wide rows.
+
+    Tolerance, fixed before the first run: a row that receives m values is
+    a float64 sum of m terms, and any summation order lies within
+    (m - 1) * eps * sum(|terms|) of any other (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 4.2).
+    """
+
+    @staticmethod
+    def check(idx, n_rows, width=400, seed=49):
+        idx = np.asarray(idx, dtype=np.int64)
+        values = np.random.default_rng(seed).normal(size=(idx.size, width))
+        got = ad._scatter_add_rows(idx, values, n_rows)
+        want = np.zeros((n_rows, width))
+        np.add.at(want, idx, values)
+        mass = np.zeros((n_rows, width))
+        np.add.at(mass, idx, np.abs(values))
+        counts = np.bincount(idx, minlength=n_rows)[:, None]
+        bound = np.maximum(counts - 1, 0) * np.finfo(np.float64).eps * mass
+        assert got.shape == want.shape and got.dtype == values.dtype
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_zipf_duplicates(self):
+        idx = np.random.default_rng(50).zipf(1.3, 3100) % 505
+        assert np.bincount(idx).max() > 100 and len(np.unique(idx)) > 100
+        self.check(idx, 505)
+
+    def test_all_distinct(self):
+        self.check(np.random.default_rng(51).permutation(600)[:450], 600)
+
+    def test_one_index_repeated(self):
+        self.check(np.full(700, 3), 8)
+
+    def test_empty(self):
+        self.check([], 5)

@@ -1,8 +1,10 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
+import knnmem.autodiff as ad
 import knnmem.trainer as trainer
 from knnmem.cli import main
 from knnmem.datagen import make_separable_corpus, write_zhang_csv
@@ -63,6 +65,14 @@ class TestIndexCommand:
         assert "docs" in captured.out and "terms" in captured.out and "avgdl" in captured.out
         for name in ("train.idx", "train.cache", "index.config.json"):
             assert (out / name).exists()
+
+    def test_config_echo_holds_only_what_shaped_the_index(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
+                    "--k", "2", "--k1", "0.5", "--epochs", "3", "--out-dir", out]) == 0
+        echo = json.loads((out / "index.config.json").read_text())
+        assert echo == {"train_csv": str(data_dir / "train.csv"), "classes": 3,
+                        "class_names": None}
 
     def test_writes_no_neighbor_cache(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -225,6 +235,44 @@ class TestTrainEvalPredict:
                     "--train-cache", trained / "train.cache",
                     "--index", trained / "train.idx"])
         assert code == 1
+
+
+class TestTrainReruns:
+    def test_same_command_line_writes_identical_checkpoint(self, data_dir, tmp_path):
+        # One out-dir for both runs: the config echo records it.
+        args = ["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", tmp_path]
+        blobs = []
+        for _ in range(2):
+            assert run(args) == 0
+            blobs.append((tmp_path / "model.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+class TestFloat32Serving:
+    @pytest.fixture
+    def trained32(self, data_dir, tmp_path):
+        try:
+            assert run(["train", "--train", data_dir / "train.csv", *FAST,
+                        "--float-width", "32", "--out-dir", tmp_path]) == 0
+            assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
+                        "--out-dir", tmp_path]) == 0
+            yield tmp_path
+        finally:
+            ad.set_default_dtype(np.float64)
+
+    def test_predict_and_eval_take_width_from_checkpoint(self, trained32, data_dir, capsys):
+        serve = ["--checkpoint", trained32 / "model.ckpt",
+                 "--train-cache", trained32 / "train.cache", "--index", trained32 / "train.idx",
+                 *FAST]
+        assert run(["predict", *serve, "--text", "c0w1 c0w2 f3"]) == 0
+        assert capsys.readouterr().out.strip() in ("class_0", "class_1", "class_2")
+        assert ad.get_default_dtype() == np.float32
+        assert run(["eval", *serve, "--data", data_dir / "eval.csv",
+                    "--out-dir", trained32 / "eval"]) == 0
+        assert "accuracy" in capsys.readouterr().out
+        assert json.loads((trained32 / "eval" / "eval.json").read_text())["config"]["float_width"] == 32
+        # An explicit width does not override the checkpoint's either.
+        assert run(["predict", *serve, "--float-width", "64", "--text", "c1w0 f2"]) == 0
 
 
 class TestSweep:

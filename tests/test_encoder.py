@@ -110,6 +110,38 @@ class TestFusedMatchesStepReference:
             assert grad is not None and got_grads[name] is not None, name
             assert np.allclose(got_grads[name], grad, rtol=1e-10, atol=1e-10), name
 
+    @pytest.mark.parametrize("config", [
+        TINY,
+        EncoderConfig(),
+        EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=5, max_tokens=5,
+                      max_word_chars=3),
+    ], ids=["tiny", "paper", "clipped"])
+    def test_float32_values_and_every_gradient(self, config):
+        # Tolerance, fixed before the first run: every compared number is a
+        # float32 chain of at most about a thousand roundings (a 350-wide
+        # input projection, a 400-wide gate product per step over 7 steps,
+        # sums over steps and rows). Forward error analysis bounds such a
+        # chain's error by about n * eps of its largest terms, so each
+        # array may differ by 1000 * eps32 of its own largest magnitude.
+        tol = 1000 * np.finfo(np.float32).eps
+        ad.set_default_dtype(np.float32)
+        try:
+            vocab = make_vocab([" ".join(s) for s in RAGGED[:3]])
+            enc = TextEncoder.create(config, vocab, seed=13)
+            enc.params.word.tensor.requires_grad = True
+            weights = np.random.default_rng(3).uniform(-1.0, 1.0, (len(RAGGED), config.l))
+            got, got_grads = encoder_grads(enc, TextEncoder.encode_batch, RAGGED, weights)
+            want, want_grads = encoder_grads(enc, reference_encode_batch, RAGGED, weights)
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert set(got_grads) == set(want_grads)
+        for name, grad in want_grads.items():
+            assert grad is not None and got_grads[name] is not None, name
+            assert got_grads[name].dtype == np.float32, name
+            assert np.abs(got_grads[name] - grad).max() <= tol * np.abs(grad).max(), name
+
     def test_tape_length_independent_of_max_len(self, tiny_encoder):
         lengths = []
         for seq_len in (2, 9):
