@@ -350,131 +350,133 @@ def rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), backward)
 
 
-def lstm_sequence(proj: Tensor, index, Wh: Tensor, b: Tensor, mask) -> Tensor:
-    """One whole masked LSTM pass from a zero state; returns the final ``h``.
+def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
+    """One whole LSTM pass from a zero state; returns each row's final ``h``.
 
-    ``proj`` holds precomputed input projections ``x @ Wx`` (gate order i,
-    f, g, o along columns); at step ``t`` row ``j`` reads
-    ``proj[index[t, j]]``. Where ``mask[t, j]`` is false the row skips the
-    step and its state carries over exactly. The pass is a single tape
-    node whose backward is hand-written BPTT.
+    ``proj`` holds precomputed input projections ``x @ Wx + b`` (gate order
+    i, f, g, o along columns). Row ``j`` runs ``lengths[j]`` steps, reading
+    ``proj[index[t, j]]`` at step ``t``; after its last step its state is
+    never touched again. The pass is a single tape node whose backward is
+    hand-written BPTT.
 
-    Per-step activations are kept only when a tape is active and some
-    input needs a gradient; the forward then also copies each step's
-    ``h_prev`` rows into one ``(mask.sum(), h)`` stack, in step order. The
-    backward writes each step's gate gradients in place into its rows of
-    one ``(mask.sum(), 4h)`` buffer ``dZ``, applying the gate derivatives
-    (``s(1-s)``, ``1-g**2`` in the g columns) as one contiguous block.
-    ``dWh`` is then one product ``H_prev.T @ dZ``, ``db`` one column sum,
-    and ``dproj`` one scatter-add of ``dZ`` over the rows ``index[mask]``.
+    The rows are stably sorted once by descending length, so the rows still
+    running at step ``t`` are the prefix ``[:n_t]`` of that order. Forward
+    and backward update the views ``h[:n]``, ``c[:n]``, ``dh[:n]`` and
+    ``dc[:n]`` in place, with no gather or scatter of state, and the result
+    comes back in input order.
+
+    Without a tape (or with nothing to differentiate) one ``(B, 4h)`` gate
+    buffer and one ``(B, h)`` buffer serve every step, so the pass holds one
+    step's worth of memory whatever its length. Under a tape every
+    step's projection rows are gathered into one ``(sum n_t, 4h)`` stack,
+    which becomes the saved gates in place (with ``tanh(g)`` in the g
+    columns), beside stacks of each step's ``h_prev``, ``c_prev`` and
+    ``tanh(c)``. The backward reads all four by step offset and writes each
+    step's gate gradients into its rows of one buffer ``dZ``, applying the
+    gate derivatives (``s(1-s)``, ``1-g**2`` in the g columns) as one block;
+    ``dWh`` is then one product ``H_prev.T @ dZ`` and ``dproj`` one
+    scatter-add of ``dZ``.
     """
     idx = np.asarray(index, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
+    lens = np.asarray(lengths, dtype=np.int64)
     hidden = Wh.shape[0] if Wh.ndim == 2 else -1
     width = 4 * hidden
-    if (proj.ndim != 2 or proj.shape[1] != width or Wh.shape != (hidden, width)
-            or b.shape != (1, width)):
+    if proj.ndim != 2 or proj.shape[1] != width or Wh.shape != (hidden, width):
+        raise AutodiffError(f"lstm_sequence: incompatible shapes proj {proj.shape}, Wh {Wh.shape}")
+    if idx.ndim != 2 or lens.shape != idx.shape[1:]:
         raise AutodiffError(
-            f"lstm_sequence: incompatible shapes proj {proj.shape}, Wh {Wh.shape}, b {b.shape}"
-        )
-    if idx.ndim != 2 or mask.shape != idx.shape:
-        raise AutodiffError(f"lstm_sequence: index {idx.shape} and mask {mask.shape} must match (T, B)")
+            f"lstm_sequence: index {idx.shape} and lengths {lens.shape} must be (T, B) and (B,)")
+    n_steps, batch = idx.shape
+    if lens.size and (lens.min() < 1 or lens.max() > n_steps):
+        raise AutodiffError(f"lstm_sequence: lengths must lie in [1, {n_steps}]")
     if idx.size and (idx.min() < 0 or idx.max() >= proj.shape[0]):
         raise AutodiffError(f"lstm_sequence: index out of range for {proj.shape[0]} projection rows")
-    track = _ACTIVE_TAPE is not None and (proj.requires_grad or Wh.requires_grad or b.requires_grad)
-    P, W, bias = proj.data, Wh.data, b.data
-    n_steps, batch = idx.shape
+    track = _ACTIVE_TAPE is not None and (proj.requires_grad or Wh.requires_grad)
+    P, W = proj.data, Wh.data
+    order = np.argsort(-lens, kind="stable")
+    idx = idx[:, order]
+    # Rows still running at each step; with the rows in `order` they are a prefix.
+    counts = batch - np.cumsum(np.bincount(lens, minlength=n_steps))[:n_steps]
+    counts = counts[counts > 0].tolist()
+    offsets = np.cumsum([0] + counts).tolist()
     h = np.zeros((batch, hidden), dtype=_DTYPE)
     c = np.zeros((batch, hidden), dtype=_DTYPE)
+    gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     if track:
-        H_prev = np.empty((int(mask.sum()), hidden), dtype=_DTYPE)
-    steps, off = [], 0
-    for t in range(n_steps):
-        act = np.flatnonzero(mask[t])
-        if act.size == 0:
-            continue
-        full = act.size == batch
-        if track:
-            h_prev = H_prev[off:off + act.size]
-            np.take(h, act, axis=0, out=h_prev)
-        else:
-            h_prev = h if full else h[act]
-        c_prev = c if full else c[act]
-        s = P[idx[t, act]]
-        s += h_prev @ W
-        s += bias
-        g = np.tanh(s[:, 2 * hidden:3 * hidden])
-        # In place, s becomes 1 / (1 + exp(-s)); its g columns go unused.
-        with np.errstate(over="ignore"):
+        rows_all = idx[np.arange(n_steps)[:, None] < lens[order]]
+        S = P.take(rows_all, axis=0)
+        H_prev, C_prev, TC = (np.empty((offsets[-1], hidden), dtype=_DTYPE) for _ in range(3))
+        # Each step's h_prev @ Wh goes into this one buffer: a fresh product
+        # of this size would take new pages, and page faults, every step.
+        hw = np.empty((batch, width), dtype=_DTYPE)
+    else:
+        gates = np.empty((batch, width), dtype=_DTYPE)
+        work = np.empty((batch, hidden), dtype=_DTYPE)
+    with np.errstate(over="ignore"):
+        for t, n in enumerate(counts):
+            h_n, c_n = h[:n], c[:n]
+            if track:
+                lo, hi = offsets[t], offsets[t + 1]
+                s, tc = S[lo:hi], TC[lo:hi]
+                H_prev[lo:hi] = h_n
+                C_prev[lo:hi] = c_n
+                s += np.matmul(h_n, W, out=hw[:n])
+            else:
+                s, tc = gates[:n], work[:n]
+                # A plain gather: `np.take(..., out=s)` is about twice as slow.
+                np.matmul(h_n, W, out=s)
+                s += P.take(idx[t, :n], axis=0)
+            # tc holds tanh(g) while s becomes 1 / (1 + exp(-s)) in place.
+            np.tanh(s[:, gg], out=tc)
             np.exp(np.negative(s, out=s), out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        i, f, o = s[:, :hidden], s[:, hidden:2 * hidden], s[:, 3 * hidden:]
-        c_new = f * c_prev
-        c_new += i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        # A full step rebinds h and c, so arrays saved for backward are
-        # never written again; a partial step writes only its active rows.
-        if full:
-            h, c = h_new, c_new
-        else:
-            h[act] = h_new
-            c[act] = c_new
-        if track:
-            steps.append((None if full else act, off, c_prev, s, g, tc))
-            off += act.size
-        # Free this step's arrays before the next step allocates its own,
-        # so without a tape the peak stays at one step's worth.
-        del h_prev, c_prev, s, g, tc, i, f, o, c_new, h_new
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            s[:, gg] = tc
+            np.multiply(s[:, gi], s[:, gg], out=tc)
+            c_n *= s[:, gf]
+            c_n += tc
+            np.tanh(c_n, out=tc)
+            np.multiply(s[:, go], tc, out=h_n)
     _check_finite(h, "lstm_sequence")
-    out = Tensor(h)
+    out_data = np.empty_like(h)
+    out_data[order] = h
+    out = Tensor(out_data)
 
     def backward(gh):
-        if not steps:
-            return
-        dh = np.array(gh, dtype=_DTYPE)
+        dh = np.asarray(gh[order], dtype=_DTYPE)
         dc = np.zeros_like(dh)
-        dZ = np.empty((H_prev.shape[0], width), dtype=_DTYPE)
+        dZ = np.empty((offsets[-1], width), dtype=_DTYPE)
         deriv = np.empty((batch, width), dtype=_DTYPE)
         work = np.empty((batch, hidden), dtype=_DTYPE)
-        gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-        for act, off, c_prev, s, g, tc in reversed(steps):
-            n = len(s)
-            dz, d, tmp = dZ[off:off + n], deriv[:n], work[:n]
-            full = act is None
-            dh_a, dc_a = (dh, dc) if full else (dh[act], dc[act])
+        for t in reversed(range(len(counts))):
+            lo, hi, n = offsets[t], offsets[t + 1], counts[t]
+            s, tc, c_prev, dz = S[lo:hi], TC[lo:hi], C_prev[lo:hi], dZ[lo:hi]
+            dh_n, dc_n, d, tmp = dh[:n], dc[:n], deriv[:n], work[:n]
             # dc += dh * o * (1 - tc**2)
             np.multiply(tc, tc, out=tmp)
             np.subtract(1.0, tmp, out=tmp)
             tmp *= s[:, go]
-            tmp *= dh_a
-            dc_a += tmp
+            tmp *= dh_n
+            dc_n += tmp
             # Gate gradients before the derivative block: dc*g, dc*c_prev,
             # dc*i and dh*tanh(c) for gates i, f, g and o.
-            np.multiply(dc_a, g, out=dz[:, gi])
-            np.multiply(dc_a, c_prev, out=dz[:, gf])
-            np.multiply(dc_a, s[:, gi], out=dz[:, gg])
-            np.multiply(dh_a, tc, out=dz[:, go])
+            np.multiply(dc_n, s[:, gg], out=dz[:, gi])
+            np.multiply(dc_n, c_prev, out=dz[:, gf])
+            np.multiply(dc_n, s[:, gi], out=dz[:, gg])
+            np.multiply(dh_n, tc, out=dz[:, go])
             np.subtract(1.0, s, out=d)
             d *= s
-            np.multiply(g, g, out=d[:, gg])
+            np.multiply(s[:, gg], s[:, gg], out=d[:, gg])
             np.subtract(1.0, d[:, gg], out=d[:, gg])
             dz *= d
-            dc_a *= s[:, gf]
-            if full:
-                np.matmul(dz, W.T, out=dh)
-            else:
-                dh[act] = dz @ W.T
-                dc[act] = dc_a
+            dc_n *= s[:, gf]
+            np.matmul(dz, W.T, out=dh_n)
         if Wh.requires_grad:
             _accum(Wh, H_prev.T @ dZ)
-        if b.requires_grad:
-            _accum(b, dZ.sum(axis=0, keepdims=True))
         if proj.requires_grad:
-            _accum(proj, _scatter_add_rows(idx[mask], dZ, proj.shape[0]))
+            _accum(proj, _scatter_add_rows(rows_all, dZ, proj.shape[0]))
 
-    return _record(out, (proj, Wh, b), backward)
+    return _record(out, (proj, Wh), backward)
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:

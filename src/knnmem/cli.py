@@ -342,6 +342,8 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Commands set the process-wide float width; an in-process caller gets its own back.
+    dtype = ad.get_default_dtype()
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
@@ -369,6 +371,8 @@ def main(argv=None) -> int:
     except (AutodiffError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        ad.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

@@ -2,23 +2,27 @@
 composed by a BiLSTM whose final forward/backward states form the text
 embedding.
 
-Encoding is batched, and each LSTM input projection is computed once per
-distinct row, then gathered for every occurrence:
+Encoding is batched, and each LSTM input projection, bias included, is
+computed once per distinct row, then gathered for every occurrence:
 
 - the character LSTM projects the whole character table once per batch
-  (``char_table @ Wx``) and runs over the batch's unique words;
+  (``char_table @ Wx + b``) and runs over the batch's unique words, whose
+  characters are mapped to ids with one sorted-table lookup;
 - each word direction projects ``[word vector; char composition]`` once
-  per unique word in the batch (``x @ Wx``).
+  per unique word in the batch (``x @ Wx + b``).
 
 Each of the three passes is then one ``autodiff.lstm_sequence`` node: the
-recurrence runs in numpy, with a hand-written backward through time. Rows
-shorter than the batch maximum skip their padded steps, so their state
-carries over exactly: padding never enters a sequence's embedding. The
-embedding is still not bit-identical across batch compositions, because
-BLAS picks its matrix-product kernel by row count. At paper dimensions
-(OpenBLAS 0.3.31, Haswell kernels, 1 or 2 threads) every sequence encoded
-alone differed from its row in a 300-sequence batch, by at most 1.0e-17,
-and 162 of 300 rows differed when the sequences were encoded in pairs.
+recurrence runs in numpy over rows sorted by length, so the rows still
+running at a step are a prefix, and a hand-written backward through time
+reads the gates, ``h_prev``, ``c_prev`` and ``tanh(c)`` the forward saved.
+A row shorter than the batch maximum is never touched after its last step,
+so its state carries over exactly: padding never enters a sequence's
+embedding. The embedding is still not bit-identical across batch
+compositions, because BLAS picks its matrix-product kernel by row count. At
+paper dimensions (OpenBLAS 0.3.31, Haswell kernels, 1 or 2 threads) every
+sequence of a 300-document topical corpus encoded alone differed from its
+row in the 300-sequence batch, by at most 1.0e-17, and 157 of 300 rows
+differed when the sequences were encoded in pairs.
 """
 
 from __future__ import annotations
@@ -232,6 +236,12 @@ class TextEncoder:
         self.config = config
         self.vocab = vocab
         self.params = params
+        # Code point -> char id, sorted by code point, closed by a sentinel
+        # above every code point so a lookup never runs off the end.
+        table = sorted((ord(ch), i) for ch, i in vocab.char_to_id.items() if len(ch) == 1)
+        table.append((0x110000, Vocabulary.OOV_ID))
+        self._table_codes = np.array([code for code, _ in table], dtype=np.uint32)
+        self._table_ids = np.array([i for _, i in table], dtype=np.int64)
 
     @classmethod
     def create(cls, config: EncoderConfig, vocab: Vocabulary, seed: int,
@@ -241,21 +251,26 @@ class TextEncoder:
     def named_params(self) -> dict[str, Tensor]:
         return self.params.named()
 
-    def _char_compose_batch(self, words: Sequence[str]) -> Tensor:
-        cfg = self.config
-        clipped = [w[: cfg.max_word_chars] for w in words]
-        n = len(clipped)
+    def _char_ids(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(max_len, n)`` char ids of ``words`` clipped to
+        ``max_word_chars``, 0 past each word's end, and the clipped lengths:
+        one table lookup for all the batch's characters."""
+        clipped = [w[: self.config.max_word_chars] for w in words]
         lens = np.array([len(w) for w in clipped], dtype=np.int64)
-        if n == 0 or lens.min() < 1:
+        if lens.size == 0 or lens.min() < 1:
             raise EncoderError("char composition needs nonempty words")
-        max_len = int(lens.max())
-        ids = np.zeros((max_len, n), dtype=np.int64)
-        for col, word in enumerate(clipped):
-            ids[: len(word), col] = [self.vocab.char_id(ch) for ch in word]
+        codes = np.frombuffer("".join(clipped).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        pos = np.searchsorted(self._table_codes, codes)
+        ids = np.zeros((lens.size, int(lens.max())), dtype=np.int64)
+        ids[np.arange(ids.shape[1]) < lens[:, None]] = np.where(
+            self._table_codes[pos] == codes, self._table_ids[pos], Vocabulary.OOV_ID)
+        return ids.T, lens
+
+    def _char_compose_batch(self, words: Sequence[str]) -> Tensor:
+        ids, lens = self._char_ids(words)
         p = self.params.char_lstm
-        proj = ad.matmul(self.params.char_table, p.Wx)
-        steps = np.arange(max_len)[:, None]
-        return ad.lstm_sequence(proj, ids, p.Wh, p.b, mask=steps < lens)
+        proj = ad.add(ad.matmul(self.params.char_table, p.Wx), p.b)
+        return ad.lstm_sequence(proj, ids, p.Wh, lens)
 
     def encode_batch(self, token_seqs: Sequence[Sequence[str]]) -> Tensor:
         """Encode a batch of token sequences into a (batch, 2*hidden) tensor."""
@@ -278,13 +293,11 @@ class TextEncoder:
             axis=1,
         )
         steps = np.arange(max_len)[:, None]
-        mask = steps < lens
         fwd_index = occ_ids.T
         bwd_index = occ_ids[np.arange(batch), np.maximum(lens - 1 - steps, 0)]
-        h_f = ad.lstm_sequence(ad.matmul(x, self.params.fwd.Wx), fwd_index,
-                               self.params.fwd.Wh, self.params.fwd.b, mask)
-        h_b = ad.lstm_sequence(ad.matmul(x, self.params.bwd.Wx), bwd_index,
-                               self.params.bwd.Wh, self.params.bwd.b, mask)
+        fwd, bwd = self.params.fwd, self.params.bwd
+        h_f = ad.lstm_sequence(ad.add(ad.matmul(x, fwd.Wx), fwd.b), fwd_index, fwd.Wh, lens)
+        h_b = ad.lstm_sequence(ad.add(ad.matmul(x, bwd.Wx), bwd.b), bwd_index, bwd.Wh, lens)
         return ad.concat([h_f, h_b], axis=1)
 
     def encode_text(self, tokens: Sequence[str]) -> Tensor:

@@ -129,6 +129,7 @@ class Checkpoint:
 class TrainResult:
     checkpoint: Checkpoint
     history: list[EpochStats]
+    dev_report: EvalReport  # the dev evaluation of the checkpoint's epoch
 
     @property
     def best_epoch(self) -> int:
@@ -388,7 +389,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
           config_echo: dict | None = None) -> TrainResult:
     """Run exactly ``config.epochs`` passes with per-epoch seeded reshuffles,
     evaluate on dev after each epoch, and return the best-on-dev checkpoint
-    (earliest epoch wins ties).
+    (earliest epoch wins ties) with that epoch's dev report.
 
     The global gradient norm is measured before clipping on every step, also
     when ``clip_norm`` is 0 and nothing is clipped; each epoch records its
@@ -407,6 +408,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
     rng = np.random.default_rng([config.seed, zlib.crc32(b"epoch-shuffle")])
     history: list[EpochStats] = []
     best: Checkpoint | None = None
+    best_report: EvalReport | None = None
     metrics_fh = Path(metrics_path).open("w", encoding="utf-8") if metrics_path else None
     try:
         for epoch in range(1, config.epochs + 1):
@@ -442,6 +444,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
                 metrics_fh.flush()
             if best is None or dev_report.accuracy > best.dev_accuracy:
                 best = make_checkpoint(model, vocab, epoch, dev_report.accuracy, config_echo)
+                best_report = dev_report
         if metrics_fh:
             metrics_fh.write(json.dumps({
                 "summary": {
@@ -454,7 +457,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
     finally:
         if metrics_fh:
             metrics_fh.close()
-    return TrainResult(checkpoint=best, history=history)
+    return TrainResult(checkpoint=best, history=history, dev_report=best_report)
 
 
 @dataclass
@@ -487,8 +490,11 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
     transfer setups), otherwise from the training corpus itself, ranked
     with ``bm25_params``. Word vectors from the ``embeddings`` file are
     loaded against the vocabulary built here from ``train_docs``, and the
-    file's width sets ``word_dim``. The final dev report is computed from
-    the reloaded best checkpoint.
+    file's width sets ``word_dim``. ``model`` is the best checkpoint
+    reloaded, and the dev report is the one ``train`` computed for that
+    checkpoint's epoch: the reloaded parameters are bit-identical copies,
+    evaluated on the same neighbours and batches, so evaluating the reloaded
+    model again would give the same report.
     """
     features = preset(config.preset)
     vocab = build_vocab(train_docs, min_count=config.min_count)
@@ -533,11 +539,9 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
                    vocab, metrics_path=metrics_path, config_echo=config_echo)
     best_model = model_from_checkpoint(result.checkpoint, vocab,
                                        expected_classes=label_space.c)
-    dev_report = evaluate(best_model, dev_docs, neighbors, neighbor_docs,
-                          batch_size=config.eval_batch_size, k=config.k_neighbors)
     return PipelineResult(
         train_result=result,
-        dev_report=dev_report,
+        dev_report=result.dev_report,
         model=best_model,
         vocab=vocab,
         index=index,

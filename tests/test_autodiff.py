@@ -345,79 +345,88 @@ class TestClip:
         assert np.allclose(a.grad, [0.3, 0.4])
 
 
-def ref_lstm_sequence(proj, index, Wh, b, mask):
-    """Step-by-step numpy reference: masked rows keep their previous state."""
+def ref_lstm_sequence(proj, index, Wh, lengths):
+    """Step-by-step numpy reference: finished rows keep their last state."""
     hidden = Wh.shape[0]
     h = np.zeros((index.shape[1], hidden))
     c = np.zeros_like(h)
     for t in range(index.shape[0]):
-        z = proj[index[t]] + h @ Wh + b
+        z = proj[index[t]] + h @ Wh
         i = 1.0 / (1.0 + np.exp(-z[:, :hidden]))
         f = 1.0 / (1.0 + np.exp(-z[:, hidden:2 * hidden]))
         g = np.tanh(z[:, 2 * hidden:3 * hidden])
         o = 1.0 / (1.0 + np.exp(-z[:, 3 * hidden:]))
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
-        m = mask[t][:, None]
+        m = (t < lengths)[:, None]
         h, c = np.where(m, h_new, h), np.where(m, c_new, c)
     return h
 
 
 def lstm_inputs(rng, n_rows=5):
-    """Four steps, four rows, hidden 3."""
+    """Four steps, four rows, hidden 3; the op reads ``add(proj, b)``."""
     proj = rand(rng, n_rows, 12)
     Wh = Tensor(rng.uniform(-0.5, 0.5, (3, 12)), requires_grad=True)
     b = Tensor(rng.uniform(-0.5, 0.5, (1, 12)), requires_grad=True)
     index = rng.integers(0, n_rows, (4, 4))
-    # Columns: full length, ragged, active at the first step only, and a gap.
-    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 0, 1], [1, 0, 0, 1]], dtype=bool)
-    return proj, index, Wh, b, mask
+    # Rows: full length, ragged, active at the first step only, and ragged again.
+    lengths = np.array([4, 3, 1, 2])
+    return proj, index, Wh, b, lengths
 
 
 class TestLstmSequence:
-    def test_matches_step_reference(self):
+    @staticmethod
+    def check_step_reference(lengths):
         rng = np.random.default_rng(40)
-        proj, index, Wh, b, mask = lstm_inputs(rng)
-        got = lstm_sequence(proj, index, Wh, b, mask).data
-        want = ref_lstm_sequence(proj.data, index, Wh.data, b.data, mask)
+        proj, index, Wh, b, _ = lstm_inputs(rng)
+        got = lstm_sequence(add(proj, b), index, Wh, lengths).data
+        want = ref_lstm_sequence(proj.data + b.data, index, Wh.data, lengths)
         assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_matches_step_reference(self):
+        self.check_step_reference(np.array([4, 3, 1, 2]))
+
+    def test_ascending_lengths_match_step_reference(self):
+        # The op sorts rows by descending length: this order reverses every
+        # row's place, so the sort and the un-sort must both be right.
+        self.check_step_reference(np.array([1, 2, 3, 4]))
 
     def test_masked_rows_carry_state_exactly(self):
         rng = np.random.default_rng(41)
-        proj, index, Wh, b, mask = lstm_inputs(rng)
-        first_only = lstm_sequence(proj, index[:1], Wh, b, mask[:1]).data
-        full = lstm_sequence(proj, index, Wh, b, mask).data
+        proj, index, Wh, _, lengths = lstm_inputs(rng)
+        first_only = lstm_sequence(proj, index[:1], Wh, np.ones(4, dtype=int)).data
+        full = lstm_sequence(proj, index, Wh, lengths).data
         assert np.array_equal(full[2], first_only[2])
 
     def test_grad_check(self):
         rng = np.random.default_rng(42)
-        proj, index, Wh, b, mask = lstm_inputs(rng)
+        proj, index, Wh, b, lengths = lstm_inputs(rng)
         weights = rng.uniform(-1.0, 1.0, (4, 3))
-        fd_check(lambda: ad.sum(mul(tanh(lstm_sequence(proj, index, Wh, b, mask)), weights)),
+        fd_check(lambda: ad.sum(mul(tanh(lstm_sequence(add(proj, b), index, Wh, lengths)), weights)),
                  {"proj": proj, "Wh": Wh, "b": b})
 
     def test_grad_check_with_repeated_rows(self):
         # Every step reads the same two projection rows, so dproj sums many steps.
         rng = np.random.default_rng(43)
-        proj, _, Wh, b, mask = lstm_inputs(rng, n_rows=2)
+        proj, _, Wh, b, lengths = lstm_inputs(rng, n_rows=2)
         index = np.tile([0, 1, 0, 1], (4, 1))
-        fd_check(lambda: ad.sum(tanh(lstm_sequence(proj, index, Wh, b, mask))),
+        fd_check(lambda: ad.sum(tanh(lstm_sequence(add(proj, b), index, Wh, lengths))),
                  {"proj": proj, "Wh": Wh, "b": b})
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(44)
-        proj, index, Wh, b, mask = lstm_inputs(rng)
+        proj, index, Wh, _, lengths = lstm_inputs(rng)
         with Tape() as tape:
-            lstm_sequence(proj, index, Wh, b, mask)
+            lstm_sequence(proj, index, Wh, lengths)
         assert len(tape) == 1
 
     def test_float32_stays_float32(self):
         ad.set_default_dtype(np.float32)
         try:
             rng = np.random.default_rng(45)
-            proj, index, Wh, b, mask = lstm_inputs(rng)
+            proj, index, Wh, b, lengths = lstm_inputs(rng)
             with Tape() as tape:
-                loss = ad.sum(lstm_sequence(proj, index, Wh, b, mask))
+                loss = ad.sum(lstm_sequence(add(proj, b), index, Wh, lengths))
             tape.backward(loss)
             assert loss.data.dtype == np.float32
             for p in (proj, Wh, b):
@@ -427,13 +436,17 @@ class TestLstmSequence:
 
     def test_shape_errors(self):
         rng = np.random.default_rng(46)
-        proj, index, Wh, b, mask = lstm_inputs(rng)
+        proj, index, Wh, _, lengths = lstm_inputs(rng)
         with pytest.raises(AutodiffError, match="lstm_sequence"):
-            lstm_sequence(proj, index, Wh, Tensor(np.zeros((1, 5))), mask)
+            lstm_sequence(Tensor(np.zeros((5, 5))), index, Wh, lengths)
         with pytest.raises(AutodiffError, match="lstm_sequence"):
-            lstm_sequence(proj, index, Wh, b, mask[:2])
+            lstm_sequence(proj, index, Wh, lengths[:2])
         with pytest.raises(AutodiffError, match="lstm_sequence"):
-            lstm_sequence(proj, index + 5, Wh, b, mask)
+            lstm_sequence(proj, index + 5, Wh, lengths)
+        with pytest.raises(AutodiffError, match="lstm_sequence"):
+            lstm_sequence(proj, index, Wh, [4, 3, 0, 2])
+        with pytest.raises(AutodiffError, match="lstm_sequence"):
+            lstm_sequence(proj, index, Wh, [4, 5, 1, 2])
 
     @staticmethod
     def peak_bytes(n_steps, tape: bool, requires_grad: bool = True) -> int:
@@ -441,16 +454,15 @@ class TestLstmSequence:
         hidden, batch = 16, 8
         proj = Tensor(rng.uniform(-1, 1, (6, 4 * hidden)), requires_grad=requires_grad)
         Wh = Tensor(rng.uniform(-0.1, 0.1, (hidden, 4 * hidden)), requires_grad=requires_grad)
-        b = Tensor(np.zeros((1, 4 * hidden)), requires_grad=requires_grad)
         index = rng.integers(0, 6, (n_steps, batch))
-        mask = np.ones((n_steps, batch), dtype=bool)
+        lengths = np.full(batch, n_steps)
         tracemalloc.start()
         try:
             if tape:
                 with Tape():
-                    out = lstm_sequence(proj, index, Wh, b, mask)
+                    out = lstm_sequence(proj, index, Wh, lengths)
             else:
-                out = lstm_sequence(proj, index, Wh, b, mask)
+                out = lstm_sequence(proj, index, Wh, lengths)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,7 +7,9 @@ import pytest
 import knnmem.autodiff as ad
 import knnmem.trainer as trainer
 from knnmem.cli import main
+from knnmem.corpus import Document, build_vocab
 from knnmem.datagen import make_separable_corpus, write_zhang_csv
+from knnmem.encoder import EncoderConfig, TextEncoder
 from knnmem.retrieval import Bm25Params, NeighborSet, search_knn
 
 FAST = ["--epochs", "2", "--lr", "0.01", "--batch-size", "8", "--k", "2",
@@ -266,7 +268,7 @@ class TestFloat32Serving:
                  *FAST]
         assert run(["predict", *serve, "--text", "c0w1 c0w2 f3"]) == 0
         assert capsys.readouterr().out.strip() in ("class_0", "class_1", "class_2")
-        assert ad.get_default_dtype() == np.float32
+        assert ad.get_default_dtype() == np.float64
         assert run(["eval", *serve, "--data", data_dir / "eval.csv",
                     "--out-dir", trained32 / "eval"]) == 0
         assert "accuracy" in capsys.readouterr().out
@@ -274,6 +276,16 @@ class TestFloat32Serving:
         # An explicit width does not override the checkpoint's either.
         assert run(["predict", *serve, "--float-width", "64", "--text", "c1w0 f2"]) == 0
 
+
+    def test_library_call_after_float32_predict_runs_in_float64(self, trained32):
+        assert run(["predict", "--checkpoint", trained32 / "model.ckpt",
+                    "--train-cache", trained32 / "train.cache", "--index", trained32 / "train.idx",
+                    *FAST, "--text", "c0w1 c0w2 f3"]) == 0
+        vocab = build_vocab([Document(id=0, label=0, title="c0w1 f3", body="",
+                                      tokens=("c0w1", "f3"))])
+        encoder = TextEncoder.create(EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4,
+                                                   hidden=4), vocab, seed=0)
+        assert encoder.encode_batch([["c0w1", "f3"]]).data.dtype == np.float64
 
 class TestSweep:
     def test_preset_axis_writes_table(self, data_dir, tmp_path, capsys):

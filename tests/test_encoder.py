@@ -211,6 +211,22 @@ class TestCharCompose:
         with pytest.raises(EncoderError):
             tiny_encoder.char_compose("")
 
+    def test_char_ids_match_per_character_lookup(self):
+        vocab = make_vocab(["the cat", "naïve café über", "日本 語 \U0001F600"])
+        config = EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=5, max_word_chars=4)
+        enc = TextEncoder.create(config, vocab, seed=1)
+        # Known and unknown non-ASCII characters (one outside the BMP), an
+        # unknown ASCII one, and words longer than max_word_chars.
+        words = ["the", "naïve", "zq@", "日本語ß", "a", "\U0001F600ü", "überlong", "Ωé"]
+        ids, lens = enc._char_ids(words)
+        want = np.zeros((4, len(words)), dtype=np.int64)
+        for col, word in enumerate(words):
+            clipped = word[: config.max_word_chars]
+            want[: len(clipped), col] = [vocab.char_id(ch) for ch in clipped]
+        assert lens.tolist() == [len(w[: config.max_word_chars]) for w in words]
+        assert np.array_equal(ids, want)
+        assert vocab.char_id("ï") > 0 and vocab.char_id("\U0001F600") > 0 and vocab.char_id("ß") == 0
+
     def test_gradient_matches_fd(self, tiny_encoder):
         enc = tiny_encoder
 

@@ -165,6 +165,25 @@ class TestEvaluate:
         recount = sum(1 for r in records if r["predicted"] == r["gold"]) / len(records)
         assert report.accuracy == pytest.approx(recount)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("preset_name", ["M7", "M1"])
+    def test_dev_report_equals_reloaded_model_evaluation(self, world, preset_name, dtype):
+        # run_pipeline keeps the best epoch's report from `train` instead of
+        # evaluating the reloaded checkpoint again; both must agree exactly.
+        train_docs, dev_docs, labels = world
+        config = quick_config(epochs=3, lr=3e-2, preset=preset_name)
+        ad.set_default_dtype(dtype)
+        try:
+            result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
+            again = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs,
+                             batch_size=config.eval_batch_size, k=config.k_neighbors)
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert result.model.classifier.W.data.dtype == dtype
+        assert result.dev_report.accuracy == again.accuracy
+        assert result.dev_report.per_class == again.per_class
+        assert np.array_equal(result.dev_report.confusion, again.confusion)
+
     def test_provenance_respects_k(self, world):
         train_docs, dev_docs, labels = world
         result = run_pipeline(train_docs, dev_docs, labels, quick_config(k_neighbors=2), TINY)
