@@ -41,6 +41,11 @@ def get_default_dtype():
     return _DTYPE
 
 
+def recording() -> bool:
+    """Whether a ``Tape`` is active, so that ops record themselves."""
+    return _ACTIVE_TAPE is not None
+
+
 def set_finite_checks(enabled: bool) -> None:
     global _CHECK_FINITE
     _CHECK_FINITE = bool(enabled)
@@ -615,8 +620,15 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor],
 
     ``loss_fn`` must be a deterministic function of ``params`` returning a
     scalar tensor. Relative error uses ``max(|analytic|, |numeric|, floor)``
-    as the denominator.
+    as the denominator. Every ``loss_fn()`` call runs under a ``Tape``, so
+    the finite differences take the same path as the analytic gradient.
+    The parameters are perturbed in place, so a read-only array (a restored
+    or banked model's) raises ``AutodiffError``.
     """
+    for name, p in params.items():
+        if not p.data.flags.writeable:
+            raise AutodiffError(f"grad_check perturbs {name} in place, but its array is read-only;"
+                                f" rebind it to a writable copy first")
     zero_grads(params.values())
     with Tape() as tape:
         loss = loss_fn()
@@ -630,9 +642,11 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor],
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            f_plus = float(loss_fn().data)
+            with Tape():
+                f_plus = float(loss_fn().data)
             flat[j] = orig - h
-            f_minus = float(loss_fn().data)
+            with Tape():
+                f_minus = float(loss_fn().data)
             flat[j] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(analytic[name].reshape(-1)[j])

@@ -231,10 +231,14 @@ def cmd_train(config: RunConfig) -> int:
 
 def _restore(args: argparse.Namespace, labels: LabelSpace):
     """Model with its own training vocabulary and float width, index, and
-    memory corpus by doc id."""
+    memory corpus by doc id. The model has no memory bank: a process serves
+    one request set, so a bank would encode whole blocks of the memory that
+    no later request reuses, where the batch encodes only the neighbours
+    it needs."""
     checkpoint = read_checkpoint(args.checkpoint)
     ad.set_default_dtype(np.float32 if checkpoint.manifest["float_bytes"] == 4 else np.float64)
     model = model_from_checkpoint(checkpoint, expected_classes=labels.c)
+    model.bank = None
     index = load_index(args.index)
     neighbor_docs = {d.id: d for d in load_corpus_cache(args.train_cache)}
     return model, index, neighbor_docs

@@ -25,6 +25,7 @@ query through the same code.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -286,6 +287,66 @@ def predict(features: Tensor | np.ndarray, classifier: ClassifierParams) -> tupl
     return int(np.argmax(probs)), probs
 
 
+BANK_BLOCK = 64
+
+
+class MemoryBank:
+    """Inference-time embeddings of a memory corpus, in the style of a kNN-LM
+    datastore: encoded once per set of encoder weights, not once per request.
+
+    Row r holds the embedding of the r-th smallest doc id. The rows are
+    encoded one fixed block of ``BANK_BLOCK`` rows at a time, the first time
+    one of them is asked for, so a row's bytes depend only on the weights
+    and its block, never on which request filled it.
+
+    The bank holds only while every encoder parameter's ``.data`` is the
+    array it was built from and every document of a block is the object it
+    encoded. Building marks those arrays read-only, so an in-place write
+    raises instead of leaving the bank stale; rebinding ``.data`` (as
+    ``Adam.step`` and ``model_from_checkpoint`` do), other doc ids, another
+    float width or another encoder rebuilds it, and a block whose documents
+    were replaced is encoded again.
+    """
+
+    def __init__(self):
+        self._encoder: TextEncoder | None = None
+        self._arrays: list[np.ndarray] = []
+        self._row_of: dict[int, int] = {}
+        self._ids: list[int] = []
+        self._docs: list[Document | None] = []
+        self.table = np.zeros((0, 0))
+
+    def _holds(self, encoder: TextEncoder, arrays: list[np.ndarray],
+               neighbor_docs: Mapping[int, Document]) -> bool:
+        return (encoder is self._encoder and len(arrays) == len(self._arrays)
+                and all(a is b for a, b in zip(arrays, self._arrays))
+                and self.table.dtype == ad.get_default_dtype()
+                and self._row_of.keys() == neighbor_docs.keys())
+
+    def rows(self, encoder: TextEncoder, ids: Sequence[int],
+             neighbor_docs: Mapping[int, Document]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(len(neighbor_docs), l)`` table and the row of each of
+        ``ids``, after encoding every block those rows need that does not
+        hold its current documents."""
+        arrays = [p.data for p in encoder.named_params().values()]
+        if not self._holds(encoder, arrays, neighbor_docs):
+            for a in arrays:
+                a.flags.writeable = False
+            self._encoder, self._arrays = encoder, arrays
+            self._ids = sorted(neighbor_docs)
+            self._row_of = {doc_id: row for row, doc_id in enumerate(self._ids)}
+            self._docs = [None] * len(self._ids)
+            self.table = np.empty((len(self._ids), encoder.config.l), dtype=ad.get_default_dtype())
+        rows = np.array([self._row_of[doc_id] for doc_id in ids], dtype=np.int64)
+        for start in np.unique(rows // BANK_BLOCK) * BANK_BLOCK:
+            stop = min(start + BANK_BLOCK, len(self._ids))
+            docs = [neighbor_docs[doc_id] for doc_id in self._ids[start:stop]]
+            if not all(map(operator.is_, docs, self._docs[start:stop])):
+                self.table[start:stop] = encoder.encode_batch([d.tokens for d in docs]).data
+                self._docs[start:stop] = docs
+        return self.table, rows
+
+
 @dataclass
 class NeighborAttentionRecord:
     doc_id: int
@@ -335,7 +396,15 @@ class ModelConfig:
 
 
 class KnnTextModel:
-    """Full model: shared text encoder, kNN memory head, softmax classifier."""
+    """Full model: shared text encoder, kNN memory head, softmax classifier.
+
+    ``bank`` serves the neighbour rows at inference; set it to ``None`` to
+    encode each batch's neighbours with it instead, as a process that serves
+    one request set should (a bank pays off only when requests repeat). The
+    parameter arrays of a restored model, and the encoder arrays of a banked
+    one, are read-only: update them by rebinding ``.data``, as ``Adam.step``
+    does, never in place.
+    """
 
     def __init__(self, config: ModelConfig, encoder: TextEncoder,
                  matching: MatchingParams | None, classifier: ClassifierParams):
@@ -343,6 +412,8 @@ class KnnTextModel:
         self.encoder = encoder
         self.matching = matching
         self.classifier = classifier
+        self.training = False  # set by ``trainer.train`` while it runs
+        self.bank: MemoryBank | None = MemoryBank()
 
     @classmethod
     def create(cls, config: ModelConfig, vocab, seed: int,
@@ -372,17 +443,21 @@ class KnnTextModel:
     def forward_batch(self, docs: Sequence[Document],
                       neighbor_map: Mapping[int, NeighborSet] | None = None,
                       neighbor_docs: Mapping[int, Document] | None = None) -> ForwardResult:
-        """Encode inputs (and neighbors, deduplicated), apply the memory head,
-        and return the mean cross-entropy plus per-example predictions.
+        """Encode the inputs, apply the memory head, and return the mean
+        cross-entropy plus per-example predictions.
 
-        Gradients flow through both the input and the neighbor encodings
-        unless the model was configured with ``stop_grad_neighbors``.
+        Under a ``Tape``, while ``training``, or without a ``bank``, the
+        neighbors are encoded with the inputs (deduplicated), and gradients
+        flow through both encodings unless the model was configured with
+        ``stop_grad_neighbors``. Otherwise only the inputs are encoded, and
+        the neighbor rows come from ``bank``.
         """
         if not docs:
             raise ModelError("empty batch")
         cfg = self.config
         features = cfg.features
         neighbor_docs = neighbor_docs or {}
+        banked = self.bank is not None and not (self.training or ad.recording())
 
         slots: dict[object, int] = {}
         seqs: list[Sequence[str]] = []
@@ -419,7 +494,8 @@ class KnnTextModel:
                         raise ModelError(f"neighbor doc {nbr_id} missing from lookup")
                     pair_query.append(pos)
                     pair_neighbors.append((nbr_id, score))
-                    pair_slots.append(slot_for(nbr_id, nbr.tokens))
+                    if not banked:
+                        pair_slots.append(slot_for(nbr_id, nbr.tokens))
                     pair_labels.append(nbr.label)
 
         H = self.encoder.encode_batch(seqs)
@@ -428,9 +504,14 @@ class KnnTextModel:
         if not features.uses_memory:
             feat_mat = h
         else:
-            H_nbr = H.detach() if cfg.stop_grad_neighbors else H
+            if banked:
+                table, nbr_slots = self.bank.rows(
+                    self.encoder, [nbr_id for nbr_id, _ in pair_neighbors], neighbor_docs)
+                H_nbr = Tensor(table)
+            else:
+                H_nbr = H.detach() if cfg.stop_grad_neighbors else H
+                nbr_slots = np.asarray(pair_slots, dtype=np.int64)
             query = np.asarray(pair_query, dtype=np.int64)
-            nbr_slots = np.asarray(pair_slots, dtype=np.int64)
             att = _match_pairs(ad.rows(h, query), ad.rows(H_nbr, nbr_slots), self.matching)
             attn_label = attn_text = None
             if features.use_attn_label:

@@ -219,6 +219,12 @@ class TestBackward:
         report = grad_check(lambda: ad.sum(bad_square(a)), {"a": a}, h=1e-5)
         assert not report.passed(1e-3)
 
+    def test_read_only_parameter_is_reported(self):
+        a = Tensor([[0.7, -0.3]], requires_grad=True)
+        a.data.flags.writeable = False
+        with pytest.raises(AutodiffError, match="a.*read-only"):
+            grad_check(lambda: ad.sum(mul(a, a)), {"a": a})
+
     def test_determinism(self):
         rng = np.random.default_rng(15)
         w = rand(rng, 3, 3)
@@ -380,8 +386,11 @@ class TestLstmSequence:
         rng = np.random.default_rng(40)
         proj, index, Wh, b, _ = lstm_inputs(rng)
         got = lstm_sequence(add(proj, b), index, Wh, lengths).data
+        with Tape():  # the taped forward saves its gates in place, in another code path
+            taped = lstm_sequence(add(proj, b), index, Wh, lengths).data
         want = ref_lstm_sequence(proj.data + b.data, index, Wh.data, lengths)
         assert np.allclose(got, want, rtol=0, atol=1e-14)
+        assert np.allclose(taped, want, rtol=0, atol=1e-14)
 
     def test_matches_step_reference(self):
         self.check_step_reference(np.array([4, 3, 1, 2]))

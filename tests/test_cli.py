@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import knnmem.autodiff as ad
+import knnmem.memory as memory
 import knnmem.trainer as trainer
 from knnmem.cli import main
 from knnmem.corpus import Document, build_vocab
@@ -152,6 +153,19 @@ class TestTrainEvalPredict:
         out_lines = capsys.readouterr().out.strip().splitlines()
         assert len(out_lines) == 1
         assert out_lines[0] in ("class_0", "class_1", "class_2")
+
+    def test_eval_and_predict_encode_neighbours_in_batch(self, trained, data_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        # A CLI process serves one request set, so it builds no memory bank.
+        def no_bank(*args, **kwargs):
+            raise AssertionError("the CLI filled a memory bank")
+
+        monkeypatch.setattr(memory.MemoryBank, "rows", no_bank)
+        common = ["--checkpoint", trained / "model.ckpt", "--train-cache", trained / "train.cache",
+                  "--index", trained / "train.idx", *FAST]
+        assert run(["eval", *common, "--data", data_dir / "eval.csv",
+                    "--out-dir", tmp_path / "eval-out"]) == 0
+        assert run(["predict", *common, "--text", "c0w1 c0w2 f3"]) == 0
 
     def test_predict_provenance_dump(self, trained, tmp_path, capsys):
         prov = tmp_path / "prov.jsonl"

@@ -110,6 +110,17 @@ class TestFusedMatchesStepReference:
             assert grad is not None and got_grads[name] is not None, name
             assert np.allclose(got_grads[name], grad, rtol=1e-10, atol=1e-10), name
 
+    @pytest.mark.parametrize("config", [TINY, EncoderConfig()], ids=["tiny", "paper"])
+    def test_taped_forward_equals_untaped(self, config):
+        # grad_check differences the taped forward, and the memory bank holds
+        # untaped embeddings: the two forwards must give the same bytes.
+        vocab = make_vocab([" ".join(s) for s in RAGGED[:3]])
+        enc = TextEncoder.create(config, vocab, seed=13)
+        untaped = enc.encode_batch(RAGGED).data
+        with Tape():
+            taped = enc.encode_batch(RAGGED).data
+        assert taped.tobytes() == untaped.tobytes()
+
     @pytest.mark.parametrize("config", [
         TINY,
         EncoderConfig(),

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import knnmem.autodiff as ad
-from knnmem.autodiff import Tape, Tensor, grad_check
+from knnmem.autodiff import Adam, Tape, Tensor, grad_check
 from knnmem.corpus import Document, build_vocab
+from knnmem.datagen import TopicalSpec, make_topical_corpus
 from knnmem.encoder import EncoderConfig
 from knnmem.memory import (
+    BANK_BLOCK,
     PRESETS,
     ClassifierParams,
     FeatureConfig,
@@ -21,7 +25,8 @@ from knnmem.memory import (
     predict,
     preset,
 )
-from knnmem.retrieval import NeighborSet
+from knnmem.retrieval import NeighborSet, build_index, search_knn
+from knnmem.trainer import load_checkpoint, make_checkpoint, model_from_checkpoint, save_checkpoint
 
 from bilstm_baseline import BilstmBaseline
 from eq_oracles import oracle_attn_label, oracle_attn_text, oracle_match
@@ -440,3 +445,109 @@ class TestBatchedHead:
                     model.forward_batch(docs[:size], neighbors, lookup)
                 lengths.add(len(tape))
         assert len(lengths) == 1, lengths
+
+
+class TestMemoryBank:
+    """At inference ``forward_batch`` encodes only the inputs and reads each
+    neighbor's row from the model's bank, filled in fixed blocks of sorted
+    doc ids."""
+
+    ENC = EncoderConfig(word_dim=12, char_dim=5, char_lstm_dim=6, hidden=10, max_tokens=24)
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        memory, labels = make_topical_corpus(50, TopicalSpec(seed=3))
+        queries, _ = make_topical_corpus(16, TopicalSpec(seed=4))
+        queries = [dataclasses.replace(q, id=q.id + len(memory)) for q in queries]
+        index = build_index(memory)
+        neighbors = {q.id: search_knn(index, q, 5) for q in queries}
+        assert len(memory) > 3 * BANK_BLOCK and len(queries) == 64
+        return memory, queries, neighbors, build_vocab(memory), labels.c
+
+    def make(self, world, seed=0):
+        _, _, _, vocab, c = world
+        config = ModelConfig(encoder=self.ENC, preset="M7", perspectives=3, n_classes=c)
+        return KnnTextModel.create(config, vocab, seed=seed)
+
+    def test_reloaded_model_gives_identical_batch64_probabilities(self, world, tmp_path):
+        memory, queries, neighbors, vocab, c = world
+        lookup = {d.id: d for d in memory}
+        model = self.make(world)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_checkpoint(model, vocab, epoch=0, dev_accuracy=0.0))
+        served = model_from_checkpoint(load_checkpoint(path), vocab, expected_classes=c)
+        got = served.forward_batch(queries, neighbors, lookup).probabilities
+        want = model.forward_batch(queries, neighbors, lookup).probabilities
+        assert got.tobytes() == want.tobytes()
+
+    def test_table_identical_for_two_fill_orders(self, world):
+        memory, queries, neighbors, _, _ = world
+        lookup = {d.id: d for d in memory}
+
+        def filled(requests):
+            model = self.make(world)
+            for batch in requests:
+                model.forward_batch(batch, neighbors, lookup)
+            table, _ = model.bank.rows(model.encoder, sorted(lookup), lookup)
+            return table.copy()
+
+        batched = filled([queries])
+        one_by_one = filled([[q] for q in reversed(queries)])
+        assert batched.shape == (len(memory), self.ENC.l)
+        assert batched.tobytes() == one_by_one.tobytes()
+
+    def test_bank_agrees_with_training_path(self, world):
+        # Fixed before the first run: equal labels and neighbors, and
+        # probabilities within 1e-12 (embeddings move by about 1e-17 with
+        # their batch).
+        memory, queries, neighbors, _, _ = world
+        lookup = {d.id: d for d in memory}
+        model = self.make(world)
+        banked = model.forward_batch(queries, neighbors, lookup)
+        with Tape():
+            taped = model.forward_batch(queries, neighbors, lookup)
+        model.training = True
+        in_batch = model.forward_batch(queries, neighbors, lookup)
+        model.training = False
+        assert model.bank.table.size
+        for ref in (taped, in_batch):
+            assert np.array_equal(banked.predictions, ref.predictions)
+            assert ([[r.doc_id for r in recs] for recs in banked.attention]
+                    == [[r.doc_id for r in recs] for recs in ref.attention])
+            assert np.max(np.abs(banked.probabilities - ref.probabilities)) <= 1e-12
+
+    def test_adam_step_rebuilds_bank(self, world):
+        memory, queries, neighbors, vocab, _ = world
+        lookup = {d.id: d for d in memory}
+        model = self.make(world)
+        before = model.forward_batch(queries, neighbors, lookup).probabilities
+        optimizer = Adam(model.named_params(), lr=1e-2)
+        with Tape() as tape:
+            result = model.forward_batch(queries[:8], neighbors, lookup)
+        tape.backward(result.loss)
+        optimizer.step()
+        got = model.forward_batch(queries, neighbors, lookup).probabilities
+        fresh = model_from_checkpoint(make_checkpoint(model, vocab, epoch=1, dev_accuracy=0.0))
+        want = fresh.forward_batch(queries, neighbors, lookup).probabilities
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != before.tobytes()
+
+    def test_replaced_neighbor_document_is_encoded_again(self, world):
+        memory, queries, neighbors, _, _ = world
+        lookup = {d.id: d for d in memory}
+        model = self.make(world)
+        before = model.forward_batch(queries, neighbors, lookup).probabilities
+        used = neighbors[queries[0].id].neighbors[0][0]
+        lookup[used] = dataclasses.replace(lookup[used], tokens=lookup[used].tokens[::-1])
+        got = model.forward_batch(queries, neighbors, lookup).probabilities
+        want = self.make(world).forward_batch(queries, neighbors, lookup).probabilities
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != before.tobytes()
+
+    def test_in_place_write_to_banked_array_raises(self, world):
+        memory, queries, neighbors, _, _ = world
+        model = self.make(world)
+        model.forward_batch(queries[:1], neighbors, {d.id: d for d in memory})
+        for name, p in model.encoder.named_params().items():
+            with pytest.raises(ValueError, match="read-only"):
+                p.data[0] = 0.0
