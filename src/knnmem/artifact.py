@@ -1,4 +1,4 @@
-"""The one binary container shared by the index and the checkpoint.
+"""The one binary container shared by the index, the memory and the checkpoint.
 
 Layout::
 
@@ -14,6 +14,7 @@ type for each, so every artifact fails the same typed way.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -34,6 +35,12 @@ def write_artifact(path: str | Path, magic: bytes, manifest: dict,
         fh.write(blob)
         for part in body_parts:
             fh.write(part)
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex SHA-256 of a file's bytes, by which one artifact names another."""
+    with Path(path).open("rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def read_artifact(path: str | Path, magic: bytes, error: type[Exception],

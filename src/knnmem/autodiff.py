@@ -81,9 +81,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         """Same values, no gradient flow."""
         return Tensor(self.data)

@@ -1,14 +1,17 @@
-"""Command-line surface: index building, training, evaluation, prediction
-with provenance, and ablation sweeps.
+"""Command-line surface: training, evaluation, prediction with provenance,
+and ablation sweeps.
 
 Every command reads one JSON config file (``--config``) whose keys are the
 ``RunConfig`` fields; explicit flags override file values. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure.
 
-The checkpoint carries the training vocabulary and float width, so ``eval``
-and ``predict`` serve with the word and char ids and the precision the
-model was trained with, whatever their own ``--min-count`` and
-``--float-width``; ``train.cache`` only supplies the memory corpus.
+``train`` writes ``model.ckpt`` and, unless the preset retrieves nothing,
+``memory.knn``: the documents it trained against (after the dev split or
+subsample, or the external corpus) with their index, label names, BM25
+``k1``/``b`` and K. ``eval`` and ``predict`` serve the checkpoint's
+vocabulary and float width and the memory's retrieval, whatever their own
+``--min-count``, ``--float-width``, ``--k1``, ``--b`` and ``--k``, and refuse
+a memory whose SHA-256 is not the one the checkpoint records.
 """
 
 from __future__ import annotations
@@ -22,27 +25,21 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .artifact import file_sha256
 from .autodiff import AutodiffError
 from .config import ConfigError, RunConfig, load_run_config, _FIELDS
 from .corpus import (
     CorpusError,
     Document,
     LabelSpace,
-    load_corpus_cache,
     load_dataset,
-    save_corpus_cache,
     split_dev,
     tokenize,
+    utf8_lines,
 )
 from .encoder import EncoderError
 from .memory import ModelError
-from .retrieval import (
-    RetrievalError,
-    build_index,
-    load_index,
-    save_index,
-    search_knn,
-)
+from .retrieval import Memory, RetrievalError, load_memory, save_memory, search_knn
 from .trainer import (
     CheckpointError,
     NumericFailure,
@@ -67,6 +64,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FLAG_ALIASES = {"k_neighbors": ["--k"], "perspectives": ["--i"]}
+_SERVING = ("The vocabulary and float width come from the checkpoint, the BM25 k1/b and K "
+            "from the memory; --min-count, --float-width, --k1, --b and --k are ignored.")
+_MEMORY_HELP = "memory.knn that train wrote with the checkpoint (unless the preset is M1)"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -95,38 +95,28 @@ def build_parser() -> _Parser:
                      description="Retrieval-augmented text classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_index = sub.add_parser("index",
-                             help="build the BM25 index and the memory corpus cache")
-    _add_config_flags(p_index)
-    p_index.add_argument("--train", dest="train_csv_arg", metavar="CSV",
-                         help="training CSV (alias for --train-csv)")
-
     p_train = sub.add_parser("train",
-                             help="train a model and save the best-on-dev checkpoint")
+                             help="train a model; save the best-on-dev checkpoint and its memory")
     _add_config_flags(p_train)
     p_train.add_argument("--train", dest="train_csv_arg", metavar="CSV",
                          help="training CSV (alias for --train-csv)")
     p_train.add_argument("--dev", dest="eval_csv_arg", metavar="CSV",
                          help="dev CSV (alias for --eval-csv)")
 
-    p_eval = sub.add_parser("eval",
-                            help="evaluate a checkpoint on a labeled CSV")
+    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV",
+                            description=_SERVING)
     _add_config_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True, metavar="FILE")
     p_eval.add_argument("--data", required=True, metavar="CSV", help="labeled evaluation CSV")
-    p_eval.add_argument("--train-cache", required=True, metavar="FILE",
-                        help="memory corpus (neighbour documents) written by `index`")
-    p_eval.add_argument("--index", required=True, metavar="FILE", help="index file written by `index`")
+    p_eval.add_argument("--memory", metavar="FILE", help=_MEMORY_HELP)
 
-    p_pred = sub.add_parser("predict",
+    p_pred = sub.add_parser("predict", description=_SERVING,
                             help="predict labels for raw text, optionally with provenance")
     _add_config_flags(p_pred)
     p_pred.add_argument("--checkpoint", required=True, metavar="FILE")
     p_pred.add_argument("--text", metavar="TEXT", help="one text to classify")
     p_pred.add_argument("--input", metavar="FILE", help="file with one text per line")
-    p_pred.add_argument("--train-cache", required=True, metavar="FILE",
-                        help="memory corpus (neighbour documents) written by `index`")
-    p_pred.add_argument("--index", required=True, metavar="FILE")
+    p_pred.add_argument("--memory", metavar="FILE", help=_MEMORY_HELP)
     p_pred.add_argument("--provenance", metavar="FILE",
                         help="write per-input neighbor/attention records (JSON lines)")
 
@@ -142,7 +132,7 @@ def build_parser() -> _Parser:
 
 
 _COMMAND_KEYS = {"command", "config", "train_csv_arg", "eval_csv_arg", "checkpoint",
-                 "data", "train_cache", "index", "text", "input", "provenance",
+                 "data", "memory", "text", "input", "provenance",
                  "axis", "axis_max"}
 
 
@@ -177,29 +167,10 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def cmd_index(config: RunConfig) -> int:
-    if not config.train_csv:
-        raise UsageError("a training CSV is required (--train or --train-csv)")
-    labels = config.label_space()
-    docs = load_dataset(config.train_csv, labels)
-    index = build_index(docs)
-    out = _out_dir(config)
-    save_index(out / "train.idx", index)
-    save_corpus_cache(out / "train.cache", docs)
-    # Only these settings shaped train.idx and train.cache.
-    shaped = {k: getattr(config, k) for k in ("train_csv", "classes", "class_names")}
-    (out / "index.config.json").write_text(
-        json.dumps(shaped, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"indexed {index.n_docs} docs, {len(index.terms)} terms, avgdl {index.avg_doc_len:.2f}")
-    print(f"wrote {out / 'train.idx'}, {out / 'train.cache'}")
-    return 0
-
-
 def cmd_train(config: RunConfig) -> int:
     train_docs, dev_docs, labels = _load_train_dev(config)
     out = _out_dir(config)
-    external_docs = None
-    external_labels = None
+    external_docs = external_labels = None
     if config.setup in ("semi_supervised", "transfer"):
         if not config.external_csv:
             raise TrainingError(f"{config.setup} setup needs --external-csv")
@@ -217,7 +188,15 @@ def cmd_train(config: RunConfig) -> int:
         bm25_params=config.bm25_params(),
     )
     pipeline = report.pop("_pipeline")
-    save_checkpoint(out / "model.ckpt", pipeline.train_result.checkpoint)
+    checkpoint = pipeline.train_result.checkpoint
+    digest = None
+    if pipeline.index is not None:
+        save_memory(out / "memory.knn", Memory(
+            pipeline.index, pipeline.neighbor_docs, external_labels or labels,
+            config.bm25_params(), config.k_neighbors))
+        digest = file_sha256(out / "memory.knn")
+    save_checkpoint(out / "model.ckpt", dataclasses.replace(
+        checkpoint, manifest={**checkpoint.manifest, "memory_sha256": digest}))
     (out / "train_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     for stats in pipeline.train_result.history:
@@ -225,45 +204,63 @@ def cmd_train(config: RunConfig) -> int:
               f"dev_accuracy {stats.dev_accuracy:.4f}")
     print(f"best epoch {pipeline.train_result.best_epoch} "
           f"dev_accuracy {pipeline.train_result.best_dev_accuracy:.4f}")
-    print(f"wrote {out / 'model.ckpt'}, {out / 'metrics.jsonl'}, {out / 'train_report.json'}")
+    memory_note = f", {out / 'memory.knn'}" if digest else ""
+    print(f"wrote {out / 'model.ckpt'}{memory_note}, {out / 'metrics.jsonl'}, "
+          f"{out / 'train_report.json'}")
     return 0
 
 
-def _restore(args: argparse.Namespace, labels: LabelSpace):
-    """Model with its own training vocabulary and float width, index, and
-    memory corpus by doc id. The model has no memory bank: a process serves
-    one request set, so a bank would encode whole blocks of the memory that
-    no later request reuses, where the batch encodes only the neighbours
-    it needs."""
+def _restore(args: argparse.Namespace, labels: LabelSpace) -> tuple:
+    """The model, with its training vocabulary and float width, and the
+    memory the checkpoint names by digest (None for a preset without one).
+    The model has no memory bank: a process serves one request set, so a
+    bank would encode whole blocks of the memory that no later request
+    reuses, where the batch encodes only the neighbours it needs."""
     checkpoint = read_checkpoint(args.checkpoint)
     ad.set_default_dtype(np.float32 if checkpoint.manifest["float_bytes"] == 4 else np.float64)
     model = model_from_checkpoint(checkpoint, expected_classes=labels.c)
     model.bank = None
-    index = load_index(args.index)
-    neighbor_docs = {d.id: d for d in load_corpus_cache(args.train_cache)}
-    return model, index, neighbor_docs
+    if args.memory is None:
+        if model.config.features.uses_memory:
+            raise UsageError(f"preset {model.config.preset} retrieves neighbours: pass the "
+                             "memory.knn that train wrote with the checkpoint (--memory)")
+        return model, None
+    memory = load_memory(args.memory)
+    want, got = checkpoint.manifest.get("memory_sha256"), file_sha256(args.memory)
+    if got != want:
+        raise CheckpointError(f"{args.memory}: memory digest mismatch: its sha256 is {got}, "
+                              f"the checkpoint records {want}")
+    return model, memory
+
+
+def _with_neighbors(memory: Memory | None, docs: list[Document]) -> tuple:
+    """``docs`` with ids past the memory's, their neighbours retrieved as in
+    training, and the memory's documents."""
+    if memory is None:
+        return docs, None, None
+    offset = int(memory.index.doc_ids[-1]) + 1
+    docs = [dataclasses.replace(d, id=d.id + offset) for d in docs]
+    neighbors = {d.id: search_knn(memory.index, d, memory.k, params=memory.params) for d in docs}
+    return docs, neighbors, memory.docs
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
     labels = config.label_space()
-    model, index, neighbor_docs = _restore(args, labels)
-    eval_raw = load_dataset(args.data, labels)
-    offset = max(neighbor_docs) + 1
-    eval_docs = [dataclasses.replace(d, id=d.id + offset) for d in eval_raw]
-    neighbors = None
-    if model.config.features.uses_memory:
-        neighbors = {d.id: search_knn(index, d, config.k_neighbors, params=config.bm25_params())
-                     for d in eval_docs}
+    model, memory = _restore(args, labels)
+    eval_docs, neighbors, neighbor_docs = _with_neighbors(memory, load_dataset(args.data, labels))
     report = evaluate(model, eval_docs, neighbors, neighbor_docs,
                       batch_size=config.eval_batch_size)
     out = _out_dir(config)
+    # Serving used the checkpoint's width and the memory's retrieval settings.
+    served = {"float_width": 8 * np.dtype(ad.get_default_dtype()).itemsize}
+    if memory is not None:
+        served.update(k1=memory.params.k1, b=memory.params.b, k_neighbors=memory.k)
     payload = {
         "accuracy": report.accuracy,
         "per_class_accuracy": report.per_class,
         "confusion": report.confusion.tolist(),
         "total": report.total,
-        # The width served at is the checkpoint's, not --float-width.
-        "config": {**config.echo(), "float_width": 8 * np.dtype(ad.get_default_dtype()).itemsize},
+        "config": {**config.echo(), **served},
     }
     (out / "eval.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                    encoding="utf-8")
@@ -278,23 +275,19 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     if bool(args.text) == bool(args.input):
         raise UsageError("provide exactly one of --text or --input")
-    texts = [args.text] if args.text else Path(args.input).read_text(encoding="utf-8").splitlines()
-    texts = [t for t in texts if t.strip()]
+    texts = [args.text] if args.text else list(utf8_lines(args.input, CorpusError))
+    texts = [t.rstrip("\n") for t in texts if t.strip()]
     if not texts:
         raise CorpusError("no input text to classify")
     labels = config.label_space()
-    model, index, neighbor_docs = _restore(args, labels)
-    offset = max(neighbor_docs) + 1
+    model, memory = _restore(args, labels)
     docs = []
     for i, text in enumerate(texts):
         tokens = tokenize(text)
         if not tokens:
             raise CorpusError(f"input {i + 1} has no tokens after tokenization")
-        docs.append(Document(id=offset + i, label=0, title=text, body="", tokens=tuple(tokens)))
-    neighbors = None
-    if model.config.features.uses_memory:
-        neighbors = {d.id: search_knn(index, d, config.k_neighbors, params=config.bm25_params())
-                     for d in docs}
+        docs.append(Document(id=i, label=0, title=text, body="", tokens=tuple(tokens)))
+    docs, neighbors, neighbor_docs = _with_neighbors(memory, docs)
     records = predict_with_provenance(model, docs, neighbors, neighbor_docs,
                                       batch_size=config.eval_batch_size, has_gold=False)
     for record in records:
@@ -308,23 +301,17 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     train_docs, dev_docs, labels = _load_train_dev(config)
     out = _out_dir(config)
-    if args.axis == "K":
-        values = [("K", k) for k in range(0, args.axis_max + 1)]
-    elif args.axis == "I":
-        values = [("I", i) for i in range(0, args.axis_max + 1)]
-    else:
-        values = [("preset", name) for name in ("M1", "M2", "M3", "M4", "M5", "M6", "M7")]
+    axis = args.axis
+    presets = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
     rows = []
     base = config.train_config()
-    for axis, value in values:
+    for value in presets if axis == "preset" else range(args.axis_max + 1):
         if axis == "K":
             train_config = dataclasses.replace(base, k_neighbors=value)
-        elif axis == "I":
-            if value == 0:
-                train_config = dataclasses.replace(base, mode="vanilla_cosine", perspectives=1)
-            else:
-                train_config = dataclasses.replace(base, mode="multi_perspective",
-                                                   perspectives=value)
+        elif axis == "I":  # I = 0 is vanilla cosine matching
+            train_config = dataclasses.replace(
+                base, mode="multi_perspective" if value else "vanilla_cosine",
+                perspectives=value or 1)
         else:
             train_config = dataclasses.replace(base, preset=value)
         report = run_setup("full", train_docs, dev_docs, labels, train_config,
@@ -351,30 +338,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
-        if args.command == "index":
-            return cmd_index(config)
         if args.command == "train":
             return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config, args)
-        if args.command == "predict":
-            return cmd_predict(config, args)
-        if args.command == "sweep":
-            return cmd_sweep(config, args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ConfigError, TrainingError) as exc:
-        if isinstance(exc, NumericFailure):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        command = {"eval": cmd_eval, "predict": cmd_predict, "sweep": cmd_sweep}[args.command]
+        return command(config, args)
+    except (UsageError, ConfigError, TrainingError, AutodiffError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, (NumericFailure, AutodiffError)) else 1
     except (CorpusError, RetrievalError, CheckpointError, EncoderError, ModelError,
             FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AutodiffError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     finally:
         ad.set_default_dtype(dtype)
 

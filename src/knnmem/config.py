@@ -91,33 +91,15 @@ class RunConfig:
             return LabelSpace(tuple(n.strip() for n in self.external_class_names.split(",")))
         return LabelSpace.of_size(self.external_classes)
 
+    def _values_for(self, cls) -> dict:
+        """This config's values of every field of ``cls``; each has a namesake here."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)}
+
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            word_dim=self.word_dim,
-            char_dim=self.char_dim,
-            char_lstm_dim=self.char_lstm_dim,
-            hidden=self.hidden,
-            max_tokens=self.max_tokens,
-            max_word_chars=self.max_word_chars,
-        )
+        return EncoderConfig(**self._values_for(EncoderConfig))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            k_neighbors=self.k_neighbors,
-            perspectives=self.perspectives,
-            seed=self.seed,
-            preset=self.preset,
-            mode=self.mode,
-            self_exclude=self.self_exclude,
-            clip_norm=self.clip_norm,
-            min_count=self.min_count,
-            eval_batch_size=self.eval_batch_size,
-            stop_grad_neighbors=self.stop_grad_neighbors,
-            train_oov_embeddings=self.train_oov_embeddings,
-        )
+        return TrainConfig(**self._values_for(TrainConfig))
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(dev_per_class=self.dev_per_class, seed=self.split_seed)

@@ -12,7 +12,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -128,34 +128,49 @@ def _parse_record(line: str, lineno: int) -> list[str]:
         i += 1
 
 
+def utf8_lines(path: str | Path, error: type[Exception]) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are iterated; bytes that
+    are not UTF-8 raise ``error``, naming the line."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}: line {line} is not UTF-8") from None
+        raise error(f"{path}: not UTF-8") from None
+
+
 def load_dataset(path: str | Path, label_space: LabelSpace) -> list[Document]:
     """Load a quoted-CSV dataset; labels in files are 1-based, internally 0-based."""
     path = Path(path)
     docs: list[Document] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = _parse_record(line, lineno)
-            if len(fields) not in (2, 3):
-                raise CorpusError(f"line {lineno}: expected 2 or 3 fields, found {len(fields)}")
-            try:
-                raw_label = int(fields[0])
-            except ValueError:
-                raise CorpusError(f"line {lineno}: class index {fields[0]!r} is not an integer") from None
-            if not 1 <= raw_label <= label_space.c:
-                raise CorpusError(
-                    f"line {lineno}: class index {raw_label} out of range 1..{label_space.c}"
-                )
-            title = _decode_escapes(fields[1])
-            body = _decode_escapes(fields[2]) if len(fields) == 3 else ""
-            tokens = tokenize(f"{title} {body}")
-            if not tokens:
-                raise CorpusError(f"line {lineno}: document has no tokens after tokenization")
-            docs.append(
-                Document(id=len(docs), label=raw_label - 1, title=title, body=body, tokens=tuple(tokens))
+    for lineno, line in enumerate(utf8_lines(path, CorpusError), start=1):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = _parse_record(line, lineno)
+        if len(fields) not in (2, 3):
+            raise CorpusError(f"line {lineno}: expected 2 or 3 fields, found {len(fields)}")
+        try:
+            raw_label = int(fields[0])
+        except ValueError:
+            raise CorpusError(f"line {lineno}: class index {fields[0]!r} is not an integer") from None
+        if not 1 <= raw_label <= label_space.c:
+            raise CorpusError(
+                f"line {lineno}: class index {raw_label} out of range 1..{label_space.c}"
             )
+        title = _decode_escapes(fields[1])
+        body = _decode_escapes(fields[2]) if len(fields) == 3 else ""
+        tokens = tokenize(f"{title} {body}")
+        if not tokens:
+            raise CorpusError(f"line {lineno}: document has no tokens after tokenization")
+        docs.append(
+            Document(id=len(docs), label=raw_label - 1, title=title, body=body, tokens=tuple(tokens))
+        )
     if not docs:
         raise CorpusError(f"{path}: empty dataset")
     return docs
@@ -275,40 +290,3 @@ def subsample(corpus: Sequence[Document], mode: LowResource | Unbalanced, seed: 
         perm = rng.permutation(len(positions))
         keep.update(positions[i] for i in perm[: wanted[label]])
     return [doc for pos, doc in enumerate(corpus) if pos in keep]
-
-
-def save_corpus_cache(path: str | Path, corpus: Iterable[Document]) -> None:
-    """One record per line: ``id<TAB>label<TAB>token token ...``, UTF-8."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in corpus:
-            fh.write(f"{doc.id}\t{doc.label}\t{' '.join(doc.tokens)}\n")
-
-
-def load_corpus_cache(path: str | Path, label_space: LabelSpace | None = None) -> list[Document]:
-    docs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusError(f"line {lineno}: expected 3 tab-separated fields")
-            try:
-                doc_id, label = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise CorpusError(f"line {lineno}: id and label must be integers") from None
-            toks = [t for t in parts[2].split(" ") if t]
-            if not toks:
-                raise CorpusError(f"line {lineno}: cached document has no tokens")
-            if label_space is not None and not 0 <= label < label_space.c:
-                raise CorpusError(f"line {lineno}: label {label} out of range for c={label_space.c}")
-            docs.append(Document(id=doc_id, label=label, title=" ".join(toks), body="", tokens=tuple(toks)))
-    if not docs:
-        raise CorpusError(f"{path}: empty corpus cache")
-    seen = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise CorpusError(f"duplicate document id {doc.id} in cache")
-        seen.add(doc.id)
-    return docs

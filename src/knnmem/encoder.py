@@ -41,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Vocabulary
+from .corpus import Vocabulary, utf8_lines
 
 
 class EncoderError(ValueError):
@@ -138,23 +138,22 @@ def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, seed: int = 
     from the file; an empty file falls back to ``fallback_dim``."""
     vectors: dict[str, np.ndarray] = {}
     width: int | None = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if width is None:
-                width = len(values)
-                if width == 0:
-                    raise EncoderError(f"{path}: line {lineno} has no vector components")
-            elif len(values) != width:
-                raise EncoderError(
-                    f"{path}: inconsistent vector width at line {lineno} "
-                    f"({len(values)} vs {width})"
-                )
-            if token in vocab.word_to_id:
-                vectors[token] = np.asarray([float(v) for v in values])
+    for lineno, line in enumerate(utf8_lines(path, EncoderError), start=1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if width is None:
+            width = len(values)
+            if width == 0:
+                raise EncoderError(f"{path}: line {lineno} has no vector components")
+        elif len(values) != width:
+            raise EncoderError(
+                f"{path}: inconsistent vector width at line {lineno} "
+                f"({len(values)} vs {width})"
+            )
+        if token in vocab.word_to_id:
+            vectors[token] = np.asarray([float(v) for v in values])
     dim = width if width is not None else fallback_dim
     table = random_embedding_table(vocab.n_words, dim, seed)
     random_rows = np.ones(vocab.n_words, dtype=bool)

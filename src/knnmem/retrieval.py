@@ -26,14 +26,15 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .artifact import read_artifact, write_artifact
-from .corpus import Document
+from .corpus import Document, LabelSpace
 
 _INDEX_MAGIC = b"KNNIDX01"
+_MEMORY_MAGIC = b"KNNMEM01"
 
 
 class RetrievalError(ValueError):
@@ -151,12 +152,6 @@ class InvertedIndex:
         rows, tfs = self.postings_rows[ti], self.postings_tfs[ti]
         return [(int(self.doc_ids[r]), int(tf)) for r, tf in zip(rows, tfs)]
 
-    def doc_len(self, doc_id: int) -> int:
-        row = self.row_of.get(doc_id)
-        if row is None:
-            raise RetrievalError(f"unknown doc_id {doc_id}")
-        return int(self.doc_lens[row])
-
 
 def build_index(corpus: Sequence[Document]) -> InvertedIndex:
     if not corpus:
@@ -262,13 +257,10 @@ def _tf_mask(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.tile([False, True], counts.size), np.repeat(counts, 2))
 
 
-def save_index(path: str | Path, index: InvertedIndex) -> None:
-    """Index file: an ``artifact`` container whose body is the LE-u32 postings.
-
-    Posting doc ids are delta-encoded (first id raw, then gaps); term
-    frequencies are raw. A doc id or term frequency that does not fit in
-    a u32 raises ``RetrievalError`` before anything is written.
-    """
+def _postings_block(index: InvertedIndex) -> tuple[dict, np.ndarray]:
+    """The index fields of a manifest and the LE-u32 postings block: doc ids
+    delta-encoded (first id raw, then gaps), term frequencies raw. A value
+    that does not fit in a u32 raises ``RetrievalError``."""
     for name, values in (("doc id", index.doc_ids), ("term frequency", index.post_tfs)):
         if values.size and (values.min() < 0 or values.max() >= 2**32):
             raise RetrievalError(f"cannot save a {name} outside [0, 2**32)")
@@ -291,12 +283,20 @@ def save_index(path: str | Path, index: InvertedIndex) -> None:
         "terms": index.terms,
         "posting_counts": counts.tolist(),
     }
+    return manifest, words
+
+
+def save_index(path: str | Path, index: InvertedIndex) -> None:
+    """Index file: an ``artifact`` container whose body is the postings
+    block; nothing is written if the index cannot be encoded."""
+    manifest, words = _postings_block(index)
     write_artifact(path, _INDEX_MAGIC, manifest, [words])
 
 
-def _manifest_arrays(manifest) -> tuple[tuple[np.ndarray, np.ndarray, list[str], np.ndarray], int]:
-    """Doc ids, doc lengths, terms and posting counts, checked for shape, and
-    the byte length of the postings they describe."""
+def _manifest_arrays(manifest, rest=None):
+    """Doc ids, doc lengths, terms and posting counts, checked for shape, then
+    ``rest(manifest, doc_lens)``'s value and count of u32 words after the
+    postings; and the byte length of the body they describe."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest is not a JSON object")
     doc_ids = np.asarray(manifest["doc_ids"], dtype=np.int64)
@@ -315,16 +315,20 @@ def _manifest_arrays(manifest) -> tuple[tuple[np.ndarray, np.ndarray, list[str],
         raise ValueError("terms must be strictly ascending")
     if counts.shape != (len(terms),) or (counts < 0).any():
         raise ValueError("posting_counts must give one count >= 0 per term")
-    return (doc_ids, doc_lens, terms, counts), 8 * int(counts.sum())
+    value, n_rest = rest(manifest, doc_lens) if rest else (None, 0)
+    return (doc_ids, doc_lens, terms, counts, value, n_rest), 8 * int(counts.sum()) + 4 * n_rest
 
 
-def load_index(path: str | Path) -> InvertedIndex:
-    """Read a ``save_index`` file; a short, overlong or malformed part of it
-    raises ``RetrievalError``."""
-    (doc_ids, doc_lens, terms, counts), body = read_artifact(
-        path, _INDEX_MAGIC, RetrievalError, _manifest_arrays,
-        kind="index", body_name="postings")
+def _read_postings(path: str | Path, magic: bytes, kind: str, body_name: str, rest=None):
+    """The index a postings-block container holds, the value of ``rest`` (see
+    ``_manifest_arrays``) and its words as int64; a short, overlong or
+    malformed part of the file raises ``RetrievalError``."""
+    (doc_ids, doc_lens, terms, counts, value, n_rest), body = read_artifact(
+        path, magic, RetrievalError, lambda manifest: _manifest_arrays(manifest, rest),
+        kind=kind, body_name=body_name)
     words = np.frombuffer(body, dtype="<u4")
+    rest_words = words[words.size - n_rest:].astype(np.int64)
+    words = words[:words.size - n_rest]
     # Each step frees what it no longer needs: a loaded index is built next
     # to the running one, and these arrays are the size of the postings.
     tf_mask = _tf_mask(counts)
@@ -352,4 +356,62 @@ def load_index(path: str | Path) -> InvertedIndex:
     if post_rows.size and (post_rows.max() == doc_ids.size or (doc_ids[post_rows] != ids).any()):
         raise RetrievalError(f"{path}: postings name a doc id missing from the manifest")
     del ids
-    return InvertedIndex(doc_ids, doc_lens, terms, post_start, post_rows, tfs.astype(np.int64))
+    index = InvertedIndex(doc_ids, doc_lens, terms, post_start, post_rows, tfs.astype(np.int64))
+    return index, value, rest_words
+
+
+def load_index(path: str | Path) -> InvertedIndex:
+    """Read a ``save_index`` file; a short, overlong or malformed part of it
+    raises ``RetrievalError``."""
+    return _read_postings(path, _INDEX_MAGIC, "index", "postings")[0]
+
+
+@dataclass(frozen=True)
+class Memory:
+    """What a model retrieves from: the index over its documents, the
+    documents by id, their label space, and the BM25 settings and K."""
+
+    index: InvertedIndex
+    docs: Mapping[int, Document]
+    labels: LabelSpace
+    params: Bm25Params
+    k: int
+
+
+def save_memory(path: str | Path, memory: Memory) -> None:
+    """Memory file: an ``artifact`` container whose manifest holds the index
+    fields, each document's label, the label names, ``k1``, ``b`` and ``k``,
+    and whose body is the postings block, then each document's tokens (in
+    doc-id order) as LE-u32 ids into the index's ``terms``."""
+    manifest, words = _postings_block(memory.index)
+    if sorted(memory.docs) != manifest["doc_ids"]:
+        raise RetrievalError("memory documents are not the documents of its index")
+    docs = [memory.docs[doc_id] for doc_id in manifest["doc_ids"]]
+    tokens = [memory.index.term_index[t] for d in docs for t in d.tokens]
+    manifest.update(labels=[d.label for d in docs], label_names=list(memory.labels.names),
+                    k1=memory.params.k1, b=memory.params.b, k=memory.k)
+    write_artifact(path, _MEMORY_MAGIC, manifest, [words, np.asarray(tokens, dtype="<u4")])
+
+
+def _memory_fields(manifest, doc_lens: np.ndarray):
+    space, labels, k = LabelSpace(tuple(manifest["label_names"])), manifest["labels"], manifest["k"]
+    if len(labels) != doc_lens.size or not all(type(y) is int and 0 <= y < space.c for y in labels):
+        raise ValueError(f"labels must give one label in [0, {space.c}) per doc id")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    params = Bm25Params(float(manifest["k1"]), float(manifest["b"]))
+    return (labels, space, params, k), int(doc_lens.sum())
+
+
+def load_memory(path: str | Path) -> Memory:
+    """Read a ``save_memory`` file; a short, overlong or malformed part of it
+    raises ``RetrievalError``."""
+    index, (labels, space, params, k), tokens = _read_postings(
+        path, _MEMORY_MAGIC, "memory", "postings and tokens", _memory_fields)
+    if tokens.size and tokens.max() >= len(index.terms):
+        raise RetrievalError(f"{path}: a token id is outside the index's terms")
+    words = [index.terms[t] for t in tokens.tolist()]
+    ends = np.cumsum(index.doc_lens).tolist()
+    docs = {doc_id: Document(doc_id, label, " ".join(words[a:z]), "", tuple(words[a:z]))
+            for doc_id, label, a, z in zip(index.doc_ids.tolist(), labels, [0] + ends, ends)}
+    return Memory(index, docs, space, params, k)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -8,10 +9,20 @@ import knnmem.autodiff as ad
 import knnmem.memory as memory
 import knnmem.trainer as trainer
 from knnmem.cli import main
-from knnmem.corpus import Document, build_vocab
+from knnmem.corpus import (
+    Document,
+    LabelSpace,
+    LowResource,
+    SplitSpec,
+    build_vocab,
+    load_dataset,
+    split_dev,
+    subsample,
+    tokenize,
+)
 from knnmem.datagen import make_separable_corpus, write_zhang_csv
 from knnmem.encoder import EncoderConfig, TextEncoder
-from knnmem.retrieval import Bm25Params, NeighborSet, search_knn
+from knnmem.retrieval import Bm25Params, NeighborSet, build_index, load_memory, search_knn
 
 FAST = ["--epochs", "2", "--lr", "0.01", "--batch-size", "8", "--k", "2",
         "--perspectives", "2", "--word-dim", "4", "--char-dim", "3",
@@ -35,10 +46,11 @@ def run(args):
 
 _DROP = object()
 _MALFORMED = "malformed checkpoint manifest"
+_BAD_MEMORY = "malformed memory manifest"
 
 
 def rewrite_manifest(src, dst, change):
-    """Copy a checkpoint file with its manifest replaced by ``change`` (bytes),
+    """Copy an artifact file with its manifest replaced by ``change`` (bytes),
     or with one field, named by a key path, set to a value or dropped."""
     blob = src.read_bytes()
     (size,) = struct.unpack("<Q", blob[8:16])
@@ -59,47 +71,27 @@ def rewrite_manifest(src, dst, change):
 
 
 class TestIndexCommand:
+    """The BM25 index over the training documents, once written by its own
+    command, is now written by `train` as part of the memory."""
+
     def test_writes_artifacts_and_stats(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
-        code = run(["index", "--train", data_dir / "train.csv", "--classes", "3",
-                    "--k", "2", "--self-exclude", "--out-dir", out])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "docs" in captured.out and "terms" in captured.out and "avgdl" in captured.out
-        for name in ("train.idx", "train.cache", "index.config.json"):
-            assert (out / name).exists()
-
-    def test_config_echo_holds_only_what_shaped_the_index(self, data_dir, tmp_path):
-        out = tmp_path / "run"
-        assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
-                    "--k", "2", "--k1", "0.5", "--epochs", "3", "--out-dir", out]) == 0
-        echo = json.loads((out / "index.config.json").read_text())
-        assert echo == {"train_csv": str(data_dir / "train.csv"), "classes": 3,
-                        "class_names": None}
-
-    def test_writes_no_neighbor_cache(self, data_dir, tmp_path):
-        out = tmp_path / "run"
-        assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
-                    "--out-dir", out]) == 0
-        assert not (out / "train.nbr").exists()
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", out]) == 0
+        assert str(out / "memory.knn") in capsys.readouterr().out
+        train_docs, _ = split_dev(load_dataset(data_dir / "train.csv", LabelSpace.of_size(3)),
+                                  SplitSpec(3, 0))
+        want = build_index(train_docs)
+        got = load_memory(out / "memory.knn")
+        assert got.index.n_docs == want.n_docs == len(train_docs)
+        assert got.index.terms == want.terms
+        assert got.index.avg_doc_len == want.avg_doc_len
+        assert (got.params, got.k) == (Bm25Params(), 2)
 
     def test_rerun_is_identical(self, data_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
-                        "--k", "2", "--out-dir", out]) == 0
-        for name in ("train.idx", "train.cache"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_missing_input_nonzero_exit_stderr(self, tmp_path, capsys):
-        code = run(["index", "--train", tmp_path / "absent.csv", "--out-dir", tmp_path])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_missing_required_argument(self, tmp_path, capsys):
-        code = run(["index", "--out-dir", tmp_path])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+            assert run(["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", out]) == 0
+        assert (out1 / "memory.knn").read_bytes() == (out2 / "memory.knn").read_bytes()
 
 
 class TestTrainEvalPredict:
@@ -108,13 +100,12 @@ class TestTrainEvalPredict:
         out = tmp_path_factory.mktemp("trained")
         code = run(["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", out])
         assert code == 0
-        code = run(["index", "--train", data_dir / "train.csv", "--classes", "3",
-                    "--k", "2", "--word-dim", "4", "--out-dir", out])
-        assert code == 0
         return out
 
     def test_train_artifacts(self, trained, capsys):
         assert (trained / "model.ckpt").exists()
+        digest = hashlib.sha256((trained / "memory.knn").read_bytes()).hexdigest()
+        assert trainer.read_checkpoint(trained / "model.ckpt").manifest["memory_sha256"] == digest
         assert (trained / "metrics.jsonl").exists()
         assert (trained / "train_report.json").exists()
         lines = (trained / "metrics.jsonl").read_text().splitlines()
@@ -126,8 +117,7 @@ class TestTrainEvalPredict:
         out = tmp_path / "eval-out"
         code = run(["eval", "--checkpoint", trained / "model.ckpt",
                     "--data", data_dir / "eval.csv",
-                    "--train-cache", trained / "train.cache",
-                    "--index", trained / "train.idx",
+                    "--memory", trained / "memory.knn",
                     *FAST, "--out-dir", out])
         assert code == 0
         captured = capsys.readouterr()
@@ -138,16 +128,14 @@ class TestTrainEvalPredict:
     def test_eval_class_mismatch_is_error(self, trained, data_dir, tmp_path, capsys):
         code = run(["eval", "--checkpoint", trained / "model.ckpt",
                     "--data", data_dir / "eval.csv",
-                    "--train-cache", trained / "train.cache",
-                    "--index", trained / "train.idx",
+                    "--memory", trained / "memory.knn",
                     "--classes", "7", "--out-dir", tmp_path])
         assert code == 2
         assert "n_classes" in capsys.readouterr().err
 
     def test_predict_single_text(self, trained, capsys):
         code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--train-cache", trained / "train.cache",
-                    "--index", trained / "train.idx",
+                    "--memory", trained / "memory.knn",
                     "--text", "c0w1 c0w2 f3", *FAST])
         assert code == 0
         out_lines = capsys.readouterr().out.strip().splitlines()
@@ -161,8 +149,7 @@ class TestTrainEvalPredict:
             raise AssertionError("the CLI filled a memory bank")
 
         monkeypatch.setattr(memory.MemoryBank, "rows", no_bank)
-        common = ["--checkpoint", trained / "model.ckpt", "--train-cache", trained / "train.cache",
-                  "--index", trained / "train.idx", *FAST]
+        common = ["--checkpoint", trained / "model.ckpt", "--memory", trained / "memory.knn", *FAST]
         assert run(["eval", *common, "--data", data_dir / "eval.csv",
                     "--out-dir", tmp_path / "eval-out"]) == 0
         assert run(["predict", *common, "--text", "c0w1 c0w2 f3"]) == 0
@@ -170,8 +157,7 @@ class TestTrainEvalPredict:
     def test_predict_provenance_dump(self, trained, tmp_path, capsys):
         prov = tmp_path / "prov.jsonl"
         code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--train-cache", trained / "train.cache",
-                    "--index", trained / "train.idx",
+                    "--memory", trained / "memory.knn",
                     "--text", "c1w0 c1w3 f2", "--provenance", prov, *FAST])
         assert code == 0
         record = json.loads(prov.read_text().splitlines()[0])
@@ -182,22 +168,9 @@ class TestTrainEvalPredict:
     def test_predict_ignores_serve_time_min_count(self, trained, capsys):
         # The checkpoint was trained with min_count=1; its stored vocabulary wins.
         code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--train-cache", trained / "train.cache",
-                    "--index", trained / "train.idx",
+                    "--memory", trained / "memory.knn",
                     "--text", "c0w1 c0w2 f3", *FAST, "--min-count", "2"])
         assert code == 0
-
-    def test_truncated_index_is_data_error(self, trained, tmp_path, capsys):
-        blob = (trained / "train.idx").read_bytes()
-        for cut in (4, 8, len(blob) // 2):
-            bad = tmp_path / "cut.idx"
-            bad.write_bytes(blob[: len(blob) - cut])
-            code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                        "--train-cache", trained / "train.cache", "--index", bad,
-                        "--text", "c0w1 c0w2 f3", *FAST])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert "truncated" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("change, match", [
         (b"{not json", _MALFORMED),
@@ -219,37 +192,72 @@ class TestTrainEvalPredict:
         rewrite_manifest(trained / "model.ckpt", bad, change)
         with pytest.raises(trainer.CheckpointError, match=match):
             trainer.model_from_checkpoint(trainer.load_checkpoint(bad))
-        code = run(["predict", "--checkpoint", bad,
-                    "--train-cache", trained / "train.cache", "--index", trained / "train.idx",
+        code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
                     "--text", "c0w1 c0w2 f3", *FAST])
         assert code == 2
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
 
-    def test_non_integer_cache_id_is_data_error(self, trained, tmp_path, capsys):
-        lines = (trained / "train.cache").read_text(encoding="utf-8").splitlines()
-        bad = tmp_path / "bad.cache"
-        bad.write_text("\n".join(["x" + lines[0]] + lines[1:]) + "\n", encoding="utf-8")
-        code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--train-cache", bad, "--index", trained / "train.idx",
+    @pytest.mark.parametrize("damage, match", [
+        pytest.param(lambda blob: blob[:-4], "truncated", id="cut-4"),
+        pytest.param(lambda blob: blob[: len(blob) // 2], "truncated", id="cut-half"),
+        pytest.param(lambda blob: blob + b"\0" * 4, "trailing bytes", id="trailing"),
+        pytest.param(b"{not json", _BAD_MEMORY, id="not-json"),
+        pytest.param((("labels",), _DROP), _BAD_MEMORY, id="no-labels"),
+        pytest.param((("labels", 0), 7), _BAD_MEMORY, id="label-out-of-range"),
+        pytest.param((("label_names",), ["only"]), _BAD_MEMORY, id="one-label-name"),
+        pytest.param((("doc_ids", 0), "x"), _BAD_MEMORY, id="non-integer-doc-id"),
+        pytest.param((("k",), -1), _BAD_MEMORY, id="negative-k"),
+        pytest.param((("k1",), -0.5), _BAD_MEMORY, id="negative-k1"),
+    ])
+    def test_damaged_memory_is_data_error(self, trained, tmp_path, capsys, damage, match):
+        bad = tmp_path / "bad.knn"
+        if callable(damage):
+            bad.write_bytes(damage((trained / "memory.knn").read_bytes()))
+        else:
+            rewrite_manifest(trained / "memory.knn", bad, damage)
+        code = run(["predict", "--checkpoint", trained / "model.ckpt", "--memory", bad,
                     "--text", "c0w1 c0w2 f3", *FAST])
         assert code == 2
         err = capsys.readouterr().err
-        assert "line 1: id and label" in err and "Traceback" not in err
+        assert match in err and "Traceback" not in err
+
+    def test_memory_of_another_run_is_data_error(self, trained, data_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--split-seed", "1",
+                    "--out-dir", other]) == 0
+        code = run(["eval", "--checkpoint", trained / "model.ckpt", "--memory", other / "memory.knn",
+                    "--data", data_dir / "eval.csv", *FAST, "--out-dir", tmp_path / "eval-out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "memory digest mismatch" in err and "Traceback" not in err
+
+    def test_memory_preset_without_memory_is_usage_error(self, trained, capsys):
+        code = run(["predict", "--checkpoint", trained / "model.ckpt", "--text", "c0w1 f3", *FAST])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--memory" in err and "Traceback" not in err
+
+    def test_predict_input_not_utf8_is_data_error(self, trained, tmp_path, capsys):
+        bad = tmp_path / "in.txt"
+        bad.write_bytes(b"c0w1 f3\nc1w2 \xff\n")
+        code = run(["predict", "--checkpoint", trained / "model.ckpt",
+                    "--memory", trained / "memory.knn", "--input", bad, *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2 is not UTF-8" in err and "Traceback" not in err
 
     def test_predict_empty_input_is_error(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n", encoding="utf-8")
         code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--train-cache", trained / "train.cache",
-                    "--index", trained / "train.idx",
+                    "--memory", trained / "memory.knn",
                     "--input", empty])
         assert code == 2
 
     def test_predict_requires_exactly_one_source(self, trained, capsys):
         code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--train-cache", trained / "train.cache",
-                    "--index", trained / "train.idx"])
+                    "--memory", trained / "memory.knn"])
         assert code == 1
 
 
@@ -260,7 +268,7 @@ class TestTrainReruns:
         blobs = []
         for _ in range(2):
             assert run(args) == 0
-            blobs.append((tmp_path / "model.ckpt").read_bytes())
+            blobs.append([(tmp_path / name).read_bytes() for name in ("model.ckpt", "memory.knn")])
         assert blobs[0] == blobs[1]
 
 
@@ -270,15 +278,12 @@ class TestFloat32Serving:
         try:
             assert run(["train", "--train", data_dir / "train.csv", *FAST,
                         "--float-width", "32", "--out-dir", tmp_path]) == 0
-            assert run(["index", "--train", data_dir / "train.csv", "--classes", "3",
-                        "--out-dir", tmp_path]) == 0
             yield tmp_path
         finally:
             ad.set_default_dtype(np.float64)
 
     def test_predict_and_eval_take_width_from_checkpoint(self, trained32, data_dir, capsys):
-        serve = ["--checkpoint", trained32 / "model.ckpt",
-                 "--train-cache", trained32 / "train.cache", "--index", trained32 / "train.idx",
+        serve = ["--checkpoint", trained32 / "model.ckpt", "--memory", trained32 / "memory.knn",
                  *FAST]
         assert run(["predict", *serve, "--text", "c0w1 c0w2 f3"]) == 0
         assert capsys.readouterr().out.strip() in ("class_0", "class_1", "class_2")
@@ -293,13 +298,113 @@ class TestFloat32Serving:
 
     def test_library_call_after_float32_predict_runs_in_float64(self, trained32):
         assert run(["predict", "--checkpoint", trained32 / "model.ckpt",
-                    "--train-cache", trained32 / "train.cache", "--index", trained32 / "train.idx",
-                    *FAST, "--text", "c0w1 c0w2 f3"]) == 0
+                    "--memory", trained32 / "memory.knn", *FAST, "--text", "c0w1 c0w2 f3"]) == 0
         vocab = build_vocab([Document(id=0, label=0, title="c0w1 f3", body="",
                                       tokens=("c0w1", "f3"))])
         encoder = TextEncoder.create(EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4,
                                                    hidden=4), vocab, seed=0)
         assert encoder.encode_batch([["c0w1", "f3"]]).data.dtype == np.float64
+
+class TestServingUsesTrainingMemory:
+    """`eval` and `predict` retrieve from the documents `train` trained
+    against, with its BM25 settings and K, whatever their own flags."""
+
+    LABELS = LabelSpace.of_size(3)
+
+    @staticmethod
+    def provenance(out, texts, tmp_path, *flags):
+        inp, prov = tmp_path / "in.txt", tmp_path / "prov.jsonl"
+        inp.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        assert run(["predict", "--checkpoint", out / "model.ckpt", "--memory", out / "memory.knn",
+                    "--input", inp, "--provenance", prov, *flags]) == 0
+        return [json.loads(line) for line in prov.read_text().splitlines()]
+
+    def split(self, data_dir):
+        return split_dev(load_dataset(data_dir / "train.csv", self.LABELS), SplitSpec(3, 0))
+
+    def test_predict_retrieves_with_trained_k1(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--k1", "0.5",
+                    "--out-dir", out]) == 0
+        texts = ["c0w1 c0w2 f3", "c1w0 c1w3 f2", "c2w1 f0 f1 f5"]
+        records = self.provenance(out, texts, tmp_path, "--classes", "3")
+        index = build_index(self.split(data_dir)[0])
+        want = [search_knn(index, tokenize(t), 2, params=Bm25Params(0.5, 0.75)) for t in texts]
+        assert [[(n["doc_id"], n["bm25"]) for n in r["neighbors"]] for r in records] == \
+            [list(ns.neighbors) for ns in want]
+        assert want != [search_knn(index, tokenize(t), 2) for t in texts]
+        # Serving flags do not override the memory's settings.
+        assert self.provenance(out, texts, tmp_path, "--classes", "3", "--k1", "2.0",
+                               "--b", "0.1", "--k", "4") == records
+
+    def test_default_memory_holds_no_dev_doc(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", out]) == 0
+        train_docs, dev_docs = self.split(data_dir)
+        memory = load_memory(out / "memory.knn")
+        assert [(d.id, d.label, d.tokens) for d in memory.docs.values()] == \
+            [(d.id, d.label, d.tokens) for d in train_docs]
+        records = self.provenance(out, [d.text for d in dev_docs], tmp_path, *FAST)
+        dev_ids = {d.id for d in dev_docs}
+        assert all(r["neighbors"] for r in records)
+        assert not any(n["doc_id"] in dev_ids for r in records for n in r["neighbors"])
+
+    def test_low_resource_memory_is_the_subsample(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--setup", "low_resource",
+                    "--low-resource-fraction", "0.5", "--out-dir", out]) == 0
+        train_docs = self.split(data_dir)[0]
+        kept = subsample(train_docs, LowResource(0.5), seed=0)
+        assert len(kept) < len(train_docs)
+        assert sorted(load_memory(out / "memory.knn").docs) == [d.id for d in kept]
+
+    def test_transfer_serves_its_external_memory(self, data_dir, tmp_path):
+        external, _ = make_separable_corpus(6, 2, seed=9)
+        write_zhang_csv(tmp_path / "external.csv", external)
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--setup", "transfer",
+                    "--external-csv", tmp_path / "external.csv", "--external-classes", "2",
+                    "--out-dir", out]) == 0
+        memory = load_memory(out / "memory.knn")
+        assert memory.labels == LabelSpace.of_size(2)
+        assert [d.tokens for d in memory.docs.values()] == [d.tokens for d in external]
+        records = self.provenance(out, ["c0w1 c0w2 f3", "c2w1 c2w4 f0 f1"], tmp_path, *FAST)
+        labels = [n["label"] for r in records for n in r["neighbors"]]
+        assert labels and all(0 <= y < 2 for y in labels)
+        assert run(["eval", "--checkpoint", out / "model.ckpt", "--memory", out / "memory.knn",
+                    "--data", data_dir / "eval.csv", *FAST, "--out-dir", tmp_path / "eval"]) == 0
+
+    def test_m1_serves_without_memory(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--preset", "M1",
+                    "--out-dir", out]) == 0
+        assert not (out / "memory.knn").exists()
+        assert trainer.read_checkpoint(out / "model.ckpt").manifest["memory_sha256"] is None
+        serve = ["--checkpoint", out / "model.ckpt", *FAST]
+        assert run(["predict", *serve, "--text", "c0w1 f3"]) == 0
+        assert run(["eval", *serve, "--data", data_dir / "eval.csv", "--out-dir", out / "eval"]) == 0
+
+
+class TestNonUtf8Input:
+    def test_training_csv(self, data_dir, tmp_path, capsys):
+        blob = (data_dir / "train.csv").read_bytes()
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(blob + '"1","caf\xe9 c0w1",""\n'.encode("latin-1"))
+        code = run(["train", "--train", bad, *FAST, "--out-dir", tmp_path / "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = blob.count(b"\n") + 1
+        assert f"{bad}: line {line} is not UTF-8" in err and "Traceback" not in err
+
+    def test_embeddings_file(self, data_dir, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"c0w1 0.1 0.2 0.3 0.4\n\xff 0.1 0.2 0.3 0.4\n")
+        code = run(["train", "--train", data_dir / "train.csv", *FAST, "--embeddings", vectors,
+                    "--out-dir", tmp_path / "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{vectors}: line 2 is not UTF-8" in err and "Traceback" not in err
+
 
 class TestSweep:
     def test_preset_axis_writes_table(self, data_dir, tmp_path, capsys):
@@ -355,7 +460,7 @@ class TestConfigHandling:
     def test_removed_threads_key_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps({"epochs": 1, "threads": 2}), encoding="utf-8")
-        code = run(["index", "--config", cfg, "--train", data_dir / "train.csv",
+        code = run(["train", "--config", cfg, "--train", data_dir / "train.csv",
                     "--out-dir", tmp_path / "run"])
         assert code == 1
         err = capsys.readouterr().err
@@ -380,8 +485,30 @@ class TestConfigHandling:
             assert flag in text
         assert "default: 15" in text  # epochs default documented
 
+    def test_training_csv_is_required(self, tmp_path, capsys):
+        assert run(["train", "--out-dir", tmp_path]) == 1
+        assert "training CSV is required" in capsys.readouterr().err
+
+    def test_missing_training_csv_is_data_error(self, tmp_path, capsys):
+        assert run(["train", "--train", tmp_path / "absent.csv", "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "absent.csv" in err and "Traceback" not in err
+
     def test_unknown_command_rejected(self, capsys):
         assert main(["bogus"]) == 1
+
+    def test_index_command_is_gone(self, data_dir, tmp_path, capsys):
+        # train writes the memory it trained against; nothing else builds one.
+        assert run(["index", "--train", data_dir / "train.csv", "--out-dir", tmp_path]) == 1
+        assert "invalid choice: 'index'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_serving_help_says_retrieval_comes_from_the_memory(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--memory" in text and "K from the memory" in text
+        assert "--k1, --b and --k are ignored" in text
 
 
 class TestBm25ParamsReachTraining:

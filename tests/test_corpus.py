@@ -10,9 +10,7 @@ from knnmem.corpus import (
     SplitSpec,
     Unbalanced,
     build_vocab,
-    load_corpus_cache,
     load_dataset,
-    save_corpus_cache,
     split_dev,
     subsample,
     tokenize,
@@ -205,30 +203,6 @@ class TestSubsample:
         for label, n in enumerate(sizes):
             got = sum(1 for d in out if d.label == label)
             assert got == int(fraction * n)
-
-
-class TestCorpusCache:
-    def test_round_trip_idempotent_on_tokens(self, tmp_path):
-        raw = '"1","IBM and Kodak.","camera-phones, deal"\n"2","Second doc",""\n'
-        docs = load_dataset(write(tmp_path, raw), LABELS4)
-        cache = tmp_path / "cache.tsv"
-        save_corpus_cache(cache, docs)
-        reloaded = load_corpus_cache(cache, LABELS4)
-        assert [d.tokens for d in reloaded] == [d.tokens for d in docs]
-        assert [tuple(tokenize(d.text)) for d in reloaded] == [d.tokens for d in docs]
-
-    def test_reload_preserves_ids_labels(self, tmp_path):
-        docs = [make_doc(5, 2, ["x", "y"]), make_doc(9, 0, ["z"])]
-        cache = tmp_path / "c.tsv"
-        save_corpus_cache(cache, docs)
-        reloaded = load_corpus_cache(cache)
-        assert [(d.id, d.label) for d in reloaded] == [(5, 2), (9, 0)]
-
-    def test_duplicate_ids_rejected(self, tmp_path):
-        cache = tmp_path / "c.tsv"
-        cache.write_text("1\t0\ta\n1\t1\tb\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match="duplicate"):
-            load_corpus_cache(cache)
 
 
 def test_label_space_validation():

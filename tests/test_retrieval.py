@@ -12,17 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnmem
-from knnmem.corpus import Document
+from knnmem.corpus import Document, LabelSpace, load_dataset, tokenize
 from knnmem.retrieval import (
     Bm25Params,
     InvertedIndex,
+    Memory,
     NeighborSet,
     RetrievalError,
     bm25_score,
     build_index,
     load_index,
+    load_memory,
     precompute_neighbors,
     save_index,
+    save_memory,
     search_knn,
 )
 
@@ -460,6 +463,92 @@ class TestSaveIndexRange:
         index = build_index([doc(0, ["a", "b"]), doc(2**32 - 1, ["a"])])
         save_index(p, index)
         assert load_index(p).postings("a") == [(0, 1), (2**32 - 1, 1)]
+
+
+class TestMemoryFile:
+    """`save_memory`/`load_memory` give back the documents, label space, BM25
+    settings and K, and retrieval over the loaded memory is unchanged."""
+
+    LABELS = LabelSpace(("x", "y", "z"))
+
+    def save(self, path, docs, params=Bm25Params(0.5, 0.3), k=3):
+        save_memory(path, Memory(build_index(docs), {d.id: d for d in docs}, self.LABELS, params, k))
+        return load_memory(path)
+
+    @staticmethod
+    def rewrite(path, change):
+        blob = path.read_bytes()
+        (size,) = struct.unpack("<Q", blob[8:16])
+        manifest = {**json.loads(blob[16:16 + size]), **change}
+        raw = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:])
+
+    def test_round_trip_ids_labels_tokens_and_settings(self, tmp_path):
+        rng = np.random.default_rng(23)
+        docs = [doc(3 * d.id + 1, d.tokens, label=d.id % 3) for d in random_corpus(rng, 30, 11)]
+        loaded = self.save(tmp_path / "memory.knn", docs[::-1])
+        assert [(d.id, d.label, d.tokens) for d in loaded.docs.values()] == \
+            [(d.id, d.label, d.tokens) for d in docs]
+        assert (loaded.labels, loaded.params, loaded.k) == (self.LABELS, Bm25Params(0.5, 0.3), 3)
+
+    def test_dataset_tokens_round_trip(self, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text('"1","IBM and Kodak.","camera-phones, deal"\n"2","Second doc",""\n',
+                       encoding="utf-8")
+        docs = load_dataset(csv, LabelSpace.of_size(4))
+        loaded = list(self.save(tmp_path / "memory.knn", docs).docs.values())
+        assert [(d.id, d.label, d.tokens) for d in loaded] == [(d.id, d.label, d.tokens) for d in docs]
+        assert [tuple(tokenize(d.text)) for d in loaded] == [d.tokens for d in docs]
+
+    def test_search_over_loaded_memory_is_unchanged(self, tmp_path):
+        rng = np.random.default_rng(24)
+        docs = random_corpus(rng, 60, 15)
+        loaded = self.save(tmp_path / "memory.knn", docs)
+        index = build_index(docs)
+        for params in (Bm25Params(), Bm25Params(0.5, 0.3), Bm25Params(2.0, 1.0)):
+            for query in docs[:20]:
+                assert search_knn(loaded.index, query, 5, params=params) == \
+                    search_knn(index, query, 5, params=params)
+
+    @pytest.mark.parametrize("doc_ids", [pytest.param([1, 1, 4], id="duplicate"),
+                                         pytest.param([4, 1, 7], id="unsorted")])
+    def test_duplicate_or_unsorted_ids_rejected(self, tmp_path, doc_ids):
+        p = tmp_path / "memory.knn"
+        self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"]), doc(7, ["b"])])
+        self.rewrite(p, {"doc_ids": doc_ids})
+        with pytest.raises(RetrievalError, match="strictly ascending"):
+            load_memory(p)
+
+    @pytest.mark.parametrize("change", [
+        {"labels": [0, 1]},
+        {"labels": [0, 1, 3]},
+        {"labels": [0, 1, 1.0]},
+        {"label_names": ["x", "x", "y"]},
+        {"k": 2.5},
+        {"b": 1.5},
+        {"k1": None},
+    ])
+    def test_bad_memory_manifest_keys(self, tmp_path, change):
+        p = tmp_path / "memory.knn"
+        self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"]), doc(7, ["b"])])
+        self.rewrite(p, change)
+        with pytest.raises(RetrievalError, match="malformed memory manifest"):
+            load_memory(p)
+
+    def test_token_id_outside_terms(self, tmp_path):
+        p = tmp_path / "memory.knn"
+        self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"])])
+        p.write_bytes(p.read_bytes()[:-4] + struct.pack("<I", 2))
+        with pytest.raises(RetrievalError, match="token id"):
+            load_memory(p)
+
+    def test_documents_must_match_the_index(self, tmp_path):
+        docs = [doc(1, ["a"]), doc(4, ["a", "b"])]
+        p = tmp_path / "memory.knn"
+        for other in ({1: docs[0]}, {1: docs[0], 4: docs[1], 5: doc(5, ["a"])}):
+            with pytest.raises(RetrievalError, match="not the documents"):
+                save_memory(p, Memory(build_index(docs), other, self.LABELS, Bm25Params(), 2))
+        assert not p.exists()
 
 
 def test_bm25_params_validation():
