@@ -305,15 +305,9 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     presets = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
     rows = []
     base = config.train_config()
+    field = {"K": "k_neighbors", "I": "perspectives", "preset": "preset"}[axis]
     for value in presets if axis == "preset" else range(args.axis_max + 1):
-        if axis == "K":
-            train_config = dataclasses.replace(base, k_neighbors=value)
-        elif axis == "I":  # I = 0 is vanilla cosine matching
-            train_config = dataclasses.replace(
-                base, mode="multi_perspective" if value else "vanilla_cosine",
-                perspectives=value or 1)
-        else:
-            train_config = dataclasses.replace(base, preset=value)
+        train_config = dataclasses.replace(base, **{field: value})
         report = run_setup("full", train_docs, dev_docs, labels, train_config,
                            config.encoder_config(), embeddings=config.embeddings,
                            bm25_params=config.bm25_params())

@@ -11,7 +11,6 @@ from typing import Mapping
 
 from .corpus import LabelSpace, SplitSpec
 from .encoder import EncoderConfig
-from .memory import MODES
 from .retrieval import Bm25Params
 from .trainer import SETUPS, TrainConfig
 
@@ -38,7 +37,6 @@ class RunConfig:
     k1: float = _f(1.2, "BM25 term-frequency saturation")
     b: float = _f(0.75, "BM25 length normalization in [0, 1]")
     k_neighbors: int = _f(5, "neighbors retrieved per input (K)")
-    self_exclude: bool = _f(True, "drop the query document from its own training-time neighbors")
     # encoder
     word_dim: int = _f(300, "word-embedding width (overridden by a loaded vector file)")
     char_dim: int = _f(20, "character-embedding width")
@@ -50,8 +48,7 @@ class RunConfig:
     train_oov_embeddings: bool = _f(False, "update randomly initialized embedding rows during training")
     # memory
     preset: str = _f("M7", "feature preset M1..M7")
-    perspectives: int = _f(5, "matching perspectives (I)")
-    mode: str = _f("multi_perspective", "matching mode: multi_perspective or vanilla_cosine")
+    perspectives: int = _f(5, "matching perspectives (I); 0 is plain cosine")
     stop_grad_neighbors: bool = _f(False, "treat neighbor encodings as constants in backward")
     # training
     epochs: int = _f(15, "training passes over the training set")
@@ -76,8 +73,6 @@ class RunConfig:
     def __post_init__(self):
         if self.float_width not in (32, 64):
             raise ConfigError(f"float_width must be 32 or 64, got {self.float_width}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.setup not in SETUPS:
             raise ConfigError(f"setup must be one of {SETUPS}, got {self.setup!r}")
 

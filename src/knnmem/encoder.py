@@ -135,7 +135,9 @@ def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, seed: int = 
                                fallback_dim: int = 300) -> EmbeddingTable:
     """Whitespace-separated text vectors; vocabulary rows missing from the
     file (and the OOV row) are drawn from U(-0.05, 0.05). Width is inferred
-    from the file; an empty file falls back to ``fallback_dim``."""
+    from the file; an empty file falls back to ``fallback_dim``. A vocabulary
+    word's line with a component that is not a finite number raises
+    ``EncoderError``."""
     vectors: dict[str, np.ndarray] = {}
     width: int | None = None
     for lineno, line in enumerate(utf8_lines(path, EncoderError), start=1):
@@ -153,7 +155,14 @@ def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, seed: int = 
                 f"({len(values)} vs {width})"
             )
         if token in vocab.word_to_id:
-            vectors[token] = np.asarray([float(v) for v in values])
+            try:
+                vec = np.asarray([float(v) for v in values])
+            except ValueError:
+                vec = None
+            if vec is None or not np.isfinite(vec).all():
+                raise EncoderError(
+                    f"{path}: line {lineno} has a non-numeric or non-finite component")
+            vectors[token] = vec
     dim = width if width is not None else fallback_dim
     table = random_embedding_table(vocab.n_words, dim, seed)
     random_rows = np.ones(vocab.n_words, dtype=bool)

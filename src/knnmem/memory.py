@@ -1,5 +1,6 @@
 """kNN external memory: multi-perspective cosine attention over retrieved
 neighbors, attention-weighted label/text features, and the softmax head.
+Plain cosine is the I = 1 match with a frozen all-ones perspective row.
 
 The head runs a whole batch through a fixed number of tape ops, whatever the
 batch size B and the neighbor counts K_b:
@@ -36,11 +37,6 @@ from .autodiff import Tensor
 from .corpus import Document
 from .encoder import EncoderConfig, EmbeddingTable, TextEncoder, param_rng
 from .retrieval import NeighborSet
-
-MULTI_PERSPECTIVE = "multi_perspective"
-VANILLA_COSINE = "vanilla_cosine"
-MODES = (MULTI_PERSPECTIVE, VANILLA_COSINE)
-
 
 class ModelError(ValueError):
     """Invalid feature configuration or mismatched model inputs."""
@@ -81,39 +77,33 @@ def preset(name: str) -> FeatureConfig:
 
 @dataclass
 class MatchingParams:
-    """Per-perspective reweighting rows; unused in vanilla-cosine mode."""
+    """The (I, l) perspective rows ``W`` that reweight both embeddings of a
+    pair before their cosine."""
 
-    W: Tensor | None
-    perspectives: int
-    mode: str
+    W: Tensor
 
     @classmethod
-    def create(cls, embedding_len: int, perspectives: int, seed: int,
-               mode: str = MULTI_PERSPECTIVE) -> "MatchingParams":
-        if mode not in MODES:
-            raise ModelError(f"unknown matching mode {mode!r}")
-        if mode == VANILLA_COSINE:
-            return cls(W=None, perspectives=1, mode=mode)
-        if perspectives < 1:
-            raise ModelError(f"perspectives must be >= 1, got {perspectives}")
+    def create(cls, embedding_len: int, perspectives: int, seed: int) -> "MatchingParams":
+        """I = ``perspectives`` trainable rows, or for I = 0 plain cosine: one
+        frozen row of ones, whose products are exact."""
+        if perspectives < 0:
+            raise ModelError(f"perspectives must be >= 0, got {perspectives}")
+        if perspectives == 0:
+            return cls(W=Tensor(np.ones((1, embedding_len)), name="match.W"))
         rng = param_rng(seed, "match.W")
         # Start near plain cosine: all-ones rows plus small noise.
         data = 1.0 + rng.uniform(-0.01, 0.01, (perspectives, embedding_len))
-        return cls(W=Tensor(data, requires_grad=True, name="match.W"),
-                   perspectives=perspectives, mode=mode)
+        return cls(W=Tensor(data, requires_grad=True, name="match.W"))
 
 
 def _match_pairs(h_query: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tensor:
     """(P, I) similarities of P (query, neighbor) embedding pairs, given as two
     (P, l) matrices: every pair and perspective goes through one
-    ``cosine_rows`` over P*I reweighted rows (P plain cosines in vanilla
-    mode)."""
+    ``cosine_rows`` over P*I reweighted rows."""
     n_pairs, emb_len = h_query.shape
-    if params.mode == VANILLA_COSINE:
-        return ad.reshape(ad.cosine_rows(h_query, h_nbr), (n_pairs, 1))
-    if params.W is None or params.W.shape[1] != emb_len:
+    perspectives, width = params.W.shape
+    if width != emb_len:
         raise ModelError("matching weights do not fit the embedding length")
-    perspectives = params.W.shape[0]
     W = ad.reshape(params.W, (1, perspectives, emb_len))
 
     def reweighted(x: Tensor) -> Tensor:
@@ -126,8 +116,7 @@ def _match_pairs(h_query: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tens
 
 def match_multi_perspective(h: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tensor:
     """Similarity vector of length I for one pair: cosine of the two
-    embeddings after elementwise reweighting by each perspective row (plain
-    cosine in vanilla mode)."""
+    embeddings after elementwise reweighting by each perspective row."""
     if h.size != h_nbr.size:
         raise ModelError(f"embedding lengths differ: {h.size} vs {h_nbr.size}")
     sims = _match_pairs(ad.reshape(h, (1, h.size)), ad.reshape(h_nbr, (1, h_nbr.size)), params)
@@ -369,26 +358,19 @@ class ForwardResult:
 class ModelConfig:
     encoder: EncoderConfig
     preset: str = "M7"
-    perspectives: int = 5
-    mode: str = MULTI_PERSPECTIVE
+    perspectives: int = 5  # I; 0 is plain cosine
     n_classes: int = 2
     neighbor_classes: int | None = None
     stop_grad_neighbors: bool = False
 
     def __post_init__(self):
         preset(self.preset)
-        if self.mode not in MODES:
-            raise ModelError(f"unknown matching mode {self.mode!r}")
         if self.n_classes < 2:
             raise ModelError("need at least 2 classes")
 
     @property
     def features(self) -> FeatureConfig:
         return preset(self.preset)
-
-    @property
-    def effective_perspectives(self) -> int:
-        return 1 if self.mode == VANILLA_COSINE else self.perspectives
 
     @property
     def effective_neighbor_classes(self) -> int:
@@ -421,17 +403,16 @@ class KnnTextModel:
         encoder = TextEncoder.create(config.encoder, vocab, seed, word_table)
         matching = None
         if config.features.uses_memory:
-            matching = MatchingParams.create(config.encoder.l, config.perspectives,
-                                             seed, mode=config.mode)
+            matching = MatchingParams.create(config.encoder.l, config.perspectives, seed)
         width = feature_width(config.features, config.encoder.l,
-                              config.effective_perspectives,
+                              matching.W.shape[0] if matching else 0,
                               config.effective_neighbor_classes)
         classifier = ClassifierParams.create(width, config.n_classes, seed)
         return cls(config, encoder, matching, classifier)
 
     def named_params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
-        if self.matching is not None and self.matching.W is not None:
+        if self.matching is not None:
             out["match.W"] = self.matching.W
         out["clf.W"] = self.classifier.W
         out["clf.b"] = self.classifier.b

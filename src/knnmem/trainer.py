@@ -3,7 +3,8 @@ checkpointing, and the full/low-resource/unbalanced/semi-supervised/transfer
 experimental setups.
 
 Dev and test neighbors are always retrieved from the training-side index;
-training-time retrieval excludes the query document itself by default.
+training-time retrieval from the training corpus itself excludes the query
+document.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from .corpus import (
     subsample,
 )
 from .encoder import EmbeddingTable, EncoderConfig, load_pretrained_embeddings
-from .memory import (
-    MULTI_PERSPECTIVE,
-    KnnTextModel,
-    ModelConfig,
-    preset,
-)
+from .memory import KnnTextModel, ModelConfig, preset
 from .retrieval import (
     Bm25Params,
     InvertedIndex,
@@ -71,11 +67,9 @@ class TrainConfig:
     lr: float = 1e-4
     batch_size: int = 32
     k_neighbors: int = 5
-    perspectives: int = 5
+    perspectives: int = 5  # I; 0 is plain cosine
     seed: int = 0
     preset: str = "M7"
-    mode: str = MULTI_PERSPECTIVE
-    self_exclude: bool = True
     clip_norm: float = 5.0
     min_count: int = 1
     eval_batch_size: int = 64
@@ -89,8 +83,8 @@ class TrainConfig:
             raise TrainingError("batch_size must be >= 1")
         if self.k_neighbors < 0:
             raise TrainingError("k_neighbors must be >= 0")
-        if self.mode == MULTI_PERSPECTIVE and self.perspectives < 1:
-            raise TrainingError("perspectives must be >= 1 in multi-perspective mode")
+        if self.perspectives < 0:
+            raise TrainingError("perspectives must be >= 0")
 
 
 @dataclass
@@ -140,10 +134,6 @@ class TrainResult:
         return self.checkpoint.dev_accuracy
 
 
-def _slice_neighbors(neighbors: Mapping[int, NeighborSet], k: int) -> dict[int, NeighborSet]:
-    return {doc_id: ns.top(k) for doc_id, ns in neighbors.items()}
-
-
 def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
                     dev_accuracy: float, config_echo: dict | None = None) -> Checkpoint:
     cfg = model.config
@@ -156,7 +146,6 @@ def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
         "model": {
             "preset": cfg.preset,
             "perspectives": cfg.perspectives,
-            "mode": cfg.mode,
             "n_classes": cfg.n_classes,
             "neighbor_classes": cfg.neighbor_classes,
             "stop_grad_neighbors": cfg.stop_grad_neighbors,
@@ -250,25 +239,26 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
                           expected_classes: int | None = None) -> KnnTextModel:
     """Rebuild the trained model. Without ``vocab`` the vocabulary is the one
     stored in the manifest; either way it must match the stored hashes. A
-    manifest that lacks a field or holds one of the wrong type raises
-    ``CheckpointError``. A checkpoint tensor of the active float width
-    becomes the parameter array itself, without a copy, so the parameter
-    arrays are read-only: an in-place write (or ``grad_check``) raises until
-    ``.data`` is rebound, as ``Adam.step`` does."""
+    manifest that lacks a field (the stored word and char lists included) or
+    holds one of the wrong type raises ``CheckpointError``. A checkpoint
+    tensor of the active float width becomes the parameter array itself,
+    without a copy, so the parameter arrays are read-only: an in-place write
+    (or ``grad_check``) raises until ``.data`` is rebound, as ``Adam.step``
+    does."""
     manifest = checkpoint.manifest
     try:
         vc, mc = manifest["vocab"], manifest["model"]
         word_hash, char_hash = vc["word_hash"], vc["char_hash"]
-        if vocab is None and "words" in vc and "chars" in vc:
+        words, chars = vc["words"], vc["chars"]
+        if vocab is None:
             vocab = Vocabulary(
-                word_to_id={t: i for i, t in enumerate(vc["words"], start=1)},
-                char_to_id={c: i for i, c in enumerate(vc["chars"], start=1)},
+                word_to_id={t: i for i, t in enumerate(words, start=1)},
+                char_to_id={c: i for i, c in enumerate(chars, start=1)},
             )
         config = ModelConfig(
             encoder=EncoderConfig(**mc["encoder"]),
             preset=mc["preset"],
             perspectives=mc["perspectives"],
-            mode=mc["mode"],
             n_classes=mc["n_classes"],
             neighbor_classes=mc["neighbor_classes"],
             stop_grad_neighbors=mc["stop_grad_neighbors"],
@@ -276,10 +266,6 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
         packed = base64.b64decode(manifest["word_random_rows"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
-    if vocab is None:
-        raise CheckpointError(
-            "checkpoint predates the stored vocabulary (no word/char list); retrain it"
-        )
     if word_hash != vocab.word_hash():
         raise CheckpointError("word vocabulary hash mismatch")
     if char_hash != vocab.char_hash():
@@ -326,12 +312,10 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
 def evaluate(model: KnnTextModel, docs: Sequence[Document],
              neighbors: Mapping[int, NeighborSet] | None,
              neighbor_docs: Mapping[int, Document] | None,
-             batch_size: int = 64, k: int | None = None) -> EvalReport:
+             batch_size: int = 64) -> EvalReport:
     """Accuracy, per-class accuracy, and gold-by-predicted confusion matrix."""
     if not docs:
         raise TrainingError("cannot evaluate on an empty corpus")
-    if k is not None and neighbors is not None:
-        neighbors = _slice_neighbors(neighbors, k)
     c = model.config.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     for start in range(0, len(docs), batch_size):
@@ -351,12 +335,9 @@ def evaluate(model: KnnTextModel, docs: Sequence[Document],
 def predict_with_provenance(model: KnnTextModel, docs: Sequence[Document],
                             neighbors: Mapping[int, NeighborSet] | None,
                             neighbor_docs: Mapping[int, Document] | None,
-                            batch_size: int = 64, k: int | None = None,
-                            has_gold: bool = True) -> list[dict]:
+                            batch_size: int = 64, has_gold: bool = True) -> list[dict]:
     """One record per input: predicted/gold labels, probabilities, and the
     neighbor ids, BM25 scores, and per-perspective attentions."""
-    if k is not None and neighbors is not None:
-        neighbors = _slice_neighbors(neighbors, k)
     records = []
     for start in range(0, len(docs), batch_size):
         batch = docs[start:start + batch_size]
@@ -412,7 +393,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
         row_masks["word_emb"] = word.random_rows.astype(ad.get_default_dtype())
     optimizer = Adam(params, lr=config.lr, row_masks=row_masks)
     if neighbors is not None:
-        neighbors = _slice_neighbors(neighbors, config.k_neighbors)
+        neighbors = {doc_id: ns.top(config.k_neighbors) for doc_id, ns in neighbors.items()}
     rng = np.random.default_rng([config.seed, zlib.crc32(b"epoch-shuffle")])
     history: list[EpochStats] = []
     best: Checkpoint | None = None
@@ -521,7 +502,6 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         encoder=encoder_config,
         preset=config.preset,
         perspectives=config.perspectives,
-        mode=config.mode,
         n_classes=label_space.c,
         neighbor_classes=(
             external_label_space.c
@@ -541,10 +521,9 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         source = external_docs if external_docs is not None else train_docs
         neighbor_docs = {d.id: d for d in source}
         index = build_index(source)
-        same_corpus = external_docs is None
         neighbors = precompute_neighbors(
             index, train_docs, config.k_neighbors,
-            self_exclude=config.self_exclude and same_corpus, params=bm25_params,
+            self_exclude=external_docs is None, params=bm25_params,
         )
         for doc in dev_docs:
             neighbors[doc.id] = search_knn(index, doc, config.k_neighbors, params=bm25_params)

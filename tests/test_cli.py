@@ -185,6 +185,8 @@ class TestTrainEvalPredict:
         ((("tensors", 0, "shape"), [2.5, 4]), _MALFORMED),
         ((("tensors", 0, "shape"), "4x4"), _MALFORMED),
         ((("float_bytes",), 2), _MALFORMED),
+        ((("vocab", "words"), _DROP), _MALFORMED),
+        ((("vocab", "chars"), _DROP), _MALFORMED),
     ])
     def test_malformed_checkpoint_manifest_is_data_error(self, trained, tmp_path, capsys,
                                                          change, match):
@@ -197,6 +199,21 @@ class TestTrainEvalPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
+
+    def test_memory_checkpoint_without_match_w_is_data_error(self, trained, tmp_path, capsys):
+        # The shape of a checkpoint of the former plain-cosine mode, which
+        # stored no match.W: it must never be served as a multi-perspective model.
+        ckpt = trainer.read_checkpoint(trained / "model.ckpt")
+        model = {**ckpt.manifest["model"], "mode": "vanilla_cosine"}
+        specs = [spec for spec in ckpt.manifest["tensors"] if spec["name"] != "match.W"]
+        bad = tmp_path / "vanilla.ckpt"
+        trainer.save_checkpoint(bad, trainer.Checkpoint(
+            {**ckpt.manifest, "model": model, "tensors": specs}, ckpt.tensors))
+        code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
+                    "--text", "c0w1 c0w2 f3", *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no tensor for match.W" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("damage, match", [
         pytest.param(lambda blob: blob[:-4], "truncated", id="cut-4"),
@@ -457,14 +474,23 @@ class TestConfigHandling:
         assert code == 1
         assert "nonsense_key" in capsys.readouterr().err
 
-    def test_removed_threads_key_is_usage_error(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("threads", 2), ("mode", "vanilla_cosine"),
+                                            ("self_exclude", False)],
+                             ids=["threads", "mode", "self_exclude"])
+    def test_removed_threads_key_is_usage_error(self, data_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps({"epochs": 1, "threads": 2}), encoding="utf-8")
+        cfg.write_text(json.dumps({"epochs": 1, key: value}), encoding="utf-8")
         code = run(["train", "--config", cfg, "--train", data_dir / "train.csv",
                     "--out-dir", tmp_path / "run"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "unknown config keys: threads" in err and "Traceback" not in err
+        assert f"unknown config keys: {key}" in err and "Traceback" not in err
+        flag = "--" + key.replace("_", "-")
+        code = run(["train", flag, value, "--train", data_dir / "train.csv",
+                    "--out-dir", tmp_path / "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
     def test_malformed_config_json_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -480,10 +506,10 @@ class TestConfigHandling:
         assert excinfo.value.code == 0
         text = capsys.readouterr().out
         for flag in ("--epochs", "--lr", "--k-neighbors", "--preset", "--perspectives",
-                     "--self-exclude", "--clip-norm", "--max-tokens", "--unbalanced-counts",
-                     "--float-width"):
+                     "--clip-norm", "--max-tokens", "--unbalanced-counts", "--float-width"):
             assert flag in text
         assert "default: 15" in text  # epochs default documented
+        assert "0 is plain cosine" in " ".join(text.split())
 
     def test_training_csv_is_required(self, tmp_path, capsys):
         assert run(["train", "--out-dir", tmp_path]) == 1
@@ -535,6 +561,15 @@ class TestBm25ParamsReachTraining:
 
 
 class TestEmbeddingsFollowVocabulary:
+    def test_non_numeric_component_is_data_error(self, data_dir, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("c0w2 0.1 0.2 0.3 0.4\nc0w1 0.1 abc 0.3 0.4\n", encoding="utf-8")
+        code = run(["train", "--train", data_dir / "train.csv", *FAST, "--embeddings", vectors,
+                    "--out-dir", tmp_path / "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{vectors}: line 2" in err and "Traceback" not in err
+
     def test_low_resource_train_keeps_file_vectors(self, data_dir, tmp_path):
         import numpy as np
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -365,6 +367,15 @@ class TestPretrainedEmbeddings:
         p = tmp_path / "vecs.txt"
         p.write_text("alpha 1.0 2.0\nbeta 1.0 2.0 3.0\n", encoding="utf-8")
         with pytest.raises(EncoderError, match="line 2"):
+            load_pretrained_embeddings(p, self.vocab())
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "-inf"])
+    def test_non_finite_component_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "vecs.txt"
+        # A word outside the vocabulary is skipped unparsed; a kept one is not.
+        p.write_text(f"zeta 1.0 {bad} 3.0\nalpha 1.0 2.0 3.0\nbeta 1.0 {bad} 3.0\n",
+                     encoding="utf-8")
+        with pytest.raises(EncoderError, match=re.escape(f"{p}: line 3")):
             load_pretrained_embeddings(p, self.vocab())
 
     def test_empty_file_all_random_frozen(self, tmp_path):

@@ -82,7 +82,7 @@ class TestMatching:
         rng = np.random.default_rng(0)
         h = Tensor(rng.normal(size=6))
         n = Tensor(rng.normal(size=6))
-        params = MatchingParams(W=Tensor(np.ones((3, 6))), perspectives=3, mode="multi_perspective")
+        params = MatchingParams(W=Tensor(np.ones((3, 6))))
         got = match_multi_perspective(h, n, params).data
         want = oracle_match(h.data, n.data, np.ones((1, 6)))[0]
         assert np.allclose(got, want, atol=1e-12)
@@ -101,7 +101,7 @@ class TestMatching:
             h = rng.normal(size=length)
             n = rng.normal(size=length)
             W = rng.normal(size=(perspectives, length))
-            params = MatchingParams(W=Tensor(W), perspectives=perspectives, mode="multi_perspective")
+            params = MatchingParams(W=Tensor(W))
             got = match_multi_perspective(Tensor(h), Tensor(n), params).data
             want = oracle_match(h, n, W)
             assert np.allclose(got, want, atol=1e-10)
@@ -110,11 +110,15 @@ class TestMatching:
     def test_vanilla_mode_single_cosine(self):
         rng = np.random.default_rng(3)
         h, n = rng.normal(size=4), rng.normal(size=4)
-        params = MatchingParams.create(4, perspectives=9, seed=0, mode="vanilla_cosine")
-        assert params.perspectives == 1 and params.W is None
+        params = MatchingParams.create(4, perspectives=0, seed=0)
+        assert np.array_equal(params.W.data, np.ones((1, 4))) and not params.W.requires_grad
         got = match_multi_perspective(Tensor(h), Tensor(n), params).data
         assert got.shape == (1,)
         assert got[0] == pytest.approx(oracle_match(h, n, np.ones((1, 4)))[0], abs=1e-12)
+
+    def test_negative_perspectives_rejected(self):
+        with pytest.raises(ModelError, match=">= 0"):
+            MatchingParams.create(4, perspectives=-1, seed=0)
 
     def test_dimension_mismatch(self):
         params = MatchingParams.create(4, perspectives=2, seed=0)
@@ -289,16 +293,27 @@ class TestModel:
         assert model.feature_width() == feature_width(preset("M7"), TINY.l, 2, 3)
 
     def test_vanilla_equals_single_perspective_with_ones(self):
-        config_multi = ModelConfig(encoder=TINY, preset="M7", perspectives=1, n_classes=3)
-        config_vanilla = ModelConfig(encoder=TINY, preset="M7", perspectives=1,
-                                     n_classes=3, mode="vanilla_cosine")
+        # I = 0 is plain cosine: the I = 1 model with its row frozen at ones,
+        # bit for bit, in the logits and in every trainable gradient.
         docs, vocab, lookup, neighbors = toy_world()
-        m_multi = KnnTextModel.create(config_multi, vocab, seed=4)
-        m_vanilla = KnnTextModel.create(config_vanilla, vocab, seed=4)
-        m_multi.matching.W.data[:] = 1.0
-        got = m_multi.forward_batch(docs, neighbors, lookup)
-        want = m_vanilla.forward_batch(docs, neighbors, lookup)
-        assert np.array_equal(got.logits, want.logits)
+        for name in ("M7", "M4", "M3"):
+            runs = []
+            for perspectives in (1, 0):
+                config = ModelConfig(encoder=TINY, preset=name, perspectives=perspectives,
+                                     n_classes=3)
+                model = KnnTextModel.create(config, vocab, seed=4)
+                if perspectives:
+                    model.matching.W.data[:] = 1.0
+                with Tape() as tape:
+                    result = model.forward_batch(docs, neighbors, lookup)
+                tape.backward(result.loss)
+                grads = {n: p.grad for n, p in model.named_params().items() if p.requires_grad}
+                runs.append((result.logits, grads))
+            (want, want_grads), (got, got_grads) = runs
+            assert np.array_equal(got, want), name
+            assert got_grads.keys() == want_grads.keys() - {"match.W"}
+            for param, grad in got_grads.items():
+                assert np.array_equal(grad, want_grads[param]), (name, param)
 
     def test_neighbor_permutation_invariance(self):
         model, docs, lookup, neighbors = self.model("M7")
@@ -367,8 +382,8 @@ class TestBatchedHead:
 
     COUNTS = (0, 1, 3, 3, 1, 0)
 
-    def build(self, mode="multi_perspective", seed=0, counts=COUNTS):
-        config = ModelConfig(encoder=TINY, preset="M7", perspectives=2, n_classes=3, mode=mode)
+    def build(self, perspectives=2, seed=0, counts=COUNTS):
+        config = ModelConfig(encoder=TINY, preset="M7", perspectives=perspectives, n_classes=3)
         docs, vocab, lookup, _ = toy_world()
         model = KnnTextModel.create(config, vocab, seed=seed)
         neighbors = {
@@ -423,16 +438,16 @@ class TestBatchedHead:
             alone = model.forward_batch([d], neighbors, lookup).logits[0]
             assert np.allclose(alone, batched[pos], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["multi_perspective", "vanilla_cosine"])
-    def test_grad_check_on_ragged_batch(self, mode):
-        model, docs, lookup, neighbors = self.build(mode=mode, seed=6)
+    @pytest.mark.parametrize("perspectives", [2, 0])
+    def test_grad_check_on_ragged_batch(self, perspectives):
+        model, docs, lookup, neighbors = self.build(perspectives=perspectives, seed=6)
         batch = docs[:3]  # 0, 1 and 3 neighbors
 
         def loss_fn():
             return model.forward_batch(batch, neighbors, lookup).loss
 
         params = {n: p for n, p in model.named_params().items() if p.requires_grad}
-        assert ("match.W" in params) == (mode == "multi_perspective")
+        assert ("match.W" in params) == (perspectives > 0)
         report = grad_check(loss_fn, params, h=1e-5)
         assert report.worst() < 1e-3, report.max_rel_err
 

@@ -52,9 +52,16 @@ class TestTrainLoop:
         train_docs, dev_docs, labels = world
         config = quick_config(epochs=40, lr=3e-2, preset="M1")
         result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
-        final = evaluate(result.model, train_docs, result.neighbors,
-                         result.neighbor_docs, k=config.k_neighbors)
+        final = evaluate(result.model, train_docs, result.neighbors, result.neighbor_docs)
         assert final.accuracy == 1.0
+
+    def test_same_corpus_neighbors_exclude_the_query(self, world):
+        train_docs, dev_docs, labels = world
+        result = run_pipeline(train_docs, dev_docs, labels,
+                              quick_config(epochs=1, k_neighbors=5), TINY)
+        for doc in train_docs:
+            ids = [nbr_id for nbr_id, _ in result.neighbors[doc.id].neighbors]
+            assert ids and doc.id not in ids
 
     def test_epochs_one_checkpoint_is_epoch_one(self, world):
         train_docs, dev_docs, labels = world
@@ -195,10 +202,9 @@ class TestEvaluate:
     def test_accuracy_matches_provenance_recount(self, world):
         train_docs, dev_docs, labels = world
         result = run_pipeline(train_docs, dev_docs, labels, quick_config(), TINY)
-        report = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs,
-                          k=2)
+        report = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs)
         records = predict_with_provenance(result.model, dev_docs, result.neighbors,
-                                          result.neighbor_docs, k=2)
+                                          result.neighbor_docs)
         recount = sum(1 for r in records if r["predicted"] == r["gold"]) / len(records)
         assert report.accuracy == pytest.approx(recount)
 
@@ -217,7 +223,7 @@ class TestEvaluate:
         try:
             result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
             again = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs,
-                             batch_size=config.eval_batch_size, k=config.k_neighbors)
+                             batch_size=config.eval_batch_size)
         finally:
             ad.set_default_dtype(np.float64)
         assert result.model.classifier.W.data.dtype == dtype
@@ -228,8 +234,8 @@ class TestEvaluate:
     def test_provenance_respects_k(self, world):
         train_docs, dev_docs, labels = world
         result = run_pipeline(train_docs, dev_docs, labels, quick_config(k_neighbors=2), TINY)
-        records = predict_with_provenance(result.model, dev_docs, result.neighbors,
-                                          result.neighbor_docs, k=1)
+        top1 = {doc_id: ns.top(1) for doc_id, ns in result.neighbors.items()}
+        records = predict_with_provenance(result.model, dev_docs, top1, result.neighbor_docs)
         assert all(len(r["neighbors"]) <= 1 for r in records)
         assert any(r["neighbors"] for r in records)
         sample = next(r for r in records if r["neighbors"])
@@ -259,8 +265,8 @@ class TestCheckpoints:
                                      {d.id: result.neighbors[d.id].top(2) for d in dev_docs[:5]},
                                      result.neighbor_docs)
         assert base.logits.tobytes() == got.logits.tobytes()
-        r1 = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs, k=2)
-        r2 = evaluate(reloaded, dev_docs, result.neighbors, result.neighbor_docs, k=2)
+        r1 = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs)
+        r2 = evaluate(reloaded, dev_docs, result.neighbors, result.neighbor_docs)
         assert r1.accuracy == r2.accuracy
 
     def test_restore_takes_checkpoint_tensors_without_copy(self, world, tmp_path):
@@ -349,8 +355,22 @@ class TestCheckpoints:
         train_docs, _, labels = world
         ckpt = self._m1_checkpoint(train_docs, labels)
         del ckpt.manifest["vocab"]["words"]
-        with pytest.raises(CheckpointError, match="predates"):
+        with pytest.raises(CheckpointError, match="malformed checkpoint manifest"):
             model_from_checkpoint(ckpt)
+
+    def test_plain_cosine_checkpoint_keeps_frozen_ones(self, world, tmp_path):
+        train_docs, dev_docs, labels = world
+        result = run_pipeline(train_docs, dev_docs, labels, quick_config(perspectives=0), TINY)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, result.train_result.checkpoint)
+        checkpoint = load_checkpoint(path)
+        assert {"name": "match.W", "shape": [1, TINY.l], "frozen": True} in checkpoint.manifest["tensors"]
+        reloaded = model_from_checkpoint(checkpoint)
+        W = reloaded.matching.W
+        assert np.array_equal(W.data, np.ones((1, TINY.l))) and not W.requires_grad
+        args = (dev_docs, result.neighbors, result.neighbor_docs)
+        assert (predict_with_provenance(reloaded, *args)
+                == predict_with_provenance(result.model, *args))
 
     def test_stored_vocab_must_match_its_hash(self, world):
         train_docs, _, labels = world
@@ -502,9 +522,10 @@ class TestConfigValidation:
         with pytest.raises(TrainingError):
             TrainConfig(k_neighbors=-1)
 
-    def test_vanilla_mode_allows_any_perspectives(self):
-        config = TrainConfig(mode="vanilla_cosine", perspectives=0)
-        assert config.mode == "vanilla_cosine"
+    def test_zero_perspectives_accepted_negative_rejected(self):
+        assert TrainConfig(perspectives=0).perspectives == 0  # plain cosine
+        with pytest.raises(TrainingError, match="perspectives"):
+            TrainConfig(perspectives=-1)
 
 
 class TestEmbeddingsFollowVocabulary:
