@@ -7,8 +7,9 @@ Every command reads one JSON config file (``--config``) whose keys are the
 
 ``train`` writes ``model.ckpt`` and, unless the preset retrieves nothing,
 ``memory.knn``: the documents it trained against (after the dev split or
-subsample, or the external corpus) with their index, label names, BM25
-``k1``/``b`` and K. ``eval`` and ``predict`` serve the checkpoint's
+subsample, or the external corpus) as their ids, labels and tokens' term
+ids, from which loading derives their index again, with the label names,
+BM25 ``k1``/``b`` and K. ``eval`` and ``predict`` serve the checkpoint's
 vocabulary and float width and the memory's retrieval, whatever their own
 ``--min-count``, ``--float-width``, ``--k1``, ``--b`` and ``--k``, and refuse
 a memory whose SHA-256 is not the one the checkpoint records.

@@ -142,7 +142,9 @@ def _coerce(name: str, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"key {name!r} expects a number, got {value!r}")
         return float(value)
-    return str(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"key {name!r} expects a string, got {value!r}")
+    return value
 
 
 def load_run_config(path: str | Path | None = None,

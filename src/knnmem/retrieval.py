@@ -5,9 +5,12 @@ Scoring uses the non-negative idf variant
     idf(t) = ln(1 + (N - df(t) + 0.5) / (df(t) + 0.5))
 
 and the usual saturated term-frequency weight with parameters k1, b.
-Postings are packed: the postings of term id ``t`` are the slice
+An index is defined by its documents: their ids, lengths and tokens as
+term ids into the sorted ``terms``. The postings are derived from those by
+one sort and packed: the postings of term id ``t`` are the slice
 ``post_start[t]:post_start[t + 1]`` of ``post_rows`` (internal rows,
-ascending) and ``post_tfs`` (term frequencies). Each posting's BM25
+ascending) and ``post_tfs`` (term frequencies). Index and memory files store
+the documents, not the postings. Each posting's BM25
 contribution, its *impact*
 
     idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)),
@@ -22,19 +25,17 @@ same order as ``bm25_score`` and equals it bit for bit, in every process.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .artifact import read_artifact, write_artifact
 from .corpus import Document, LabelSpace
 
-_INDEX_MAGIC = b"KNNIDX01"
-_MEMORY_MAGIC = b"KNNMEM01"
+_INDEX_MAGIC = b"KNNIDX02"
+_MEMORY_MAGIC = b"KNNMEM02"
 
 
 class RetrievalError(ValueError):
@@ -47,8 +48,8 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise RetrievalError(f"k1 must be >= 0, got {self.k1}")
+        if not (math.isfinite(self.k1) and self.k1 >= 0):
+            raise RetrievalError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise RetrievalError(f"b must be in [0, 1], got {self.b}")
 
@@ -75,31 +76,56 @@ def _idf(n_docs: int, df: int) -> float:
 
 
 class InvertedIndex:
-    """Term -> postings map with document statistics for BM25.
+    """Term -> postings map with document statistics for BM25, defined by its
+    documents.
 
-    Rows are assigned in ascending doc-id order, so every posting list is
-    strictly increasing in row and in doc id. The postings are packed into
+    Row r is the document ``doc_ids[r]`` (strictly ascending). ``doc_terms``
+    holds the documents' tokens, row after row and each in reading order, as
+    u32 ids into the sorted ``terms``; ``doc_lens[r]`` of them are row r's.
+    The postings are derived from these: each posting list is strictly
+    increasing in row and in doc id, and the lists are packed into
     ``post_start`` (one offset per term, plus the end), ``post_rows`` and
     ``post_tfs``; ``postings_rows[t]`` and ``postings_tfs[t]`` are views of
     term ``t``'s slice of them.
     """
 
-    def __init__(self, doc_ids: Sequence[int], doc_lens: Sequence[int],
-                 terms: Sequence[str], post_start: np.ndarray,
-                 post_rows: np.ndarray, post_tfs: np.ndarray):
+    def __init__(self, doc_ids: Sequence[int], terms: Sequence[str],
+                 doc_lens: Sequence[int], doc_terms: Sequence[int]):
         self.doc_ids = np.asarray(doc_ids, dtype=np.int64)
-        self.doc_lens = np.asarray(doc_lens, dtype=np.int64)
         self.terms = list(terms)
+        self.doc_lens = np.asarray(doc_lens, dtype=np.int64)
+        self.doc_terms = np.asarray(doc_terms, dtype=np.uint32)
         self.term_index = {t: i for i, t in enumerate(self.terms)}
-        self.post_start = np.asarray(post_start, dtype=np.int64)
-        self.post_rows = np.asarray(post_rows, dtype=np.int64)
-        self.post_tfs = np.asarray(post_tfs, dtype=np.int64)
+        self.post_start, self.post_rows, self.post_tfs = self._invert()
         self.postings_rows = self._per_term(self.post_rows)
         self.postings_tfs = self._per_term(self.post_tfs)
         self.row_of = {int(d): r for r, d in enumerate(self.doc_ids)}
-        self.n_docs = len(self.doc_ids)
         self.avg_doc_len = float(self.doc_lens.mean())
         self._impacts: dict[Bm25Params, list[np.ndarray]] = {}
+
+    def _invert(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The packed postings, by one sort of ``term * n_docs + row`` keys:
+        each run of equal keys is one posting and its length the term
+        frequency (sort-based inversion; Zobel & Moffat, ACM Computing
+        Surveys 38(2), 2006)."""
+        n_docs = self.doc_ids.size
+        keys = self.doc_terms.astype(np.int64)
+        keys *= n_docs
+        keys += np.repeat(np.arange(n_docs, dtype=np.uint32), self.doc_lens)
+        keys.sort()
+        run_start = np.empty(keys.size + 1, dtype=bool)
+        run_start[0] = run_start[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:-1])
+        bounds = np.flatnonzero(run_start)
+        del run_start
+        post_tfs = np.diff(bounds)
+        post_rows = keys[bounds[:-1]]
+        del keys, bounds
+        post_terms = post_rows // n_docs
+        post_rows %= n_docs
+        post_start = np.zeros(len(self.terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(post_terms, minlength=len(self.terms)), out=post_start[1:])
+        return post_start, post_rows, post_tfs
 
     def _per_term(self, packed: np.ndarray) -> list[np.ndarray]:
         """Views of each term's slice of an array aligned with ``post_rows``."""
@@ -114,7 +140,7 @@ class InvertedIndex:
         df = self.df(term)
         if df == 0:
             return 0.0
-        return _idf(self.n_docs, df)
+        return _idf(self.doc_ids.size, df)
 
     def impacts(self, params: Bm25Params) -> list[np.ndarray]:
         """Per term, the BM25 contribution of each posting, aligned with
@@ -127,7 +153,7 @@ class InvertedIndex:
         per_term = self._impacts.get(params)
         if per_term is None:
             counts = np.diff(self.post_start)
-            idf = np.array([_idf(self.n_docs, df) for df in counts.tolist()])
+            idf = np.array([_idf(self.doc_ids.size, df) for df in counts.tolist()])
             tf = self.post_tfs.astype(np.float64)
             # In place, to hold fewer posting-sized temporaries; IEEE + and *
             # commute, so each value is still rounded exactly as in bm25_score.
@@ -160,20 +186,10 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise RetrievalError("duplicate document ids in corpus")
-    doc_lens = [len(d.tokens) for d in docs]
-    term_rows: dict[str, list[int]] = {}
-    term_tfs: dict[str, list[int]] = {}
-    for row, doc in enumerate(docs):
-        for term, tf in sorted(Counter(doc.tokens).items()):
-            term_rows.setdefault(term, []).append(row)
-            term_tfs.setdefault(term, []).append(tf)
-    terms = sorted(term_rows)
-    post_start = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum([len(term_rows[t]) for t in terms], out=post_start[1:])
-    total = int(post_start[-1])
-    post_rows = np.fromiter(chain.from_iterable(term_rows[t] for t in terms), np.int64, total)
-    post_tfs = np.fromiter(chain.from_iterable(term_tfs[t] for t in terms), np.int64, total)
-    return InvertedIndex(ids, doc_lens, terms, post_start, post_rows, post_tfs)
+    terms = sorted({t for d in docs for t in d.tokens})
+    term_index = {t: i for i, t in enumerate(terms)}
+    doc_terms = np.fromiter((term_index[t] for d in docs for t in d.tokens), np.uint32)
+    return InvertedIndex(ids, terms, [len(d.tokens) for d in docs], doc_terms)
 
 
 def _query_tokens(query: Document | Sequence[str]) -> list[str]:
@@ -222,7 +238,7 @@ def search_knn(index: InvertedIndex, query: Document | Sequence[str], k: int,
     impacts = index.impacts(params)
     scores = np.bincount(np.concatenate([index.postings_rows[t] for t in term_ids]),
                          weights=np.concatenate([impacts[t] for t in term_ids]),
-                         minlength=index.n_docs)
+                         minlength=index.doc_ids.size)
     if exclude_id is not None:
         row = index.row_of.get(exclude_id)
         if row is not None:
@@ -231,7 +247,7 @@ def search_knn(index: InvertedIndex, query: Document | Sequence[str], k: int,
     # vectors np.partition finds those about 4x faster than the k largest of
     # `scores` (numpy 2.4, x86-64 with AVX-512, 8192 docs).
     neg = -scores
-    kth = np.partition(neg, k - 1)[k - 1] if k < index.n_docs else 0.0
+    kth = np.partition(neg, k - 1)[k - 1] if k < index.doc_ids.size else 0.0
     candidates = np.flatnonzero((neg < 0.0) & (neg <= kth))
     # Rows ascend with doc id, so the row breaks score ties by doc id.
     top = candidates[np.lexsort((candidates, neg[candidates]))][:k]
@@ -250,120 +266,63 @@ def precompute_neighbors(index: InvertedIndex, corpus: Sequence[Document], k: in
     return out
 
 
-def _tf_mask(counts: np.ndarray) -> np.ndarray:
-    """Marks the term frequencies among the u32 words of the postings block,
-    where each term writes its ``count`` doc-id gaps, then its ``count``
-    term frequencies."""
-    return np.repeat(np.tile([False, True], counts.size), np.repeat(counts, 2))
-
-
-def _postings_block(index: InvertedIndex) -> tuple[dict, np.ndarray]:
-    """The index fields of a manifest and the LE-u32 postings block: doc ids
-    delta-encoded (first id raw, then gaps), term frequencies raw. A value
-    that does not fit in a u32 raises ``RetrievalError``."""
-    for name, values in (("doc id", index.doc_ids), ("term frequency", index.post_tfs)):
-        if values.size and (values.min() < 0 or values.max() >= 2**32):
-            raise RetrievalError(f"cannot save a {name} outside [0, 2**32)")
-    counts = np.diff(index.post_start)
-    ids = index.doc_ids.astype("<u4")[index.post_rows]
-    # A gap wraps around at each term's first posting, which takes its raw id.
-    gaps = np.diff(ids, prepend=np.uint32(0))
-    firsts = index.post_start[:-1][counts > 0]
-    gaps[firsts] = ids[firsts]
-    del ids
-    tf_mask = _tf_mask(counts)
-    words = np.empty(tf_mask.size, dtype="<u4")
-    words[tf_mask] = index.post_tfs
-    words[np.logical_not(tf_mask, out=tf_mask)] = gaps
-    del gaps, tf_mask
-    manifest = {
-        "n_docs": index.n_docs,
-        "doc_ids": index.doc_ids.tolist(),
-        "doc_lens": index.doc_lens.tolist(),
-        "terms": index.terms,
-        "posting_counts": counts.tolist(),
-    }
-    return manifest, words
+def _manifest(index: InvertedIndex) -> dict:
+    return {"doc_ids": index.doc_ids.tolist(), "doc_lens": index.doc_lens.tolist(),
+            "terms": index.terms}
 
 
 def save_index(path: str | Path, index: InvertedIndex) -> None:
-    """Index file: an ``artifact`` container whose body is the postings
-    block; nothing is written if the index cannot be encoded."""
-    manifest, words = _postings_block(index)
-    write_artifact(path, _INDEX_MAGIC, manifest, [words])
+    """Index file: an ``artifact`` container whose manifest holds ``doc_ids``,
+    ``doc_lens`` and ``terms``, and whose body is ``doc_terms`` as LE-u32.
+    The postings are not stored; loading derives them again."""
+    write_artifact(path, _INDEX_MAGIC, _manifest(index),
+                   [index.doc_terms.astype("<u4", copy=False)])
 
 
-def _manifest_arrays(manifest, rest=None):
-    """Doc ids, doc lengths, terms and posting counts, checked for shape, then
-    ``rest(manifest, doc_lens)``'s value and count of u32 words after the
-    postings; and the byte length of the body they describe."""
-    if not isinstance(manifest, dict):
-        raise ValueError("manifest is not a JSON object")
-    doc_ids = np.asarray(manifest["doc_ids"], dtype=np.int64)
-    doc_lens = np.asarray(manifest["doc_lens"], dtype=np.int64)
-    terms = manifest["terms"]
-    counts = np.asarray(manifest["posting_counts"], dtype=np.int64)
-    if doc_ids.ndim != 1 or doc_ids.size == 0 or manifest["n_docs"] != doc_ids.size:
-        raise ValueError("doc_ids must be a nonempty list of n_docs ids")
-    if (doc_ids[1:] <= doc_ids[:-1]).any():
-        raise ValueError("doc_ids must be strictly ascending")
-    if doc_lens.shape != doc_ids.shape or (doc_lens < 0).any():
-        raise ValueError("doc_lens must give one length >= 0 per doc id")
-    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-        raise ValueError("terms must be a list of strings")
-    if any(a >= b for a, b in zip(terms, terms[1:])):
-        raise ValueError("terms must be strictly ascending")
-    if counts.shape != (len(terms),) or (counts < 0).any():
-        raise ValueError("posting_counts must give one count >= 0 per term")
-    value, n_rest = rest(manifest, doc_lens) if rest else (None, 0)
-    return (doc_ids, doc_lens, terms, counts, value, n_rest), 8 * int(counts.sum()) + 4 * n_rest
+def _int64s(manifest: dict, key: str) -> np.ndarray:
+    values = manifest[key]
+    if not isinstance(values, list) or not all(type(v) is int and -2**63 <= v < 2**63
+                                               for v in values):
+        raise ValueError(f"{key} must be a list of int64 integers")
+    return np.array(values, dtype=np.int64)
 
 
-def _read_postings(path: str | Path, magic: bytes, kind: str, body_name: str, rest=None):
-    """The index a postings-block container holds, the value of ``rest`` (see
-    ``_manifest_arrays``) and its words as int64; a short, overlong or
-    malformed part of the file raises ``RetrievalError``."""
-    (doc_ids, doc_lens, terms, counts, value, n_rest), body = read_artifact(
-        path, magic, RetrievalError, lambda manifest: _manifest_arrays(manifest, rest),
-        kind=kind, body_name=body_name)
-    words = np.frombuffer(body, dtype="<u4")
-    rest_words = words[words.size - n_rest:].astype(np.int64)
-    words = words[:words.size - n_rest]
-    # Each step frees what it no longer needs: a loaded index is built next
-    # to the running one, and these arrays are the size of the postings.
-    tf_mask = _tf_mask(counts)
-    tfs = words[tf_mask]
-    gaps = words[np.logical_not(tf_mask, out=tf_mask)]
-    del body, words, tf_mask
-    gaps = gaps.astype(np.int64)
-    post_start = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=post_start[1:])
-    firsts = post_start[:-1][counts > 0]
-    repeated = gaps == 0
-    repeated[firsts] = False
-    if repeated.any():
-        raise RetrievalError(f"{path}: postings repeat a doc id within a term")
-    # One running total over all gaps gives every term's ids once each term's
-    # first gap is lowered by the total where the term before it ends: that
-    # term's last id, the sum of its own gaps.
-    ids = gaps
-    if firsts.size:
-        last_ids = np.add.reduceat(ids, firsts)
-        ids[firsts[1:]] -= last_ids[:-1]
-    np.cumsum(ids, out=ids)
-    # Row r holds doc_ids[r], so an id of the manifest is found at its row.
-    post_rows = np.searchsorted(doc_ids, ids)
-    if post_rows.size and (post_rows.max() == doc_ids.size or (doc_ids[post_rows] != ids).any()):
-        raise RetrievalError(f"{path}: postings name a doc id missing from the manifest")
-    del ids
-    index = InvertedIndex(doc_ids, doc_lens, terms, post_start, post_rows, tfs.astype(np.int64))
-    return index, value, rest_words
+def _read_index(path: str | Path, magic: bytes, kind: str,
+                fields: Callable[[dict, int], object] = lambda manifest, n_docs: None):
+    """The index a file of the ``save_index`` layout holds, and the value of
+    ``fields(manifest, n_docs)``, which reads and checks the manifest's
+    other fields; a short, overlong or malformed part of the file raises
+    ``RetrievalError``."""
+
+    def parse(manifest):
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest is not a JSON object")
+        doc_ids, doc_lens = _int64s(manifest, "doc_ids"), _int64s(manifest, "doc_lens")
+        terms = manifest["terms"]
+        if doc_ids.size == 0:
+            raise ValueError("doc_ids must not be empty")
+        if (doc_ids[1:] <= doc_ids[:-1]).any():
+            raise ValueError("doc_ids must be strictly ascending")
+        if doc_lens.shape != doc_ids.shape or (doc_lens < 0).any():
+            raise ValueError("doc_lens must give one length >= 0 per doc id")
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ValueError("terms must be a list of strings")
+        if any(a >= b for a, b in zip(terms, terms[1:])):
+            raise ValueError("terms must be strictly ascending")
+        return (doc_ids, doc_lens, terms, fields(manifest, doc_ids.size)), 4 * int(doc_lens.sum())
+
+    (doc_ids, doc_lens, terms, value), body = read_artifact(
+        path, magic, RetrievalError, parse, kind=kind, body_name="term ids")
+    doc_terms = np.frombuffer(body, dtype="<u4")
+    if doc_terms.size and doc_terms.max() >= len(terms):
+        raise RetrievalError(f"{path}: a term id is outside the index's terms")
+    return InvertedIndex(doc_ids, terms, doc_lens, doc_terms), value
 
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a ``save_index`` file; a short, overlong or malformed part of it
     raises ``RetrievalError``."""
-    return _read_postings(path, _INDEX_MAGIC, "index", "postings")[0]
+    return _read_index(path, _INDEX_MAGIC, "index")[0]
 
 
 @dataclass(frozen=True)
@@ -379,38 +338,38 @@ class Memory:
 
 
 def save_memory(path: str | Path, memory: Memory) -> None:
-    """Memory file: an ``artifact`` container whose manifest holds the index
-    fields, each document's label, the label names, ``k1``, ``b`` and ``k``,
-    and whose body is the postings block, then each document's tokens (in
-    doc-id order) as LE-u32 ids into the index's ``terms``."""
-    manifest, words = _postings_block(memory.index)
+    """Memory file: the layout of ``save_index``, whose manifest also holds
+    each document's label (in doc-id order), the label names, ``k1``, ``b``
+    and ``k``. A memory whose documents (ids or tokens) are not those of its
+    index raises ``RetrievalError``, and nothing is written."""
+    index = memory.index
+    manifest = _manifest(index)
     if sorted(memory.docs) != manifest["doc_ids"]:
         raise RetrievalError("memory documents are not the documents of its index")
     docs = [memory.docs[doc_id] for doc_id in manifest["doc_ids"]]
-    tokens = [memory.index.term_index[t] for d in docs for t in d.tokens]
+    term_ids = [index.term_index.get(t, -1) for d in docs for t in d.tokens]
+    if ([len(d.tokens) for d in docs] != manifest["doc_lens"]
+            or not np.array_equal(term_ids, index.doc_terms)):
+        raise RetrievalError("memory documents' tokens are not those of its index")
     manifest.update(labels=[d.label for d in docs], label_names=list(memory.labels.names),
                     k1=memory.params.k1, b=memory.params.b, k=memory.k)
-    write_artifact(path, _MEMORY_MAGIC, manifest, [words, np.asarray(tokens, dtype="<u4")])
+    write_artifact(path, _MEMORY_MAGIC, manifest, [index.doc_terms.astype("<u4", copy=False)])
 
 
-def _memory_fields(manifest, doc_lens: np.ndarray):
+def _memory_fields(manifest: dict, n_docs: int):
     space, labels, k = LabelSpace(tuple(manifest["label_names"])), manifest["labels"], manifest["k"]
-    if len(labels) != doc_lens.size or not all(type(y) is int and 0 <= y < space.c for y in labels):
+    if len(labels) != n_docs or not all(type(y) is int and 0 <= y < space.c for y in labels):
         raise ValueError(f"labels must give one label in [0, {space.c}) per doc id")
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
-    params = Bm25Params(float(manifest["k1"]), float(manifest["b"]))
-    return (labels, space, params, k), int(doc_lens.sum())
+    return labels, space, Bm25Params(float(manifest["k1"]), float(manifest["b"])), k
 
 
 def load_memory(path: str | Path) -> Memory:
     """Read a ``save_memory`` file; a short, overlong or malformed part of it
     raises ``RetrievalError``."""
-    index, (labels, space, params, k), tokens = _read_postings(
-        path, _MEMORY_MAGIC, "memory", "postings and tokens", _memory_fields)
-    if tokens.size and tokens.max() >= len(index.terms):
-        raise RetrievalError(f"{path}: a token id is outside the index's terms")
-    words = [index.terms[t] for t in tokens.tolist()]
+    index, (labels, space, params, k) = _read_index(path, _MEMORY_MAGIC, "memory", _memory_fields)
+    words = [index.terms[t] for t in index.doc_terms.tolist()]
     ends = np.cumsum(index.doc_lens).tolist()
     docs = {doc_id: Document(doc_id, label, " ".join(words[a:z]), "", tuple(words[a:z]))
             for doc_id, label, a, z in zip(index.doc_ids.tolist(), labels, [0] + ends, ends)}

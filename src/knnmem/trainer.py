@@ -85,6 +85,10 @@ class TrainConfig:
             raise TrainingError("k_neighbors must be >= 0")
         if self.perspectives < 0:
             raise TrainingError("perspectives must be >= 0")
+        if not math.isfinite(self.lr):
+            raise TrainingError(f"lr must be finite, got {self.lr}")
+        if not math.isfinite(self.clip_norm):
+            raise TrainingError(f"clip_norm must be finite, got {self.clip_norm}")
 
 
 @dataclass

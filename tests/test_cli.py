@@ -9,6 +9,7 @@ import knnmem.autodiff as ad
 import knnmem.memory as memory
 import knnmem.trainer as trainer
 from knnmem.cli import main
+from knnmem.config import ConfigError, load_run_config
 from knnmem.corpus import (
     Document,
     LabelSpace,
@@ -82,8 +83,10 @@ class TestIndexCommand:
                                   SplitSpec(3, 0))
         want = build_index(train_docs)
         got = load_memory(out / "memory.knn")
-        assert got.index.n_docs == want.n_docs == len(train_docs)
+        assert got.index.doc_ids.size == want.doc_ids.size == len(train_docs)
         assert got.index.terms == want.terms
+        for field in ("doc_terms", "post_start", "post_rows", "post_tfs"):
+            assert np.array_equal(getattr(got.index, field), getattr(want, field))
         assert got.index.avg_doc_len == want.avg_doc_len
         assert (got.params, got.k) == (Bm25Params(), 2)
 
@@ -226,6 +229,11 @@ class TestTrainEvalPredict:
         pytest.param((("doc_ids", 0), "x"), _BAD_MEMORY, id="non-integer-doc-id"),
         pytest.param((("k",), -1), _BAD_MEMORY, id="negative-k"),
         pytest.param((("k1",), -0.5), _BAD_MEMORY, id="negative-k1"),
+        pytest.param((("k1",), float("nan")), _BAD_MEMORY, id="nan-k1"),
+        pytest.param(lambda blob: b"KNNMEM01" + blob[8:], "bad memory magic b'KNNMEM01'",
+                     id="old-magic"),
+        pytest.param(lambda blob: blob[:-4] + struct.pack("<I", 2**32 - 1),
+                     "a term id is outside the index's terms", id="term-id-outside-terms"),
     ])
     def test_damaged_memory_is_data_error(self, trained, tmp_path, capsys, damage, match):
         bad = tmp_path / "bad.knn"
@@ -519,6 +527,36 @@ class TestConfigHandling:
         assert run(["train", "--train", tmp_path / "absent.csv", "--out-dir", tmp_path]) == 2
         err = capsys.readouterr().err
         assert "absent.csv" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--k1", "nan", 2), ("--k1", "inf", 2), ("--lr", "nan", 1), ("--clip-norm", "nan", 1),
+    ])
+    def test_non_finite_setting_is_refused(self, data_dir, tmp_path, capsys, flag, value, code):
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, flag, value,
+                    "--out-dir", out]) == code
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite" in err and "Traceback" not in err
+        assert not (out / "memory.knn").exists() and not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("key, value", [("class_names", ["World", "Sports"]),
+                                            ("train_csv", 7), ("preset", False)])
+    def test_non_string_value_of_string_key_is_usage_error(self, data_dir, tmp_path, capsys,
+                                                           key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        code = run(["train", "--config", cfg, "--train", data_dir / "train.csv",
+                    "--out-dir", tmp_path / "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"key {key!r} expects a string" in err and "Traceback" not in err
+
+    def test_unbalanced_counts_keeps_its_list_form(self):
+        config = load_run_config(overrides={"unbalanced_counts": [3, 5], "class_names": None})
+        assert config.unbalanced_tuple() == (3, 5) and config.class_names is None
+        with pytest.raises(ConfigError, match="'eval_csv' expects a string"):
+            load_run_config(overrides={"eval_csv": 7})
 
     def test_unknown_command_rejected(self, capsys):
         assert main(["bogus"]) == 1

@@ -60,7 +60,7 @@ class TestLoadDataset:
             load_dataset(p, LABELS4)
 
     def test_empty_file_rejected(self, tmp_path):
-        with pytest.raises(CorpusError, match="empty"):
+        with pytest.raises(CorpusError, match=": empty dataset"):
             load_dataset(write(tmp_path, ""), LABELS4)
 
     def test_empty_token_document_rejected(self, tmp_path):

@@ -29,7 +29,7 @@ from knnmem.retrieval import (
     search_knn,
 )
 
-from bm25_oracle import oracle_bm25_score, oracle_rank
+from bm25_oracle import oracle_bm25_score, oracle_postings, oracle_rank
 
 
 def doc(i, tokens, label=0):
@@ -52,7 +52,8 @@ class TestBuildIndex:
         assert index.postings("b") == [(0, 1), (1, 1)]
         assert index.postings("c") == [(1, 1)]
         assert index.avg_doc_len == 2.0
-        assert index.n_docs == 2
+        assert index.doc_ids.tolist() == [0, 1]
+        assert index.doc_terms.tolist() == [0, 1, 1, 2]
 
     def test_single_doc_df(self):
         index = build_index([doc(0, ["x", "y", "x"])])
@@ -68,6 +69,28 @@ class TestBuildIndex:
     def test_empty_corpus(self):
         with pytest.raises(RetrievalError):
             build_index([])
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_postings_match_counter_oracle(self, data):
+        # Sparse doc ids (beyond u32 too), terms no document uses, repeated
+        # tokens, empty documents and a single document all occur.
+        terms = sorted(data.draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                                          min_size=1, max_size=10, unique=True)))
+        docs = data.draw(st.lists(st.lists(st.sampled_from(terms), max_size=12),
+                                  min_size=1, max_size=8))
+        ids = sorted(data.draw(st.lists(st.integers(-2**40, 2**40), min_size=len(docs),
+                                        max_size=len(docs), unique=True)))
+        index = InvertedIndex(ids, terms, [len(d) for d in docs],
+                              [terms.index(t) for d in docs for t in d])
+        want = oracle_postings(docs, terms)
+        for got, expected in zip((index.post_start, index.post_rows, index.post_tfs), want):
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+        built = build_index([doc(i, d) for i, d in zip(ids, docs)])
+        used = [t for t in terms if any(t in d for d in docs)]
+        assert built.terms == used
+        for t in used:
+            assert built.postings(t) == index.postings(t)
 
     def test_invariants(self):
         rng = np.random.default_rng(0)
@@ -355,7 +378,7 @@ class TestFileFormats:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.idx"
         p.write_bytes(b"NOTANIDX" + b"\x00" * 16)
-        with pytest.raises(RetrievalError, match="magic"):
+        with pytest.raises(RetrievalError, match=": bad index magic b'NOTANIDX'"):
             load_index(p)
 
 
@@ -370,9 +393,9 @@ class TestIndexFileErrors:
         return p
 
     @staticmethod
-    def write_index(path, manifest, postings=b""):
-        blob = json.dumps(manifest).encode("utf-8")
-        path.write_bytes(b"KNNIDX01" + struct.pack("<Q", len(blob)) + blob + postings)
+    def write_index(path, manifest, term_ids=b""):
+        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(b"KNNIDX02" + struct.pack("<Q", len(blob)) + blob + term_ids)
 
     def test_every_truncation_is_an_error(self, saved):
         blob = saved.read_bytes()
@@ -383,80 +406,85 @@ class TestIndexFileErrors:
 
     def test_trailing_bytes(self, saved):
         saved.write_bytes(saved.read_bytes() + b"\x00" * 4)
-        with pytest.raises(RetrievalError, match="trailing"):
+        with pytest.raises(RetrievalError, match=": 4 trailing bytes after the term ids"):
             load_index(saved)
 
     def test_malformed_manifest_json(self, saved):
         blob = bytearray(saved.read_bytes())
         blob[16] = ord("#")  # first byte of the JSON manifest
         saved.write_bytes(bytes(blob))
-        with pytest.raises(RetrievalError, match="manifest"):
+        with pytest.raises(RetrievalError, match=": malformed index manifest"):
+            load_index(saved)
+
+    def test_previous_format_magic(self, saved):
+        saved.write_bytes(b"KNNIDX01" + saved.read_bytes()[8:])
+        with pytest.raises(RetrievalError, match=": bad index magic b'KNNIDX01'"):
             load_index(saved)
 
     @pytest.mark.parametrize("change", [
         {"terms": None},
-        {"posting_counts": [1]},
-        {"doc_lens": [1]},
-        {"n_docs": 3},
+        {"doc_lens": [3, -1]},
+        {"doc_lens": [2]},
+        {"doc_ids": []},
         {"doc_ids": [4, 4]},
         {"doc_ids": [7, 4]},
+        {"terms": ["x", 3]},
+        {"doc_ids": [4, 7.5]},
+        {"doc_ids": [4, 2**70]},
+        {"doc_lens": [1.0, 1]},
     ])
     def test_bad_manifest_keys(self, tmp_path, change):
-        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"],
-                    "posting_counts": [2]}
+        manifest = {"doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"]}
         manifest.update(change)
         p = tmp_path / "bad.idx"
-        self.write_index(p, manifest, struct.pack("<4I", 4, 3, 1, 1))
-        with pytest.raises(RetrievalError, match="manifest"):
+        self.write_index(p, manifest, struct.pack("<2I", 0, 0))
+        with pytest.raises(RetrievalError, match=": malformed index manifest"):
             load_index(p)
 
     def test_missing_manifest_key(self, tmp_path):
         p = tmp_path / "bad.idx"
-        self.write_index(p, {"n_docs": 1, "doc_ids": [1], "doc_lens": [1], "terms": []})
-        with pytest.raises(RetrievalError, match="manifest"):
+        self.write_index(p, {"doc_ids": [1], "doc_lens": [1]}, struct.pack("<I", 0))
+        with pytest.raises(RetrievalError, match=": malformed index manifest: 'terms'"):
             load_index(p)
 
-    def test_posting_with_unknown_doc_id(self, tmp_path):
-        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"],
-                    "posting_counts": [2]}
+    def test_term_id_outside_terms(self, tmp_path):
+        manifest = {"doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"]}
         p = tmp_path / "bad.idx"
-        self.write_index(p, manifest, struct.pack("<4I", 4, 2, 1, 1))  # ids 4 and 6
-        with pytest.raises(RetrievalError, match="doc id"):
-            load_index(p)
-
-    def test_repeated_doc_id_in_a_term(self, tmp_path):
-        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"],
-                    "posting_counts": [2]}
-        p = tmp_path / "bad.idx"
-        self.write_index(p, manifest, struct.pack("<4I", 4, 0, 1, 1))  # ids 4 and 4
-        with pytest.raises(RetrievalError, match="repeat"):
+        self.write_index(p, manifest, struct.pack("<2I", 0, 1))
+        with pytest.raises(RetrievalError, match=": a term id is outside the index's terms"):
             load_index(p)
 
     def test_terms_out_of_order(self, tmp_path):
-        manifest = {"n_docs": 2, "doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["y", "x"],
-                    "posting_counts": [1, 1]}
+        manifest = {"doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["y", "x"]}
         p = tmp_path / "bad.idx"
-        self.write_index(p, manifest, struct.pack("<4I", 4, 1, 7, 1))
-        with pytest.raises(RetrievalError, match="manifest"):
+        self.write_index(p, manifest, struct.pack("<2I", 0, 1))
+        with pytest.raises(RetrievalError, match=": malformed index manifest: terms must be"):
             load_index(p)
+
+    def test_body_is_the_term_ids_of_the_manifest(self, tmp_path):
+        manifest = {"doc_ids": [4, 7], "doc_lens": [1, 2], "terms": ["x", "y"]}
+        p = tmp_path / "ok.idx"
+        self.write_index(p, manifest, struct.pack("<3I", 1, 0, 1))
+        index = load_index(p)
+        assert index.postings("x") == [(7, 1)] and index.postings("y") == [(4, 1), (7, 1)]
+        save_index(tmp_path / "again.idx", index)
+        assert (tmp_path / "again.idx").read_bytes() == p.read_bytes()
 
 
 class TestSaveIndexRange:
-    """Every value `save_index` writes as a u32 must fit in one."""
+    """Doc ids are stored in the manifest, so any int64 id round-trips."""
 
-    @pytest.mark.parametrize("ids", [(1, 2**32 + 1), (-1, 3)])
-    def test_doc_id_outside_u32(self, tmp_path, ids):
-        p = tmp_path / "out.idx"
-        with pytest.raises(RetrievalError, match="doc id"):
-            save_index(p, build_index([doc(i, ["a"]) for i in ids]))
-        assert not p.exists()
-
-    def test_term_frequency_outside_u32(self, tmp_path):
-        index = InvertedIndex([0], [1], ["a"], np.array([0, 1]), np.array([0]), np.array([2**32]))
-        p = tmp_path / "out.idx"
-        with pytest.raises(RetrievalError, match="term frequency"):
-            save_index(p, index)
-        assert not p.exists()
+    @pytest.mark.parametrize("ids", [(1, 2**32 + 1), (-1, 3), (-2**62, 2**62)])
+    def test_ids_beyond_u32_round_trip(self, tmp_path, ids):
+        docs = [doc(i, ["a", "b"][: n + 1], label=n) for n, i in enumerate(ids)]
+        index = build_index(docs)
+        save_index(tmp_path / "out.idx", index)
+        assert load_index(tmp_path / "out.idx").postings("a") == [(ids[0], 1), (ids[1], 1)]
+        save_memory(tmp_path / "memory.knn", Memory(index, {d.id: d for d in docs},
+                                                    LabelSpace(("x", "y")), Bm25Params(), 1))
+        loaded = load_memory(tmp_path / "memory.knn")
+        assert [(d.id, d.label, d.tokens) for d in loaded.docs.values()] == \
+            [(d.id, d.label, d.tokens) for d in docs]
 
     def test_largest_u32_doc_id_round_trips(self, tmp_path):
         p = tmp_path / "out.idx"
@@ -539,7 +567,7 @@ class TestMemoryFile:
         p = tmp_path / "memory.knn"
         self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"])])
         p.write_bytes(p.read_bytes()[:-4] + struct.pack("<I", 2))
-        with pytest.raises(RetrievalError, match="token id"):
+        with pytest.raises(RetrievalError, match=": a term id is outside the index's terms"):
             load_memory(p)
 
     def test_documents_must_match_the_index(self, tmp_path):
@@ -550,6 +578,27 @@ class TestMemoryFile:
                 save_memory(p, Memory(build_index(docs), other, self.LABELS, Bm25Params(), 2))
         assert not p.exists()
 
+    @pytest.mark.parametrize("tokens", [
+        pytest.param({1: ["a"], 4: ["a", "zzz"]}, id="token-not-in-terms"),
+        pytest.param({1: ["a"], 4: ["b", "a"]}, id="other-order"),
+        pytest.param({1: ["a"], 4: ["a", "b", "b"]}, id="extra-token"),
+        pytest.param({1: ["a", "a"], 4: ["b"]}, id="other-split"),
+    ])
+    def test_tokens_must_match_the_index(self, tmp_path, tokens):
+        index = build_index([doc(1, ["a"]), doc(4, ["a", "b"])])
+        p = tmp_path / "memory.knn"
+        with pytest.raises(RetrievalError, match="tokens are not those of its index"):
+            save_memory(p, Memory(index, {i: doc(i, t) for i, t in tokens.items()},
+                                  self.LABELS, Bm25Params(), 2))
+        assert not p.exists()
+
+    def test_previous_format_magic(self, tmp_path):
+        p = tmp_path / "memory.knn"
+        self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"])])
+        p.write_bytes(b"KNNMEM01" + p.read_bytes()[8:])
+        with pytest.raises(RetrievalError, match=": bad memory magic b'KNNMEM01'"):
+            load_memory(p)
+
 
 def test_bm25_params_validation():
     with pytest.raises(RetrievalError):
@@ -557,3 +606,10 @@ def test_bm25_params_validation():
     with pytest.raises(RetrievalError):
         Bm25Params(b=1.5)
     assert Bm25Params().k1 == 1.2 and Bm25Params().b == 0.75
+
+
+@pytest.mark.parametrize("k1", [float("nan"), float("inf")])
+def test_bm25_params_reject_non_finite_k1(k1):
+    # Such a k1 scores every document NaN or 0, so every query found nothing.
+    with pytest.raises(RetrievalError, match="k1 must be finite"):
+        Bm25Params(k1=k1)
