@@ -1,18 +1,19 @@
 """Command-line surface: training, evaluation, prediction with provenance,
 and ablation sweeps.
 
-Every command reads one JSON config file (``--config``) whose keys are the
-``RunConfig`` fields; explicit flags override file values. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure.
+``train`` and ``sweep`` read one JSON config file (``--config``) whose keys
+are the ``RunConfig`` fields; explicit flags override file values. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 
 ``train`` writes ``model.ckpt`` and, unless the preset retrieves nothing,
 ``memory.knn``: the documents it trained against (after the dev split or
 subsample, or the external corpus) as their ids, labels and tokens' term
 ids, from which loading derives their index again, with the label names,
-BM25 ``k1``/``b`` and K. ``eval`` and ``predict`` serve the checkpoint's
-vocabulary and float width and the memory's retrieval, whatever their own
-``--min-count``, ``--float-width``, ``--k1``, ``--b`` and ``--k``, and refuse
-a memory whose SHA-256 is not the one the checkpoint records.
+BM25 ``k1``/``b`` and K. The checkpoint records the memory's SHA-256, the
+model's label names and the run's evaluation batch size beside its
+vocabulary and float width. ``eval`` and ``predict`` serve from those two
+files alone: they take no ``RunConfig`` flag, and refuse a memory whose
+SHA-256 is not the one the checkpoint records.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_FLAG_ALIASES = {"k_neighbors": ["--k"], "perspectives": ["--i"]}
-_SERVING = ("The vocabulary and float width come from the checkpoint, the BM25 k1/b and K "
-            "from the memory; --min-count, --float-width, --k1, --b and --k are ignored.")
+_FLAG_ALIASES = {"k_neighbors": ["--k"], "perspectives": ["--i"],
+                 "train_csv": ["--train"], "eval_csv": ["--dev"]}
+_SERVING = ("The vocabulary, float width, label names and batch size come from the "
+            "checkpoint, the BM25 k1/b and K from the memory.")
+_CHECKPOINT_HELP = "model.ckpt that train wrote"
 _MEMORY_HELP = "memory.knn that train wrote with the checkpoint (unless the preset is M1)"
 
 
@@ -99,51 +102,40 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train",
                              help="train a model; save the best-on-dev checkpoint and its memory")
     _add_config_flags(p_train)
-    p_train.add_argument("--train", dest="train_csv_arg", metavar="CSV",
-                         help="training CSV (alias for --train-csv)")
-    p_train.add_argument("--dev", dest="eval_csv_arg", metavar="CSV",
-                         help="dev CSV (alias for --eval-csv)")
 
+    # Serving takes no abbreviations, so that no training flag (--i, say) is read as one.
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV",
-                            description=_SERVING)
-    _add_config_flags(p_eval)
-    p_eval.add_argument("--checkpoint", required=True, metavar="FILE")
-    p_eval.add_argument("--data", required=True, metavar="CSV", help="labeled evaluation CSV")
+                            description=_SERVING, allow_abbrev=False)
+    p_eval.add_argument("--checkpoint", required=True, metavar="FILE", help=_CHECKPOINT_HELP)
     p_eval.add_argument("--memory", metavar="FILE", help=_MEMORY_HELP)
+    p_eval.add_argument("--data", required=True, metavar="CSV", help="labeled evaluation CSV")
+    p_eval.add_argument("--out-dir", default="runs", metavar="DIR",
+                        help="directory for eval.json (default: runs)")
 
-    p_pred = sub.add_parser("predict", description=_SERVING,
+    p_pred = sub.add_parser("predict", description=_SERVING, allow_abbrev=False,
                             help="predict labels for raw text, optionally with provenance")
-    _add_config_flags(p_pred)
-    p_pred.add_argument("--checkpoint", required=True, metavar="FILE")
+    p_pred.add_argument("--checkpoint", required=True, metavar="FILE", help=_CHECKPOINT_HELP)
+    p_pred.add_argument("--memory", metavar="FILE", help=_MEMORY_HELP)
     p_pred.add_argument("--text", metavar="TEXT", help="one text to classify")
     p_pred.add_argument("--input", metavar="FILE", help="file with one text per line")
-    p_pred.add_argument("--memory", metavar="FILE", help=_MEMORY_HELP)
     p_pred.add_argument("--provenance", metavar="FILE",
                         help="write per-input neighbor/attention records (JSON lines)")
 
     p_sweep = sub.add_parser("sweep",
                              help="train across an axis (K, I, or preset) and tabulate dev accuracy")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--train", dest="train_csv_arg", metavar="CSV")
-    p_sweep.add_argument("--dev", dest="eval_csv_arg", metavar="CSV")
     p_sweep.add_argument("--axis", required=True, choices=["K", "I", "preset"])
     p_sweep.add_argument("--max", dest="axis_max", type=int, default=20,
                          help="largest K or I value (default: 20)")
     return parser
 
 
-_COMMAND_KEYS = {"command", "config", "train_csv_arg", "eval_csv_arg", "checkpoint",
-                 "data", "memory", "text", "input", "provenance",
-                 "axis", "axis_max"}
+_COMMAND_KEYS = {"command", "config", "axis", "axis_max"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {k: v for k, v in vars(args).items() if k not in _COMMAND_KEYS}
-    if getattr(args, "train_csv_arg", None):
-        overrides["train_csv"] = args.train_csv_arg
-    if getattr(args, "eval_csv_arg", None):
-        overrides["eval_csv"] = args.eval_csv_arg
-    config = load_run_config(getattr(args, "config", None), overrides)
+    config = load_run_config(args.config, overrides)
     ad.set_default_dtype(np.float64 if config.float_width == 64 else np.float32)
     return config
 
@@ -162,15 +154,15 @@ def _load_train_dev(config: RunConfig) -> tuple[list[Document], list[Document], 
     return train_docs, dev_docs, labels
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_train(config: RunConfig) -> int:
     train_docs, dev_docs, labels = _load_train_dev(config)
-    out = _out_dir(config)
+    out = _out_dir(config.out_dir)
     external_docs = external_labels = None
     if config.setup in ("semi_supervised", "transfer"):
         if not config.external_csv:
@@ -196,8 +188,11 @@ def cmd_train(config: RunConfig) -> int:
             pipeline.index, pipeline.neighbor_docs, external_labels or labels,
             config.bm25_params(), config.k_neighbors))
         digest = file_sha256(out / "memory.knn")
-    save_checkpoint(out / "model.ckpt", dataclasses.replace(
-        checkpoint, manifest={**checkpoint.manifest, "memory_sha256": digest}))
+    # What serving needs beside the model: its own label names (a transfer
+    # memory has others) and the batch size its dev evaluation used.
+    save_checkpoint(out / "model.ckpt", dataclasses.replace(checkpoint, manifest={
+        **checkpoint.manifest, "memory_sha256": digest, "label_names": list(labels.names),
+        "eval_batch_size": config.eval_batch_size}))
     (out / "train_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     for stats in pipeline.train_result.history:
@@ -211,27 +206,49 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _restore(args: argparse.Namespace, labels: LabelSpace) -> tuple:
-    """The model, with its training vocabulary and float width, and the
-    memory the checkpoint names by digest (None for a preset without one).
+def _recorded(path: str, manifest: dict) -> tuple[LabelSpace, int]:
+    """The label space and evaluation batch size that ``train`` recorded in
+    a checkpoint's manifest."""
+    try:
+        names, batch_size = manifest["label_names"], manifest["eval_batch_size"]
+        if type(batch_size) is not int or batch_size < 1:
+            raise ValueError(f"eval_batch_size {batch_size!r} is not an integer >= 1")
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"label_names {names!r} is not a list of strings")
+        return LabelSpace(tuple(names)), batch_size
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint records no {exc.args[0]}; "
+                              "retrain to serve it") from None
+    except ValueError as exc:  # a CorpusError from LabelSpace too
+        raise CheckpointError(f"{path}: checkpoint {exc}; retrain to serve it") from None
+
+
+def _restore(args: argparse.Namespace) -> tuple:
+    """The model, with its training vocabulary and float width; the memory
+    the checkpoint names by digest (None for a preset without one); and the
+    model's label space and evaluation batch size as ``train`` recorded them.
     The model has no memory bank: a process serves one request set, so a
     bank would encode whole blocks of the memory that no later request
     reuses, where the batch encodes only the neighbours it needs."""
     checkpoint = read_checkpoint(args.checkpoint)
     ad.set_default_dtype(np.float32 if checkpoint.manifest["float_bytes"] == 4 else np.float64)
-    model = model_from_checkpoint(checkpoint, expected_classes=labels.c)
+    labels, batch_size = _recorded(args.checkpoint, checkpoint.manifest)
+    model = model_from_checkpoint(checkpoint)
+    if labels.c != model.config.n_classes:
+        raise CheckpointError(f"{args.checkpoint}: checkpoint records {labels.c} label_names for "
+                              f"a model of n_classes {model.config.n_classes}; retrain to serve it")
     model.bank = None
     if args.memory is None:
         if model.config.features.uses_memory:
             raise UsageError(f"preset {model.config.preset} retrieves neighbours: pass the "
                              "memory.knn that train wrote with the checkpoint (--memory)")
-        return model, None
+        return model, None, labels, batch_size
     memory = load_memory(args.memory)
     want, got = checkpoint.manifest.get("memory_sha256"), file_sha256(args.memory)
     if got != want:
         raise CheckpointError(f"{args.memory}: memory digest mismatch: its sha256 is {got}, "
                               f"the checkpoint records {want}")
-    return model, memory
+    return model, memory, labels, batch_size
 
 
 def _with_neighbors(memory: Memory | None, docs: list[Document]) -> tuple:
@@ -245,15 +262,13 @@ def _with_neighbors(memory: Memory | None, docs: list[Document]) -> tuple:
     return docs, neighbors, memory.docs
 
 
-def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
-    labels = config.label_space()
-    model, memory = _restore(args, labels)
+def cmd_eval(args: argparse.Namespace) -> int:
+    model, memory, labels, batch_size = _restore(args)
     eval_docs, neighbors, neighbor_docs = _with_neighbors(memory, load_dataset(args.data, labels))
-    report = evaluate(model, eval_docs, neighbors, neighbor_docs,
-                      batch_size=config.eval_batch_size)
-    out = _out_dir(config)
-    # Serving used the checkpoint's width and the memory's retrieval settings.
-    served = {"float_width": 8 * np.dtype(ad.get_default_dtype()).itemsize}
+    report = evaluate(model, eval_docs, neighbors, neighbor_docs, batch_size=batch_size)
+    out = _out_dir(args.out_dir)
+    served = {"float_width": 8 * np.dtype(ad.get_default_dtype()).itemsize,
+              "label_names": list(labels.names), "eval_batch_size": batch_size}
     if memory is not None:
         served.update(k1=memory.params.k1, b=memory.params.b, k_neighbors=memory.k)
     payload = {
@@ -261,7 +276,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
         "per_class_accuracy": report.per_class,
         "confusion": report.confusion.tolist(),
         "total": report.total,
-        "config": {**config.echo(), **served},
+        "config": served,
     }
     (out / "eval.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                    encoding="utf-8")
@@ -273,15 +288,14 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     if bool(args.text) == bool(args.input):
         raise UsageError("provide exactly one of --text or --input")
     texts = [args.text] if args.text else list(utf8_lines(args.input, CorpusError))
     texts = [t.rstrip("\n") for t in texts if t.strip()]
     if not texts:
         raise CorpusError("no input text to classify")
-    labels = config.label_space()
-    model, memory = _restore(args, labels)
+    model, memory, labels, batch_size = _restore(args)
     docs = []
     for i, text in enumerate(texts):
         tokens = tokenize(text)
@@ -290,7 +304,7 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
         docs.append(Document(id=i, label=0, title=text, body="", tokens=tuple(tokens)))
     docs, neighbors, neighbor_docs = _with_neighbors(memory, docs)
     records = predict_with_provenance(model, docs, neighbors, neighbor_docs,
-                                      batch_size=config.eval_batch_size, has_gold=False)
+                                      batch_size=batch_size, has_gold=False)
     for record in records:
         print(labels.names[record["predicted"]])
     if args.provenance:
@@ -300,8 +314,10 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
+    if args.axis_max < 0:
+        raise UsageError(f"--max must be >= 0, got {args.axis_max}")
     train_docs, dev_docs, labels = _load_train_dev(config)
-    out = _out_dir(config)
+    out = _out_dir(config.out_dir)
     axis = args.axis
     presets = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
     rows = []
@@ -332,11 +348,10 @@ def main(argv=None) -> int:
     dtype = ad.get_default_dtype()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("eval", "predict"):
+            return (cmd_eval if args.command == "eval" else cmd_predict)(args)
         config = _config_from_args(args)
-        if args.command == "train":
-            return cmd_train(config)
-        command = {"eval": cmd_eval, "predict": cmd_predict, "sweep": cmd_sweep}[args.command]
-        return command(config, args)
+        return cmd_train(config) if args.command == "train" else cmd_sweep(config, args)
     except (UsageError, ConfigError, TrainingError, AutodiffError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (NumericFailure, AutodiffError)) else 1

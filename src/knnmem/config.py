@@ -1,5 +1,7 @@
-"""Run configuration: one JSON file drives every command, explicit
-command-line flags override file values, and unknown keys are rejected."""
+"""Run configuration: one JSON file drives ``train`` and ``sweep``,
+explicit command-line flags override file values, and unknown keys are
+rejected. ``eval`` and ``predict`` take none of it: they serve what the
+checkpoint and memory record."""
 
 from __future__ import annotations
 
@@ -54,11 +56,10 @@ class RunConfig:
     epochs: int = _f(15, "training passes over the training set")
     lr: float = _f(1e-4, "Adam learning rate")
     batch_size: int = _f(32, "minibatch size")
-    eval_batch_size: int = _f(64, "batch size for evaluation passes")
+    eval_batch_size: int = _f(64, "batch size of dev evaluation, recorded for eval and predict")
     clip_norm: float = _f(5.0, "global gradient-norm clip; 0 disables")
     seed: int = _f(0, "seed for init, shuffling, and subsampling")
-    float_width: int = _f(64, "tensor precision of train and sweep: 64 or 32 bits "
-                                 "(eval and predict use the checkpoint's)")
+    float_width: int = _f(64, "tensor precision: 64 or 32 bits")
     # setups
     setup: str = _f("full", "experimental setup: full, low_resource, unbalanced, semi_supervised, transfer")
     low_resource_fraction: float = _f(0.1, "per-class fraction kept in the low_resource setup")

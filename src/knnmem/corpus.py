@@ -236,6 +236,8 @@ def _group_by_label(corpus: Sequence[Document]) -> dict[int, list[int]]:
 
 def split_dev(corpus: Sequence[Document], spec: SplitSpec) -> tuple[list[Document], list[Document]]:
     """Hold out ``dev_per_class`` instances per class by seeded shuffle."""
+    if spec.dev_per_class < 0:
+        raise CorpusError(f"dev_per_class must be >= 0, got {spec.dev_per_class}")
     groups = _group_by_label(corpus)
     rng = np.random.default_rng(spec.seed)
     dev_positions: set[int] = set()
@@ -276,6 +278,8 @@ def subsample(corpus: Sequence[Document], mode: LowResource | Unbalanced, seed: 
             if label >= len(mode.per_class_counts):
                 raise CorpusError(f"no requested count for class {label}")
             count = mode.per_class_counts[label]
+            if count < 0:
+                raise CorpusError(f"class {label} count {count} is negative")
             if count > len(positions):
                 raise CorpusError(
                     f"class {label} has {len(positions)} instances, cannot sample {count}"

@@ -81,6 +81,8 @@ class TrainConfig:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if self.eval_batch_size < 1:
+            raise TrainingError("eval_batch_size must be >= 1")
         if self.k_neighbors < 0:
             raise TrainingError("k_neighbors must be >= 0")
         if self.perspectives < 0:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import struct
@@ -8,8 +9,8 @@ import pytest
 import knnmem.autodiff as ad
 import knnmem.memory as memory
 import knnmem.trainer as trainer
-from knnmem.cli import main
-from knnmem.config import ConfigError, load_run_config
+from knnmem.cli import build_parser, main
+from knnmem.config import _FIELDS, ConfigError, load_run_config
 from knnmem.corpus import (
     Document,
     LabelSpace,
@@ -25,10 +26,16 @@ from knnmem.datagen import make_separable_corpus, write_zhang_csv
 from knnmem.encoder import EncoderConfig, TextEncoder
 from knnmem.retrieval import Bm25Params, NeighborSet, build_index, load_memory, search_knn
 
+# Training flags of a small, fast run; `eval` and `predict` take only `serving(out)`.
 FAST = ["--epochs", "2", "--lr", "0.01", "--batch-size", "8", "--k", "2",
         "--perspectives", "2", "--word-dim", "4", "--char-dim", "3",
         "--char-lstm-dim", "4", "--hidden", "4", "--dev-per-class", "3",
         "--classes", "3", "--eval-batch-size", "16"]
+
+
+def serving(out):
+    """The serving arguments of a run: the checkpoint and memory it wrote."""
+    return ["--checkpoint", out / "model.ckpt", "--memory", out / "memory.knn"]
 
 
 @pytest.fixture(scope="module")
@@ -118,28 +125,31 @@ class TestTrainEvalPredict:
 
     def test_eval_prints_accuracy(self, trained, data_dir, tmp_path, capsys):
         out = tmp_path / "eval-out"
-        code = run(["eval", "--checkpoint", trained / "model.ckpt",
-                    "--data", data_dir / "eval.csv",
-                    "--memory", trained / "memory.knn",
-                    *FAST, "--out-dir", out])
+        code = run(["eval", *serving(trained), "--data", data_dir / "eval.csv", "--out-dir", out])
         assert code == 0
         captured = capsys.readouterr()
         assert "accuracy 0." in captured.out or "accuracy 1." in captured.out
         payload = json.loads((out / "eval.json").read_text())
-        assert "confusion" in payload and "config" in payload
+        assert "confusion" in payload
+        # The config records what was served, and nothing that serving never read.
+        assert payload["config"] == {
+            "float_width": 64, "label_names": ["class_0", "class_1", "class_2"],
+            "eval_batch_size": 16, "k1": 1.2, "b": 0.75, "k_neighbors": 2}
 
     def test_eval_class_mismatch_is_error(self, trained, data_dir, tmp_path, capsys):
-        code = run(["eval", "--checkpoint", trained / "model.ckpt",
-                    "--data", data_dir / "eval.csv",
-                    "--memory", trained / "memory.knn",
-                    "--classes", "7", "--out-dir", tmp_path])
+        # Label names that do not number the model's classes cannot be served.
+        bad = tmp_path / "bad.ckpt"
+        rewrite_manifest(trained / "model.ckpt", bad, (("label_names",), ["a", "b", "c", "d"]))
+        code = run(["eval", "--checkpoint", bad, "--memory", trained / "memory.knn",
+                    "--data", data_dir / "eval.csv", "--out-dir", tmp_path])
         assert code == 2
-        assert "n_classes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "4 label_names for a model of n_classes 3" in err and "retrain" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "eval.json").exists()
 
     def test_predict_single_text(self, trained, capsys):
-        code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3", *FAST])
+        code = run(["predict", *serving(trained), "--text", "c0w1 c0w2 f3"])
         assert code == 0
         out_lines = capsys.readouterr().out.strip().splitlines()
         assert len(out_lines) == 1
@@ -152,28 +162,26 @@ class TestTrainEvalPredict:
             raise AssertionError("the CLI filled a memory bank")
 
         monkeypatch.setattr(memory.MemoryBank, "rows", no_bank)
-        common = ["--checkpoint", trained / "model.ckpt", "--memory", trained / "memory.knn", *FAST]
+        common = serving(trained)
         assert run(["eval", *common, "--data", data_dir / "eval.csv",
                     "--out-dir", tmp_path / "eval-out"]) == 0
         assert run(["predict", *common, "--text", "c0w1 c0w2 f3"]) == 0
 
     def test_predict_provenance_dump(self, trained, tmp_path, capsys):
         prov = tmp_path / "prov.jsonl"
-        code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--memory", trained / "memory.knn",
-                    "--text", "c1w0 c1w3 f2", "--provenance", prov, *FAST])
+        code = run(["predict", *serving(trained), "--text", "c1w0 c1w3 f2", "--provenance", prov])
         assert code == 0
         record = json.loads(prov.read_text().splitlines()[0])
         assert record["gold"] is None
         assert record["neighbors"]
         assert {"doc_id", "bm25", "label", "attention"} <= set(record["neighbors"][0])
 
-    def test_predict_ignores_serve_time_min_count(self, trained, capsys):
-        # The checkpoint was trained with min_count=1; its stored vocabulary wins.
-        code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3", *FAST, "--min-count", "2"])
-        assert code == 0
+    def test_predict_rejects_serve_time_min_count(self, trained, capsys):
+        # The checkpoint's stored vocabulary is the one served; no flag can change it.
+        code = run(["predict", *serving(trained), "--text", "c0w1 c0w2 f3", "--min-count", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --min-count 2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("change, match", [
         (b"{not json", _MALFORMED),
@@ -198,10 +206,31 @@ class TestTrainEvalPredict:
         with pytest.raises(trainer.CheckpointError, match=match):
             trainer.model_from_checkpoint(trainer.load_checkpoint(bad))
         code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3", *FAST])
+                    "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("change, match", [
+        ((("label_names",), _DROP), "records no label_names"),
+        ((("eval_batch_size",), _DROP), "records no eval_batch_size"),
+        ((("label_names",), "class_0,class_1,class_2"), "is not a list of strings"),
+        ((("label_names",), [0, 1, 2]), "is not a list of strings"),
+        ((("label_names",), ["a", "a", "b"]), "class names must be distinct"),
+        ((("eval_batch_size",), 0), "eval_batch_size 0 is not an integer >= 1"),
+        ((("eval_batch_size",), -4), "eval_batch_size -4 is not an integer >= 1"),
+        ((("eval_batch_size",), 2.5), "eval_batch_size 2.5 is not an integer >= 1"),
+        ((("eval_batch_size",), True), "eval_batch_size True is not an integer >= 1"),
+    ])
+    def test_checkpoint_without_serving_fields_is_data_error(self, trained, tmp_path, capsys,
+                                                             change, match):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_manifest(trained / "model.ckpt", bad, change)
+        code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
+                    "--text", "c0w1 c0w2 f3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert match in err and "retrain" in err and "Traceback" not in err
 
     def test_memory_checkpoint_without_match_w_is_data_error(self, trained, tmp_path, capsys):
         # The shape of a checkpoint of the former plain-cosine mode, which
@@ -213,7 +242,7 @@ class TestTrainEvalPredict:
         trainer.save_checkpoint(bad, trainer.Checkpoint(
             {**ckpt.manifest, "model": model, "tensors": specs}, ckpt.tensors))
         code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3", *FAST])
+                    "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
         assert "no tensor for match.W" in err and "Traceback" not in err
@@ -242,7 +271,7 @@ class TestTrainEvalPredict:
         else:
             rewrite_manifest(trained / "memory.knn", bad, damage)
         code = run(["predict", "--checkpoint", trained / "model.ckpt", "--memory", bad,
-                    "--text", "c0w1 c0w2 f3", *FAST])
+                    "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
@@ -252,13 +281,13 @@ class TestTrainEvalPredict:
         assert run(["train", "--train", data_dir / "train.csv", *FAST, "--split-seed", "1",
                     "--out-dir", other]) == 0
         code = run(["eval", "--checkpoint", trained / "model.ckpt", "--memory", other / "memory.knn",
-                    "--data", data_dir / "eval.csv", *FAST, "--out-dir", tmp_path / "eval-out"])
+                    "--data", data_dir / "eval.csv", "--out-dir", tmp_path / "eval-out"])
         assert code == 2
         err = capsys.readouterr().err
         assert "memory digest mismatch" in err and "Traceback" not in err
 
     def test_memory_preset_without_memory_is_usage_error(self, trained, capsys):
-        code = run(["predict", "--checkpoint", trained / "model.ckpt", "--text", "c0w1 f3", *FAST])
+        code = run(["predict", "--checkpoint", trained / "model.ckpt", "--text", "c0w1 f3"])
         assert code == 1
         err = capsys.readouterr().err
         assert "--memory" in err and "Traceback" not in err
@@ -266,8 +295,7 @@ class TestTrainEvalPredict:
     def test_predict_input_not_utf8_is_data_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "in.txt"
         bad.write_bytes(b"c0w1 f3\nc1w2 \xff\n")
-        code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--memory", trained / "memory.knn", "--input", bad, *FAST])
+        code = run(["predict", *serving(trained), "--input", bad])
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}: line 2 is not UTF-8" in err and "Traceback" not in err
@@ -308,8 +336,7 @@ class TestFloat32Serving:
             ad.set_default_dtype(np.float64)
 
     def test_predict_and_eval_take_width_from_checkpoint(self, trained32, data_dir, capsys):
-        serve = ["--checkpoint", trained32 / "model.ckpt", "--memory", trained32 / "memory.knn",
-                 *FAST]
+        serve = serving(trained32)
         assert run(["predict", *serve, "--text", "c0w1 c0w2 f3"]) == 0
         assert capsys.readouterr().out.strip() in ("class_0", "class_1", "class_2")
         assert ad.get_default_dtype() == np.float64
@@ -317,13 +344,14 @@ class TestFloat32Serving:
                     "--out-dir", trained32 / "eval"]) == 0
         assert "accuracy" in capsys.readouterr().out
         assert json.loads((trained32 / "eval" / "eval.json").read_text())["config"]["float_width"] == 32
-        # An explicit width does not override the checkpoint's either.
-        assert run(["predict", *serve, "--float-width", "64", "--text", "c1w0 f2"]) == 0
+        # No flag can override the checkpoint's width.
+        assert run(["predict", *serve, "--float-width", "64", "--text", "c1w0 f2"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --float-width 64" in err and "Traceback" not in err
 
 
     def test_library_call_after_float32_predict_runs_in_float64(self, trained32):
-        assert run(["predict", "--checkpoint", trained32 / "model.ckpt",
-                    "--memory", trained32 / "memory.knn", *FAST, "--text", "c0w1 c0w2 f3"]) == 0
+        assert run(["predict", *serving(trained32), "--text", "c0w1 c0w2 f3"]) == 0
         vocab = build_vocab([Document(id=0, label=0, title="c0w1 f3", body="",
                                       tokens=("c0w1", "f3"))])
         encoder = TextEncoder.create(EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4,
@@ -332,7 +360,8 @@ class TestFloat32Serving:
 
 class TestServingUsesTrainingMemory:
     """`eval` and `predict` retrieve from the documents `train` trained
-    against, with its BM25 settings and K, whatever their own flags."""
+    against, with its BM25 settings and K, and take no flag that could
+    change them."""
 
     LABELS = LabelSpace.of_size(3)
 
@@ -340,27 +369,28 @@ class TestServingUsesTrainingMemory:
     def provenance(out, texts, tmp_path, *flags):
         inp, prov = tmp_path / "in.txt", tmp_path / "prov.jsonl"
         inp.write_text("\n".join(texts) + "\n", encoding="utf-8")
-        assert run(["predict", "--checkpoint", out / "model.ckpt", "--memory", out / "memory.knn",
-                    "--input", inp, "--provenance", prov, *flags]) == 0
+        assert run(["predict", *serving(out), "--input", inp, "--provenance", prov, *flags]) == 0
         return [json.loads(line) for line in prov.read_text().splitlines()]
 
     def split(self, data_dir):
         return split_dev(load_dataset(data_dir / "train.csv", self.LABELS), SplitSpec(3, 0))
 
-    def test_predict_retrieves_with_trained_k1(self, data_dir, tmp_path):
+    def test_predict_retrieves_with_trained_k1(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["train", "--train", data_dir / "train.csv", *FAST, "--k1", "0.5",
                     "--out-dir", out]) == 0
         texts = ["c0w1 c0w2 f3", "c1w0 c1w3 f2", "c2w1 f0 f1 f5"]
-        records = self.provenance(out, texts, tmp_path, "--classes", "3")
+        records = self.provenance(out, texts, tmp_path)
         index = build_index(self.split(data_dir)[0])
         want = [search_knn(index, tokenize(t), 2, params=Bm25Params(0.5, 0.75)) for t in texts]
         assert [[(n["doc_id"], n["bm25"]) for n in r["neighbors"]] for r in records] == \
             [list(ns.neighbors) for ns in want]
         assert want != [search_knn(index, tokenize(t), 2) for t in texts]
-        # Serving flags do not override the memory's settings.
-        assert self.provenance(out, texts, tmp_path, "--classes", "3", "--k1", "2.0",
-                               "--b", "0.1", "--k", "4") == records
+        # Serving takes no flag that could override the memory's settings.
+        for flag, value in (("--k1", "2.0"), ("--b", "0.1"), ("--k", "4")):
+            assert run(["predict", *serving(out), "--text", texts[0], flag, value]) == 1
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
 
     def test_default_memory_holds_no_dev_doc(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -369,7 +399,7 @@ class TestServingUsesTrainingMemory:
         memory = load_memory(out / "memory.knn")
         assert [(d.id, d.label, d.tokens) for d in memory.docs.values()] == \
             [(d.id, d.label, d.tokens) for d in train_docs]
-        records = self.provenance(out, [d.text for d in dev_docs], tmp_path, *FAST)
+        records = self.provenance(out, [d.text for d in dev_docs], tmp_path)
         dev_ids = {d.id for d in dev_docs}
         assert all(r["neighbors"] for r in records)
         assert not any(n["doc_id"] in dev_ids for r in records for n in r["neighbors"])
@@ -393,11 +423,11 @@ class TestServingUsesTrainingMemory:
         memory = load_memory(out / "memory.knn")
         assert memory.labels == LabelSpace.of_size(2)
         assert [d.tokens for d in memory.docs.values()] == [d.tokens for d in external]
-        records = self.provenance(out, ["c0w1 c0w2 f3", "c2w1 c2w4 f0 f1"], tmp_path, *FAST)
+        records = self.provenance(out, ["c0w1 c0w2 f3", "c2w1 c2w4 f0 f1"], tmp_path)
         labels = [n["label"] for r in records for n in r["neighbors"]]
         assert labels and all(0 <= y < 2 for y in labels)
-        assert run(["eval", "--checkpoint", out / "model.ckpt", "--memory", out / "memory.knn",
-                    "--data", data_dir / "eval.csv", *FAST, "--out-dir", tmp_path / "eval"]) == 0
+        assert run(["eval", *serving(out), "--data", data_dir / "eval.csv",
+                    "--out-dir", tmp_path / "eval"]) == 0
 
     def test_m1_serves_without_memory(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -405,9 +435,72 @@ class TestServingUsesTrainingMemory:
                     "--out-dir", out]) == 0
         assert not (out / "memory.knn").exists()
         assert trainer.read_checkpoint(out / "model.ckpt").manifest["memory_sha256"] is None
-        serve = ["--checkpoint", out / "model.ckpt", *FAST]
+        serve = ["--checkpoint", out / "model.ckpt"]
         assert run(["predict", *serve, "--text", "c0w1 f3"]) == 0
         assert run(["eval", *serve, "--data", data_dir / "eval.csv", "--out-dir", out / "eval"]) == 0
+
+
+class TestServingFromArtifacts:
+    """`model.ckpt` and `memory.knn` are the whole input of `eval` and `predict`."""
+
+    OPTIONS = {
+        "eval": {"--checkpoint", "--memory", "--data", "--out-dir"},
+        "predict": {"--checkpoint", "--memory", "--text", "--input", "--provenance"},
+    }
+    REQUEST = {"eval": ["--data", "eval.csv"], "predict": ["--text", "c0w1"]}
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_serving_options_are_exactly_the_artifacts(self, command):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert options - {"-h", "--help"} == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_every_training_flag_is_refused(self, command, capsys):
+        flags = ["--config", "--k", "--i", "--train", "--dev"]
+        flags += ["--" + name.replace("_", "-") for name in _FIELDS]
+        # eval keeps --out-dir, for eval.json
+        for flag in sorted(set(flags) - self.OPTIONS[command]):
+            code = run([command, "--checkpoint", "model.ckpt", *self.REQUEST[command], flag, "1"])
+            err = capsys.readouterr().err
+            assert code == 1, flag
+            assert f"unrecognized arguments: {flag} 1" in err and "Traceback" not in err, flag
+
+    def test_label_names_come_from_the_checkpoint(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST,
+                    "--class-names", "World,Sports,Tech", "--out-dir", out]) == 0
+        texts = ["c0w1 c0w2 f3", "c1w0 c1w3 f2", "c2w1 f0 f1 f5"]
+        inp = tmp_path / "in.txt"
+        inp.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", *serving(out), "--input", inp]) == 0
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 3 and set(printed) <= {"World", "Sports", "Tech"}
+        assert run(["eval", *serving(out), "--data", data_dir / "eval.csv",
+                    "--out-dir", out / "eval"]) == 0
+        config = json.loads((out / "eval" / "eval.json").read_text())["config"]
+        assert config["label_names"] == ["World", "Sports", "Tech"]
+        # No serving flag can name the classes otherwise.
+        for flag, value in (("--class-names", "A,B,C"), ("--classes", "3")):
+            assert run(["predict", *serving(out), "--text", texts[0], flag, value]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["64", "32"])
+    def test_eval_reproduces_the_train_report(self, data_dir, tmp_path, width):
+        # The same tensors in the same batches, neighbours encoded with each batch.
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", "--dev", data_dir / "eval.csv",
+                    *FAST, "--eval-batch-size", "4", "--float-width", width, "--out-dir", out]) == 0
+        assert run(["eval", *serving(out), "--data", data_dir / "eval.csv",
+                    "--out-dir", out / "eval"]) == 0
+        report = json.loads((out / "train_report.json").read_text())
+        payload = json.loads((out / "eval" / "eval.json").read_text())
+        assert report["dev_size"] == payload["total"] == 9
+        assert payload["accuracy"] == report["dev_accuracy"]
+        assert payload["per_class_accuracy"] == report["per_class_accuracy"]
+        assert payload["config"]["eval_batch_size"] == 4
+        assert payload["config"]["float_width"] == int(width)
 
 
 class TestNonUtf8Input:
@@ -458,6 +551,15 @@ class TestSweep:
         assert code == 0
         rows = [json.loads(line) for line in (out / "sweep.jsonl").read_text().splitlines()[1:]]
         assert [r["value"] for r in rows] == [0, 1]
+
+    def test_negative_max_is_usage_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sweep-neg"
+        code = run(["sweep", "--train", data_dir / "train.csv", "--axis", "K", "--max", "-1",
+                    *FAST, "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--max must be >= 0, got -1" in err and "Traceback" not in err
+        assert not (out / "sweep.jsonl").exists()
 
 
 class TestConfigHandling:
@@ -540,6 +642,20 @@ class TestConfigHandling:
         assert f"{name} must be finite" in err and "Traceback" not in err
         assert not (out / "memory.knn").exists() and not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("flag, value, code, match", [
+        ("--eval-batch-size", "0", 1, "eval_batch_size must be >= 1"),
+        ("--eval-batch-size", "-4", 1, "eval_batch_size must be >= 1"),
+        ("--dev-per-class", "-3", 2, "dev_per_class must be >= 0, got -3"),
+    ])
+    def test_count_below_range_is_refused(self, data_dir, tmp_path, capsys, flag, value,
+                                          code, match):
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, flag, value,
+                    "--out-dir", out]) == code
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
     @pytest.mark.parametrize("key, value", [("class_names", ["World", "Sports"]),
                                             ("train_csv", 7), ("preset", False)])
     def test_non_string_value_of_string_key_is_usage_error(self, data_dir, tmp_path, capsys,
@@ -572,7 +688,14 @@ class TestConfigHandling:
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "--memory" in text and "K from the memory" in text
-        assert "--k1, --b and --k are ignored" in text
+        assert "label names and batch size come from the checkpoint" in text
+        for flag in ("--k1", "--b ", "--k ", "--config", "--classes", "--float-width"):
+            assert flag not in text
+        args = {"eval": ["--data", "x.csv"], "predict": ["--text", "c0w1"]}[command]
+        for flag in ("--k1", "--b", "--k"):
+            assert run([command, "--checkpoint", "m.ckpt", *args, flag, "1"]) == 1
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} 1" in err and "Traceback" not in err
 
 
 class TestBm25ParamsReachTraining:

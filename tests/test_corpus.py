@@ -157,6 +157,11 @@ class TestSplitDev:
         with pytest.raises(CorpusError, match="class 0"):
             split_dev(self.corpus(per_class=1000), SplitSpec(dev_per_class=1001, seed=0))
 
+    def test_negative_count_is_refused(self):
+        # A negative slice would move all but that many documents per class into dev.
+        with pytest.raises(CorpusError, match="dev_per_class must be >= 0, got -3"):
+            split_dev(self.corpus(per_class=9), SplitSpec(dev_per_class=-3, seed=0))
+
 
 class TestSubsample:
     def corpus(self, sizes=(30, 40, 50, 60)):
@@ -184,6 +189,11 @@ class TestSubsample:
     def test_infeasible(self):
         with pytest.raises(CorpusError):
             subsample(self.corpus(), Unbalanced((100, 1, 1, 1)), seed=0)
+
+    def test_negative_count_is_refused(self):
+        # A negative slice would keep all but that many documents of the class.
+        with pytest.raises(CorpusError, match="class 1 count -2 is negative"):
+            subsample(self.corpus(), Unbalanced((2, -2, 8, 16)), seed=0)
 
     def test_deterministic(self):
         corpus = self.corpus()
