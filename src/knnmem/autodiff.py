@@ -6,8 +6,10 @@ nodes the loss never reached. Gradient buffers are treated as immutable:
 accumulation rebinds ``tensor.grad`` rather than writing in place, so a
 gradient may safely alias another node's buffer or a view.
 
-Cosine similarity is defined as 0 (with zero gradient) whenever either
-row has norm below 1e-12, which keeps collapsed embeddings finite.
+The multi-perspective cosine of a row pair under a perspective row ``w``
+is cos(w * q, w * n); it is defined as 0 (with zero gradient) whenever
+either reweighted row has norm below ``COSINE_EPS`` (1e-12), which keeps
+collapsed embeddings finite. Plain cosine is the case of one row of ones.
 """
 
 from __future__ import annotations
@@ -472,30 +474,51 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     return _record(out, (proj, Wh), backward)
 
 
-def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity; rows with norm < 1e-12 yield 0, zero grad."""
-    if a.shape != b.shape or a.ndim != 2:
-        raise AutodiffError(f"cosine_rows: incompatible shapes {a.shape} and {b.shape}")
-    na = np.sqrt((a.data * a.data).sum(axis=1))
-    nb = np.sqrt((b.data * b.data).sum(axis=1))
-    dots = (a.data * b.data).sum(axis=1)
-    ok = (na > COSINE_EPS) & (nb > COSINE_EPS)
-    denom = np.where(ok, na * nb, 1.0)
-    data = np.where(ok, dots / denom, 0.0)
-    _check_finite(data, "cosine_rows")
+def perspective_cosine(q: Tensor, n: Tensor, W: Tensor) -> Tensor:
+    """Multi-perspective cosine of P row pairs: ``out[p, i]`` is the cosine
+    of ``W[i] * q[p]`` and ``W[i] * n[p]``; (P, l) rows and (I, l) weights
+    give (P, I). One tape node with a hand-written backward.
+
+    With ``W2 = W * W`` the cosine is ``sum_j W2[i, j] q[p, j] n[p, j]``
+    over the two norms ``sqrt(sum_j W2[i, j] q[p, j]**2)`` and likewise for
+    ``n``. The three (P, l) products ``q*n``, ``q*q`` and ``n*n`` are each
+    contracted against ``W2`` by ``np.einsum``, so no (P, I, l) array is
+    formed. Its sum for a row depends only on that row, where a BLAS
+    product picks its kernel by row count, so a pair's similarity does not
+    depend on its batch. A pair and perspective with either norm below
+    ``COSINE_EPS`` gives 0 and passes no gradient.
+    """
+    if q.ndim != 2 or q.shape != n.shape or W.ndim != 2 or W.shape[1] != q.shape[1]:
+        raise AutodiffError(
+            f"perspective_cosine: incompatible shapes {q.shape}, {n.shape} and {W.shape}")
+    W2 = W.data * W.data
+    qn, qq, nn = q.data * n.data, q.data * q.data, n.data * n.data
+    sq_q = np.einsum("pj,ij->pi", qq, W2)
+    sq_n = np.einsum("pj,ij->pi", nn, W2)
+    norm_q, norm_n = np.sqrt(sq_q), np.sqrt(sq_n)
+    ok = (norm_q > COSINE_EPS) & (norm_n > COSINE_EPS)
+    denom = np.where(ok, norm_q * norm_n, 1.0)
+    data = np.where(ok, np.einsum("pj,ij->pi", qn, W2) / denom, 0.0)
+    _check_finite(data, "perspective_cosine")
     out = Tensor(data)
 
     def backward(g):
+        # Per pair and perspective: u = g / (|q| |n|), v = g cos / |q|^2,
+        # w = g cos / |n|^2, all zero where a norm vanished.
         gm = np.where(ok, g, 0.0)
-        cos = data
-        if a.requires_grad:
-            da = (gm / denom)[:, None] * b.data - (gm * cos / np.where(ok, na * na, 1.0))[:, None] * a.data
-            _accum(a, np.where(ok[:, None], da, 0.0))
-        if b.requires_grad:
-            db = (gm / denom)[:, None] * a.data - (gm * cos / np.where(ok, nb * nb, 1.0))[:, None] * b.data
-            _accum(b, np.where(ok[:, None], db, 0.0))
+        u = gm / denom
+        v = gm * data / np.where(ok, sq_q, 1.0)
+        w = gm * data / np.where(ok, sq_n, 1.0)
+        if q.requires_grad or n.requires_grad:
+            uW = u @ W2
+            if q.requires_grad:
+                _accum(q, n.data * uW - q.data * (v @ W2))
+            if n.requires_grad:
+                _accum(n, q.data * uW - n.data * (w @ W2))
+        if W.requires_grad:
+            _accum(W, W.data * (2.0 * (u.T @ qn) - v.T @ qq - w.T @ nn))
 
-    return _record(out, (a, b), backward)
+    return _record(out, (q, n, W), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, target_indices) -> Tensor:

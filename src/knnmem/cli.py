@@ -162,16 +162,16 @@ def _out_dir(path: str) -> Path:
 
 def cmd_train(config: RunConfig) -> int:
     train_docs, dev_docs, labels = _load_train_dev(config)
-    out = _out_dir(config.out_dir)
+    train_config, encoder_config = config.train_config(), config.encoder_config()
     external_docs = external_labels = None
     if config.setup in ("semi_supervised", "transfer"):
         if not config.external_csv:
             raise TrainingError(f"{config.setup} setup needs --external-csv")
         external_labels = config.external_label_space()
         external_docs = load_dataset(config.external_csv, external_labels)
+    out = _out_dir(config.out_dir)
     report = run_setup(
-        config.setup, train_docs, dev_docs, labels, config.train_config(),
-        config.encoder_config(),
+        config.setup, train_docs, dev_docs, labels, train_config, encoder_config,
         external_docs=external_docs, external_label_space=external_labels,
         low_resource_fraction=config.low_resource_fraction,
         per_class_counts=config.unbalanced_tuple(),
@@ -317,16 +317,16 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     if args.axis_max < 0:
         raise UsageError(f"--max must be >= 0, got {args.axis_max}")
     train_docs, dev_docs, labels = _load_train_dev(config)
+    base, encoder_config = config.train_config(), config.encoder_config()
     out = _out_dir(config.out_dir)
     axis = args.axis
     presets = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
     rows = []
-    base = config.train_config()
     field = {"K": "k_neighbors", "I": "perspectives", "preset": "preset"}[axis]
     for value in presets if axis == "preset" else range(args.axis_max + 1):
         train_config = dataclasses.replace(base, **{field: value})
         report = run_setup("full", train_docs, dev_docs, labels, train_config,
-                           config.encoder_config(), embeddings=config.embeddings,
+                           encoder_config, embeddings=config.embeddings,
                            bm25_params=config.bm25_params())
         report.pop("_pipeline")
         row = {"axis": axis, "value": value, "dev_accuracy": report["dev_accuracy"],

@@ -6,8 +6,9 @@ The head runs a whole batch through a fixed number of tape ops, whatever the
 batch size B and the neighbor counts K_b:
 
 - all P = sum(K_b) (query, neighbor) pairs are gathered into two (P, l)
-  matrices, reweighted by the (I, l) perspective rows, and matched with one
-  ``cosine_rows`` over P*I rows, giving (P, I) attention;
+  matrices and matched under every (I, l) perspective row by one fused
+  ``perspective_cosine``, giving (P, I) attention; a pair's attention does
+  not depend on what else is in the batch;
 - each attentive sum gathers the pairs into a (B, K_max) table whose padding
   reads an appended zero attention row, then one broadcast ``mul`` and one
   ``sum`` over K give its (B, I*w) feature block; a query without neighbors
@@ -15,13 +16,15 @@ batch size B and the neighbor counts K_b:
 - one ``concat`` builds the feature matrix.
 
 A query's pairs are summed in a canonical order: one ``np.lexsort`` over all
-pairs, by query, then by attention, then by label (label sum) or embedding
-(text sum). Pairs of one query that tie on every key contribute identical
-terms, so the features are exactly invariant to the order in which neighbors
-are listed; padding adds exact zeros after a query's own terms, so they do
-not depend on what else is in the batch. ``match_multi_perspective``,
-``attentive_label_distribution`` and ``attentive_text_embedding`` run one
-query through the same code.
+pairs, by query, then by the I attention columns. The label sum needs no
+further key, since pairs that tie on every attention column add into their
+own label's column. The text sum sorts again, by query, attention and then
+every embedding column, only when some query has such a tie; pairs that tie
+on every key contribute identical terms. So the features are exactly
+invariant to the order in which neighbors are listed; padding adds exact
+zeros after a query's own terms, so they do not depend on what else is in
+the batch. ``match_multi_perspective``, ``attentive_label_distribution``
+and ``attentive_text_embedding`` run one query through the same code.
 """
 
 from __future__ import annotations
@@ -98,20 +101,11 @@ class MatchingParams:
 
 def _match_pairs(h_query: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tensor:
     """(P, I) similarities of P (query, neighbor) embedding pairs, given as two
-    (P, l) matrices: every pair and perspective goes through one
-    ``cosine_rows`` over P*I reweighted rows."""
-    n_pairs, emb_len = h_query.shape
-    perspectives, width = params.W.shape
-    if width != emb_len:
+    (P, l) matrices: one ``perspective_cosine`` over every pair and
+    perspective."""
+    if params.W.shape[1] != h_query.shape[1]:
         raise ModelError("matching weights do not fit the embedding length")
-    W = ad.reshape(params.W, (1, perspectives, emb_len))
-
-    def reweighted(x: Tensor) -> Tensor:
-        scaled = ad.mul(W, ad.reshape(x, (n_pairs, 1, emb_len)))
-        return ad.reshape(scaled, (n_pairs * perspectives, emb_len))
-
-    sims = ad.cosine_rows(reweighted(h_query), reweighted(h_nbr))
-    return ad.reshape(sims, (n_pairs, perspectives))
+    return ad.perspective_cosine(h_query, h_nbr, params.W)
 
 
 def match_multi_perspective(h: Tensor, h_nbr: Tensor, params: MatchingParams) -> Tensor:
@@ -123,23 +117,30 @@ def match_multi_perspective(h: Tensor, h_nbr: Tensor, params: MatchingParams) ->
     return ad.reshape(sims, (sims.size,))
 
 
-def _canonical_slots(pair_query: np.ndarray, n_queries: int,
-                     *key_groups: np.ndarray) -> np.ndarray:
+def _canonical_slots(pair_query: np.ndarray, n_queries: int, attention: np.ndarray,
+                     tie_keys: np.ndarray | None = None) -> np.ndarray:
     """(n_queries, K_max) pair indices in canonical order, padded with P.
 
-    Row b lists query b's pairs sorted lexicographically by the columns of
-    each key group in turn (one ``np.lexsort`` over all pairs, the query as
-    primary key). Pairs of one query that tie on every key contribute
-    identical terms, so any permutation of a query's neighbors yields the
-    same ordered sequence.
+    Row b lists query b's pairs sorted by their (P, I) ``attention`` rows,
+    lexicographically (one ``np.lexsort`` over all pairs, the query as
+    primary key). Only if two pairs of one query tie on every attention
+    column are the columns of ``tie_keys`` added as further keys, so that
+    the sequence is the same for any permutation of a query's neighbors.
+    Without ``tie_keys`` tied pairs must contribute terms whose order does
+    not matter.
     """
-    keys = [group[:, col] for group in reversed(key_groups)
-            for col in reversed(range(group.shape[1]))]
+    keys = [attention[:, col] for col in reversed(range(attention.shape[1]))]
     keys.append(pair_query)
     order = np.lexsort(tuple(keys))
+    query = pair_query[order]
+    if tie_keys is not None:
+        ranked = attention[order]
+        if np.any((query[1:] == query[:-1]) & np.all(ranked[1:] == ranked[:-1], axis=1)):
+            extra = [tie_keys[:, col] for col in reversed(range(tie_keys.shape[1]))]
+            order = np.lexsort(tuple(extra + keys))
+            query = pair_query[order]
     n_pairs = pair_query.size
     counts = np.bincount(pair_query, minlength=n_queries)
-    query = pair_query[order]
     slots = np.full((n_queries, int(counts.max())), n_pairs, dtype=np.int64)
     slots[query, np.arange(n_pairs) - (np.cumsum(counts) - counts)[query]] = order
     return slots
@@ -170,7 +171,10 @@ def _attentive_labels(attention: Tensor, pair_query: np.ndarray, n_queries: int,
     n_pairs, perspectives = attention.shape
     if n_pairs == 0:
         return Tensor(np.zeros((n_queries, perspectives * c)))
-    slots = _canonical_slots(pair_query, n_queries, attention.data, labels[:, None])
+    # Tied pairs need no further key: with one label they add the same
+    # terms, with two each adds into its own label's column, where the
+    # other adds an exact zero.
+    slots = _canonical_slots(pair_query, n_queries, attention.data)
     # Padding may read any label: its attention is zero.
     onehot = np.eye(c)[np.append(labels, 0)[slots.reshape(-1)]]
     return _weighted_sum(attention, slots, Tensor(onehot))

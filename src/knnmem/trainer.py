@@ -91,6 +91,10 @@ class TrainConfig:
             raise TrainingError(f"lr must be finite, got {self.lr}")
         if not math.isfinite(self.clip_norm):
             raise TrainingError(f"clip_norm must be finite, got {self.clip_norm}")
+        if self.lr <= 0.0:
+            raise TrainingError(f"lr must be > 0, got {self.lr}")
+        if self.clip_norm < 0.0:
+            raise TrainingError(f"clip_norm must be >= 0 (0 disables clipping), got {self.clip_norm}")
 
 
 @dataclass

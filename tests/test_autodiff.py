@@ -15,11 +15,11 @@ from knnmem.autodiff import (
     add,
     clip_global_norm,
     concat,
-    cosine_rows,
     grad_check,
     lstm_sequence,
     matmul,
     mul,
+    perspective_cosine,
     reshape,
     rows,
     scalar_mul,
@@ -34,6 +34,11 @@ from knnmem.autodiff import (
 
 def rand(rng, *shape):
     return Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
+
+
+def cosine(a, b):
+    """Plain cosine of each row pair: the one perspective of ones."""
+    return perspective_cosine(a, b, Tensor(np.ones((1, a.shape[1]))))
 
 
 def fd_check(loss_fn, params, tol=1e-6, h=1e-5, floor=1e-3):
@@ -98,10 +103,48 @@ class TestPrimitiveGradients:
         idx = [0, 2, 2, 4]
         fd_check(lambda: ad.sum(tanh(rows(table, idx))), {"table": table})
 
-    def test_cosine_rows(self):
+    def test_perspective_cosine(self):
         rng = np.random.default_rng(11)
+        a, b, w = rand(rng, 4, 5), rand(rng, 4, 5), rand(rng, 3, 5)
+        weights = Tensor(rng.normal(size=(4, 3)))
+        fd_check(lambda: ad.sum(mul(perspective_cosine(a, b, w), weights)),
+                 {"a": a, "b": b, "w": w})
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_perspective_cosine_zero_rows(self, frozen):
+        # Pair 1 has a zero query row and pair 2 a zero neighbour row; with
+        # the frozen weights, perspective 0 is a zero row. Each such pair
+        # and perspective gives 0 and passes no gradient.
+        rng = np.random.default_rng(16)
         a, b = rand(rng, 4, 5), rand(rng, 4, 5)
-        fd_check(lambda: ad.sum(cosine_rows(a, b)), {"a": a, "b": b})
+        w = Tensor(rng.uniform(-1.0, 1.0, (3, 5)), requires_grad=not frozen)
+        if frozen:
+            w.data[0] = 0.0
+        keep_a, keep_b = np.ones((4, 1)), np.ones((4, 1))
+        keep_a[1] = keep_b[2] = 0.0
+        weights = Tensor(rng.normal(size=(4, 3)))
+
+        def loss_fn():
+            return ad.sum(mul(perspective_cosine(mul(a, keep_a), mul(b, keep_b), w), weights))
+
+        fd_check(loss_fn, {"a": a, "b": b} | ({} if frozen else {"w": w}))
+        zero_grads([a, b, w])
+        with Tape() as tape:
+            qa, qb = mul(a, keep_a), mul(b, keep_b)
+            sims = perspective_cosine(qa, qb, w)
+            loss = ad.sum(mul(sims, weights))
+        tape.backward(loss)
+        assert np.array_equal(sims.data[1:3], np.zeros((2, 3)))
+        assert np.array_equal(qa.grad[1:3], np.zeros((2, 5)))
+        assert np.array_equal(qb.grad[1:3], np.zeros((2, 5)))
+        assert np.all(sims.data[[0, 3], 1:] != 0.0)
+        assert np.array_equal(sims.data[:, 0], np.zeros(4)) == frozen
+        assert (w.grad is None) == frozen
+
+    def test_perspective_cosine_shape_error(self):
+        with pytest.raises(AutodiffError, match="perspective_cosine"):
+            perspective_cosine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+                               Tensor(np.ones((1, 4))))
 
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(12)
@@ -113,17 +156,17 @@ class TestPrimitiveGradients:
 class TestForwardExamples:
     def test_cosine_identical_is_one(self):
         v = Tensor([[0.3, -1.2, 2.0]])
-        assert cosine_rows(v, v).data[0] == pytest.approx(1.0, abs=1e-12)
+        assert cosine(v, v).data[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_orthogonal_is_zero(self):
         v = Tensor([[1.0, 0.0]])
         w = Tensor([[0.0, 2.5]])
-        assert cosine_rows(v, w).data[0] == pytest.approx(0.0, abs=1e-15)
+        assert cosine(v, w).data[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_cosine_zero_vector_policy(self):
         z = Tensor([[0.0, 0.0]])
         v = Tensor([[1.0, 2.0]])
-        assert cosine_rows(z, v).data[0] == 0.0
+        assert cosine(z, v).data[0, 0] == 0.0
 
     def test_cross_entropy_uniform_is_ln_c(self):
         for c in (2, 4, 10):
@@ -148,7 +191,7 @@ class TestForwardExamples:
         n = min(len(xs), len(ys))
         a = Tensor(np.asarray(xs[:n]).reshape(1, n))
         b = Tensor(np.asarray(ys[:n]).reshape(1, n))
-        c = cosine_rows(a, b).data[0]
+        c = cosine(a, b).data[0, 0]
         assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
 
 
@@ -164,7 +207,7 @@ class TestBackward:
         p = Tensor([[0.5, -1.0, 2.0]], requires_grad=True)
         q = Tensor([[0.5, -1.0, 2.0]], requires_grad=True)
         with Tape() as tape:
-            loss = ad.sum(cosine_rows(p, q))
+            loss = ad.sum(cosine(p, q))
         tape.backward(loss)
         assert np.allclose(p.grad, 0.0, atol=1e-10)
         assert np.allclose(q.grad, 0.0, atol=1e-10)

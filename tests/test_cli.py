@@ -552,6 +552,13 @@ class TestSweep:
         rows = [json.loads(line) for line in (out / "sweep.jsonl").read_text().splitlines()[1:]]
         assert [r["value"] for r in rows] == [0, 1]
 
+    def test_refused_sweep_creates_no_output_directory(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert run(["sweep", "--train", data_dir / "train.csv", "--axis", "K", *FAST,
+                    "--eval-batch-size", "0", "--out-dir", out]) == 1
+        assert "eval_batch_size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_max_is_usage_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "sweep-neg"
         code = run(["sweep", "--train", data_dir / "train.csv", "--axis", "K", "--max", "-1",
@@ -646,6 +653,9 @@ class TestConfigHandling:
         ("--eval-batch-size", "0", 1, "eval_batch_size must be >= 1"),
         ("--eval-batch-size", "-4", 1, "eval_batch_size must be >= 1"),
         ("--dev-per-class", "-3", 2, "dev_per_class must be >= 0, got -3"),
+        ("--lr", "-0.01", 1, "lr must be > 0, got -0.01"),
+        ("--lr", "0", 1, "lr must be > 0, got 0.0"),
+        ("--clip-norm", "-1", 1, "clip_norm must be >= 0"),
     ])
     def test_count_below_range_is_refused(self, data_dir, tmp_path, capsys, flag, value,
                                           code, match):
@@ -654,7 +664,7 @@ class TestConfigHandling:
                     "--out-dir", out]) == code
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("class_names", ["World", "Sports"]),
                                             ("train_csv", 7), ("preset", False)])

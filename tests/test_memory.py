@@ -129,6 +129,26 @@ class TestMatching:
         params = MatchingParams.create(10, perspectives=3, seed=1)
         assert np.all(np.abs(params.W.data - 1.0) <= 0.01)
 
+    @pytest.mark.parametrize("length, perspectives", [(200, 5), (8, 2), (7, 3)])
+    def test_pair_alone_equals_its_row_in_a_batch(self, length, perspectives):
+        # Bit for bit: a pair's attention depends neither on its position
+        # nor on how many pairs share the batch.
+        rng = np.random.default_rng(4)
+        q, n = rng.normal(size=(2, 97, length))
+        params = MatchingParams(W=Tensor(rng.uniform(0.5, 1.5, (perspectives, length))))
+
+        def batch(rows):
+            return ad.perspective_cosine(Tensor(q[rows]), Tensor(n[rows]), params.W).data
+
+        full = batch(np.arange(97))
+        for p in range(97):
+            assert np.array_equal(match_multi_perspective(Tensor(q[p]), Tensor(n[p]), params).data,
+                                  full[p])
+        for size in (2, 5, 33, 64):
+            assert np.array_equal(batch(np.arange(size)), full[:size])
+        perm = rng.permutation(97)
+        assert np.array_equal(batch(perm), full[perm])
+
 
 class TestAttentiveLabel:
     def test_k1_unit_attention_gives_onehot(self):
@@ -430,6 +450,33 @@ class TestBatchedHead:
                 shuffled[doc_id] = NeighborSet(doc_id, tuple(pairs))
             out = model.forward_batch(docs, shuffled, lookup)
             assert np.array_equal(out.logits, base)
+
+    def test_tied_neighbors_give_identical_logits(self):
+        # Neighbours 1 and 2 have the embeddings e and 2e, and different
+        # labels: scaling by 2 is exact, so they tie on every perspective,
+        # and the text sum must order them by their embeddings.
+        model, docs, lookup, _ = self.build(perspectives=3)
+        rng = np.random.default_rng(12)
+        table = rng.normal(size=(len(docs), TINY.l))
+        table[2] = 2.0 * table[1]
+
+        class FixedBank:
+            def rows(self, encoder, ids, neighbor_docs):
+                return table, np.asarray(ids, dtype=np.int64)
+
+        model.bank = FixedBank()
+        neighbors = {d.id: NeighborSet(d.id, tuple((o.id, 1.0) for o in docs if o.id != d.id))
+                     for d in docs}
+        base = model.forward_batch(docs, neighbors, lookup)
+        tied = [r.attention for r in base.attention[0] if r.doc_id in (1, 2)]
+        assert tied[0] == tied[1]
+        for _ in range(5):
+            shuffled = {}
+            for doc_id, ns in neighbors.items():
+                pairs = list(ns.neighbors)
+                rng.shuffle(pairs)
+                shuffled[doc_id] = NeighborSet(doc_id, tuple(pairs))
+            assert np.array_equal(model.forward_batch(docs, shuffled, lookup).logits, base.logits)
 
     def test_query_alone_equals_query_in_batch(self):
         model, docs, lookup, neighbors = self.build()

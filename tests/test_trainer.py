@@ -529,6 +529,18 @@ class TestConfigValidation:
         with pytest.raises(TrainingError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -0.01])
+    def test_non_positive_lr_rejected(self, value):
+        # A negative rate trains by gradient ascent; a zero rate never moves.
+        with pytest.raises(TrainingError, match="lr must be > 0"):
+            TrainConfig(lr=value)
+
+    def test_negative_clip_norm_rejected_zero_accepted(self):
+        # A negative bound would disable clipping as silently as 0 does.
+        assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
+        with pytest.raises(TrainingError, match="clip_norm must be >= 0"):
+            TrainConfig(clip_norm=-1.0)
+
     def test_zero_perspectives_accepted_negative_rejected(self):
         assert TrainConfig(perspectives=0).perspectives == 0  # plain cosine
         with pytest.raises(TrainingError, match="perspectives"):
