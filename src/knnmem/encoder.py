@@ -312,19 +312,3 @@ class TextEncoder:
         h_f = ad.lstm_sequence(ad.add(ad.matmul(x, fwd.Wx), fwd.b), fwd_index, fwd.Wh, lens)
         h_b = ad.lstm_sequence(ad.add(ad.matmul(x, bwd.Wx), bwd.b), bwd_index, bwd.Wh, lens)
         return ad.concat([h_f, h_b], axis=1)
-
-    def encode_text(self, tokens: Sequence[str]) -> Tensor:
-        """Single-text embedding of length 2*hidden."""
-        return ad.reshape(self.encode_batch([tokens]), (self.config.l,))
-
-    def char_compose(self, word: str) -> Tensor:
-        """Final hidden state of the character LSTM over one word."""
-        if not word:
-            raise EncoderError("char composition needs a nonempty word")
-        return ad.reshape(self._char_compose_batch([word]), (self.config.char_lstm_dim,))
-
-    def word_represent(self, token: str) -> Tensor:
-        """Concatenation [word embedding; char-composed embedding], length d."""
-        word_row = ad.rows(self.params.word.tensor, [self.vocab.word_id(token)])
-        char_row = self._char_compose_batch([token])
-        return ad.reshape(ad.concat([word_row, char_row], axis=1), (self.config.d,))

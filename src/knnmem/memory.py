@@ -9,22 +9,22 @@ batch size B and the neighbor counts K_b:
   matrices and matched under every (I, l) perspective row by one fused
   ``perspective_cosine``, giving (P, I) attention; a pair's attention does
   not depend on what else is in the batch;
-- each attentive sum gathers the pairs into a (B, K_max) table whose padding
-  reads an appended zero attention row, then one broadcast ``mul`` and one
-  ``sum`` over K give its (B, I*w) feature block; a query without neighbors
-  gets zeros;
+- both memory features are one attentive sum, ``_attentive_sum``, over
+  different rows: the label feature sums rows of the constant one-hot table
+  ``eye(c)``, the text feature the neighbors' embeddings. It gathers the
+  pairs into a (B, K_max) table whose padding reads an appended zero
+  attention row, then one broadcast ``mul`` and one ``sum`` over K give its
+  (B, I*w) feature block; a query without neighbors gets zeros;
 - one ``concat`` builds the feature matrix.
 
 A query's pairs are summed in a canonical order: one ``np.lexsort`` over all
-pairs, by query, then by the I attention columns. The label sum needs no
-further key, since pairs that tie on every attention column add into their
-own label's column. The text sum sorts again, by query, attention and then
-every embedding column, only when some query has such a tie; pairs that tie
-on every key contribute identical terms. So the features are exactly
-invariant to the order in which neighbors are listed; padding adds exact
-zeros after a query's own terms, so they do not depend on what else is in
-the batch. ``match_multi_perspective``, ``attentive_label_distribution``
-and ``attentive_text_embedding`` run one query through the same code.
+pairs, by query, then by the I attention columns, and again, by query,
+attention and then every column of the summed rows, only when some query
+has two pairs that tie on every attention column; pairs that tie on every
+key contribute identical terms. So the features are exactly invariant to
+the order in which neighbors are listed; padding adds exact zeros after a
+query's own terms, so they do not depend on what else is in the batch.
+``match_multi_perspective`` runs one pair through the same code.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def match_multi_perspective(h: Tensor, h_nbr: Tensor, params: MatchingParams) ->
 
 
 def _canonical_slots(pair_query: np.ndarray, n_queries: int, attention: np.ndarray,
-                     tie_keys: np.ndarray | None = None) -> np.ndarray:
+                     tie_keys: np.ndarray) -> np.ndarray:
     """(n_queries, K_max) pair indices in canonical order, padded with P.
 
     Row b lists query b's pairs sorted by their (P, I) ``attention`` rows,
@@ -126,19 +126,16 @@ def _canonical_slots(pair_query: np.ndarray, n_queries: int, attention: np.ndarr
     primary key). Only if two pairs of one query tie on every attention
     column are the columns of ``tie_keys`` added as further keys, so that
     the sequence is the same for any permutation of a query's neighbors.
-    Without ``tie_keys`` tied pairs must contribute terms whose order does
-    not matter.
     """
     keys = [attention[:, col] for col in reversed(range(attention.shape[1]))]
     keys.append(pair_query)
     order = np.lexsort(tuple(keys))
     query = pair_query[order]
-    if tie_keys is not None:
-        ranked = attention[order]
-        if np.any((query[1:] == query[:-1]) & np.all(ranked[1:] == ranked[:-1], axis=1)):
-            extra = [tie_keys[:, col] for col in reversed(range(tie_keys.shape[1]))]
-            order = np.lexsort(tuple(extra + keys))
-            query = pair_query[order]
+    ranked = attention[order]
+    if np.any((query[1:] == query[:-1]) & np.all(ranked[1:] == ranked[:-1], axis=1)):
+        extra = [tie_keys[:, col] for col in reversed(range(tie_keys.shape[1]))]
+        order = np.lexsort(tuple(extra + keys))
+        query = pair_query[order]
     n_pairs = pair_query.size
     counts = np.bincount(pair_query, minlength=n_queries)
     slots = np.full((n_queries, int(counts.max())), n_pairs, dtype=np.int64)
@@ -146,78 +143,27 @@ def _canonical_slots(pair_query: np.ndarray, n_queries: int, attention: np.ndarr
     return slots
 
 
-def _weighted_sum(attention: Tensor, slots: np.ndarray, values: Tensor) -> Tensor:
-    """Per query b and perspective i, the sum over k of
-    ``attention[slots[b, k], i] * values[b * K_max + k]``; (n_queries, I*w).
+def _attentive_sum(attention: Tensor, pair_query: np.ndarray, n_queries: int,
+                   table: Tensor, table_rows: np.ndarray) -> Tensor:
+    """Per query b and perspective i, the sum over b's pairs p of
+    ``attention[p, i] * table[table_rows[p]]``: (n_queries, I*w) from (P, I)
+    pair attention, pair p belonging to query ``pair_query[p]``.
 
-    The pad index P reads an appended zero row of attention, so padding adds
-    exact zeros after a query's own terms and its sums do not depend on what
-    it is batched with.
+    The pad index P reads an appended zero row of attention (and any row of
+    ``table``), so padding adds exact zeros after a query's own terms and its
+    sums do not depend on what it is batched with.
     """
-    n_queries, k_max = slots.shape
-    perspectives, width = attention.shape[1], values.shape[1]
+    n_pairs, perspectives = attention.shape
+    width = table.shape[1]
+    if n_pairs == 0:
+        return Tensor(np.zeros((n_queries, perspectives * width)))
+    slots = _canonical_slots(pair_query, n_queries, attention.data, table.data[table_rows])
+    k_max = slots.shape[1]
     padded = ad.concat([attention, Tensor(np.zeros((1, perspectives)))], axis=0)
     att = ad.reshape(ad.rows(padded, slots.reshape(-1)), (n_queries, k_max, perspectives, 1))
+    values = ad.rows(table, np.append(table_rows, table_rows[0])[slots.reshape(-1)])
     weighted = ad.mul(att, ad.reshape(values, (n_queries, k_max, 1, width)))
     return ad.reshape(ad.sum(weighted, axis=1), (n_queries, perspectives * width))
-
-
-def _attentive_labels(attention: Tensor, pair_query: np.ndarray, n_queries: int,
-                      labels: np.ndarray, c: int) -> Tensor:
-    """Per query and perspective, the attention-weighted sum of its
-    neighbors' one-hot labels: (n_queries, I*c) from (P, I) pair attention."""
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ModelError(f"neighbor label out of range for c={c}")
-    n_pairs, perspectives = attention.shape
-    if n_pairs == 0:
-        return Tensor(np.zeros((n_queries, perspectives * c)))
-    # Tied pairs need no further key: with one label they add the same
-    # terms, with two each adds into its own label's column, where the
-    # other adds an exact zero.
-    slots = _canonical_slots(pair_query, n_queries, attention.data)
-    # Padding may read any label: its attention is zero.
-    onehot = np.eye(c)[np.append(labels, 0)[slots.reshape(-1)]]
-    return _weighted_sum(attention, slots, Tensor(onehot))
-
-
-def _attentive_texts(attention: Tensor, pair_query: np.ndarray, n_queries: int,
-                     table: Tensor, table_rows: np.ndarray) -> Tensor:
-    """Per query and perspective, the attention-weighted sum of its
-    neighbors' embeddings ``table[table_rows[p]]``: (n_queries, I*l)."""
-    n_pairs, perspectives = attention.shape
-    if n_pairs == 0:
-        return Tensor(np.zeros((n_queries, perspectives * table.shape[1])))
-    slots = _canonical_slots(pair_query, n_queries, attention.data, table.data[table_rows])
-    # Padding may read any row: its attention is zero.
-    padded_rows = np.append(table_rows, table_rows[0])
-    return _weighted_sum(attention, slots, ad.rows(table, padded_rows[slots.reshape(-1)]))
-
-
-def attentive_label_distribution(attention: Tensor, neighbor_labels: Sequence[int],
-                                 c: int) -> Tensor:
-    """Per perspective, the attention-weighted sum of one query's neighbor
-    one-hot labels; perspectives concatenated into a vector of length I*c."""
-    if attention.ndim != 2:
-        raise ModelError(f"attention must be 2-d, got shape {attention.shape}")
-    k = attention.shape[0]
-    labels = np.asarray(neighbor_labels, dtype=np.int64)
-    if labels.shape[0] != k:
-        raise ModelError(f"{k} attention rows vs {labels.shape[0]} labels")
-    out = _attentive_labels(attention, np.zeros(k, dtype=np.int64), 1, labels, c)
-    return ad.reshape(out, (out.size,))
-
-
-def attentive_text_embedding(attention: Tensor, neighbor_embeddings: Tensor) -> Tensor:
-    """Per perspective, the attention-weighted sum of one query's neighbor
-    embeddings; perspectives concatenated into a vector of length I*l."""
-    if attention.ndim != 2 or neighbor_embeddings.ndim != 2:
-        raise ModelError("attention and embeddings must be 2-d")
-    k = attention.shape[0]
-    if neighbor_embeddings.shape[0] != k:
-        raise ModelError(f"{k} attention rows vs {neighbor_embeddings.shape[0]} embeddings")
-    out = _attentive_texts(attention, np.zeros(k, dtype=np.int64), 1,
-                           neighbor_embeddings, np.arange(k))
-    return ad.reshape(out, (out.size,))
 
 
 def feature_width(features: FeatureConfig, embedding_len: int, perspectives: int,
@@ -265,19 +211,6 @@ class ClassifierParams:
                      requires_grad=True, name="clf.W"),
             b=Tensor(np.zeros((1, n_classes)), requires_grad=True, name="clf.b"),
         )
-
-
-def predict(features: Tensor | np.ndarray, classifier: ClassifierParams) -> tuple[int, np.ndarray]:
-    """Class label (argmax, lowest index on ties) and softmax probabilities."""
-    vec = features.data if isinstance(features, Tensor) else np.asarray(features)
-    vec = vec.reshape(-1)
-    if vec.shape[0] != classifier.W.shape[0]:
-        raise ModelError(
-            f"feature width {vec.shape[0]} != classifier input width {classifier.W.shape[0]}"
-        )
-    logits = vec @ classifier.W.data + classifier.b.data.reshape(-1)
-    probs = ad.softmax_probs(logits)
-    return int(np.argmax(probs)), probs
 
 
 BANK_BLOCK = 64
@@ -341,21 +274,17 @@ class MemoryBank:
 
 
 @dataclass
-class NeighborAttentionRecord:
-    doc_id: int
-    bm25_score: float
-    attention: list[float]
-    label: int | None
-
-
-@dataclass
 class ForwardResult:
+    """A batch's mean loss and per-query outputs. ``attention`` is the
+    (P, I) attention of every (query, neighbor) pair, queries in batch order
+    and each query's neighbors in listed order, or ``None`` for a preset
+    without memory."""
+
     loss: Tensor
-    per_example_loss: np.ndarray
     logits: np.ndarray
     predictions: np.ndarray
     probabilities: np.ndarray
-    attention: list[list[NeighborAttentionRecord]]
+    attention: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -429,7 +358,7 @@ class KnnTextModel:
                       neighbor_map: Mapping[int, NeighborSet] | None = None,
                       neighbor_docs: Mapping[int, Document] | None = None) -> ForwardResult:
         """Encode the inputs, apply the memory head, and return the mean
-        cross-entropy plus per-example predictions.
+        cross-entropy, per-example predictions and the pairs' attention.
 
         Under a ``Tape``, while ``training``, or without a ``bank``, the
         neighbors are encoded with the inputs (deduplicated), and gradients
@@ -462,54 +391,50 @@ class KnnTextModel:
 
         # Every (query, neighbor) pair of the batch, queries in batch order and
         # each query's neighbors in listed order.
-        pair_query: list[int] = []
-        pair_neighbors: list[tuple[int, float]] = []
-        pair_slots: list[int] = []
-        pair_labels: list[int] = []
+        pair_ids: list[int] = []
+        counts: list[int] = []
         if features.uses_memory:
             if neighbor_map is None:
                 raise ModelError("memory features enabled but no neighbor map given")
-            for pos, doc in enumerate(docs):
+            for doc in docs:
                 ns = neighbor_map.get(doc.id)
                 if ns is None:
                     raise ModelError(f"no precomputed neighbors for doc {doc.id}")
-                for nbr_id, score in ns.neighbors:
-                    nbr = neighbor_docs.get(nbr_id)
-                    if nbr is None:
-                        raise ModelError(f"neighbor doc {nbr_id} missing from lookup")
-                    pair_query.append(pos)
-                    pair_neighbors.append((nbr_id, score))
-                    if not banked:
-                        pair_slots.append(slot_for(nbr_id, nbr.tokens))
-                    pair_labels.append(nbr.label)
+                ids = ns.ids()
+                pair_ids += ids
+                counts.append(len(ids))
+            try:
+                nbrs = [neighbor_docs[nbr_id] for nbr_id in pair_ids]
+            except KeyError as missing:
+                raise ModelError(f"neighbor doc {missing.args[0]} missing from lookup") from None
+            if not banked:
+                nbr_slots = np.array([slot_for(nbr_id, nbr.tokens)
+                                      for nbr_id, nbr in zip(pair_ids, nbrs)], dtype=np.int64)
 
         H = self.encoder.encode_batch(seqs)
         h = ad.rows(H, input_slots)
-        attention_records: list[list[NeighborAttentionRecord]] = [[] for _ in docs]
+        attention = None
         if not features.uses_memory:
             feat_mat = h
         else:
             if banked:
-                table, nbr_slots = self.bank.rows(
-                    self.encoder, [nbr_id for nbr_id, _ in pair_neighbors], neighbor_docs)
+                table, nbr_slots = self.bank.rows(self.encoder, pair_ids, neighbor_docs)
                 H_nbr = Tensor(table)
             else:
                 H_nbr = H.detach() if cfg.stop_grad_neighbors else H
-                nbr_slots = np.asarray(pair_slots, dtype=np.int64)
-            query = np.asarray(pair_query, dtype=np.int64)
+            query = np.repeat(np.arange(len(docs)), counts)
             att = _match_pairs(ad.rows(h, query), ad.rows(H_nbr, nbr_slots), self.matching)
             attn_label = attn_text = None
             if features.use_attn_label:
-                attn_label = _attentive_labels(att, query, len(docs),
-                                               np.asarray(pair_labels, dtype=np.int64),
-                                               cfg.effective_neighbor_classes)
+                c = cfg.effective_neighbor_classes
+                labels = np.array([nbr.label for nbr in nbrs], dtype=np.int64)
+                if labels.size and (labels.min() < 0 or labels.max() >= c):
+                    raise ModelError(f"neighbor label out of range for c={c}")
+                attn_label = _attentive_sum(att, query, len(docs), Tensor(np.eye(c)), labels)
             if features.use_attn_text:
-                attn_text = _attentive_texts(att, query, len(docs), H_nbr, nbr_slots)
+                attn_text = _attentive_sum(att, query, len(docs), H_nbr, nbr_slots)
             feat_mat = assemble_features(h, attn_label, attn_text, features)
-            for pos, (nbr_id, score), label, a_row in zip(pair_query, pair_neighbors,
-                                                          pair_labels, att.data.tolist()):
-                attention_records[pos].append(NeighborAttentionRecord(
-                    doc_id=nbr_id, bm25_score=score, attention=a_row, label=label))
+            attention = att.data
 
         if feat_mat.shape[1] != self.classifier.W.shape[0]:
             raise ModelError(
@@ -519,12 +444,10 @@ class KnnTextModel:
         targets = [doc.label for doc in docs]
         losses = ad.softmax_cross_entropy(logits, targets)
         loss = ad.scalar_mul(ad.sum(losses), 1.0 / len(docs))
-        probs = ad.softmax_probs(logits.data)
         return ForwardResult(
             loss=loss,
-            per_example_loss=losses.data.copy(),
             logits=logits.data,
             predictions=np.argmax(logits.data, axis=1),
-            probabilities=probs,
-            attention=attention_records,
+            probabilities=ad.softmax_probs(logits.data),
+            attention=attention,
         )

@@ -347,12 +347,17 @@ def predict_with_provenance(model: KnnTextModel, docs: Sequence[Document],
                             neighbor_docs: Mapping[int, Document] | None,
                             batch_size: int = 64, has_gold: bool = True) -> list[dict]:
     """One record per input: predicted/gold labels, probabilities, and the
-    neighbor ids, BM25 scores, and per-perspective attentions."""
+    neighbor ids, BM25 scores, labels and per-perspective attentions (none
+    for a preset without memory)."""
     records = []
     for start in range(0, len(docs), batch_size):
         batch = docs[start:start + batch_size]
         result = model.forward_batch(batch, neighbors, neighbor_docs)
+        uses_memory = result.attention is not None
+        attention = result.attention.tolist() if uses_memory else []
+        pair = 0
         for pos, doc in enumerate(batch):
+            listed = neighbors[doc.id].neighbors if uses_memory else ()
             records.append({
                 "id": doc.id,
                 "gold": doc.label if has_gold else None,
@@ -360,14 +365,15 @@ def predict_with_provenance(model: KnnTextModel, docs: Sequence[Document],
                 "probabilities": [float(p) for p in result.probabilities[pos]],
                 "neighbors": [
                     {
-                        "doc_id": rec.doc_id,
-                        "bm25": rec.bm25_score,
-                        "label": rec.label,
-                        "attention": rec.attention,
+                        "doc_id": nbr_id,
+                        "bm25": score,
+                        "label": neighbor_docs[nbr_id].label,
+                        "attention": attention[pair + j],
                     }
-                    for rec in result.attention[pos]
+                    for j, (nbr_id, score) in enumerate(listed)
                 ],
             })
+            pair += len(listed)
     return records
 
 

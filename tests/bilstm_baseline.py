@@ -22,7 +22,6 @@ from knnmem.encoder import EmbeddingTable, EncoderConfig, TextEncoder, param_rng
 @dataclass
 class BaselineResult:
     loss: Tensor
-    per_example_loss: np.ndarray
     logits: np.ndarray
     predictions: np.ndarray
     probabilities: np.ndarray
@@ -59,7 +58,6 @@ class BilstmBaseline:
         loss = ad.scalar_mul(ad.sum(losses), 1.0 / len(docs))
         return BaselineResult(
             loss=loss,
-            per_example_loss=losses.data.copy(),
             logits=logits.data,
             predictions=np.argmax(logits.data, axis=1),
             probabilities=ad.softmax_probs(logits.data),

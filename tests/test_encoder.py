@@ -178,21 +178,35 @@ class TestFusedMatchesStepReference:
             ad.set_default_dtype(np.float64)
 
 
+def word_inputs(enc, tokens):
+    """The (len(tokens), d) LSTM inputs [word embedding; char composition]."""
+    word_rows = ad.rows(enc.params.word.tensor, [enc.vocab.word_id(t) for t in tokens])
+    return ad.concat([word_rows, enc._char_compose_batch(tokens)], axis=1).data
+
+
+def encode_one(enc, tokens):
+    return enc.encode_batch([tokens]).data[0]
+
+
+def char_compose(enc, word):
+    return enc._char_compose_batch([word]).data[0]
+
+
 class TestShapes:
     def test_default_word_representation_width(self):
         assert EncoderConfig().d == 350
         assert EncoderConfig().l == 200
 
     def test_text_embedding_length(self, tiny_encoder):
-        emb = tiny_encoder.encode_text(["the", "cat"])
-        assert emb.shape == (2 * TINY.hidden,)
+        assert encode_one(tiny_encoder, ["the", "cat"]).shape == (2 * TINY.hidden,)
 
     def test_word_represent_width_any_config(self):
         for word_dim, char_dim in ((4, 3), (6, 2)):
             cfg = EncoderConfig(word_dim=word_dim, char_dim=char_dim, char_lstm_dim=3, hidden=4)
             vocab = make_vocab(["x y z"])
             enc = TextEncoder.create(cfg, vocab, seed=0)
-            assert enc.word_represent("x").shape == (cfg.d,)
+            assert word_inputs(enc, ["x"]).shape == (1, cfg.d)
+            assert enc.params.fwd.Wx.shape[0] == enc.params.bwd.Wx.shape[0] == cfg.d
 
     def test_batch_shape(self, tiny_encoder):
         out = tiny_encoder.encode_batch([["the", "cat"], ["dog"], ["birds", "fly", "high"]])
@@ -202,7 +216,7 @@ class TestShapes:
 class TestCharCompose:
     def test_single_char_is_one_step_from_zero_state(self, tiny_encoder):
         enc = tiny_encoder
-        got = enc.char_compose("a").data
+        got = char_compose(enc, "a")
         p = enc.params.char_lstm
         x = enc.params.char_table.data[enc.vocab.char_id("a")][None, :]
         want, _ = ref_lstm_step(p.Wx.data, p.Wh.data, p.b.data,
@@ -210,19 +224,21 @@ class TestCharCompose:
         assert np.allclose(got, want[0], atol=1e-12)
 
     def test_deterministic(self, tiny_encoder):
-        a = tiny_encoder.char_compose("cat").data
-        b = tiny_encoder.char_compose("cat").data
+        a = char_compose(tiny_encoder, "cat")
+        b = char_compose(tiny_encoder, "cat")
         assert np.array_equal(a, b)
 
     def test_unknown_chars_map_to_id_zero(self, tiny_encoder):
         # Both words are entirely unknown characters of equal length.
-        a = tiny_encoder.char_compose("@@").data
-        b = tiny_encoder.char_compose("##").data
+        a = char_compose(tiny_encoder, "@@")
+        b = char_compose(tiny_encoder, "##")
         assert np.array_equal(a, b)
 
     def test_empty_word_rejected(self, tiny_encoder):
         with pytest.raises(EncoderError):
-            tiny_encoder.char_compose("")
+            tiny_encoder._char_compose_batch([""])
+        with pytest.raises(EncoderError):
+            tiny_encoder._char_compose_batch(["cat", ""])
 
     def test_char_ids_match_per_character_lookup(self):
         vocab = make_vocab(["the cat", "naïve café über", "日本 語 \U0001F600"])
@@ -244,7 +260,7 @@ class TestCharCompose:
         enc = tiny_encoder
 
         def loss_fn():
-            return ad.sum(enc.char_compose("cat"))
+            return ad.sum(enc._char_compose_batch(["cat"]))
 
         report = grad_check(loss_fn, {"char_emb": enc.params.char_table}, h=1e-4)
         assert report.worst() < 1e-3, report.max_rel_err
@@ -253,13 +269,13 @@ class TestCharCompose:
 class TestWordRepresent:
     def test_oov_uses_row_zero(self, tiny_encoder):
         enc = tiny_encoder
-        vec = enc.word_represent("zzzz").data
+        vec = word_inputs(enc, ["zzzz"])[0]
         assert np.allclose(vec[: TINY.word_dim], enc.params.word.tensor.data[0])
 
     def test_known_token_uses_its_row(self, tiny_encoder):
         enc = tiny_encoder
         row = enc.vocab.word_id("cat")
-        vec = enc.word_represent("cat").data
+        vec = word_inputs(enc, ["cat"])[0]
         assert np.allclose(vec[: TINY.word_dim], enc.params.word.tensor.data[row])
 
 
@@ -267,10 +283,8 @@ class TestEncodeText:
     def test_single_token_single_step(self, tiny_encoder):
         # With one token, forward and backward each take exactly one step from zero.
         enc = tiny_encoder
-        emb = enc.encode_text(["cat"]).data
-        with Tape():
-            x = enc.word_represent("cat")
-        x = x.data[None, :]
+        emb = encode_one(enc, ["cat"])
+        x = word_inputs(enc, ["cat"])
         hf, _ = ref_lstm_step(enc.params.fwd.Wx.data, enc.params.fwd.Wh.data,
                               enc.params.fwd.b.data, x, np.zeros((1, 5)), np.zeros((1, 5)))
         hb, _ = ref_lstm_step(enc.params.bwd.Wx.data, enc.params.bwd.Wh.data,
@@ -278,19 +292,19 @@ class TestEncodeText:
         assert np.allclose(emb, np.concatenate([hf[0], hb[0]]), atol=1e-12)
 
     def test_order_sensitivity(self, tiny_encoder):
-        a = tiny_encoder.encode_text(["the", "cat", "sat"]).data
-        b = tiny_encoder.encode_text(["sat", "cat", "the"]).data
+        a = encode_one(tiny_encoder, ["the", "cat", "sat"])
+        b = encode_one(tiny_encoder, ["sat", "cat", "the"])
         assert not np.allclose(a, b)
 
     def test_empty_sequence_rejected(self, tiny_encoder):
         with pytest.raises(EncoderError):
-            tiny_encoder.encode_text([])
+            tiny_encoder.encode_batch([[]])
 
     def test_batch_matches_single(self, tiny_encoder):
         seqs = [["the", "cat", "sat", "on"], ["dog"], ["birds", "fly"]]
         batched = tiny_encoder.encode_batch(seqs).data
         for row, seq in enumerate(seqs):
-            single = tiny_encoder.encode_text(seq).data
+            single = encode_one(tiny_encoder, seq)
             assert np.allclose(batched[row], single, rtol=1e-9, atol=1e-12)
 
     def test_padding_invariance(self, tiny_encoder):
@@ -302,8 +316,8 @@ class TestEncodeText:
 
     def test_truncation_at_max_tokens(self, tiny_encoder):
         long_seq = ["the", "cat"] * 20  # 40 tokens > max_tokens=16
-        truncated = tiny_encoder.encode_text(long_seq[:16]).data
-        full = tiny_encoder.encode_text(long_seq).data
+        truncated = encode_one(tiny_encoder, long_seq[:16])
+        full = encode_one(tiny_encoder, long_seq)
         assert np.allclose(full, truncated, atol=1e-12)
 
     def test_full_encoder_grad_check(self, tiny_encoder):

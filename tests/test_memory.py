@@ -17,16 +17,20 @@ from knnmem.memory import (
     MatchingParams,
     ModelConfig,
     ModelError,
+    _attentive_sum,
     assemble_features,
-    attentive_label_distribution,
-    attentive_text_embedding,
     feature_width,
     match_multi_perspective,
-    predict,
     preset,
 )
 from knnmem.retrieval import NeighborSet, build_index, search_knn
-from knnmem.trainer import load_checkpoint, make_checkpoint, model_from_checkpoint, save_checkpoint
+from knnmem.trainer import (
+    load_checkpoint,
+    make_checkpoint,
+    model_from_checkpoint,
+    predict_with_provenance,
+    save_checkpoint,
+)
 
 from bilstm_baseline import BilstmBaseline
 from eq_oracles import oracle_attn_label, oracle_attn_text, oracle_match
@@ -55,6 +59,29 @@ def toy_world(seed=0, n_classes=3):
         for d in docs
     }
     return docs, vocab, lookup, neighbors
+
+
+def label_sum(s, labels, c):
+    """One query's attentive label feature from its (K, I) attention."""
+    k = len(labels)
+    return _attentive_sum(Tensor(s), np.zeros(k, dtype=np.int64), 1, Tensor(np.eye(c)),
+                          np.asarray(labels, dtype=np.int64)).data[0]
+
+
+def text_sum(s, emb):
+    """One query's attentive text feature from its (K, I) attention."""
+    k = len(emb)
+    return _attentive_sum(Tensor(s), np.zeros(k, dtype=np.int64), 1, Tensor(emb),
+                          np.arange(k)).data[0]
+
+
+def m1_with_classifier(W, b):
+    """An M1 toy model whose classifier is (W, b), and its documents."""
+    docs, vocab, _, _ = toy_world(n_classes=b.shape[1])
+    config = ModelConfig(encoder=TINY, preset="M1", n_classes=b.shape[1])
+    model = KnnTextModel.create(config, vocab, seed=0)
+    model.classifier = ClassifierParams(W=Tensor(W), b=Tensor(b))
+    return model, docs
 
 
 class TestPresets:
@@ -152,15 +179,13 @@ class TestMatching:
 
 class TestAttentiveLabel:
     def test_k1_unit_attention_gives_onehot(self):
-        att = Tensor(np.ones((1, 3)))
-        out = attentive_label_distribution(att, [2], c=4).data
+        out = label_sum(np.ones((1, 3)), [2], c=4)
         want = np.zeros(12)
         want[[2, 6, 10]] = 1.0
         assert np.array_equal(out, want)
 
     def test_same_label_sums(self):
-        att = Tensor(np.array([[0.5], [0.25]]))
-        out = attentive_label_distribution(att, [1, 1], c=3).data
+        out = label_sum(np.array([[0.5], [0.25]]), [1, 1], c=3)
         assert out[1] == pytest.approx(0.75, abs=1e-15)
         assert out[0] == 0.0 and out[2] == 0.0
 
@@ -170,7 +195,7 @@ class TestAttentiveLabel:
             k, perspectives, c = int(rng.integers(0, 6)), int(rng.integers(1, 5)), int(rng.integers(2, 6))
             s = rng.uniform(-1, 1, size=(k, perspectives))
             labels = [int(rng.integers(0, c)) for _ in range(k)]
-            got = attentive_label_distribution(Tensor(s), labels, c).data
+            got = label_sum(s, labels, c)
             want = oracle_attn_label(s.tolist(), labels, c)
             if k == 0:
                 assert got.shape == (perspectives * c,) and np.all(got == 0.0)
@@ -178,35 +203,39 @@ class TestAttentiveLabel:
                 assert np.allclose(got, want, atol=1e-10)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ModelError):
-            attentive_label_distribution(Tensor(np.ones((1, 2))), [5], c=3)
+        config = ModelConfig(encoder=TINY, preset="M2", perspectives=2, n_classes=3)
+        docs, vocab, lookup, neighbors = toy_world()
+        model = KnnTextModel.create(config, vocab, seed=0)
+        lookup[1] = dataclasses.replace(lookup[1], label=5)
+        with pytest.raises(ModelError, match="out of range"):
+            model.forward_batch(docs, neighbors, lookup)
 
     def test_component_magnitude_bounded_by_k(self):
         rng = np.random.default_rng(5)
         k = 7
         s = rng.uniform(-1, 1, size=(k, 3))
-        out = attentive_label_distribution(Tensor(s), [0] * k, c=2).data
+        out = label_sum(s, [0] * k, c=2)
         assert np.all(np.abs(out) <= k + 1e-12)
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(6)
         s = rng.uniform(-1, 1, size=(5, 4))
         labels = [0, 2, 1, 2, 0]
-        base = attentive_label_distribution(Tensor(s), labels, c=3).data
+        base = label_sum(s, labels, c=3)
         for _ in range(10):
             perm = rng.permutation(5)
-            out = attentive_label_distribution(Tensor(s[perm]), [labels[i] for i in perm], c=3).data
+            out = label_sum(s[perm], [labels[i] for i in perm], c=3)
             assert np.array_equal(out, base)
 
 
 class TestAttentiveText:
     def test_k1_unit_attention_copies_embedding(self):
         emb = np.array([[0.5, -1.0, 2.0]])
-        out = attentive_text_embedding(Tensor(np.ones((1, 2))), Tensor(emb)).data
+        out = text_sum(np.ones((1, 2)), emb)
         assert np.array_equal(out, np.tile(emb[0], 2))
 
     def test_zero_attention_gives_zero(self):
-        out = attentive_text_embedding(Tensor(np.zeros((3, 2))), Tensor(np.ones((3, 4)))).data
+        out = text_sum(np.zeros((3, 2)), np.ones((3, 4)))
         assert np.all(out == 0.0)
 
     def test_random_against_scalar_oracle(self):
@@ -215,7 +244,7 @@ class TestAttentiveText:
             k, perspectives, length = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
             s = rng.uniform(-1, 1, size=(k, perspectives))
             emb = rng.normal(size=(k, length))
-            got = attentive_text_embedding(Tensor(s), Tensor(emb)).data
+            got = text_sum(s, emb)
             want = oracle_attn_text(s.tolist(), emb.tolist())
             assert np.allclose(got, want, atol=1e-10)
 
@@ -223,15 +252,11 @@ class TestAttentiveText:
         rng = np.random.default_rng(8)
         s = rng.uniform(-1, 1, size=(6, 3))
         emb = rng.normal(size=(6, 5))
-        base = attentive_text_embedding(Tensor(s), Tensor(emb)).data
+        base = text_sum(s, emb)
         for _ in range(10):
             perm = rng.permutation(6)
-            out = attentive_text_embedding(Tensor(s[perm]), Tensor(emb[perm])).data
+            out = text_sum(s[perm], emb[perm])
             assert np.array_equal(out, base)
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(ModelError):
-            attentive_text_embedding(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 4))))
 
 
 class TestAssembleAndPredict:
@@ -256,31 +281,21 @@ class TestAssembleAndPredict:
             assemble_features(None, Tensor(np.ones(2)), None, preset("M5"))
 
     def test_zero_classifier_uniform_and_tie_break(self):
-        clf = ClassifierParams(W=Tensor(np.zeros((3, 4))), b=Tensor(np.zeros((1, 4))))
-        label, probs = predict(np.ones(3), clf)
-        assert label == 0
-        assert np.allclose(probs, 0.25, atol=1e-12)
+        model, docs = m1_with_classifier(np.zeros((TINY.l, 4)), np.zeros((1, 4)))
+        result = model.forward_batch(docs)
+        assert np.array_equal(result.predictions, np.zeros(len(docs)))
+        assert np.allclose(result.probabilities, 0.25, atol=1e-12)
 
     def test_peaked_logits(self):
-        clf = ClassifierParams(W=Tensor(np.zeros((2, 4))), b=Tensor(np.array([[0.0, 10.0, 0.0, 0.0]])))
-        label, probs = predict(np.zeros(2), clf)
-        assert label == 1 and probs[1] > 0.999
-
-    def test_probabilities_match_scalar_oracle(self):
-        import math
-        rng = np.random.default_rng(9)
-        logits = rng.normal(size=5)
-        clf = ClassifierParams(W=Tensor(np.eye(5)), b=Tensor(np.zeros((1, 5))))
-        _, probs = predict(logits, clf)
-        denom = math.fsum(math.exp(v) for v in logits)
-        for j in range(5):
-            assert probs[j] == pytest.approx(math.exp(logits[j]) / denom, rel=1e-12)
-        assert abs(probs.sum() - 1.0) < 1e-9
+        model, docs = m1_with_classifier(np.zeros((TINY.l, 4)), np.array([[0.0, 10.0, 0.0, 0.0]]))
+        result = model.forward_batch(docs)
+        assert np.array_equal(result.predictions, np.ones(len(docs)))
+        assert np.all(result.probabilities[:, 1] > 0.999)
 
     def test_width_mismatch(self):
-        clf = ClassifierParams(W=Tensor(np.zeros((3, 2))), b=Tensor(np.zeros((1, 2))))
-        with pytest.raises(ModelError):
-            predict(np.ones(4), clf)
+        model, docs = m1_with_classifier(np.zeros((TINY.l + 1, 2)), np.zeros((1, 2)))
+        with pytest.raises(ModelError, match="feature width"):
+            model.forward_batch(docs)
 
 
 class TestModel:
@@ -402,8 +417,9 @@ class TestBatchedHead:
 
     COUNTS = (0, 1, 3, 3, 1, 0)
 
-    def build(self, perspectives=2, seed=0, counts=COUNTS):
-        config = ModelConfig(encoder=TINY, preset="M7", perspectives=perspectives, n_classes=3)
+    def build(self, perspectives=2, seed=0, counts=COUNTS, preset_name="M7"):
+        config = ModelConfig(encoder=TINY, preset=preset_name, perspectives=perspectives,
+                             n_classes=3)
         docs, vocab, lookup, _ = toy_world()
         model = KnnTextModel.create(config, vocab, seed=seed)
         neighbors = {
@@ -416,6 +432,7 @@ class TestBatchedHead:
     def test_ragged_logits_match_scalar_oracle(self):
         model, docs, lookup, neighbors = self.build()
         result = model.forward_batch(docs, neighbors, lookup)
+        records = predict_with_provenance(model, docs, neighbors, lookup)
         emb = dict(zip((d.id for d in docs),
                        model.encoder.encode_batch([d.tokens for d in docs]).data.tolist()))
         W = model.matching.W.data.tolist()
@@ -431,12 +448,23 @@ class TestBatchedHead:
             feat = np.array(emb[d.id] + label + text)
             want = feat @ model.classifier.W.data + model.classifier.b.data[0]
             assert np.allclose(result.logits[pos], want, rtol=0, atol=1e-10)
-            records = result.attention[pos]
-            assert [r.doc_id for r in records] == ids
-            assert [r.bm25_score for r in records] == [score for _, score in neighbors[d.id].neighbors]
-            assert [r.label for r in records] == [lookup[n].label for n in ids]
-            for rec, want_att in zip(records, s):
-                assert np.allclose(rec.attention, want_att, rtol=0, atol=1e-12)
+            nbrs = records[pos]["neighbors"]
+            assert [r["doc_id"] for r in nbrs] == ids
+            assert [r["bm25"] for r in nbrs] == [score for _, score in neighbors[d.id].neighbors]
+            assert [r["label"] for r in nbrs] == [lookup[n].label for n in ids]
+            for rec, want_att in zip(nbrs, s):
+                assert np.allclose(rec["attention"], want_att, rtol=0, atol=1e-12)
+        assert result.attention.shape == (sum(self.COUNTS), n_perspectives)
+
+    def test_m1_provenance_lists_no_neighbors(self):
+        config = ModelConfig(encoder=TINY, preset="M1", n_classes=3)
+        docs, vocab, lookup, _ = toy_world()
+        model = KnnTextModel.create(config, vocab, seed=0)
+        _, _, _, neighbors = self.build()
+        assert model.forward_batch(docs, neighbors, lookup).attention is None
+        records = predict_with_provenance(model, docs, neighbors, lookup, batch_size=4)
+        assert [r["id"] for r in records] == [d.id for d in docs]
+        assert all(r["neighbors"] == [] for r in records)
 
     def test_shuffled_neighbors_give_identical_logits(self):
         model, docs, lookup, neighbors = self.build()
@@ -451,11 +479,12 @@ class TestBatchedHead:
             out = model.forward_batch(docs, shuffled, lookup)
             assert np.array_equal(out.logits, base)
 
-    def test_tied_neighbors_give_identical_logits(self):
+    @pytest.mark.parametrize("preset_name", ["M7", "M2"])
+    def test_tied_neighbors_give_identical_logits(self, preset_name):
         # Neighbours 1 and 2 have the embeddings e and 2e, and different
         # labels: scaling by 2 is exact, so they tie on every perspective,
-        # and the text sum must order them by their embeddings.
-        model, docs, lookup, _ = self.build(perspectives=3)
+        # and each sum must order them by its rows.
+        model, docs, lookup, _ = self.build(perspectives=3, preset_name=preset_name)
         rng = np.random.default_rng(12)
         table = rng.normal(size=(len(docs), TINY.l))
         table[2] = 2.0 * table[1]
@@ -468,8 +497,8 @@ class TestBatchedHead:
         neighbors = {d.id: NeighborSet(d.id, tuple((o.id, 1.0) for o in docs if o.id != d.id))
                      for d in docs}
         base = model.forward_batch(docs, neighbors, lookup)
-        tied = [r.attention for r in base.attention[0] if r.doc_id in (1, 2)]
-        assert tied[0] == tied[1]
+        # Query 0 lists neighbours 1 and 2 first.
+        assert np.array_equal(base.attention[0], base.attention[1])
         for _ in range(5):
             shuffled = {}
             for doc_id, ns in neighbors.items():
@@ -559,7 +588,7 @@ class TestMemoryBank:
         assert batched.tobytes() == one_by_one.tobytes()
 
     def test_bank_agrees_with_training_path(self, world):
-        # Fixed before the first run: equal labels and neighbors, and
+        # Fixed before the first run: equal labels, and attention and
         # probabilities within 1e-12 (embeddings move by about 1e-17 with
         # their batch).
         memory, queries, neighbors, _, _ = world
@@ -574,8 +603,7 @@ class TestMemoryBank:
         assert model.bank.table.size
         for ref in (taped, in_batch):
             assert np.array_equal(banked.predictions, ref.predictions)
-            assert ([[r.doc_id for r in recs] for recs in banked.attention]
-                    == [[r.doc_id for r in recs] for recs in ref.attention])
+            assert np.allclose(banked.attention, ref.attention, rtol=0, atol=1e-12)
             assert np.max(np.abs(banked.probabilities - ref.probabilities)) <= 1e-12
 
     def test_adam_step_rebuilds_bank(self, world):
