@@ -10,6 +10,17 @@ The multi-perspective cosine of a row pair under a perspective row ``w``
 is cos(w * q, w * n); it is defined as 0 (with zero gradient) whenever
 either reweighted row has norm below ``COSINE_EPS`` (1e-12), which keeps
 collapsed embeddings finite. Plain cosine is the case of one row of ones.
+
+Non-finite values are caught where they surface, by three ops that always
+check and raise ``NonFiniteError`` saying what the check covers:
+``lstm_sequence`` checks ``proj`` and ``Wh`` (the embedding rows, character
+composition and ``x @ Wx + b`` that feed it), as a saturated gate would hide
+an inf; ``perspective_cosine`` its output (the pair rows and the weights; a
+NaN norm is not masked as a zero one); ``softmax_cross_entropy`` its logits
+(the attentive sums, feature concat, classifier matmul and bias). With
+finite operands every value between them is bounded, so no other op scans.
+A restored checkpoint is scanned once (``trainer.model_from_checkpoint``),
+so a bad weight is refused at load, by name, not by the requests reading it.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 _DTYPE = np.float64
-_CHECK_FINITE = True
 _ACTIVE_TAPE: "Tape | None" = None
 
 COSINE_EPS = 1e-12
@@ -29,6 +39,10 @@ COSINE_EPS = 1e-12
 
 class AutodiffError(ValueError):
     """Shape mismatch, non-finite value, or misuse of the tape."""
+
+
+class NonFiniteError(AutodiffError):
+    """A NaN or inf reached one of the three checked ops."""
 
 
 def set_default_dtype(dtype) -> None:
@@ -48,14 +62,10 @@ def recording() -> bool:
     return _ACTIVE_TAPE is not None
 
 
-def set_finite_checks(enabled: bool) -> None:
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _CHECK_FINITE and not math.isfinite(float(np.sum(arr))):
-        raise AutodiffError(f"{op}: non-finite output")
+def _check_finite(message: str, *arrays: np.ndarray) -> None:
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(message)
 
 
 class Tensor:
@@ -86,10 +96,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Same values, no gradient flow."""
         return Tensor(self.data)
-
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -163,7 +169,6 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise AutodiffError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-    _check_finite(data, "add")
     out = Tensor(data)
 
     def backward(g):
@@ -179,7 +184,6 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise AutodiffError(f"elementwise_mul: incompatible shapes {a.shape} and {b.shape}") from None
-    _check_finite(data, "elementwise_mul")
     out = Tensor(data)
 
     def backward(g):
@@ -194,7 +198,6 @@ def mul(a, b) -> Tensor:
 def scalar_mul(a: Tensor, s: float) -> Tensor:
     s = float(s)
     data = a.data * s
-    _check_finite(data, "scalar_mul")
     out = Tensor(data)
 
     def backward(g):
@@ -207,7 +210,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise AutodiffError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
-    _check_finite(data, "matmul")
     out = Tensor(data)
 
     def backward(g):
@@ -228,7 +230,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise AutodiffError(
             f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}"
         ) from None
-    _check_finite(data, "concat")
     out = Tensor(data)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -279,7 +280,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def sum(a: Tensor, axis: int | None = None) -> Tensor:
     data = a.data.sum(axis=axis)
-    _check_finite(data, "sum")
     out = Tensor(data)
 
     def backward(g):
@@ -386,8 +386,10 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
         raise AutodiffError(f"lstm_sequence: lengths must lie in [1, {n_steps}]")
     if idx.size and (idx.min() < 0 or idx.max() >= proj.shape[0]):
         raise AutodiffError(f"lstm_sequence: index out of range for {proj.shape[0]} projection rows")
-    track = _ACTIVE_TAPE is not None and (proj.requires_grad or Wh.requires_grad)
     P, W = proj.data, Wh.data
+    _check_finite("lstm_sequence: non-finite proj or Wh (this check covers the embedding rows,"
+                  " the character composition and x @ Wx + b)", P, W)
+    track = _ACTIVE_TAPE is not None and (proj.requires_grad or Wh.requires_grad)
     order = np.argsort(-lens, kind="stable")
     idx = idx[:, order]
     # Rows still running at each step; with the rows in `order` they are a prefix.
@@ -432,7 +434,6 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
             c_n += tc
             np.tanh(c_n, out=tc)
             np.multiply(s[:, go], tc, out=h_n)
-    _check_finite(h, "lstm_sequence")
     out_data = np.empty_like(h)
     out_data[order] = h
     out = Tensor(out_data)
@@ -496,10 +497,12 @@ def perspective_cosine(q: Tensor, n: Tensor, W: Tensor) -> Tensor:
     sq_q = np.einsum("pj,ij->pi", qq, W2)
     sq_n = np.einsum("pj,ij->pi", nn, W2)
     norm_q, norm_n = np.sqrt(sq_q), np.sqrt(sq_n)
-    ok = (norm_q > COSINE_EPS) & (norm_n > COSINE_EPS)
+    # Only a vanishing norm is masked: a NaN one compares false, and raises below.
+    ok = ~((norm_q <= COSINE_EPS) | (norm_n <= COSINE_EPS))
     denom = np.where(ok, norm_q * norm_n, 1.0)
     data = np.where(ok, np.einsum("pj,ij->pi", qn, W2) / denom, 0.0)
-    _check_finite(data, "perspective_cosine")
+    _check_finite("perspective_cosine: non-finite output (this check covers the query and"
+                  " neighbour embeddings of the pairs and the perspective weights)", data)
     out = Tensor(data)
 
     def backward(g):
@@ -531,13 +534,14 @@ def softmax_cross_entropy(logits: Tensor, target_indices) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise AutodiffError("softmax_cross_entropy: target index out of range")
     z = logits.data
+    _check_finite("softmax_cross_entropy: non-finite logits (this check covers the attentive"
+                  " sums, the feature concat, the classifier matmul and its bias)", z)
     zmax = z.max(axis=1, keepdims=True)
     shifted = z - zmax
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
     batch = np.arange(z.shape[0])
     losses = np.log(total) - shifted[batch, targets]
-    _check_finite(losses, "softmax_cross_entropy")
     out = Tensor(losses)
     probs = exp / total[:, None]
 

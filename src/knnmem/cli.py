@@ -3,7 +3,8 @@ and ablation sweeps.
 
 ``train`` and ``sweep`` read one JSON config file (``--config``) whose keys
 are the ``RunConfig`` fields; explicit flags override file values. Exit
-codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+codes: 0 success, 1 usage error, 2 data error, 3 numeric failure: a NaN or inf
+in training (named with its epoch, batch and check) or an ``autodiff`` error.
 
 ``train`` writes ``model.ckpt`` and, unless the preset retrieves nothing,
 ``memory.knn``: the documents it trained against (after the dev split or
@@ -81,17 +82,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help_text = f"{spec.metadata['help']} (default: {spec.default})"
         default = spec.default
         if isinstance(default, bool):
-            parser.add_argument(*names, dest=name, action=argparse.BooleanOptionalAction,
-                                default=argparse.SUPPRESS, help=help_text)
-        elif isinstance(default, int):
-            parser.add_argument(*names, dest=name, type=int,
-                                default=argparse.SUPPRESS, help=help_text)
-        elif isinstance(default, float):
-            parser.add_argument(*names, dest=name, type=float,
-                                default=argparse.SUPPRESS, help=help_text)
+            kind = {"action": argparse.BooleanOptionalAction}
         else:
-            parser.add_argument(*names, dest=name, type=str,
-                                default=argparse.SUPPRESS, help=help_text)
+            kind = {"type": type(default) if isinstance(default, (int, float)) else str}
+        parser.add_argument(*names, dest=name, default=argparse.SUPPRESS, help=help_text, **kind)
 
 
 def build_parser() -> _Parser:
@@ -169,7 +163,7 @@ def cmd_train(config: RunConfig) -> int:
             raise TrainingError(f"{config.setup} setup needs --external-csv")
         external_labels = config.external_label_space()
         external_docs = load_dataset(config.external_csv, external_labels)
-    out = _out_dir(config.out_dir)
+    out = Path(config.out_dir)  # made by ``train``, after the splits are checked
     report = run_setup(
         config.setup, train_docs, dev_docs, labels, train_config, encoder_config,
         external_docs=external_docs, external_label_space=external_labels,
@@ -318,7 +312,6 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError(f"--max must be >= 0, got {args.axis_max}")
     train_docs, dev_docs, labels = _load_train_dev(config)
     base, encoder_config = config.train_config(), config.encoder_config()
-    out = _out_dir(config.out_dir)
     axis = args.axis
     presets = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
     rows = []
@@ -329,11 +322,10 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
                            encoder_config, embeddings=config.embeddings,
                            bm25_params=config.bm25_params())
         report.pop("_pipeline")
-        row = {"axis": axis, "value": value, "dev_accuracy": report["dev_accuracy"],
-               "best_epoch": report["best_epoch"]}
-        rows.append(row)
+        rows.append({"axis": axis, "value": value, "dev_accuracy": report["dev_accuracy"],
+                     "best_epoch": report["best_epoch"]})
         print(f"{axis}={value}: dev_accuracy {report['dev_accuracy']:.4f}")
-    sweep_path = out / "sweep.jsonl"
+    sweep_path = _out_dir(config.out_dir) / "sweep.jsonl"
     with sweep_path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config.echo(), "axis": args.axis}, sort_keys=True) + "\n")
         for row in rows:

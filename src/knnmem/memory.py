@@ -17,13 +17,14 @@ batch size B and the neighbor counts K_b:
   (B, I*w) feature block; a query without neighbors gets zeros;
 - one ``concat`` builds the feature matrix.
 
-A query's pairs are summed in a canonical order: one ``np.lexsort`` over all
-pairs, by query, then by the I attention columns, and again, by query,
-attention and then every column of the summed rows, only when some query
-has two pairs that tie on every attention column; pairs that tie on every
-key contribute identical terms. So the features are exactly invariant to
-the order in which neighbors are listed; padding adds exact zeros after a
-query's own terms, so they do not depend on what else is in the batch.
+A query's pairs are summed in one canonical order, shared by both sums: one
+``np.lexsort`` over all pairs, by query, then by the I attention columns,
+and again with every column of the neighbor's embedding as further keys,
+only when some query has two pairs that tie on every attention column.
+Tied pairs add identical terms, or, to the label sum, the same attention in
+different columns. So the features are exactly invariant to the order in
+which neighbors are listed; padding adds exact zeros after a query's own
+terms, so they do not depend on what else is in the batch.
 ``match_multi_perspective`` runs one pair through the same code.
 """
 
@@ -143,22 +144,21 @@ def _canonical_slots(pair_query: np.ndarray, n_queries: int, attention: np.ndarr
     return slots
 
 
-def _attentive_sum(attention: Tensor, pair_query: np.ndarray, n_queries: int,
-                   table: Tensor, table_rows: np.ndarray) -> Tensor:
+def _attentive_sum(attention: Tensor, slots: np.ndarray, table: Tensor,
+                   table_rows: np.ndarray) -> Tensor:
     """Per query b and perspective i, the sum over b's pairs p of
     ``attention[p, i] * table[table_rows[p]]``: (n_queries, I*w) from (P, I)
-    pair attention, pair p belonging to query ``pair_query[p]``.
+    pair attention; row b of ``slots`` (``_canonical_slots``) lists b's pairs.
 
     The pad index P reads an appended zero row of attention (and any row of
     ``table``), so padding adds exact zeros after a query's own terms and its
     sums do not depend on what it is batched with.
     """
     n_pairs, perspectives = attention.shape
+    n_queries, k_max = slots.shape
     width = table.shape[1]
     if n_pairs == 0:
         return Tensor(np.zeros((n_queries, perspectives * width)))
-    slots = _canonical_slots(pair_query, n_queries, attention.data, table.data[table_rows])
-    k_max = slots.shape[1]
     padded = ad.concat([attention, Tensor(np.zeros((1, perspectives)))], axis=0)
     att = ad.reshape(ad.rows(padded, slots.reshape(-1)), (n_queries, k_max, perspectives, 1))
     values = ad.rows(table, np.append(table_rows, table_rows[0])[slots.reshape(-1)])
@@ -315,10 +315,10 @@ class KnnTextModel:
 
     ``bank`` serves the neighbour rows at inference; set it to ``None`` to
     encode each batch's neighbours with it instead, as a process that serves
-    one request set should (a bank pays off only when requests repeat). The
-    parameter arrays of a restored model, and the encoder arrays of a banked
-    one, are read-only: update them by rebinding ``.data``, as ``Adam.step``
-    does, never in place.
+    one request set should (a bank pays off only when requests repeat), and as
+    ``trainer.train`` does. The parameter arrays of a restored model, and the
+    encoder arrays of a banked one, are read-only: update them by rebinding
+    ``.data``, as ``Adam.step`` does, never in place.
     """
 
     def __init__(self, config: ModelConfig, encoder: TextEncoder,
@@ -327,7 +327,6 @@ class KnnTextModel:
         self.encoder = encoder
         self.matching = matching
         self.classifier = classifier
-        self.training = False  # set by ``trainer.train`` while it runs
         self.bank: MemoryBank | None = MemoryBank()
 
     @classmethod
@@ -360,9 +359,9 @@ class KnnTextModel:
         """Encode the inputs, apply the memory head, and return the mean
         cross-entropy, per-example predictions and the pairs' attention.
 
-        Under a ``Tape``, while ``training``, or without a ``bank``, the
-        neighbors are encoded with the inputs (deduplicated), and gradients
-        flow through both encodings unless the model was configured with
+        Under a ``Tape`` or without a ``bank``, the neighbors are encoded
+        with the inputs (deduplicated), and gradients flow through both
+        encodings unless the model was configured with
         ``stop_grad_neighbors``. Otherwise only the inputs are encoded, and
         the neighbor rows come from ``bank``.
         """
@@ -371,7 +370,7 @@ class KnnTextModel:
         cfg = self.config
         features = cfg.features
         neighbor_docs = neighbor_docs or {}
-        banked = self.bank is not None and not (self.training or ad.recording())
+        banked = self.bank is not None and not ad.recording()
 
         slots: dict[object, int] = {}
         seqs: list[Sequence[str]] = []
@@ -424,15 +423,16 @@ class KnnTextModel:
                 H_nbr = H.detach() if cfg.stop_grad_neighbors else H
             query = np.repeat(np.arange(len(docs)), counts)
             att = _match_pairs(ad.rows(h, query), ad.rows(H_nbr, nbr_slots), self.matching)
+            order = _canonical_slots(query, len(docs), att.data, H_nbr.data[nbr_slots])
             attn_label = attn_text = None
             if features.use_attn_label:
                 c = cfg.effective_neighbor_classes
                 labels = np.array([nbr.label for nbr in nbrs], dtype=np.int64)
                 if labels.size and (labels.min() < 0 or labels.max() >= c):
                     raise ModelError(f"neighbor label out of range for c={c}")
-                attn_label = _attentive_sum(att, query, len(docs), Tensor(np.eye(c)), labels)
+                attn_label = _attentive_sum(att, order, Tensor(np.eye(c)), labels)
             if features.use_attn_text:
-                attn_text = _attentive_sum(att, query, len(docs), H_nbr, nbr_slots)
+                attn_text = _attentive_sum(att, order, H_nbr, nbr_slots)
             feat_mat = assemble_features(h, attn_label, attn_text, features)
             attention = att.data
 

@@ -54,7 +54,7 @@ class TrainingError(ValueError):
 
 
 class NumericFailure(TrainingError):
-    """Training aborted on a non-finite loss."""
+    """Training aborted on a non-finite value, at the epoch and batch named."""
 
 
 class CheckpointError(ValueError):
@@ -250,11 +250,11 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
     """Rebuild the trained model. Without ``vocab`` the vocabulary is the one
     stored in the manifest; either way it must match the stored hashes. A
     manifest that lacks a field (the stored word and char lists included) or
-    holds one of the wrong type raises ``CheckpointError``. A checkpoint
-    tensor of the active float width becomes the parameter array itself,
-    without a copy, so the parameter arrays are read-only: an in-place write
-    (or ``grad_check``) raises until ``.data`` is rebound, as ``Adam.step``
-    does."""
+    holds one of the wrong type, or a NaN or inf tensor, raises
+    ``CheckpointError``. A checkpoint tensor of the active float width
+    becomes the parameter array itself, without a copy, so the parameter
+    arrays are read-only: an in-place write (or ``grad_check``) raises until
+    ``.data`` is rebound, as ``Adam.step`` does."""
     manifest = checkpoint.manifest
     try:
         vc, mc = manifest["vocab"], manifest["model"]
@@ -313,6 +313,8 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
             raise CheckpointError(
                 f"shape mismatch for {name}: manifest {spec['shape']} vs model {params[name].data.shape}"
             )
+        if not np.isfinite(checkpoint.tensors[name]).all():
+            raise CheckpointError(f"checkpoint tensor {name} holds a non-finite value")
         if params[name] is not word_table.tensor:  # word_emb holds its array already
             params[name].data = checkpoint.tensors[name].astype(ad.get_default_dtype(), copy=False)
         params[name].requires_grad = not spec["frozen"]
@@ -395,10 +397,11 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
 
     The global gradient norm is measured before clipping on every step, also
     when ``clip_norm`` is 0 and nothing is clipped; each epoch records its
-    mean, its max and the share of steps that were clipped. ``model.training``
-    is set while it runs, so the dev evaluation encodes each batch's
+    mean, its max and the share of steps that were clipped. ``model.bank`` is
+    ``None`` while it runs, so the dev evaluation encodes each batch's
     neighbors with it, as the training steps do, and builds no memory bank
-    for weights that change every epoch."""
+    for weights that change every epoch. A non-finite value raises
+    ``NumericFailure``, naming the epoch and the batch or dev evaluation."""
     if not train_docs:
         raise TrainingError("empty training corpus")
     params = model.named_params()
@@ -414,33 +417,31 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
     history: list[EpochStats] = []
     best: Checkpoint | None = None
     best_report: EvalReport | None = None
+    if metrics_path:
+        Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)
     metrics_fh = Path(metrics_path).open("w", encoding="utf-8") if metrics_path else None
-    model.training = True
+    bank, model.bank = model.bank, None
     try:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(train_docs))
-            loss_sum, seen = 0.0, 0
+            loss_sum = 0.0
             grad_norms: list[float] = []
             for batch_index, start in enumerate(range(0, len(train_docs), config.batch_size)):
+                where = f"epoch {epoch}, batch {batch_index}"
                 batch = [train_docs[i] for i in order[start:start + config.batch_size]]
                 zero_grads(params.values())
                 with Tape() as tape:
                     result = model.forward_batch(batch, neighbors, neighbor_docs)
-                loss_val = float(result.loss.data)
-                if not math.isfinite(loss_val):
-                    raise NumericFailure(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                    )
                 tape.backward(result.loss)
                 grad_norms.append(clip_global_norm(trainable, config.clip_norm))
                 optimizer.step()
-                loss_sum += loss_val * len(batch)
-                seen += len(batch)
+                loss_sum += float(result.loss.data) * len(batch)
+            where = f"epoch {epoch}, dev evaluation"
             dev_report = evaluate(model, dev_docs, neighbors, neighbor_docs,
                                   batch_size=config.eval_batch_size)
             clipped = sum(n > config.clip_norm for n in grad_norms) if config.clip_norm > 0 else 0
             stats = EpochStats(
-                epoch=epoch, train_loss=loss_sum / seen, dev_accuracy=dev_report.accuracy,
+                epoch=epoch, train_loss=loss_sum / len(train_docs), dev_accuracy=dev_report.accuracy,
                 grad_norm_mean=math.fsum(grad_norms) / len(grad_norms),
                 grad_norm_max=max(grad_norms), clip_rate=clipped / len(grad_norms),
             )
@@ -460,8 +461,10 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
                     "config": config_echo or {},
                 }
             }, sort_keys=True) + "\n")
+    except ad.NonFiniteError as exc:
+        raise NumericFailure(f"non-finite value at {where}: {exc}") from None
     finally:
-        model.training = False
+        model.bank = bank
         if metrics_fh:
             metrics_fh.close()
     return TrainResult(checkpoint=best, history=history, dev_report=best_report)
@@ -476,10 +479,6 @@ class PipelineResult:
     index: InvertedIndex | None
     neighbors: dict[int, NeighborSet] | None
     neighbor_docs: dict[int, Document] | None
-
-    @property
-    def best_dev_accuracy(self) -> float:
-        return self.train_result.best_dev_accuracy
 
 
 def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
@@ -505,8 +504,12 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
     in-batch ones to about one unit in the last place of the float width
     (at most 1.0e-17 in float64 and 5.6e-9 in float32 on a 300-document
     topical corpus at paper dimensions), so its report can differ only where
-    a prediction is that close to a tie.
+    a prediction is that close to a tie. An empty split is refused first.
     """
+    if not train_docs:
+        raise TrainingError("empty training corpus: the dev split or subsample left no document")
+    if not dev_docs:
+        raise TrainingError("empty dev corpus: best-on-dev selection needs a document")
     features = preset(config.preset)
     vocab = build_vocab(train_docs, min_count=config.min_count)
     word_table = None

@@ -10,6 +10,7 @@ import knnmem.autodiff as ad
 from knnmem.autodiff import (
     Adam,
     AutodiffError,
+    NonFiniteError,
     Tape,
     Tensor,
     add,
@@ -296,9 +297,36 @@ class TestErrors:
             concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
 
     def test_non_finite_forward_is_error(self):
+        # Each of the three checked ops refuses a NaN or an inf, also where
+        # its output alone would hide it: an inf in the first (input gate)
+        # column of the LSTM projection saturates to a finite state, a NaN
+        # perspective weight gives a NaN norm (never masked as a zero one),
+        # and a -inf logit off the target leaves the loss finite.
+        rng = np.random.default_rng(47)
+        for bad in (np.nan, np.inf, -np.inf):
+            proj, index, Wh, _, lengths = lstm_inputs(rng)
+            proj.data[index[0, 0], 0] = bad
+            with pytest.raises(NonFiniteError,
+                               match=r"lstm_sequence: non-finite proj or Wh.*x @ Wx \+ b"):
+                lstm_sequence(proj, index, Wh, lengths)
+            proj, index, Wh, _, lengths = lstm_inputs(rng)
+            Wh.data[1, 2] = bad
+            with pytest.raises(NonFiniteError, match="lstm_sequence: non-finite proj or Wh"):
+                lstm_sequence(proj, index, Wh, lengths)
+            w = rand(rng, 2, 4)
+            w.data[1, 2] = bad
+            with np.errstate(invalid="ignore"), \
+                 pytest.raises(NonFiniteError, match="perspective_cosine.*perspective weights"):
+                perspective_cosine(rand(rng, 3, 4), rand(rng, 3, 4), w)
+            logits = rand(rng, 2, 3)
+            logits.data[1, 0] = bad
+            with pytest.raises(NonFiniteError,
+                               match="softmax_cross_entropy.*classifier matmul and its bias"):
+                softmax_cross_entropy(logits, [0, 1])
+        # Between the three, no op scans its output.
         big = Tensor([1e308])
-        with np.errstate(over="ignore"), pytest.raises(AutodiffError, match="non-finite"):
-            add(big, big)
+        with np.errstate(over="ignore"):
+            assert np.isinf(add(big, big).data[0])
 
     def test_rows_out_of_range(self):
         with pytest.raises(AutodiffError, match="rows"):
@@ -309,15 +337,6 @@ class TestErrors:
             with pytest.raises(AutodiffError, match="active"):
                 with Tape():
                     pass
-
-    def test_finite_checks_toggle(self):
-        ad.set_finite_checks(False)
-        try:
-            with np.errstate(over="ignore"):
-                out = add(Tensor([1e308]), Tensor([1e308]))
-            assert np.isinf(out.data[0])
-        finally:
-            ad.set_finite_checks(True)
 
 
 class TestAdam:

@@ -32,6 +32,11 @@ FAST = ["--epochs", "2", "--lr", "0.01", "--batch-size", "8", "--k", "2",
         "--char-lstm-dim", "4", "--hidden", "4", "--dev-per-class", "3",
         "--classes", "3", "--eval-batch-size", "16"]
 
+# Every parameter tensor of an M7 checkpoint with I > 0.
+PARAMETERS = ["word_emb", "char_emb", "char_lstm.Wx", "char_lstm.Wh", "char_lstm.b",
+              "lstm_fwd.Wx", "lstm_fwd.Wh", "lstm_fwd.b", "lstm_bwd.Wx", "lstm_bwd.Wh",
+              "lstm_bwd.b", "match.W", "clf.W", "clf.b"]
+
 
 def serving(out):
     """The serving arguments of a run: the checkpoint and memory it wrote."""
@@ -231,6 +236,22 @@ class TestTrainEvalPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert match in err and "retrain" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", PARAMETERS)
+    def test_non_finite_checkpoint_tensor_is_data_error(self, trained, tmp_path, capsys,
+                                                        name, bad):
+        ckpt = trainer.read_checkpoint(trained / "model.ckpt")
+        tensors = dict(ckpt.tensors, **{name: ckpt.tensors[name].copy()})
+        tensors[name].flat[-1] = bad
+        path = tmp_path / "bad.ckpt"
+        trainer.save_checkpoint(path, trainer.Checkpoint(ckpt.manifest, tensors))
+        code = run(["predict", "--checkpoint", path, "--memory", trained / "memory.knn",
+                    "--text", "c0w1 c0w2 f3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint tensor {name} holds a non-finite value" in err
+        assert "Traceback" not in err
 
     def test_memory_checkpoint_without_match_w_is_data_error(self, trained, tmp_path, capsys):
         # The shape of a checkpoint of the former plain-cosine mode, which
@@ -649,6 +670,17 @@ class TestConfigHandling:
         assert f"{name} must be finite" in err and "Traceback" not in err
         assert not (out / "memory.knn").exists() and not (out / "model.ckpt").exists()
 
+    def test_non_finite_value_in_training_exits_3(self, data_dir, tmp_path, capsys):
+        # A finite but huge lr sends the weights to about 1e300 in the first
+        # step; the next batch's projection overflows, and the LSTM check stops the run.
+        with np.errstate(over="ignore"):
+            code = run(["train", "--train", data_dir / "train.csv", *FAST, "--lr", "1e300",
+                        "--out-dir", tmp_path / "run"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite value at epoch 1, batch 1: lstm_sequence" in err
+        assert "Traceback" not in err and not (tmp_path / "run" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("flag, value, code, match", [
         ("--eval-batch-size", "0", 1, "eval_batch_size must be >= 1"),
         ("--eval-batch-size", "-4", 1, "eval_batch_size must be >= 1"),
@@ -662,6 +694,25 @@ class TestConfigHandling:
         out = tmp_path / "run"
         assert run(["train", "--train", data_dir / "train.csv", *FAST, flag, value,
                     "--out-dir", out]) == code
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--dev-per-class", "0"], "empty dev corpus"),
+        (["--dev-per-class", "12"], "empty training corpus"),
+        (["--setup", "low_resource", "--low-resource-fraction", "0.05"], "empty training corpus"),
+    ], ids=["no-dev", "all-dev", "low-resource-empty"])
+    def test_empty_split_is_refused_before_any_work(self, data_dir, tmp_path, capsys, flags,
+                                                    match, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "build_index", no_training)
+        monkeypatch.setattr(trainer, "train", no_training)
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, *flags,
+                    "--out-dir", out]) == 1
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
         assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import knnmem.autodiff as ad
+import knnmem.memory
 from knnmem.autodiff import Adam, Tape, Tensor, grad_check
 from knnmem.corpus import Document, build_vocab
 from knnmem.datagen import TopicalSpec, make_topical_corpus
@@ -18,6 +19,7 @@ from knnmem.memory import (
     ModelConfig,
     ModelError,
     _attentive_sum,
+    _canonical_slots,
     assemble_features,
     feature_width,
     match_multi_perspective,
@@ -61,18 +63,22 @@ def toy_world(seed=0, n_classes=3):
     return docs, vocab, lookup, neighbors
 
 
+def one_query_sum(s, table, table_rows):
+    """One query's attentive sum of ``table`` rows from its (K, I) attention,
+    its pairs in the canonical order with their summed rows as tie keys."""
+    rows = np.asarray(table_rows, dtype=np.int64)
+    slots = _canonical_slots(np.zeros(rows.size, dtype=np.int64), 1, s, table[rows])
+    return _attentive_sum(Tensor(s), slots, Tensor(table), rows).data[0]
+
+
 def label_sum(s, labels, c):
     """One query's attentive label feature from its (K, I) attention."""
-    k = len(labels)
-    return _attentive_sum(Tensor(s), np.zeros(k, dtype=np.int64), 1, Tensor(np.eye(c)),
-                          np.asarray(labels, dtype=np.int64)).data[0]
+    return one_query_sum(s, np.eye(c), labels)
 
 
 def text_sum(s, emb):
     """One query's attentive text feature from its (K, I) attention."""
-    k = len(emb)
-    return _attentive_sum(Tensor(s), np.zeros(k, dtype=np.int64), 1, Tensor(emb),
-                          np.arange(k)).data[0]
+    return one_query_sum(s, np.asarray(emb), np.arange(len(emb)))
 
 
 def m1_with_classifier(W, b):
@@ -507,6 +513,15 @@ class TestBatchedHead:
                 shuffled[doc_id] = NeighborSet(doc_id, tuple(pairs))
             assert np.array_equal(model.forward_batch(docs, shuffled, lookup).logits, base.logits)
 
+    def test_one_canonical_order_per_forward(self, monkeypatch):
+        model, docs, lookup, neighbors = self.build()
+        calls = []
+        order = knnmem.memory._canonical_slots
+        monkeypatch.setattr(knnmem.memory, "_canonical_slots",
+                            lambda *args: calls.append(args) or order(*args))
+        model.forward_batch(docs, neighbors, lookup)
+        assert len(calls) == 1
+
     def test_query_alone_equals_query_in_batch(self):
         model, docs, lookup, neighbors = self.build()
         batched = model.forward_batch(docs, neighbors, lookup).logits
@@ -536,6 +551,31 @@ class TestBatchedHead:
                     model.forward_batch(docs[:size], neighbors, lookup)
                 lengths.add(len(tape))
         assert len(lengths) == 1, lengths
+
+
+class TestNonFiniteParameters:
+    PARAMETERS = ["word_emb", "char_emb", "char_lstm.Wx", "char_lstm.Wh", "char_lstm.b",
+                  "lstm_fwd.Wx", "lstm_fwd.Wh", "lstm_fwd.b", "lstm_bwd.Wx", "lstm_bwd.Wh",
+                  "lstm_bwd.b", "match.W", "clf.W", "clf.b"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", PARAMETERS)
+    def test_batch1_forward_raises(self, name, bad):
+        # A NaN or inf at an entry the forward reads reaches one of the three
+        # checked ops: a NaN perspective weight is not masked as a zero norm.
+        docs, vocab, lookup, neighbors = toy_world()
+        config = ModelConfig(encoder=TINY, preset="M7", perspectives=2, n_classes=3)
+        model = KnnTextModel.create(config, vocab, seed=0)
+        query = docs[0]
+        word = query.tokens[0]
+        entry = {"word_emb": (vocab.word_id(word), 1),
+                 "char_emb": (vocab.char_to_id[word[0]], 1)}.get(name, (0, 2))
+        param = model.named_params()[name]
+        data = param.data.copy()
+        data[entry] = bad
+        param.data = data
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ad.NonFiniteError):
+            model.forward_batch([query], neighbors, lookup)
 
 
 class TestMemoryBank:
@@ -597,9 +637,9 @@ class TestMemoryBank:
         banked = model.forward_batch(queries, neighbors, lookup)
         with Tape():
             taped = model.forward_batch(queries, neighbors, lookup)
-        model.training = True
+        bank, model.bank = model.bank, None
         in_batch = model.forward_batch(queries, neighbors, lookup)
-        model.training = False
+        model.bank = bank
         assert model.bank.table.size
         for ref in (taped, in_batch):
             assert np.array_equal(banked.predictions, ref.predictions)

@@ -113,37 +113,68 @@ class TestTrainLoop:
         model = KnnTextModel.create(
             ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c), vocab, seed=0)
         model.classifier.b.data[:] = np.inf
-        ad.set_finite_checks(False)
-        try:
-            with pytest.raises((TrainingError, FloatingPointError), match="epoch 1"), \
-                 np.errstate(all="ignore"):
-                train(model, train_docs, dev_docs, None, None,
-                      quick_config(preset="M1"), vocab)
-        finally:
-            ad.set_finite_checks(True)
+        with pytest.raises(NumericFailure, match="epoch 1, batch 0: softmax_cross_entropy"):
+            train(model, train_docs, dev_docs, None, None, quick_config(preset="M1"), vocab)
+
+    def test_non_finite_dev_evaluation_names_it(self, world):
+        # A value that turns non-finite in the last step of an epoch surfaces
+        # in the dev evaluation that follows it.
+        train_docs, dev_docs, labels = world
+        vocab = build_vocab(train_docs)
+        model = KnnTextModel.create(
+            ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c), vocab, seed=0)
+        forward = model.forward_batch
+
+        def poisoned(*args, **kwargs):
+            if not ad.recording():
+                model.classifier.b.data = np.full_like(model.classifier.b.data, np.nan)
+            return forward(*args, **kwargs)
+
+        model.forward_batch = poisoned
+        with pytest.raises(NumericFailure, match="epoch 1, dev evaluation: softmax_cross_entropy"):
+            train(model, train_docs, dev_docs, None, None, quick_config(preset="M1"), vocab)
+
+    def test_shape_error_is_not_relabelled(self, world):
+        train_docs, dev_docs, labels = world
+        vocab = build_vocab(train_docs)
+        model = KnnTextModel.create(
+            ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c), vocab, seed=0)
+        model.classifier.b.data = np.zeros((1, labels.c + 1))
+        with pytest.raises(ad.AutodiffError, match="add: incompatible shapes") as excinfo:
+            train(model, train_docs, dev_docs, None, None, quick_config(preset="M1"), vocab)
+        assert not isinstance(excinfo.value, ad.NonFiniteError)
 
     def test_training_flag_cleared_when_train_raises(self, world):
+        # ``train`` serves its steps and dev evaluation without the model's
+        # bank, and gives the bank back however it ends.
         train_docs, dev_docs, labels = world
         vocab = build_vocab(train_docs)
         model = KnnTextModel.create(
             ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c), vocab, seed=0)
         model.classifier.b.data[:] = np.inf
+        bank = model.bank
         seen = []
         forward = model.forward_batch
 
         def spy(*args, **kwargs):
-            seen.append(model.training)
+            seen.append(model.bank)
             return forward(*args, **kwargs)
 
         model.forward_batch = spy
-        ad.set_finite_checks(False)
-        try:
-            with pytest.raises(NumericFailure), np.errstate(all="ignore"):
-                train(model, train_docs, dev_docs, None, None, quick_config(preset="M1"), vocab)
-        finally:
-            ad.set_finite_checks(True)
-        assert seen == [True]
-        assert model.training is False
+        with pytest.raises(NumericFailure):
+            train(model, train_docs, dev_docs, None, None, quick_config(preset="M1"), vocab)
+        assert seen == [None]
+        assert model.bank is bank
+
+    def test_empty_split_is_refused(self, world, tmp_path):
+        train_docs, dev_docs, labels = world
+        metrics = tmp_path / "run" / "metrics.jsonl"
+        for train_part, dev_part, match in ((train_docs, [], "empty dev corpus"),
+                                            ([], dev_docs, "empty training corpus")):
+            with pytest.raises(TrainingError, match=match):
+                run_pipeline(train_part, dev_part, labels, quick_config(), TINY,
+                             metrics_path=metrics)
+        assert not metrics.parent.exists()
 
     def test_train_builds_no_memory_bank(self, world):
         train_docs, dev_docs, labels = world
