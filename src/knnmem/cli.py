@@ -41,7 +41,7 @@ from .corpus import (
     utf8_lines,
 )
 from .encoder import EncoderError
-from .memory import ModelError
+from .memory import PRESETS, ModelError
 from .retrieval import Memory, RetrievalError, load_memory, save_memory, search_knn
 from .trainer import (
     CheckpointError,
@@ -313,10 +313,9 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     train_docs, dev_docs, labels = _load_train_dev(config)
     base, encoder_config = config.train_config(), config.encoder_config()
     axis = args.axis
-    presets = ("M1", "M2", "M3", "M4", "M5", "M6", "M7")
     rows = []
     field = {"K": "k_neighbors", "I": "perspectives", "preset": "preset"}[axis]
-    for value in presets if axis == "preset" else range(args.axis_max + 1):
+    for value in tuple(PRESETS) if axis == "preset" else range(args.axis_max + 1):
         train_config = dataclasses.replace(base, **{field: value})
         report = run_setup("full", train_docs, dev_docs, labels, train_config,
                            encoder_config, embeddings=config.embeddings,
@@ -334,6 +333,9 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+# The fused ops' finite checks report a NaN or inf as an error line and exit 3;
+# numpy's floating-point warnings would only print source lines before it.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     # Commands set the process-wide float width; an in-process caller gets its own back.

@@ -23,11 +23,13 @@ paper dimensions (OpenBLAS 0.3.31, Haswell kernels, 1 or 2 threads) every
 sequence of a 300-document topical corpus encoded alone differed from its
 row in the 300-sequence batch, by at most 1.0e-17 in float64 and 5.6e-9 in
 float32 (about one unit in the last place of embeddings up to 0.045), and
-157 of 300 rows differed when the sequences were encoded in pairs. That is why, at
-inference, the neighbour rows come from the model's ``memory.MemoryBank``:
-it encodes the memory corpus in fixed blocks of sorted doc ids, so a
-neighbour's row does not depend on the request it serves. Only the inputs
-are encoded with their batch.
+157 of 300 rows differed when the sequences were encoded in pairs. That is why
+a library caller's inference reads the neighbour rows from the model's
+``memory.MemoryBank``: it encodes the memory corpus in fixed blocks of sorted
+doc ids, so a neighbour's row does not depend on the request it serves.
+Training and the CLI's ``eval`` and ``predict`` run without a bank
+(``model.bank = None``) and encode the neighbours with their batch, as the
+inputs always are.
 """
 
 from __future__ import annotations

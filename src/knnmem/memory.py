@@ -18,11 +18,10 @@ batch size B and the neighbor counts K_b:
 - one ``concat`` builds the feature matrix.
 
 A query's pairs are summed in one canonical order, shared by both sums: one
-``np.lexsort`` over all pairs, by query, then by the I attention columns,
-and again with every column of the neighbor's embedding as further keys,
-only when some query has two pairs that tie on every attention column.
-Tied pairs add identical terms, or, to the label sum, the same attention in
-different columns. So the features are exactly invariant to the order in
+``np.lexsort`` over all pairs, by query, then by neighbor doc id. Distinct
+ids order the pairs whatever order they are listed in, and two pairs with
+one id are one neighbor, which reads one bank row or in-batch slot and so
+adds identical terms. So the features are exactly invariant to the order in
 which neighbors are listed; padding adds exact zeros after a query's own
 terms, so they do not depend on what else is in the batch.
 ``match_multi_perspective`` runs one pair through the same code.
@@ -118,25 +117,16 @@ def match_multi_perspective(h: Tensor, h_nbr: Tensor, params: MatchingParams) ->
     return ad.reshape(sims, (sims.size,))
 
 
-def _canonical_slots(pair_query: np.ndarray, n_queries: int, attention: np.ndarray,
-                     tie_keys: np.ndarray) -> np.ndarray:
+def _canonical_slots(pair_query: np.ndarray, n_queries: int,
+                     pair_ids: np.ndarray) -> np.ndarray:
     """(n_queries, K_max) pair indices in canonical order, padded with P.
 
-    Row b lists query b's pairs sorted by their (P, I) ``attention`` rows,
-    lexicographically (one ``np.lexsort`` over all pairs, the query as
-    primary key). Only if two pairs of one query tie on every attention
-    column are the columns of ``tie_keys`` added as further keys, so that
-    the sequence is the same for any permutation of a query's neighbors.
+    Row b lists query b's pairs by ascending neighbor doc id ``pair_ids``
+    (one ``np.lexsort`` over all pairs, the query as primary key), so the
+    sequence is the same for any permutation of a query's neighbors.
     """
-    keys = [attention[:, col] for col in reversed(range(attention.shape[1]))]
-    keys.append(pair_query)
-    order = np.lexsort(tuple(keys))
+    order = np.lexsort((pair_ids, pair_query))
     query = pair_query[order]
-    ranked = attention[order]
-    if np.any((query[1:] == query[:-1]) & np.all(ranked[1:] == ranked[:-1], axis=1)):
-        extra = [tie_keys[:, col] for col in reversed(range(tie_keys.shape[1]))]
-        order = np.lexsort(tuple(extra + keys))
-        query = pair_query[order]
     n_pairs = pair_query.size
     counts = np.bincount(pair_query, minlength=n_queries)
     slots = np.full((n_queries, int(counts.max())), n_pairs, dtype=np.int64)
@@ -423,7 +413,7 @@ class KnnTextModel:
                 H_nbr = H.detach() if cfg.stop_grad_neighbors else H
             query = np.repeat(np.arange(len(docs)), counts)
             att = _match_pairs(ad.rows(h, query), ad.rows(H_nbr, nbr_slots), self.matching)
-            order = _canonical_slots(query, len(docs), att.data, H_nbr.data[nbr_slots])
+            order = _canonical_slots(query, len(docs), np.asarray(pair_ids, dtype=np.int64))
             attn_label = attn_text = None
             if features.use_attn_label:
                 c = cfg.effective_neighbor_classes

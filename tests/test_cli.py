@@ -673,12 +673,12 @@ class TestConfigHandling:
     def test_non_finite_value_in_training_exits_3(self, data_dir, tmp_path, capsys):
         # A finite but huge lr sends the weights to about 1e300 in the first
         # step; the next batch's projection overflows, and the LSTM check stops the run.
-        with np.errstate(over="ignore"):
-            code = run(["train", "--train", data_dir / "train.csv", *FAST, "--lr", "1e300",
-                        "--out-dir", tmp_path / "run"])
+        code = run(["train", "--train", data_dir / "train.csv", *FAST, "--lr", "1e300",
+                    "--out-dir", tmp_path / "run"])
         assert code == 3
         err = capsys.readouterr().err
         assert "non-finite value at epoch 1, batch 1: lstm_sequence" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and not (tmp_path / "run" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("flag, value, code, match", [

@@ -63,22 +63,23 @@ def toy_world(seed=0, n_classes=3):
     return docs, vocab, lookup, neighbors
 
 
-def one_query_sum(s, table, table_rows):
+def one_query_sum(s, table, table_rows, ids=None):
     """One query's attentive sum of ``table`` rows from its (K, I) attention,
-    its pairs in the canonical order with their summed rows as tie keys."""
+    its pairs in the canonical order of their neighbor ids (default 0..K-1)."""
     rows = np.asarray(table_rows, dtype=np.int64)
-    slots = _canonical_slots(np.zeros(rows.size, dtype=np.int64), 1, s, table[rows])
+    ids = np.arange(rows.size) if ids is None else np.asarray(ids, dtype=np.int64)
+    slots = _canonical_slots(np.zeros(rows.size, dtype=np.int64), 1, ids)
     return _attentive_sum(Tensor(s), slots, Tensor(table), rows).data[0]
 
 
-def label_sum(s, labels, c):
+def label_sum(s, labels, c, ids=None):
     """One query's attentive label feature from its (K, I) attention."""
-    return one_query_sum(s, np.eye(c), labels)
+    return one_query_sum(s, np.eye(c), labels, ids)
 
 
-def text_sum(s, emb):
+def text_sum(s, emb, ids=None):
     """One query's attentive text feature from its (K, I) attention."""
-    return one_query_sum(s, np.asarray(emb), np.arange(len(emb)))
+    return one_query_sum(s, np.asarray(emb), np.arange(len(emb)), ids)
 
 
 def m1_with_classifier(W, b):
@@ -230,7 +231,7 @@ class TestAttentiveLabel:
         base = label_sum(s, labels, c=3)
         for _ in range(10):
             perm = rng.permutation(5)
-            out = label_sum(s[perm], [labels[i] for i in perm], c=3)
+            out = label_sum(s[perm], [labels[i] for i in perm], c=3, ids=perm)
             assert np.array_equal(out, base)
 
 
@@ -261,7 +262,7 @@ class TestAttentiveText:
         base = text_sum(s, emb)
         for _ in range(10):
             perm = rng.permutation(6)
-            out = text_sum(s[perm], emb[perm])
+            out = text_sum(s[perm], emb[perm], ids=perm)
             assert np.array_equal(out, base)
 
 
@@ -489,7 +490,7 @@ class TestBatchedHead:
     def test_tied_neighbors_give_identical_logits(self, preset_name):
         # Neighbours 1 and 2 have the embeddings e and 2e, and different
         # labels: scaling by 2 is exact, so they tie on every perspective,
-        # and each sum must order them by its rows.
+        # and only their doc ids can order them.
         model, docs, lookup, _ = self.build(perspectives=3, preset_name=preset_name)
         rng = np.random.default_rng(12)
         table = rng.normal(size=(len(docs), TINY.l))
