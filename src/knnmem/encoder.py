@@ -24,12 +24,14 @@ sequence of a 300-document topical corpus encoded alone differed from its
 row in the 300-sequence batch, by at most 1.0e-17 in float64 and 5.6e-9 in
 float32 (about one unit in the last place of embeddings up to 0.045), and
 157 of 300 rows differed when the sequences were encoded in pairs. That is why
-a library caller's inference reads the neighbour rows from the model's
-``memory.MemoryBank``: it encodes the memory corpus in fixed blocks of sorted
-doc ids, so a neighbour's row does not depend on the request it serves.
+a library caller's inference reads from the model's ``memory.MemoryBank``
+the neighbour rows, encoded in fixed blocks of sorted doc ids, and each
+known input word's two projections, computed in fixed blocks of
+``WORD_BLOCK`` word ids (``WordBlocks``): neither depends on the request it
+serves, and a banked encode runs only the two word passes over them.
 Training and the CLI's ``eval`` and ``predict`` run without a bank
-(``model.bank = None``) and encode the neighbours with their batch, as the
-inputs always are.
+(``model.bank = None``): they project every input word and encode the
+neighbours with their batch.
 """
 
 from __future__ import annotations
@@ -287,6 +289,15 @@ class TextEncoder:
         proj = ad.add(ad.matmul(self.params.char_table, p.Wx), p.b)
         return ad.lstm_sequence(proj, ids, p.Wh, lens)
 
+    def _project(self, word_ids: np.ndarray, words: Sequence[str]) -> tuple[Tensor, Tensor]:
+        """The forward and backward word passes' input projections
+        ``[word vector; char composition] @ Wx + b``, one row per word of
+        ``words``, whose vocabulary ids are ``word_ids``."""
+        x = ad.concat([ad.rows(self.params.word.tensor, word_ids), self._char_compose_batch(words)],
+                      axis=1)
+        fwd, bwd = self.params.fwd, self.params.bwd
+        return ad.add(ad.matmul(x, fwd.Wx), fwd.b), ad.add(ad.matmul(x, bwd.Wx), bwd.b)
+
     def encode_batch(self, token_seqs: Sequence[Sequence[str]]) -> Tensor:
         """Encode a batch of token sequences into a (batch, 2*hidden) tensor."""
         cfg = self.config
@@ -295,22 +306,69 @@ class TextEncoder:
             raise EncoderError("empty batch")
         if any(len(s) == 0 for s in seqs):
             raise EncoderError("empty token sequence")
-        uniq: dict[str, int] = {}
         batch = len(seqs)
         lens = np.array([len(s) for s in seqs], dtype=np.int64)
         max_len = int(lens.max())
+        uniq: dict[str, int] = {}
         occ_ids = np.zeros((batch, max_len), dtype=np.int64)
-        for row, seq in enumerate(seqs):
-            occ_ids[row, : len(seq)] = [uniq.setdefault(tok, len(uniq)) for tok in seq]
-        word_ids = [self.vocab.word_id(tok) for tok in uniq]
-        x = ad.concat(
-            [ad.rows(self.params.word.tensor, word_ids), self._char_compose_batch(list(uniq))],
-            axis=1,
-        )
+        occ_ids[np.arange(max_len) < lens[:, None]] = [
+            uniq.setdefault(tok, len(uniq)) for seq in seqs for tok in seq]
+        words = list(uniq)
+        proj_f, proj_b = self._project(
+            np.array([self.vocab.word_id(w) for w in words], dtype=np.int64), words)
         steps = np.arange(max_len)[:, None]
-        fwd_index = occ_ids.T
         bwd_index = occ_ids[np.arange(batch), np.maximum(lens - 1 - steps, 0)]
-        fwd, bwd = self.params.fwd, self.params.bwd
-        h_f = ad.lstm_sequence(ad.add(ad.matmul(x, fwd.Wx), fwd.b), fwd_index, fwd.Wh, lens)
-        h_b = ad.lstm_sequence(ad.add(ad.matmul(x, bwd.Wx), bwd.b), bwd_index, bwd.Wh, lens)
+        h_f = ad.lstm_sequence(proj_f, occ_ids.T, self.params.fwd.Wh, lens)
+        h_b = ad.lstm_sequence(proj_b, bwd_index, self.params.bwd.Wh, lens)
         return ad.concat([h_f, h_b], axis=1)
+
+
+WORD_BLOCK = 16
+
+
+class WordBlocks(TextEncoder):
+    """``encoder`` with each known word's input projections read from fixed
+    blocks of ``WORD_BLOCK`` word ids, each projected by one
+    ``TextEncoder._project`` call the first time one of its words is asked
+    for: a row's bytes depend only on the weights and its block, and storage
+    grows by one block of rows per block touched. OOV words are projected
+    with their batch. ``memory.MemoryBank`` makes a new one whenever the
+    weights change.
+    """
+
+    def __init__(self, encoder: TextEncoder):
+        super().__init__(encoder.config, encoder.vocab, encoder.params)
+        self._words = [""] + sorted(self.vocab.word_to_id, key=self.vocab.word_to_id.get)
+        self._slot = np.full(-(-len(self._words) // WORD_BLOCK), -1, dtype=np.int64)
+        self._rows = (np.zeros((0, 4 * self.config.hidden), dtype=ad.get_default_dtype()),) * 2
+
+    def _fill(self, blocks: np.ndarray) -> None:
+        """Project each of ``blocks`` not yet held into a new slot of rows."""
+        new = blocks[self._slot[blocks] < 0]
+        if not new.size:
+            return
+        slots = self._rows[0].shape[0] // WORD_BLOCK + np.arange(new.size)
+        grown = [np.concatenate([t, np.zeros((WORD_BLOCK * new.size, t.shape[1]), t.dtype)])
+                 for t in self._rows]
+        for slot, block in zip(slots.tolist(), new.tolist()):
+            lo = block * WORD_BLOCK
+            ids = np.arange(max(lo, 1), min(lo + WORD_BLOCK, len(self._words)))
+            for table, proj in zip(grown, super()._project(ids, [self._words[i] for i in ids])):
+                table[slot * WORD_BLOCK + ids - lo] = proj.data
+        self._rows = tuple(grown)
+        self._slot[new] = slots
+
+    def _project(self, word_ids: np.ndarray, words: Sequence[str]) -> tuple[Tensor, Tensor]:
+        known = word_ids != Vocabulary.OOV_ID
+        if not known.any():
+            return super()._project(word_ids, words)
+        blocks = word_ids // WORD_BLOCK
+        self._fill(np.unique(blocks[known]))
+        rows = np.where(known, self._slot[blocks] * WORD_BLOCK + word_ids % WORD_BLOCK, 0)
+        # Whole-row gathers: each direction's rows stay C-contiguous.
+        proj = [table[rows] for table in self._rows]
+        oov = np.flatnonzero(~known)
+        if oov.size:
+            for out, fresh in zip(proj, super()._project(word_ids[oov], [words[i] for i in oov])):
+                out[oov] = fresh.data
+        return Tensor(proj[0]), Tensor(proj[1])

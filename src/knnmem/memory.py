@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document
-from .encoder import EncoderConfig, EmbeddingTable, TextEncoder, param_rng
+from .encoder import EncoderConfig, EmbeddingTable, TextEncoder, WordBlocks, param_rng
 from .retrieval import NeighborSet
 
 class ModelError(ValueError):
@@ -207,56 +207,58 @@ BANK_BLOCK = 64
 
 
 class MemoryBank:
-    """Inference-time embeddings of a memory corpus, in the style of a kNN-LM
-    datastore: encoded once per set of encoder weights, not once per request.
-
-    Row r holds the embedding of the r-th smallest doc id. The rows are
-    encoded one fixed block of ``BANK_BLOCK`` rows at a time, the first time
-    one of them is asked for, so a row's bytes depend only on the weights
-    and its block, never on which request filled it.
+    """Inference-time rows that depend only on the encoder weights, in the
+    style of a kNN-LM datastore: computed once per set of weights, not once
+    per request. ``table`` row r holds the embedding of the r-th smallest doc
+    id, encoded one fixed block of ``BANK_BLOCK`` rows at a time; ``words``
+    (``encoder.WordBlocks``) serves each known input word's projections from
+    fixed blocks of ``encoder.WORD_BLOCK`` word ids. A block is filled the
+    first time one of its rows is asked for, so a row's bytes depend only on
+    the weights and its block, never on which request filled it.
 
     The bank holds only while every encoder parameter's ``.data`` is the
     array it was built from and every document of a block is the object it
     encoded. Building marks those arrays read-only, so an in-place write
     raises instead of leaving the bank stale; rebinding ``.data`` (as
-    ``Adam.step`` and ``model_from_checkpoint`` do), other doc ids, another
-    float width or another encoder rebuilds it, and a block whose documents
-    were replaced is encoded again.
+    ``Adam.step`` and ``model_from_checkpoint`` do), another float width or
+    another encoder rebuilds both tables, other doc ids reset the doc rows,
+    and a block whose documents were replaced is encoded again.
     """
 
     def __init__(self):
         self._encoder: TextEncoder | None = None
         self._arrays: list[np.ndarray] = []
-        self._row_of: dict[int, int] = {}
-        self._ids: list[int] = []
-        self._docs: list[Document | None] = []
-        self.table = np.zeros((0, 0))
-
-    def _holds(self, encoder: TextEncoder, arrays: list[np.ndarray],
-               neighbor_docs: Mapping[int, Document]) -> bool:
-        return (encoder is self._encoder and len(arrays) == len(self._arrays)
-                and all(a is b for a, b in zip(arrays, self._arrays))
-                and self.table.dtype == ad.get_default_dtype()
-                and self._row_of.keys() == neighbor_docs.keys())
+        self.table = np.zeros((0, 0))  # the first `rows` call sets the doc-row state
+        self.words: WordBlocks | None = None
 
     def rows(self, encoder: TextEncoder, ids: Sequence[int],
              neighbor_docs: Mapping[int, Document]) -> tuple[np.ndarray, np.ndarray]:
         """The ``(len(neighbor_docs), l)`` table and the row of each of
         ``ids``, after encoding every block those rows need that does not
-        hold its current documents."""
+        hold its current documents. This is the bank's check of its state,
+        for ``table`` and ``words`` alike."""
         arrays = [p.data for p in encoder.named_params().values()]
-        if not self._holds(encoder, arrays, neighbor_docs):
+        if not (encoder is self._encoder and len(arrays) == len(self._arrays)
+                and all(map(operator.is_, arrays, self._arrays))
+                and self.table.dtype == ad.get_default_dtype()):
             for a in arrays:
                 a.flags.writeable = False
-            self._encoder, self._arrays = encoder, arrays
-            self._ids = sorted(neighbor_docs)
-            self._row_of = {doc_id: row for row, doc_id in enumerate(self._ids)}
-            self._docs = [None] * len(self._ids)
-            self.table = np.empty((len(self._ids), encoder.config.l), dtype=ad.get_default_dtype())
-        rows = np.array([self._row_of[doc_id] for doc_id in ids], dtype=np.int64)
-        for start in np.unique(rows // BANK_BLOCK) * BANK_BLOCK:
-            stop = min(start + BANK_BLOCK, len(self._ids))
-            docs = [neighbor_docs[doc_id] for doc_id in self._ids[start:stop]]
+            self._encoder, self._arrays, self._keys = encoder, arrays, None
+            self.words = WordBlocks(encoder)
+        if neighbor_docs.keys() != self._keys:
+            self._keys = set(neighbor_docs)
+            # The mapping's own key objects: a dict lookup then hits by identity.
+            self._sorted = sorted(self._keys)
+            self._ids = np.array(self._sorted, dtype=np.int64)
+            self._docs: list[Document | None] = [None] * self._ids.size
+            self.table = np.empty((self._ids.size, encoder.config.l), dtype=ad.get_default_dtype())
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self._ids, ids)
+        if not (np.all(rows < self._ids.size) and np.array_equal(self._ids[rows], ids)):
+            raise ModelError("a requested doc id is missing from neighbor_docs")
+        for start in (np.unique(rows // BANK_BLOCK) * BANK_BLOCK).tolist():
+            stop = min(start + BANK_BLOCK, self._ids.size)
+            docs = [neighbor_docs[doc_id] for doc_id in self._sorted[start:stop]]
             if not all(map(operator.is_, docs, self._docs[start:stop])):
                 self.table[start:stop] = encoder.encode_batch([d.tokens for d in docs]).data
                 self._docs[start:stop] = docs
@@ -303,9 +305,10 @@ class ModelConfig:
 class KnnTextModel:
     """Full model: shared text encoder, kNN memory head, softmax classifier.
 
-    ``bank`` serves the neighbour rows at inference; set it to ``None`` to
-    encode each batch's neighbours with it instead, as a process that serves
-    one request set should (a bank pays off only when requests repeat), and as
+    ``bank`` serves the neighbour rows and the input words' projections at
+    inference; set it to ``None`` to encode each batch's neighbours and
+    project its words with it instead, as a process that serves one request
+    set should (a bank pays off only when requests repeat), and as
     ``trainer.train`` does. The parameter arrays of a restored model, and the
     encoder arrays of a banked one, are read-only: update them by rebinding
     ``.data``, as ``Adam.step`` does, never in place.
@@ -352,8 +355,8 @@ class KnnTextModel:
         Under a ``Tape`` or without a ``bank``, the neighbors are encoded
         with the inputs (deduplicated), and gradients flow through both
         encodings unless the model was configured with
-        ``stop_grad_neighbors``. Otherwise only the inputs are encoded, and
-        the neighbor rows come from ``bank``.
+        ``stop_grad_neighbors``. Otherwise only the inputs are encoded, with
+        their known words' projections and the neighbor rows from ``bank``.
         """
         if not docs:
             raise ModelError("empty batch")
@@ -400,17 +403,17 @@ class KnnTextModel:
                 nbr_slots = np.array([slot_for(nbr_id, nbr.tokens)
                                       for nbr_id, nbr in zip(pair_ids, nbrs)], dtype=np.int64)
 
-        H = self.encoder.encode_batch(seqs)
+        if banked:
+            # One check of the bank per forward, for its doc rows and its
+            # word blocks (M1 looks up no doc).
+            table, nbr_slots = self.bank.rows(self.encoder, pair_ids, neighbor_docs)
+        H = (self.bank.words if banked else self.encoder).encode_batch(seqs)
         h = ad.rows(H, input_slots)
         attention = None
         if not features.uses_memory:
             feat_mat = h
         else:
-            if banked:
-                table, nbr_slots = self.bank.rows(self.encoder, pair_ids, neighbor_docs)
-                H_nbr = Tensor(table)
-            else:
-                H_nbr = H.detach() if cfg.stop_grad_neighbors else H
+            H_nbr = Tensor(table) if banked else H.detach() if cfg.stop_grad_neighbors else H
             query = np.repeat(np.arange(len(docs)), counts)
             att = _match_pairs(ad.rows(h, query), ad.rows(H_nbr, nbr_slots), self.matching)
             order = _canonical_slots(query, len(docs), np.asarray(pair_ids, dtype=np.int64))

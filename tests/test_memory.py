@@ -8,7 +8,7 @@ import knnmem.memory
 from knnmem.autodiff import Adam, Tape, Tensor, grad_check
 from knnmem.corpus import Document, build_vocab
 from knnmem.datagen import TopicalSpec, make_topical_corpus
-from knnmem.encoder import EncoderConfig
+from knnmem.encoder import WORD_BLOCK, EncoderConfig, TextEncoder
 from knnmem.memory import (
     BANK_BLOCK,
     PRESETS,
@@ -497,6 +497,8 @@ class TestBatchedHead:
         table[2] = 2.0 * table[1]
 
         class FixedBank:
+            words = model.encoder
+
             def rows(self, encoder, ids, neighbor_docs):
                 return table, np.asarray(ids, dtype=np.int64)
 
@@ -678,6 +680,99 @@ class TestMemoryBank:
     def test_in_place_write_to_banked_array_raises(self, world):
         memory, queries, neighbors, _, _ = world
         model = self.make(world)
+        model.forward_batch(queries[:1], neighbors, {d.id: d for d in memory})
+        for name, p in model.encoder.named_params().items():
+            with pytest.raises(ValueError, match="read-only"):
+                p.data[0] = 0.0
+
+    def known_words(self, world, docs):
+        vocab = world[3]
+        words = sorted({t for d in docs for t in d.tokens} & vocab.word_to_id.keys())
+        return np.array([vocab.word_id(w) for w in words], dtype=np.int64), words
+
+    def test_unknown_doc_id_is_error(self, world):
+        memory, _, _, _, _ = world
+        lookup = {d.id: d for d in memory}
+        model = self.make(world)
+        for ids in ([max(lookup) + 1], [min(lookup) - 1], [memory[0].id, max(lookup) + 7]):
+            with pytest.raises(ModelError, match="missing from neighbor_docs"):
+                model.bank.rows(model.encoder, ids, lookup)
+
+    def test_word_rows_identical_for_two_fill_orders(self, world):
+        memory, queries, neighbors, _, _ = world
+        lookup = {d.id: d for d in memory}
+        ids, words = self.known_words(world, queries)
+
+        def projected(requests):
+            model = self.make(world)
+            for batch in requests:
+                model.forward_batch(batch, neighbors, lookup)
+            rows = [p.data for p in model.bank.words._project(ids, words)]
+            for got, want in zip(rows, TextEncoder._project(model.encoder, ids, words)):
+                assert np.max(np.abs(got - want.data)) <= 1e-12
+            return [r.tobytes() for r in rows]
+
+        assert projected([queries]) == projected([[q] for q in reversed(queries)])
+
+    def test_word_rows_grow_with_the_blocks_a_text_touches(self, world):
+        memory, queries, neighbors, vocab, _ = world
+        model = self.make(world)
+        model.forward_batch(queries[:1], neighbors, {d.id: d for d in memory})
+        ids, _ = self.known_words(world, queries[:1])
+        blocks = np.unique(ids // WORD_BLOCK)
+        assert blocks.size < -(-vocab.n_words // WORD_BLOCK)
+        for rows in model.bank.words._rows:
+            assert rows.shape[0] <= WORD_BLOCK * blocks.size < vocab.n_words
+
+    def test_oov_and_mixed_texts_match_unbanked(self, world):
+        memory, queries, neighbors, vocab, _ = world
+        lookup = {d.id: d for d in memory}
+        oov = ("zqxj", "xjqz", "qqzx")
+        assert all(vocab.word_id(w) == 0 for w in oov)
+        texts = [doc(10_000, 0, " ".join(oov)),
+                 dataclasses.replace(queries[0], id=10_001, tokens=oov[:1] + queries[0].tokens)]
+        nbrs = {d.id: NeighborSet(d.id, neighbors[queries[0].id].neighbors) for d in texts}
+        model = self.make(world)
+        for batch in ([texts[0]], [texts[1]], texts):
+            banked = model.forward_batch(batch, nbrs, lookup)
+            bank, model.bank = model.bank, None
+            ref = model.forward_batch(batch, nbrs, lookup)
+            model.bank = bank
+            assert np.array_equal(banked.predictions, ref.predictions)
+            assert np.max(np.abs(banked.probabilities - ref.probabilities)) <= 1e-12
+
+    def test_adam_step_rebuilds_word_rows(self, world):
+        memory, queries, neighbors, _, _ = world
+        lookup = {d.id: d for d in memory}
+        ids, words = self.known_words(world, queries[:8])
+        model = self.make(world)
+        model.forward_batch(queries[:8], neighbors, lookup)
+        before = model.bank.words
+        optimizer = Adam(model.named_params(), lr=1e-2)
+        with Tape() as tape:
+            result = model.forward_batch(queries[:8], neighbors, lookup)
+        tape.backward(result.loss)
+        optimizer.step()
+        model.forward_batch(queries[:8], neighbors, lookup)
+        assert model.bank.words is not before
+        got = model.bank.words._project(ids, words)[0].data
+        assert np.max(np.abs(got - TextEncoder._project(model.encoder, ids, words)[0].data)) <= 1e-12
+        assert np.max(np.abs(got - before._project(ids, words)[0].data)) > 1e-6
+
+    def test_other_doc_ids_keep_word_rows(self, world):
+        memory, queries, neighbors, _, _ = world
+        lookup = {d.id: d for d in memory}
+        model = self.make(world)
+        model.forward_batch(queries[:4], neighbors, lookup)
+        words, table = model.bank.words, model.bank.table
+        extra = doc(10_000, 0, "an extra memory document")
+        model.forward_batch(queries[:4], neighbors, {**lookup, extra.id: extra})
+        assert model.bank.words is words and model.bank.table is not table
+
+    def test_in_place_write_after_banked_m1_forward_raises(self, world):
+        memory, queries, neighbors, vocab, c = world
+        config = ModelConfig(encoder=self.ENC, preset="M1", n_classes=c)
+        model = KnnTextModel.create(config, vocab, seed=0)
         model.forward_batch(queries[:1], neighbors, {d.id: d for d in memory})
         for name, p in model.encoder.named_params().items():
             with pytest.raises(ValueError, match="read-only"):
