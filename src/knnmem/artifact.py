@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import struct
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -27,14 +28,19 @@ T = TypeVar("T")
 def write_artifact(path: str | Path, magic: bytes, manifest: dict,
                    body_parts: Iterable) -> None:
     """Write the container; ``body_parts`` are bytes-like objects (such as
-    C-contiguous numpy arrays) written one after the other."""
+    C-contiguous numpy arrays) written one after the other, to a temporary
+    name that replaces ``path`` once all are written; on any error the
+    temporary file is removed and ``path`` is left as it was."""
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for part in body_parts:
-            fh.write(part)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(chain([magic, struct.pack("<Q", len(blob)), blob], body_parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def file_sha256(path: str | Path) -> str:

@@ -3,16 +3,22 @@
 Datasets arrive as CSV files with 2 or 3 quoted fields per line:
 a 1-based class index, a title, and an optional description. Inside a
 field the two-character sequences ``\\n`` and ``\\"`` stand for a newline
-and a double quote.
+and a double quote. There is no escape for a backslash or a carriage
+return: a field cannot hold a backslash before ``n``, ``"`` or its end, nor
+a carriage return, which ends a line. ``tokenize`` strips a token's edges
+while a character is neither ``isalpha()`` nor ``isdigit()``; ``isalnum()``
+would keep ``½`` and ``Ⅻ``, and regex ``\\w`` those and ``_``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,66 +67,52 @@ class SplitSpec:
     seed: int = 0
 
 
+# Every character that ``tokenize`` strips from the edges of an ASCII token.
+_ASCII_JUNK = "".join(ch for ch in map(chr, range(128)) if not (ch.isalpha() or ch.isdigit()))
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, strip non-alphanumeric edges per token."""
-    tokens = []
-    for raw in text.lower().split():
-        start, end = 0, len(raw)
-        while start < end and not (raw[start].isalpha() or raw[start].isdigit()):
-            start += 1
-        while end > start and not (raw[end - 1].isalpha() or raw[end - 1].isdigit()):
-            end -= 1
-        if end > start:
-            tokens.append(raw[start:end])
-    return tokens
+    """Lowercase, split on whitespace, and strip each token's edges while a
+    character is neither ``isalpha()`` nor ``isdigit()``; empty tokens drop."""
+    text = text.lower()
+    if text.isascii():
+        junk = _ASCII_JUNK
+    else:
+        junk = "".join(ch for ch in set(text) if not (ch.isalpha() or ch.isdigit()))
+    return [tok for raw in text.split() if (tok := raw.strip(junk))]
 
 
 def _decode_escapes(text: str) -> str:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == '"':
-                out.append('"')
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    # Every backslash before ``n`` or ``"`` starts an escape, so the pairs
+    # never overlap and two replacements decode them all.
+    if "\\" not in text:
+        return text
+    return text.replace("\\n", "\n").replace('\\"', '"')
+
+
+# One quoted field: anything but a quote or backslash, or a backslash and
+# the character after it, which stays in the field for ``_decode_escapes``.
+_FIELD = re.compile(r'"((?:[^"\\]|\\.)*+)"', re.DOTALL)
 
 
 def _parse_record(line: str, lineno: int) -> list[str]:
     """Split one quoted CSV record; escaped quotes stay raw for later decoding."""
-    fields: list[str] = []
+    # Without a backslash, and with no quote but the ones that delimit the
+    # fields, a record splits directly; anything else goes to the scanner.
+    if "\\" not in line and len(line) > 1 and line[0] == line[-1] == '"':
+        fields = line[1:-1].split('","')
+        if line.count('"') == 2 * len(fields):
+            return fields
+    fields = []
     i, n = 0, len(line)
     while True:
         if i >= n or line[i] != '"':
             raise CorpusError(f"line {lineno}: expected opening quote for field {len(fields) + 1}")
-        i += 1
-        buf = []
-        closed = False
-        while i < n:
-            ch = line[i]
-            if ch == "\\" and i + 1 < n:
-                buf.append(ch)
-                buf.append(line[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                closed = True
-                i += 1
-                break
-            buf.append(ch)
-            i += 1
-        if not closed:
+        match = _FIELD.match(line, i)
+        if match is None:
             raise CorpusError(f"line {lineno}: unterminated quoted field")
-        fields.append("".join(buf))
+        fields.append(match[1])
+        i = match.end()
         if i == n:
             return fields
         if line[i] != ",":
@@ -160,17 +152,13 @@ def load_dataset(path: str | Path, label_space: LabelSpace) -> list[Document]:
         except ValueError:
             raise CorpusError(f"line {lineno}: class index {fields[0]!r} is not an integer") from None
         if not 1 <= raw_label <= label_space.c:
-            raise CorpusError(
-                f"line {lineno}: class index {raw_label} out of range 1..{label_space.c}"
-            )
+            raise CorpusError(f"line {lineno}: class index {raw_label} out of range 1..{label_space.c}")
         title = _decode_escapes(fields[1])
         body = _decode_escapes(fields[2]) if len(fields) == 3 else ""
         tokens = tokenize(f"{title} {body}")
         if not tokens:
             raise CorpusError(f"line {lineno}: document has no tokens after tokenization")
-        docs.append(
-            Document(id=len(docs), label=raw_label - 1, title=title, body=body, tokens=tuple(tokens))
-        )
+        docs.append(Document(len(docs), raw_label - 1, title, body, tuple(tokens)))
     if not docs:
         raise CorpusError(f"{path}: empty dataset")
     return docs
@@ -212,19 +200,11 @@ def build_vocab(train: Sequence[Document], min_count: int = 1) -> Vocabulary:
     """Vocabulary from the training split only; rare tokens collapse to OOV id 0."""
     if not train:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
-    counts: Counter[str] = Counter()
-    chars: set[str] = set()
-    for doc in train:
-        counts.update(doc.tokens)
-        for tok in doc.tokens:
-            chars.update(tok)
-    vocab = Vocabulary()
+    counts = Counter(chain.from_iterable(doc.tokens for doc in train))
     kept = sorted((t for t, n in counts.items() if n >= min_count), key=lambda t: (-counts[t], t))
-    for i, tok in enumerate(kept, start=1):
-        vocab.word_to_id[tok] = i
-    for i, ch in enumerate(sorted(chars), start=1):
-        vocab.char_to_id[ch] = i
-    return vocab
+    chars = sorted(set("".join(counts)))
+    return Vocabulary({tok: i for i, tok in enumerate(kept, start=1)},
+                      {ch: i for i, ch in enumerate(chars, start=1)})
 
 
 def _group_by_label(corpus: Sequence[Document]) -> dict[int, list[int]]:

@@ -12,13 +12,14 @@ Three families:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, LabelSpace
+from .corpus import CorpusError, Document, LabelSpace
 
 
 def _doc(doc_id: int, label: int, tokens: list[str]) -> Document:
@@ -161,12 +162,23 @@ def make_topical_corpus(n_per_class: Sequence[int] | int,
     return docs, LabelSpace.of_size(c)
 
 
+# No escape exists for a carriage return, which ends a line, nor for a
+# backslash before ``n``, a quote or a field's end, which reads as an escape.
+_UNWRITABLE = re.compile(r'\r|\\(?:[n"]|\Z)')
+
+
 def _escape(text: str) -> str:
     return text.replace('"', '\\"').replace("\n", "\\n")
 
 
 def write_zhang_csv(path: str | Path, docs: Sequence[Document]) -> None:
-    """Write documents in the quoted-CSV distribution format (1-based labels)."""
+    """Write documents in the quoted-CSV distribution format (1-based labels);
+    a text it cannot carry raises ``CorpusError`` and nothing is written."""
+    for doc in docs:
+        for name, text in (("title", doc.title), ("body", doc.body)):
+            if bad := _UNWRITABLE.search(text):
+                raise CorpusError(f"doc {doc.id}: {name} holds {bad[0]!r} at offset {bad.start()}, "
+                                  "which the quoted-CSV format cannot carry")
     with Path(path).open("w", encoding="utf-8") as fh:
         for doc in docs:
             fh.write(f'"{doc.label + 1}","{_escape(doc.title)}","{_escape(doc.body)}"\n')

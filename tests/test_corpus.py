@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_oracle import oracle_decode_escapes, oracle_parse_record, oracle_tokenize, oracle_vocab
+from knnmem import corpus
 from knnmem.corpus import (
     CorpusError,
     Document,
@@ -15,6 +17,7 @@ from knnmem.corpus import (
     subsample,
     tokenize,
 )
+from knnmem.datagen import write_zhang_csv
 
 LABELS4 = LabelSpace.of_size(4)
 
@@ -213,6 +216,113 @@ class TestSubsample:
         for label, n in enumerate(sizes):
             got = sum(1 for d in out if d.label == label)
             assert got == int(fraction * n)
+
+
+# Quotes, backslashes, commas and ``n`` make every record shape and escape.
+# The rest are characters where ``isalpha() or isdigit()`` differs from
+# ``isalnum()`` and ``\w`` (``½``, ``Ⅻ``, ``_``), one whose lowercase is
+# longer (``İ``), whitespace that ``str.split`` breaks on (tab, CR, LF,
+# U+001C, U+0085), and non-ASCII letters and punctuation.
+ALPHABET = '"\\,n aZ1._-½Ⅻİ四é—«\t\r\n\x1c\x85'
+TEXTS = st.text(alphabet=ALPHABET, max_size=30)
+# Lines built from fields, so that most reach the later checks of a record.
+RECORDS = st.one_of(
+    TEXTS,
+    st.lists(TEXTS, min_size=1, max_size=4).map(lambda fields: '"' + '","'.join(fields) + '"'),
+    st.lists(TEXTS, min_size=1, max_size=4).map(lambda fields: '"' + '","'.join(fields)),
+)
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the message of the ``CorpusError`` it raises."""
+    try:
+        return fn(*args)
+    except CorpusError as exc:
+        return ("CorpusError", str(exc))
+
+
+class TestAgainstCharacterLoopOracle:
+    """The ingestion functions give exactly what the character loops of
+    ``tests/csv_oracle.py`` give, errors included."""
+
+    @given(RECORDS, st.integers(min_value=1, max_value=9))
+    @settings(max_examples=400, deadline=None)
+    def test_parse_record(self, line, lineno):
+        assert outcome(corpus._parse_record, line, lineno) == outcome(oracle_parse_record, line, lineno)
+
+    @given(TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_decode_escapes(self, text):
+        assert corpus._decode_escapes(text) == oracle_decode_escapes(text)
+
+    @given(st.one_of(TEXTS, st.text(alphabet=st.characters(max_codepoint=127), max_size=30)))
+    @settings(max_examples=400, deadline=None)
+    def test_tokenize(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    @given(st.lists(TEXTS, min_size=1, max_size=6), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_build_vocab(self, texts, min_count):
+        docs = [make_doc(i, 0, tokenize(t) + ["a"]) for i, t in enumerate(texts)]
+        vocab = build_vocab(docs, min_count=min_count)
+        word_to_id, char_to_id = oracle_vocab(docs, min_count=min_count)
+        assert list(vocab.word_to_id.items()) == list(word_to_id.items())
+        assert list(vocab.char_to_id.items()) == list(char_to_id.items())
+
+    def test_benchmark_shaped_corpus(self, tmp_path):
+        docs = [Document(i, i % 4, f'Title {i}: "quoted", (x) U.S.', f"Body\nline {i} -- e-mail, ½ Ⅻ_x", ())
+                for i in range(12)]
+        p = tmp_path / "data.csv"
+        write_zhang_csv(p, docs)
+        loaded = load_dataset(p, LABELS4)
+        assert [(d.title, d.body, d.tokens) for d in loaded] == \
+            [(d.title, d.body, tuple(oracle_tokenize(f"{d.title} {d.body}"))) for d in docs]
+
+
+class TestWriteZhangCsv:
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), TEXTS, TEXTS), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_or_refusal(self, tmp_path_factory, rows):
+        docs = [Document(i, label, f"w{i} {title}", body, ()) for i, (label, title, body) in enumerate(rows)]
+        p = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        p.unlink(missing_ok=True)
+        try:
+            write_zhang_csv(p, docs)
+        except CorpusError:
+            fields = [t for d in docs for t in (d.title, d.body)]
+            assert any("\r" in t or "\\n" in t or '\\"' in t or t.endswith("\\") for t in fields)
+            assert not p.exists()
+            return
+        loaded = load_dataset(p, LABELS4)
+        assert [(d.label, d.title, d.body) for d in loaded] == [(d.label, d.title, d.body) for d in docs]
+
+    @pytest.mark.parametrize("body", ['q\\"x', "ends in \\", "a\\nb", "c:\\new", "line\rbreak"])
+    def test_unwritable_text_is_refused(self, tmp_path, body):
+        docs = [make_doc(0, 0, ["fine"]), Document(7, 1, "title", body, ("title",))]
+        p = tmp_path / "data.csv"
+        with pytest.raises(CorpusError, match="^doc 7: body holds .* which the quoted-CSV format cannot carry$"):
+            write_zhang_csv(p, docs)
+        assert not p.exists()
+
+    def test_other_backslashes_round_trip(self, tmp_path):
+        docs = [Document(0, 0, "a\\b c:\\\\x", "back\\ slash\\\n", ())]
+        p = tmp_path / "data.csv"
+        write_zhang_csv(p, docs)
+        loaded = load_dataset(p, LABELS4)
+        assert (loaded[0].title, loaded[0].body) == (docs[0].title, docs[0].body)
+
+
+def test_load_dataset_tokenizes_through_the_module(tmp_path, monkeypatch):
+    # The benchmark tracer times `corpus.tokenize` per document by wrapping it.
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(corpus, "tokenize", counted)
+    load_dataset(write(tmp_path, '"1","a","b"\n"2","c",""\n"3","d"\n'), LABELS4)
+    assert calls == ["a b", "c ", "d "]
 
 
 def test_label_space_validation():

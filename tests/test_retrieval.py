@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnmem
+from knnmem.artifact import write_artifact
 from knnmem.corpus import Document, LabelSpace, load_dataset, tokenize
 from knnmem.retrieval import (
     Bm25Params,
@@ -374,6 +375,21 @@ class TestFileFormats:
         save_index(p1, build_index(corpus))
         save_index(p2, build_index(corpus))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        p = tmp_path / "corpus.idx"
+        save_index(p, build_index([doc(0, ["a", "b"]), doc(1, ["b"])]))
+        before = p.read_bytes()
+
+        def body_parts():
+            yield b"half a body"
+            raise OSError("device full")
+
+        for target in (p, tmp_path / "fresh.idx"):
+            with pytest.raises(OSError, match="device full"):
+                write_artifact(target, b"KNNIDX02", {"n_docs": 2}, body_parts())
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["corpus.idx"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.idx"
