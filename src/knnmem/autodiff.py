@@ -35,6 +35,7 @@ _DTYPE = np.float64
 _ACTIVE_TAPE: "Tape | None" = None
 
 COSINE_EPS = 1e-12
+ROW_ALIGN, ROW_CHUNK = 4, 64
 
 
 class AutodiffError(ValueError):
@@ -206,10 +207,30 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
     return _record(out, (a,), backward)
 
 
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, n: int, chunk: bool) -> None:
+    """``out[:n] = a[:n] @ b`` by products of a multiple of ``ROW_ALIGN`` rows,
+    each of at most ``ROW_CHUNK`` when ``chunk``: OpenBLAS 0.3.31 (Haswell)
+    picks gemv for one row, a tail kernel for rows past a multiple of 4, and
+    in float32 other kernels for longer products, so a row's bytes would
+    depend on its batch. Spare rows of ``a`` and ``out`` past ``n`` are used
+    in place; without them the last rows go through a padded copy."""
+    bulk = n - n % ROW_ALIGN
+    if bulk < n and min(a.shape[0], out.shape[0]) >= bulk + ROW_ALIGN:
+        bulk += ROW_ALIGN
+    step = ROW_CHUNK if chunk else max(bulk, 1)
+    for lo in range(0, bulk, step):
+        hi = min(lo + step, bulk)
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    if bulk < n:  # the last rows, padded by repeating the last
+        pad = a.take(np.minimum(np.arange(bulk, bulk + ROW_ALIGN), n - 1), axis=0)
+        out[bulk:n] = (pad @ b)[:n - bulk]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise AutodiffError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
+    data = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a.data, b.data))
+    _matmul_rows(a.data, b.data, data, a.shape[0], chunk=_ACTIVE_TAPE is None)
     out = Tensor(data)
 
     def backward(g):
@@ -360,6 +381,9 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     ``dc[:n]`` in place, with no gather or scatter of state, and the result
     comes back in input order.
 
+    Each step's ``h_prev @ Wh`` is one ``_matmul_rows`` call, chunked only
+    without a tape; ``h`` and the buffer it writes have spare rows for it.
+
     Without a tape (or with nothing to differentiate) one ``(B, 4h)`` gate
     buffer and one ``(B, h)`` buffer serve every step, so the pass holds one
     step's worth of memory whatever its length. Under a tape every
@@ -396,7 +420,7 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     counts = batch - np.cumsum(np.bincount(lens, minlength=n_steps))[:n_steps]
     counts = counts[counts > 0].tolist()
     offsets = np.cumsum([0] + counts).tolist()
-    h = np.zeros((batch, hidden), dtype=_DTYPE)
+    h = np.zeros((batch + ROW_ALIGN, hidden), dtype=_DTYPE)
     c = np.zeros((batch, hidden), dtype=_DTYPE)
     gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     if track:
@@ -405,9 +429,9 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
         H_prev, C_prev, TC = (np.empty((offsets[-1], hidden), dtype=_DTYPE) for _ in range(3))
         # Each step's h_prev @ Wh goes into this one buffer: a fresh product
         # of this size would take new pages, and page faults, every step.
-        hw = np.empty((batch, width), dtype=_DTYPE)
+        hw = np.empty((batch + ROW_ALIGN, width), dtype=_DTYPE)
     else:
-        gates = np.empty((batch, width), dtype=_DTYPE)
+        gates = np.empty((batch + ROW_ALIGN, width), dtype=_DTYPE)
         work = np.empty((batch, hidden), dtype=_DTYPE)
     with np.errstate(over="ignore"):
         for t, n in enumerate(counts):
@@ -417,11 +441,12 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
                 s, tc = S[lo:hi], TC[lo:hi]
                 H_prev[lo:hi] = h_n
                 C_prev[lo:hi] = c_n
-                s += np.matmul(h_n, W, out=hw[:n])
+                _matmul_rows(h, W, hw, n, chunk=False)
+                s += hw[:n]
             else:
                 s, tc = gates[:n], work[:n]
+                _matmul_rows(h, W, gates, n, chunk=True)
                 # A plain gather: `np.take(..., out=s)` is about twice as slow.
-                np.matmul(h_n, W, out=s)
                 s += P.take(idx[t, :n], axis=0)
             # tc holds tanh(g) while s becomes 1 / (1 + exp(-s)) in place.
             np.tanh(s[:, gg], out=tc)
@@ -434,8 +459,8 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
             c_n += tc
             np.tanh(c_n, out=tc)
             np.multiply(s[:, go], tc, out=h_n)
-    out_data = np.empty_like(h)
-    out_data[order] = h
+    out_data = np.empty_like(c)
+    out_data[order] = h[:batch]
     out = Tensor(out_data)
 
     def backward(gh):

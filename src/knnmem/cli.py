@@ -221,9 +221,7 @@ def _restore(args: argparse.Namespace) -> tuple:
     """The model, with its training vocabulary and float width; the memory
     the checkpoint names by digest (None for a preset without one); and the
     model's label space and evaluation batch size as ``train`` recorded them.
-    The model has no memory bank: a process serves one request set, so a
-    bank would encode whole blocks of the memory that no later request
-    reuses, where the batch encodes only the neighbours it needs."""
+    The model's memory bank encodes only the neighbours its requests read."""
     checkpoint = read_checkpoint(args.checkpoint)
     ad.set_default_dtype(np.float32 if checkpoint.manifest["float_bytes"] == 4 else np.float64)
     labels, batch_size = _recorded(args.checkpoint, checkpoint.manifest)
@@ -231,7 +229,6 @@ def _restore(args: argparse.Namespace) -> tuple:
     if labels.c != model.config.n_classes:
         raise CheckpointError(f"{args.checkpoint}: checkpoint records {labels.c} label_names for "
                               f"a model of n_classes {model.config.n_classes}; retrain to serve it")
-    model.bank = None
     if args.memory is None:
         if model.config.features.uses_memory:
             raise UsageError(f"preset {model.config.preset} retrieves neighbours: pass the "

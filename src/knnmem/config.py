@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .artifact import file_sha256
 from .corpus import LabelSpace, SplitSpec
 from .encoder import EncoderConfig
 from .retrieval import Bm25Params
@@ -114,7 +115,13 @@ class RunConfig:
             ) from None
 
     def echo(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields, each input file by its SHA-256 and no ``out_dir``."""
+        echo = dataclasses.asdict(self)
+        del echo["out_dir"]
+        for name in ("train_csv", "eval_csv", "external_csv", "embeddings"):
+            path = echo.pop(name)
+            echo[f"{name}_sha256"] = file_sha256(path) if path else None
+        return echo
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

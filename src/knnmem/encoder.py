@@ -17,21 +17,12 @@ running at a step are a prefix, and a hand-written backward through time
 reads the gates, ``h_prev``, ``c_prev`` and ``tanh(c)`` the forward saved.
 A row shorter than the batch maximum is never touched after its last step,
 so its state carries over exactly: padding never enters a sequence's
-embedding. The embedding is still not bit-identical across batch
-compositions, because BLAS picks its matrix-product kernel by row count. At
-paper dimensions (OpenBLAS 0.3.31, Haswell kernels, 1 or 2 threads) every
-sequence of a 300-document topical corpus encoded alone differed from its
-row in the 300-sequence batch, by at most 1.0e-17 in float64 and 5.6e-9 in
-float32 (about one unit in the last place of embeddings up to 0.045), and
-157 of 300 rows differed when the sequences were encoded in pairs. That is why
-a library caller's inference reads from the model's ``memory.MemoryBank``
-the neighbour rows, encoded in fixed blocks of sorted doc ids, and each
-known input word's two projections, computed in fixed blocks of
-``WORD_BLOCK`` word ids (``WordBlocks``): neither depends on the request it
-serves, and a banked encode runs only the two word passes over them.
-Training and the CLI's ``eval`` and ``predict`` run without a bank
-(``model.bank = None``): they project every input word and encode the
-neighbours with their batch.
+embedding. Untaped, each product whose rows are items (the input
+projections and every recurrence step) is aligned and chunked
+(``autodiff._matmul_rows``), so an embedding's bytes do not depend on its
+batch: a ``memory.MemoryBank`` caches exact rows. A taped encode does not
+chunk its steps, so in float32 it may differ by about one unit in the last
+place.
 """
 
 from __future__ import annotations
@@ -39,6 +30,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -77,9 +69,12 @@ class EncoderConfig:
         return self.word_dim + self.char_lstm_dim
 
 
-def param_rng(seed: int, name: str) -> np.random.Generator:
+def param_rng(seed: int | None, name: str) -> np.random.Generator:
     """Independent stream per parameter name, so adding or removing one
-    parameter never shifts another's initialization."""
+    parameter never shifts another's initialization. ``seed=None`` draws
+    zeros, for a model whose every weight a checkpoint then replaces."""
+    if seed is None:
+        return SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
     return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
 
@@ -323,52 +318,34 @@ class TextEncoder:
         return ad.concat([h_f, h_b], axis=1)
 
 
-WORD_BLOCK = 16
-
-
-class WordBlocks(TextEncoder):
-    """``encoder`` with each known word's input projections read from fixed
-    blocks of ``WORD_BLOCK`` word ids, each projected by one
-    ``TextEncoder._project`` call the first time one of its words is asked
-    for: a row's bytes depend only on the weights and its block, and storage
-    grows by one block of rows per block touched. OOV words are projected
-    with their batch. ``memory.MemoryBank`` makes a new one whenever the
-    weights change.
+class WordCache(TextEncoder):
+    """``encoder`` caching each known word's two input projections in row
+    ``slot[id]`` (-1 until first asked for) of tables filled in that order: a
+    request projects the known words it lacks and its OOV words in one
+    ``TextEncoder._project`` call. ``memory.MemoryBank`` holds one per weights.
     """
 
     def __init__(self, encoder: TextEncoder):
         super().__init__(encoder.config, encoder.vocab, encoder.params)
-        self._words = [""] + sorted(self.vocab.word_to_id, key=self.vocab.word_to_id.get)
-        self._slot = np.full(-(-len(self._words) // WORD_BLOCK), -1, dtype=np.int64)
-        self._rows = (np.zeros((0, 4 * self.config.hidden), dtype=ad.get_default_dtype()),) * 2
-
-    def _fill(self, blocks: np.ndarray) -> None:
-        """Project each of ``blocks`` not yet held into a new slot of rows."""
-        new = blocks[self._slot[blocks] < 0]
-        if not new.size:
-            return
-        slots = self._rows[0].shape[0] // WORD_BLOCK + np.arange(new.size)
-        grown = [np.concatenate([t, np.zeros((WORD_BLOCK * new.size, t.shape[1]), t.dtype)])
-                 for t in self._rows]
-        for slot, block in zip(slots.tolist(), new.tolist()):
-            lo = block * WORD_BLOCK
-            ids = np.arange(max(lo, 1), min(lo + WORD_BLOCK, len(self._words)))
-            for table, proj in zip(grown, super()._project(ids, [self._words[i] for i in ids])):
-                table[slot * WORD_BLOCK + ids - lo] = proj.data
-        self._rows = tuple(grown)
-        self._slot[new] = slots
+        shape = (self.vocab.n_words, 4 * self.config.hidden)
+        self._rows = tuple(np.empty(shape, dtype=ad.get_default_dtype()) for _ in range(2))
+        self.slot = np.full(self.vocab.n_words, -1, dtype=np.int64)
 
     def _project(self, word_ids: np.ndarray, words: Sequence[str]) -> tuple[Tensor, Tensor]:
-        known = word_ids != Vocabulary.OOV_ID
-        if not known.any():
-            return super()._project(word_ids, words)
-        blocks = word_ids // WORD_BLOCK
-        self._fill(np.unique(blocks[known]))
-        rows = np.where(known, self._slot[blocks] * WORD_BLOCK + word_ids % WORD_BLOCK, 0)
+        oov = word_ids == Vocabulary.OOV_ID
+        fresh = np.flatnonzero(oov | (self.slot[word_ids] < 0))
+        if fresh.size:
+            new = super()._project(word_ids[fresh], [words[i] for i in fresh.tolist()])
+            known = ~oov[fresh]
+            rows = self.slot.max() + 1 + np.arange(np.count_nonzero(known))
+            for table, proj in zip(self._rows, new):
+                table[rows] = proj.data[known]
+            self.slot[word_ids[fresh[known]]] = rows
+            if fresh.size == word_ids.size:
+                return new
         # Whole-row gathers: each direction's rows stay C-contiguous.
-        proj = [table[rows] for table in self._rows]
-        oov = np.flatnonzero(~known)
-        if oov.size:
-            for out, fresh in zip(proj, super()._project(word_ids[oov], [words[i] for i in oov])):
-                out[oov] = fresh.data
+        proj = [table[self.slot[word_ids]] for table in self._rows]
+        if oov.any():
+            for out, rows in zip(proj, new):
+                out[oov] = rows.data[oov[fresh]]
         return Tensor(proj[0]), Tensor(proj[1])

@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document
-from .encoder import EncoderConfig, EmbeddingTable, TextEncoder, WordBlocks, param_rng
+from .encoder import EncoderConfig, EmbeddingTable, TextEncoder, WordCache, param_rng
 from .retrieval import NeighborSet
 
 class ModelError(ValueError):
@@ -203,66 +203,61 @@ class ClassifierParams:
         )
 
 
-BANK_BLOCK = 64
-
-
 class MemoryBank:
     """Inference-time rows that depend only on the encoder weights, in the
     style of a kNN-LM datastore: computed once per set of weights, not once
-    per request. ``table`` row r holds the embedding of the r-th smallest doc
-    id, encoded one fixed block of ``BANK_BLOCK`` rows at a time; ``words``
-    (``encoder.WordBlocks``) serves each known input word's projections from
-    fixed blocks of ``encoder.WORD_BLOCK`` word ids. A block is filled the
-    first time one of its rows is asked for, so a row's bytes depend only on
-    the weights and its block, never on which request filled it.
+    per request. ``table`` row ``row_of[i]`` holds doc id ``i``'s embedding
+    and ``words`` (``encoder.WordCache``) each known word's projections,
+    encoded when first asked for, byte-identical to encoding them alone.
 
     The bank holds only while every encoder parameter's ``.data`` is the
-    array it was built from and every document of a block is the object it
-    encoded. Building marks those arrays read-only, so an in-place write
-    raises instead of leaving the bank stale; rebinding ``.data`` (as
-    ``Adam.step`` and ``model_from_checkpoint`` do), another float width or
-    another encoder rebuilds both tables, other doc ids reset the doc rows,
-    and a block whose documents were replaced is encoded again.
+    array it was built from. Building marks those arrays read-only, so an
+    in-place write raises instead of leaving the bank stale; rebinding
+    ``.data`` (as ``Adam.step`` and ``model_from_checkpoint`` do), another
+    float width or another encoder rebuilds both, another ``neighbor_docs``
+    mapping resets the doc rows, and a requested row whose document is no
+    longer the object it encoded is encoded again.
     """
 
     def __init__(self):
         self._encoder: TextEncoder | None = None
         self._arrays: list[np.ndarray] = []
-        self.table = np.zeros((0, 0))  # the first `rows` call sets the doc-row state
-        self.words: WordBlocks | None = None
+        self._mapping: Mapping[int, Document] | None = None
+        self.table, self.row_of = np.zeros((0, 0)), {}  # the first `encode` call sets them
+        self.words: WordCache | None = None
 
-    def rows(self, encoder: TextEncoder, ids: Sequence[int],
-             neighbor_docs: Mapping[int, Document]) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(len(neighbor_docs), l)`` table and the row of each of
-        ``ids``, after encoding every block those rows need that does not
-        hold its current documents. This is the bank's check of its state,
-        for ``table`` and ``words`` alike."""
+    def encode(self, encoder: TextEncoder, seqs: Sequence[Sequence[str]], ids: Sequence[int],
+               neighbor_docs: Mapping[int, Document]) -> tuple[Tensor | None, np.ndarray, np.ndarray]:
+        """``seqs`` encoded (``None`` for none), ``table`` and the row of each
+        of ``ids``, after one ``words.encode_batch`` of ``seqs`` and the
+        requested rows the bank lacks or whose document was replaced. This is
+        the bank's check of its state, for ``table`` and ``words`` alike."""
         arrays = [p.data for p in encoder.named_params().values()]
         if not (encoder is self._encoder and len(arrays) == len(self._arrays)
                 and all(map(operator.is_, arrays, self._arrays))
                 and self.table.dtype == ad.get_default_dtype()):
             for a in arrays:
                 a.flags.writeable = False
-            self._encoder, self._arrays, self._keys = encoder, arrays, None
-            self.words = WordBlocks(encoder)
-        if neighbor_docs.keys() != self._keys:
-            self._keys = set(neighbor_docs)
-            # The mapping's own key objects: a dict lookup then hits by identity.
-            self._sorted = sorted(self._keys)
-            self._ids = np.array(self._sorted, dtype=np.int64)
-            self._docs: list[Document | None] = [None] * self._ids.size
-            self.table = np.empty((self._ids.size, encoder.config.l), dtype=ad.get_default_dtype())
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = np.searchsorted(self._ids, ids)
-        if not (np.all(rows < self._ids.size) and np.array_equal(self._ids[rows], ids)):
-            raise ModelError("a requested doc id is missing from neighbor_docs")
-        for start in (np.unique(rows // BANK_BLOCK) * BANK_BLOCK).tolist():
-            stop = min(start + BANK_BLOCK, self._ids.size)
-            docs = [neighbor_docs[doc_id] for doc_id in self._sorted[start:stop]]
-            if not all(map(operator.is_, docs, self._docs[start:stop])):
-                self.table[start:stop] = encoder.encode_batch([d.tokens for d in docs]).data
-                self._docs[start:stop] = docs
-        return self.table, rows
+            self._encoder, self._arrays, self._mapping = encoder, arrays, None
+            self.words = WordCache(encoder)
+        try:
+            docs = [neighbor_docs[doc_id] for doc_id in ids]
+        except KeyError:
+            raise ModelError("a requested doc id is missing from neighbor_docs") from None
+        if neighbor_docs is not self._mapping:
+            self._mapping, self.row_of, self._docs = neighbor_docs, {}, {}
+            self.table = np.empty((len(neighbor_docs), encoder.config.l), dtype=ad.get_default_dtype())
+        rows = [self.row_of.setdefault(doc_id, len(self.row_of)) for doc_id in ids]
+        if len(self.row_of) > len(self.table):  # the mapping grew in place
+            self.table = np.resize(self.table, (2 * len(self.row_of), self.table.shape[1]))
+        # The document each row encodes, by row: a replaced one is encoded again.
+        stale = {row: d for row, d in zip(rows, docs) if self._docs.get(row) is not d}
+        batch = [*seqs, *(d.tokens for d in stale.values())]
+        H = self.words.encode_batch(batch) if batch else None
+        if stale:
+            self.table[list(stale)] = H.data[len(seqs):]
+            self._docs.update(stale)
+        return H, self.table, np.array(rows, dtype=np.int64)
 
 
 @dataclass
@@ -305,13 +300,11 @@ class ModelConfig:
 class KnnTextModel:
     """Full model: shared text encoder, kNN memory head, softmax classifier.
 
-    ``bank`` serves the neighbour rows and the input words' projections at
-    inference; set it to ``None`` to encode each batch's neighbours and
-    project its words with it instead, as a process that serves one request
-    set should (a bank pays off only when requests repeat), and as
-    ``trainer.train`` does. The parameter arrays of a restored model, and the
-    encoder arrays of a banked one, are read-only: update them by rebinding
-    ``.data``, as ``Adam.step`` does, never in place.
+    ``bank`` serves an untaped forward its neighbour rows and its known
+    input words' projections; ``trainer.train`` sets it to ``None``, to
+    encode each batch's neighbours with it. The parameter arrays of a
+    restored model, and the encoder arrays of a banked one, are read-only:
+    update them by rebinding ``.data``, as ``Adam.step`` does, never in place.
     """
 
     def __init__(self, config: ModelConfig, encoder: TextEncoder,
@@ -323,7 +316,7 @@ class KnnTextModel:
         self.bank: MemoryBank | None = MemoryBank()
 
     @classmethod
-    def create(cls, config: ModelConfig, vocab, seed: int,
+    def create(cls, config: ModelConfig, vocab, seed: int | None,
                word_table: EmbeddingTable | None = None) -> "KnnTextModel":
         encoder = TextEncoder.create(config.encoder, vocab, seed, word_table)
         matching = None
@@ -355,8 +348,8 @@ class KnnTextModel:
         Under a ``Tape`` or without a ``bank``, the neighbors are encoded
         with the inputs (deduplicated), and gradients flow through both
         encodings unless the model was configured with
-        ``stop_grad_neighbors``. Otherwise only the inputs are encoded, with
-        their known words' projections and the neighbor rows from ``bank``.
+        ``stop_grad_neighbors``. Otherwise the neighbor rows come from
+        ``bank``. Untaped, a query's outputs do not depend on its batch.
         """
         if not docs:
             raise ModelError("empty batch")
@@ -404,10 +397,10 @@ class KnnTextModel:
                                       for nbr_id, nbr in zip(pair_ids, nbrs)], dtype=np.int64)
 
         if banked:
-            # One check of the bank per forward, for its doc rows and its
-            # word blocks (M1 looks up no doc).
-            table, nbr_slots = self.bank.rows(self.encoder, pair_ids, neighbor_docs)
-        H = (self.bank.words if banked else self.encoder).encode_batch(seqs)
+            # One check of the bank and one encode per forward (M1 looks up no doc).
+            H, table, nbr_slots = self.bank.encode(self.encoder, seqs, pair_ids, neighbor_docs)
+        else:
+            H = self.encoder.encode_batch(seqs)
         h = ad.rows(H, input_slots)
         attention = None
         if not features.uses_memory:

@@ -300,7 +300,7 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
         tensor=Tensor(stored.astype(ad.get_default_dtype(), copy=False), name="word_emb"),
         random_rows=random_rows[: vocab.n_words].astype(bool),
     )
-    model = KnnTextModel.create(config, vocab, seed=0, word_table=word_table)
+    model = KnnTextModel.create(config, vocab, seed=None, word_table=word_table)
     params = model.named_params()
     missing = params.keys() - {spec["name"] for spec in manifest["tensors"]}
     if missing:
@@ -499,12 +499,9 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
     file's width sets ``word_dim``. ``model`` is the best checkpoint
     reloaded, with bit-identical parameters. The dev report is the one
     ``train`` computed for that checkpoint's epoch, with each batch's
-    neighbours encoded in the batch. Evaluating ``model`` reads its
-    neighbours from its memory bank instead, whose embeddings agree with the
-    in-batch ones to about one unit in the last place of the float width
-    (at most 1.0e-17 in float64 and 5.6e-9 in float32 on a 300-document
-    topical corpus at paper dimensions), so its report can differ only where
-    a prediction is that close to a tie. An empty split is refused first.
+    neighbours encoded in the batch, and equals ``evaluate(model, ...)``,
+    which reads them from the model's memory bank, exactly: a row's bytes do
+    not depend on the batch that encoded it. An empty split is refused first.
     """
     if not train_docs:
         raise TrainingError("empty training corpus: the dev split or subsample left no document")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import knnmem.autodiff as ad
-import knnmem.memory as memory
 import knnmem.trainer as trainer
 from knnmem.cli import build_parser, main
 from knnmem.config import _FIELDS, ConfigError, load_run_config
@@ -162,15 +161,30 @@ class TestTrainEvalPredict:
 
     def test_eval_and_predict_encode_neighbours_in_batch(self, trained, data_dir, tmp_path,
                                                          monkeypatch, capsys):
-        # A CLI process serves one request set, so it builds no memory bank.
-        def no_bank(*args, **kwargs):
-            raise AssertionError("the CLI filled a memory bank")
+        # The memory bank encodes a request's neighbours it lacks, each once,
+        # in the batch of its texts: a predict encodes its text and its K
+        # neighbours, and nothing of the rest of the memory.
+        calls = []
+        encode = TextEncoder.encode_batch
 
-        monkeypatch.setattr(memory.MemoryBank, "rows", no_bank)
+        def spy(self, seqs):
+            calls.append([tuple(s) for s in seqs])
+            return encode(self, seqs)
+
+        monkeypatch.setattr(TextEncoder, "encode_batch", spy)
         common = serving(trained)
         assert run(["eval", *common, "--data", data_dir / "eval.csv",
                     "--out-dir", tmp_path / "eval-out"]) == 0
-        assert run(["predict", *common, "--text", "c0w1 c0w2 f3"]) == 0
+        eval_docs = load_dataset(data_dir / "eval.csv", LabelSpace.of_size(3))
+        assert len(calls) == 1 and calls[0][:len(eval_docs)] == [d.tokens for d in eval_docs]
+        assert len(set(calls[0][len(eval_docs):])) == len(calls[0]) - len(eval_docs)
+        calls.clear()
+        prov = tmp_path / "prov.jsonl"
+        assert run(["predict", *common, "--text", "c0w1 c0w2 f3", "--provenance", prov]) == 0
+        listed = [n["doc_id"] for n in json.loads(prov.read_text())["neighbors"]]
+        docs = load_memory(trained / "memory.knn").docs
+        assert len(listed) == 2
+        assert calls == [[("c0w1", "c0w2", "f3")] + [docs[i].tokens for i in listed]]
 
     def test_predict_provenance_dump(self, trained, tmp_path, capsys):
         prov = tmp_path / "prov.jsonl"
@@ -336,13 +350,21 @@ class TestTrainEvalPredict:
 
 
 class TestTrainReruns:
-    def test_same_command_line_writes_identical_checkpoint(self, data_dir, tmp_path):
-        # One out-dir for both runs: the config echo records it.
-        args = ["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", tmp_path]
+    @pytest.mark.parametrize("width", ["64", "32"])
+    def test_same_command_line_writes_identical_checkpoint(self, data_dir, tmp_path, monkeypatch,
+                                                           width):
+        # Two working directories, each with its own relative path to a copy
+        # of the data and its own out-dir: the config echo records the data's
+        # SHA-256, not where it or the output lives.
         blobs = []
-        for _ in range(2):
-            assert run(args) == 0
-            blobs.append([(tmp_path / name).read_bytes() for name in ("model.ckpt", "memory.knn")])
+        for where, csv, out in (("a", "train.csv", "out"), ("b", "data/train.csv", "runs/x")):
+            (tmp_path / where / csv).parent.mkdir(parents=True)
+            (tmp_path / where / csv).write_bytes((data_dir / "train.csv").read_bytes())
+            monkeypatch.chdir(tmp_path / where)
+            assert run(["train", "--train", csv, *FAST, "--float-width", width,
+                        "--out-dir", out]) == 0
+            blobs.append([(tmp_path / where / out / name).read_bytes()
+                          for name in ("model.ckpt", "memory.knn")])
         assert blobs[0] == blobs[1]
 
 

@@ -6,6 +6,7 @@ import pytest
 import knnmem.autodiff as ad
 from knnmem.autodiff import Tape, Tensor, grad_check
 from knnmem.corpus import Document, build_vocab
+from knnmem.datagen import TopicalSpec, make_topical_corpus
 from knnmem.encoder import (
     EncoderConfig,
     EncoderError,
@@ -14,6 +15,8 @@ from knnmem.encoder import (
     lstm_step,
     random_embedding_table,
 )
+
+from blas_build import blas_build
 
 TINY = EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=5, max_tokens=16)
 
@@ -341,6 +344,30 @@ class TestEncodeText:
             "lstm_fwd.Wx", "lstm_fwd.Wh", "lstm_fwd.b",
             "lstm_bwd.Wx", "lstm_bwd.Wh", "lstm_bwd.b",
         }
+
+
+class TestBatchInvariance:
+    """Untaped, a sequence's embedding does not depend on its batch."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_topical_corpus_encodes_to_identical_bytes(self, dtype):
+        docs, _ = make_topical_corpus(75, TopicalSpec(seed=100))
+        seqs = [d.tokens for d in docs]
+        ad.set_default_dtype(dtype)
+        try:
+            enc = TextEncoder.create(EncoderConfig(), build_vocab(docs[::2]), seed=0)
+            batch = enc.encode_batch(seqs).data
+            encodes = {
+                "alone": np.concatenate([enc.encode_batch([s]).data for s in seqs]),
+                "in pairs": np.concatenate([enc.encode_batch(seqs[i:i + 2]).data
+                                            for i in range(0, len(seqs), 2)]),
+                "reversed": enc.encode_batch(seqs[::-1]).data[::-1],
+            }
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert len(seqs) == 300 and batch.dtype == dtype
+        for name, got in encodes.items():
+            assert got.tobytes() == batch.tobytes(), f"{name}: {blas_build()}"
 
 
 class TestFrozenEmbeddings:

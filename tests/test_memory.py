@@ -8,9 +8,8 @@ import knnmem.memory
 from knnmem.autodiff import Adam, Tape, Tensor, grad_check
 from knnmem.corpus import Document, build_vocab
 from knnmem.datagen import TopicalSpec, make_topical_corpus
-from knnmem.encoder import WORD_BLOCK, EncoderConfig, TextEncoder
+from knnmem.encoder import EncoderConfig, TextEncoder
 from knnmem.memory import (
-    BANK_BLOCK,
     PRESETS,
     ClassifierParams,
     FeatureConfig,
@@ -35,6 +34,7 @@ from knnmem.trainer import (
 )
 
 from bilstm_baseline import BilstmBaseline
+from blas_build import blas_build
 from eq_oracles import oracle_attn_label, oracle_attn_text, oracle_match
 
 TINY = EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=4, max_tokens=16)
@@ -497,10 +497,8 @@ class TestBatchedHead:
         table[2] = 2.0 * table[1]
 
         class FixedBank:
-            words = model.encoder
-
-            def rows(self, encoder, ids, neighbor_docs):
-                return table, np.asarray(ids, dtype=np.int64)
+            def encode(self, encoder, seqs, ids, neighbor_docs):
+                return encoder.encode_batch(seqs), table, np.asarray(ids, dtype=np.int64)
 
         model.bank = FixedBank()
         neighbors = {d.id: NeighborSet(d.id, tuple((o.id, 1.0) for o in docs if o.id != d.id))
@@ -530,7 +528,7 @@ class TestBatchedHead:
         batched = model.forward_batch(docs, neighbors, lookup).logits
         for pos, d in enumerate(docs):
             alone = model.forward_batch([d], neighbors, lookup).logits[0]
-            assert np.allclose(alone, batched[pos], rtol=0, atol=1e-12)
+            assert alone.tobytes() == batched[pos].tobytes(), blas_build()
 
     @pytest.mark.parametrize("perspectives", [2, 0])
     def test_grad_check_on_ragged_batch(self, perspectives):
@@ -554,6 +552,66 @@ class TestBatchedHead:
                     model.forward_batch(docs[:size], neighbors, lookup)
                 lengths.add(len(tape))
         assert len(lengths) == 1, lengths
+
+
+class TestBatchInvariance:
+    """Untaped, a query's outputs do not depend on what it is batched with."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_head_rows_computed_alone_equal_batch64_rows(self, dtype):
+        rng = np.random.default_rng(21)
+        counts = rng.integers(0, 6, 64)
+        query = np.repeat(np.arange(counts.size), counts)
+        ids = rng.permutation(query.size)
+        ad.set_default_dtype(dtype)
+        try:
+            q, n, table = (Tensor(rng.normal(size=(query.size, 200))) for _ in range(3))
+            W = Tensor(1.0 + rng.uniform(-0.01, 0.01, (5, 200)))
+            att = ad.perspective_cosine(q, n, W)
+            summed = _attentive_sum(att, _canonical_slots(query, counts.size, ids), table,
+                                    np.arange(query.size)).data
+            for p in range(query.size):
+                alone = ad.perspective_cosine(Tensor(q.data[p:p + 1]), Tensor(n.data[p:p + 1]), W)
+                assert alone.data.tobytes() == att.data[p:p + 1].tobytes(), blas_build()
+            for b in np.flatnonzero(counts).tolist():
+                pairs = np.flatnonzero(query == b)
+                slots = _canonical_slots(np.zeros(pairs.size, dtype=np.int64), 1, ids[pairs])
+                alone = _attentive_sum(Tensor(att.data[pairs]), slots, table, pairs).data
+                assert alone.tobytes() == summed[b:b + 1].tobytes(), blas_build()
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert summed.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_batch1_forward_equals_batch64_at_paper_dimensions(self, dtype):
+        memory, labels = make_topical_corpus(75, TopicalSpec(seed=100))
+        queries, _ = make_topical_corpus(16, TopicalSpec(seed=101))
+        queries = [dataclasses.replace(q, id=q.id + len(memory)) for q in queries]
+        index = build_index(memory)
+        neighbors = {q.id: search_knn(index, q, 5) for q in queries}
+        lookup = {d.id: d for d in memory}
+        config = ModelConfig(encoder=EncoderConfig(), preset="M7", perspectives=5,
+                             n_classes=labels.c)
+        ad.set_default_dtype(dtype)
+        try:
+            model = KnnTextModel.create(config, build_vocab(memory), seed=0)
+            ones = [model.forward_batch([q], neighbors, lookup) for q in queries]
+            batched = model.forward_batch(queries, neighbors, lookup)
+            bank = model.bank
+            alone = {i: model.encoder.encode_batch([lookup[i].tokens]).data[0]
+                     for i in bank.row_of}
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert len(queries) == 64 and batched.logits.dtype == dtype
+        pair = 0
+        for pos, one in enumerate(ones):
+            k = len(neighbors[queries[pos].id])
+            assert one.logits.tobytes() == batched.logits[pos:pos + 1].tobytes(), blas_build()
+            assert one.probabilities.tobytes() == batched.probabilities[pos:pos + 1].tobytes()
+            assert one.attention.tobytes() == batched.attention[pair:pair + k].tobytes()
+            pair += k
+        for doc_id, row in bank.row_of.items():
+            assert bank.table[row].tobytes() == alone[doc_id].tobytes(), blas_build()
 
 
 class TestNonFiniteParameters:
@@ -583,8 +641,8 @@ class TestNonFiniteParameters:
 
 class TestMemoryBank:
     """At inference ``forward_batch`` encodes only the inputs and reads each
-    neighbor's row from the model's bank, filled in fixed blocks of sorted
-    doc ids."""
+    neighbor's row from the model's bank, which encodes exactly the rows a
+    request lacks."""
 
     ENC = EncoderConfig(word_dim=12, char_dim=5, char_lstm_dim=6, hidden=10, max_tokens=24)
 
@@ -595,7 +653,7 @@ class TestMemoryBank:
         queries = [dataclasses.replace(q, id=q.id + len(memory)) for q in queries]
         index = build_index(memory)
         neighbors = {q.id: search_knn(index, q, 5) for q in queries}
-        assert len(memory) > 3 * BANK_BLOCK and len(queries) == 64
+        assert len(memory) == 200 and len(queries) == 64
         return memory, queries, neighbors, build_vocab(memory), labels.c
 
     def make(self, world, seed=0):
@@ -622,8 +680,8 @@ class TestMemoryBank:
             model = self.make(world)
             for batch in requests:
                 model.forward_batch(batch, neighbors, lookup)
-            table, _ = model.bank.rows(model.encoder, sorted(lookup), lookup)
-            return table.copy()
+            _, table, rows = model.bank.encode(model.encoder, [], sorted(lookup), lookup)
+            return table[rows]
 
         batched = filled([queries])
         one_by_one = filled([[q] for q in reversed(queries)])
@@ -632,22 +690,23 @@ class TestMemoryBank:
 
     def test_bank_agrees_with_training_path(self, world):
         # Fixed before the first run: equal labels, and attention and
-        # probabilities within 1e-12 (embeddings move by about 1e-17 with
-        # their batch).
+        # probabilities within 1e-12 of the taped forward, which encodes the
+        # neighbours with its batch; each bank row equals its document
+        # encoded alone, byte for byte.
         memory, queries, neighbors, _, _ = world
         lookup = {d.id: d for d in memory}
         model = self.make(world)
         banked = model.forward_batch(queries, neighbors, lookup)
         with Tape():
             taped = model.forward_batch(queries, neighbors, lookup)
-        bank, model.bank = model.bank, None
-        in_batch = model.forward_batch(queries, neighbors, lookup)
-        model.bank = bank
-        assert model.bank.table.size
-        for ref in (taped, in_batch):
-            assert np.array_equal(banked.predictions, ref.predictions)
-            assert np.allclose(banked.attention, ref.attention, rtol=0, atol=1e-12)
-            assert np.max(np.abs(banked.probabilities - ref.probabilities)) <= 1e-12
+        assert np.array_equal(banked.predictions, taped.predictions)
+        assert np.allclose(banked.attention, taped.attention, rtol=0, atol=1e-12)
+        assert np.max(np.abs(banked.probabilities - taped.probabilities)) <= 1e-12
+        bank = model.bank
+        assert bank.row_of
+        for doc_id, row in bank.row_of.items():
+            alone = model.encoder.encode_batch([lookup[doc_id].tokens]).data[0]
+            assert bank.table[row].tobytes() == alone.tobytes(), blas_build()
 
     def test_adam_step_rebuilds_bank(self, world):
         memory, queries, neighbors, vocab, _ = world
@@ -696,7 +755,7 @@ class TestMemoryBank:
         model = self.make(world)
         for ids in ([max(lookup) + 1], [min(lookup) - 1], [memory[0].id, max(lookup) + 7]):
             with pytest.raises(ModelError, match="missing from neighbor_docs"):
-                model.bank.rows(model.encoder, ids, lookup)
+                model.bank.encode(model.encoder, [], ids, lookup)
 
     def test_word_rows_identical_for_two_fill_orders(self, world):
         memory, queries, neighbors, _, _ = world
@@ -709,20 +768,26 @@ class TestMemoryBank:
                 model.forward_batch(batch, neighbors, lookup)
             rows = [p.data for p in model.bank.words._project(ids, words)]
             for got, want in zip(rows, TextEncoder._project(model.encoder, ids, words)):
-                assert np.max(np.abs(got - want.data)) <= 1e-12
+                assert got.tobytes() == want.data.tobytes(), blas_build()
             return [r.tobytes() for r in rows]
 
         assert projected([queries]) == projected([[q] for q in reversed(queries)])
 
-    def test_word_rows_grow_with_the_blocks_a_text_touches(self, world):
+    def test_bank_holds_exactly_the_rows_requested(self, world):
+        # A request encodes its neighbours the bank lacks, in one batch, with
+        # their words; its input words join them, and nothing else is encoded.
         memory, queries, neighbors, vocab, _ = world
+        lookup = {d.id: d for d in memory}
         model = self.make(world)
-        model.forward_batch(queries[:1], neighbors, {d.id: d for d in memory})
-        ids, _ = self.known_words(world, queries[:1])
-        blocks = np.unique(ids // WORD_BLOCK)
-        assert blocks.size < -(-vocab.n_words // WORD_BLOCK)
-        for rows in model.bank.words._rows:
-            assert rows.shape[0] <= WORD_BLOCK * blocks.size < vocab.n_words
+        want_docs, want_words = set(), set()
+        for query in queries[:3]:
+            model.forward_batch([query], neighbors, lookup)
+            nbrs = [lookup[i] for i in neighbors[query.id].ids()]
+            want_docs |= {d.id for d in nbrs}
+            want_words |= set(self.known_words(world, nbrs + [query])[0].tolist())
+            assert set(model.bank.row_of) == want_docs
+            held = set(np.flatnonzero(model.bank.words.slot >= 0).tolist())
+            assert held == want_words < set(range(1, vocab.n_words))
 
     def test_oov_and_mixed_texts_match_unbanked(self, world):
         memory, queries, neighbors, vocab, _ = world
@@ -733,11 +798,12 @@ class TestMemoryBank:
                  dataclasses.replace(queries[0], id=10_001, tokens=oov[:1] + queries[0].tokens)]
         nbrs = {d.id: NeighborSet(d.id, neighbors[queries[0].id].neighbors) for d in texts}
         model = self.make(world)
-        for batch in ([texts[0]], [texts[1]], texts):
+        together = model.forward_batch(texts, nbrs, lookup).probabilities
+        for pos, batch in enumerate(([texts[0]], [texts[1]])):
             banked = model.forward_batch(batch, nbrs, lookup)
-            bank, model.bank = model.bank, None
-            ref = model.forward_batch(batch, nbrs, lookup)
-            model.bank = bank
+            assert banked.probabilities[0].tobytes() == together[pos].tobytes(), blas_build()
+            with Tape():
+                ref = model.forward_batch(batch, nbrs, lookup)
             assert np.array_equal(banked.predictions, ref.predictions)
             assert np.max(np.abs(banked.probabilities - ref.probabilities)) <= 1e-12
 
@@ -756,8 +822,18 @@ class TestMemoryBank:
         model.forward_batch(queries[:8], neighbors, lookup)
         assert model.bank.words is not before
         got = model.bank.words._project(ids, words)[0].data
-        assert np.max(np.abs(got - TextEncoder._project(model.encoder, ids, words)[0].data)) <= 1e-12
+        assert got.tobytes() == TextEncoder._project(model.encoder, ids, words)[0].data.tobytes()
         assert np.max(np.abs(got - before._project(ids, words)[0].data)) > 1e-6
+
+    def test_mapping_grown_in_place_gets_exact_rows(self, world):
+        memory, _, _, _, _ = world
+        lookup = {d.id: d for d in memory[:10]}
+        model = self.make(world)
+        model.bank.encode(model.encoder, [], sorted(lookup), lookup)
+        lookup.update((d.id, d) for d in memory[10:40])
+        _, table, rows = model.bank.encode(model.encoder, [], sorted(lookup), lookup)
+        want = model.encoder.encode_batch([lookup[i].tokens for i in sorted(lookup)]).data
+        assert table[rows].tobytes() == want.tobytes(), blas_build()
 
     def test_other_doc_ids_keep_word_rows(self, world):
         memory, queries, neighbors, _, _ = world

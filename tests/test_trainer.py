@@ -243,11 +243,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("preset_name", ["M7", "M1"])
     def test_dev_report_equals_reloaded_model_evaluation(self, world, preset_name, dtype):
         # run_pipeline keeps the best epoch's report from `train` instead of
-        # evaluating the reloaded checkpoint again. The reloaded model reads
-        # its neighbours from its memory bank, whose rows agree with the
-        # in-batch ones only to about one unit in the last place, so the
-        # reports agree exactly only while no dev prediction is that close to
-        # a tie, as on these seeds.
+        # evaluating the reloaded checkpoint again. `train` encodes each dev
+        # batch's neighbours with it and the reloaded model reads them from
+        # its memory bank; a row's bytes do not depend on its batch, so the
+        # reports are equal.
         train_docs, dev_docs, labels = world
         config = quick_config(epochs=3, lr=3e-2, preset=preset_name)
         ad.set_default_dtype(dtype)
