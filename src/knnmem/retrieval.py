@@ -20,6 +20,9 @@ on the index. A query then gathers the impacts of its distinct terms and
 sums them per row with one ``np.bincount``. The terms are taken in sorted
 order and ``bincount`` adds in index order, so every score is summed in the
 same order as ``bm25_score`` and equals it bit for bit, in every process.
+The k neighbours are then picked one at a time, each the first maximum of
+the scores, which is zeroed once taken: an exact tie goes to the smaller
+doc id, and a query costs up to k passes over its N scores.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class Bm25Params:
 
 @dataclass(frozen=True)
 class NeighborSet:
-    """Up to K retrieved (doc_id, bm25_score) pairs, scores non-increasing."""
+    """Up to K retrieved (doc_id, bm25_score) pairs, scores non-increasing;
+    ``query_id`` is the id the search excluded, if any."""
 
     query_id: int | None
     neighbors: tuple[tuple[int, float], ...]
@@ -95,11 +99,11 @@ class InvertedIndex:
         self.terms = list(terms)
         self.doc_lens = np.asarray(doc_lens, dtype=np.int64)
         self.doc_terms = np.asarray(doc_terms, dtype=np.uint32)
-        self.term_index = {t: i for i, t in enumerate(self.terms)}
+        self.term_index = dict(zip(self.terms, range(len(self.terms))))
         self.post_start, self.post_rows, self.post_tfs = self._invert()
         self.postings_rows = self._per_term(self.post_rows)
         self.postings_tfs = self._per_term(self.post_tfs)
-        self.row_of = {int(d): r for r, d in enumerate(self.doc_ids)}
+        self.row_of = dict(zip(self.doc_ids.tolist(), range(self.doc_ids.size)))
         self.avg_doc_len = float(self.doc_lens.mean())
         self._impacts: dict[Bm25Params, list[np.ndarray]] = {}
 
@@ -192,8 +196,8 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
     return InvertedIndex(ids, terms, [len(d.tokens) for d in docs], doc_terms)
 
 
-def _query_tokens(query: Document | Sequence[str]) -> list[str]:
-    return list(query.tokens) if isinstance(query, Document) else list(query)
+def _query_tokens(query: Document | Sequence[str]) -> Sequence[str]:
+    return query.tokens if isinstance(query, Document) else query
 
 
 def bm25_score(index: InvertedIndex, query: Document | Sequence[str], doc_id: int,
@@ -224,17 +228,21 @@ def search_knn(index: InvertedIndex, query: Document | Sequence[str], k: int,
     """Top-k documents by BM25, ties broken by ascending doc id.
 
     Only documents with positive score are candidates, so fewer than k
-    neighbors may be returned; ``exclude_id`` is dropped before ranking.
+    neighbors may be returned; ``exclude_id`` is dropped before ranking and
+    becomes the result's ``query_id``. The k are picked one at a time: each
+    pick is the first maximum of the score vector (rows ascend with doc id,
+    so an exact tie goes to the smaller id), which is then zeroed, and the
+    picking stops at a maximum that is not positive. A query so costs up to
+    k passes over the N scores.
     """
     if k < 0:
         raise RetrievalError(f"k must be >= 0, got {k}")
-    if k == 0:
+    term_ids = set(map(index.term_index.get, _query_tokens(query)))
+    term_ids.discard(None)
+    if k == 0 or not term_ids:
         return NeighborSet(exclude_id, ())
-    # Terms in sorted order, as bm25_score adds them.
-    term_ids = [index.term_index[t] for t in sorted(set(_query_tokens(query)))
-                if t in index.term_index]
-    if not term_ids:
-        return NeighborSet(exclude_id, ())
+    # Ascending term ids are the sorted terms, the order bm25_score adds in.
+    term_ids = sorted(term_ids)
     impacts = index.impacts(params)
     scores = np.bincount(np.concatenate([index.postings_rows[t] for t in term_ids]),
                          weights=np.concatenate([impacts[t] for t in term_ids]),
@@ -243,27 +251,24 @@ def search_knn(index: InvertedIndex, query: Document | Sequence[str], k: int,
         row = index.row_of.get(exclude_id)
         if row is not None:
             scores[row] = 0.0
-    # The k best are the k smallest of -scores. On these mostly zero, tie-heavy
-    # vectors np.partition finds those about 4x faster than the k largest of
-    # `scores` (numpy 2.4, x86-64 with AVX-512, 8192 docs).
-    neg = -scores
-    kth = np.partition(neg, k - 1)[k - 1] if k < index.doc_ids.size else 0.0
-    candidates = np.flatnonzero((neg < 0.0) & (neg <= kth))
-    # Rows ascend with doc id, so the row breaks score ties by doc id.
-    top = candidates[np.lexsort((candidates, neg[candidates]))][:k]
-    return NeighborSet(exclude_id, tuple(zip(index.doc_ids[top].tolist(), scores[top].tolist())))
+    # `scores` is this call's own array, so each pick is zeroed in place.
+    neighbors = []
+    for _ in range(k):
+        row = scores.argmax()
+        score = scores.item(row)
+        if not score > 0.0:
+            break
+        neighbors.append((index.doc_ids.item(row), score))
+        scores[row] = 0.0
+    return NeighborSet(exclude_id, tuple(neighbors))
 
 
 def precompute_neighbors(index: InvertedIndex, corpus: Sequence[Document], k: int,
                          self_exclude: bool = True,
                          params: Bm25Params = Bm25Params()) -> dict[int, NeighborSet]:
-    """Static neighbor cache: one NeighborSet per corpus document."""
-    out = {}
-    for doc in corpus:
-        ns = search_knn(index, doc, k, exclude_id=doc.id if self_exclude else None,
-                        params=params)
-        out[doc.id] = NeighborSet(doc.id, ns.neighbors)
-    return out
+    """Static neighbor cache: one ``search_knn`` result per corpus document."""
+    return {doc.id: search_knn(index, doc, k, exclude_id=doc.id if self_exclude else None,
+                               params=params) for doc in corpus}
 
 
 def _manifest(index: InvertedIndex) -> dict:
@@ -281,10 +286,12 @@ def save_index(path: str | Path, index: InvertedIndex) -> None:
 
 def _int64s(manifest: dict, key: str) -> np.ndarray:
     values = manifest[key]
-    if not isinstance(values, list) or not all(type(v) is int and -2**63 <= v < 2**63
-                                               for v in values):
-        raise ValueError(f"{key} must be a list of int64 integers")
-    return np.array(values, dtype=np.int64)
+    if isinstance(values, list) and set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key} must be a list of int64 integers")
 
 
 def _read_index(path: str | Path, magic: bytes, kind: str,
@@ -369,7 +376,7 @@ def load_memory(path: str | Path) -> Memory:
     """Read a ``save_memory`` file; a short, overlong or malformed part of it
     raises ``RetrievalError``."""
     index, (labels, space, params, k) = _read_index(path, _MEMORY_MAGIC, "memory", _memory_fields)
-    words = [index.terms[t] for t in index.doc_terms.tolist()]
+    words = list(map(index.terms.__getitem__, index.doc_terms.tolist()))
     ends = np.cumsum(index.doc_lens).tolist()
     docs = {doc_id: Document(doc_id, label, " ".join(words[a:z]), "", tuple(words[a:z]))
             for doc_id, label, a, z in zip(index.doc_ids.tolist(), labels, [0] + ends, ends)}

@@ -221,6 +221,8 @@ def assert_matches_oracle(index, raw, query, k, exclude_id=None, params=Bm25Para
 class TestPackedScorer:
     """`search_knn` over packed postings and memoised impacts, against the oracle."""
 
+    PARAMS = (Bm25Params(), Bm25Params(0.5, 0.3), Bm25Params(0.0, 1.0))
+
     @staticmethod
     def indexed(corpus):
         return build_index(corpus), {d.id: list(d.tokens) for d in corpus}
@@ -278,12 +280,57 @@ class TestPackedScorer:
 
     def test_scores_equal_bm25_score_exactly(self):
         rng = np.random.default_rng(36)
-        for params in (Bm25Params(), Bm25Params(0.5, 0.3), Bm25Params(0.0, 1.0)):
+        for params in self.PARAMS:
             corpus = random_corpus(rng, 60, 30, max_len=30)
             index = build_index(corpus)
             for d in corpus[:15]:
                 for nbr, score in search_knn(index, d, 10, exclude_id=d.id, params=params).neighbors:
                     assert score == bm25_score(index, d, nbr, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_cut_inside_an_exact_tie(self, data):
+        """Three to five byte-identical documents tie exactly, and k is cut
+        inside that tie, with and without the query's own top document
+        excluded. The query holds at most two indexed terms: two floats add
+        the same in either order, so the oracle, which adds in set order,
+        ranks every near-tie exactly as the index does."""
+        params = data.draw(st.sampled_from(self.PARAMS))
+        words = st.sampled_from([f"w{i}" for i in range(6)])
+        base = data.draw(st.lists(st.lists(words, min_size=1, max_size=8), max_size=12))
+        twin = data.draw(st.lists(words, min_size=1, max_size=8))
+        token_lists = base + [twin] * data.draw(st.integers(3, 5))
+        order = data.draw(st.permutations(range(len(token_lists))))
+        index, raw = self.indexed([doc(i, token_lists[j]) for i, j in enumerate(order)])
+        first, second = data.draw(st.sampled_from(sorted(set(twin)))), data.draw(words)
+        query = [first] + data.draw(st.lists(st.sampled_from([first, second, "nope"]), max_size=4))
+        exclude_id = None
+        if data.draw(st.booleans()):
+            exclude_id = oracle_rank(raw, query, 1, k1=params.k1, b=params.b)[0][0]
+        ranked = oracle_rank(raw, query, len(raw), exclude_id, params.k1, params.b)
+        twin_score = next(s for i, s in ranked if raw[i] == twin)
+        tie = [r for r, (_, s) in enumerate(ranked) if s == twin_score]
+        assert len(tie) >= 2
+        for k in (data.draw(st.integers(tie[0] + 1, tie[-1])),
+                  data.draw(st.integers(1, len(raw) + 2))):
+            got = search_knn(index, query, k, exclude_id=exclude_id, params=params)
+            assert got.neighbors == tuple(ranked[:k])
+            for nbr, score in got.neighbors:
+                assert score == bm25_score(index, query, nbr, params)
+
+    def test_searches_leave_the_index_unchanged(self):
+        rng = np.random.default_rng(38)
+        corpus = random_corpus(rng, 40, 10)
+        index = build_index(corpus)
+        before = {params: np.concatenate(index.impacts(params)).tobytes() for params in self.PARAMS}
+        rows, tfs = index.post_rows.tobytes(), index.post_tfs.tobytes()
+        for n in range(100):
+            d = corpus[n % len(corpus)]
+            search_knn(index, d, 1 + n % 7, exclude_id=d.id if n % 2 else None,
+                       params=self.PARAMS[n % 3])
+        for params in self.PARAMS:
+            assert np.concatenate(index.impacts(params)).tobytes() == before[params]
+        assert (index.post_rows.tobytes(), index.post_tfs.tobytes()) == (rows, tfs)
 
     def test_round_trip_keeps_per_term_views(self, tmp_path):
         rng = np.random.default_rng(37)
@@ -448,6 +495,9 @@ class TestIndexFileErrors:
         {"doc_ids": [4, 7.5]},
         {"doc_ids": [4, 2**70]},
         {"doc_lens": [1.0, 1]},
+        {"doc_ids": [True, 7]},
+        {"doc_lens": [1, 2**63]},
+        {"doc_ids": [-2**63 - 1, 7]},
     ])
     def test_bad_manifest_keys(self, tmp_path, change):
         manifest = {"doc_ids": [4, 7], "doc_lens": [1, 1], "terms": ["x"]}
@@ -490,7 +540,8 @@ class TestIndexFileErrors:
 class TestSaveIndexRange:
     """Doc ids are stored in the manifest, so any int64 id round-trips."""
 
-    @pytest.mark.parametrize("ids", [(1, 2**32 + 1), (-1, 3), (-2**62, 2**62)])
+    @pytest.mark.parametrize("ids", [(1, 2**32 + 1), (-1, 3), (-2**62, 2**62),
+                                     (-2**63, 2**63 - 1)])
     def test_ids_beyond_u32_round_trip(self, tmp_path, ids):
         docs = [doc(i, ["a", "b"][: n + 1], label=n) for n, i in enumerate(ids)]
         index = build_index(docs)
