@@ -94,10 +94,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        """Same values, no gradient flow."""
-        return Tensor(self.data)
-
 
 class Tape:
     """Ordered record of op outputs; creation order is topological order."""

@@ -52,7 +52,6 @@ class RunConfig:
     # memory
     preset: str = _f("M7", "feature preset M1..M7")
     perspectives: int = _f(5, "matching perspectives (I); 0 is plain cosine")
-    stop_grad_neighbors: bool = _f(False, "treat neighbor encodings as constants in backward")
     # training
     epochs: int = _f(15, "training passes over the training set")
     lr: float = _f(1e-4, "Adam learning rate, > 0")
@@ -77,6 +76,8 @@ class RunConfig:
             raise ConfigError(f"float_width must be 32 or 64, got {self.float_width}")
         if self.setup not in SETUPS:
             raise ConfigError(f"setup must be one of {SETUPS}, got {self.setup!r}")
+        if self.split_seed < 0:
+            raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
 
     def label_space(self) -> LabelSpace:
         if self.class_names:
@@ -134,7 +135,9 @@ def _coerce(name: str, value):
     target = type(default) if default is not None else str
     if name in ("unbalanced_counts",):
         if isinstance(value, (list, tuple)):
-            return ",".join(str(int(v)) for v in value)
+            if any(type(v) is not int for v in value):
+                raise ConfigError(f"key {name!r} expects a list of integers, got {value!r}")
+            return ",".join(map(str, value))
         return str(value)
     if target is bool:
         if isinstance(value, bool):

@@ -20,9 +20,9 @@ so its state carries over exactly: padding never enters a sequence's
 embedding. Untaped, each product whose rows are items (the input
 projections and every recurrence step) is aligned and chunked
 (``autodiff._matmul_rows``), so an embedding's bytes do not depend on its
-batch: a ``memory.MemoryBank`` caches exact rows. A taped encode does not
-chunk its steps, so in float32 it may differ by about one unit in the last
-place.
+batch: a ``memory.MemoryBank`` caches exact rows. A taped encode runs each
+product unchunked, over all its rows at once, so a row may differ from its
+untaped bytes by about one unit in the last place, in float64 as in float32.
 """
 
 from __future__ import annotations

@@ -281,7 +281,6 @@ class ModelConfig:
     perspectives: int = 5  # I; 0 is plain cosine
     n_classes: int = 2
     neighbor_classes: int | None = None
-    stop_grad_neighbors: bool = False
 
     def __post_init__(self):
         preset(self.preset)
@@ -347,9 +346,8 @@ class KnnTextModel:
 
         Under a ``Tape`` or without a ``bank``, the neighbors are encoded
         with the inputs (deduplicated), and gradients flow through both
-        encodings unless the model was configured with
-        ``stop_grad_neighbors``. Otherwise the neighbor rows come from
-        ``bank``. Untaped, a query's outputs do not depend on its batch.
+        encodings. Otherwise the neighbor rows come from ``bank``.
+        Untaped, a query's outputs do not depend on its batch.
         """
         if not docs:
             raise ModelError("empty batch")
@@ -406,7 +404,7 @@ class KnnTextModel:
         if not features.uses_memory:
             feat_mat = h
         else:
-            H_nbr = Tensor(table) if banked else H.detach() if cfg.stop_grad_neighbors else H
+            H_nbr = Tensor(table) if banked else H
             query = np.repeat(np.arange(len(docs)), counts)
             att = _match_pairs(ad.rows(h, query), ad.rows(H_nbr, nbr_slots), self.matching)
             order = _canonical_slots(query, len(docs), np.asarray(pair_ids, dtype=np.int64))

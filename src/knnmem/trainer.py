@@ -73,7 +73,6 @@ class TrainConfig:
     clip_norm: float = 5.0
     min_count: int = 1
     eval_batch_size: int = 64
-    stop_grad_neighbors: bool = False
     train_oov_embeddings: bool = False
 
     def __post_init__(self):
@@ -87,6 +86,8 @@ class TrainConfig:
             raise TrainingError("k_neighbors must be >= 0")
         if self.perspectives < 0:
             raise TrainingError("perspectives must be >= 0")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.lr):
             raise TrainingError(f"lr must be finite, got {self.lr}")
         if not math.isfinite(self.clip_norm):
@@ -158,7 +159,6 @@ def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
             "perspectives": cfg.perspectives,
             "n_classes": cfg.n_classes,
             "neighbor_classes": cfg.neighbor_classes,
-            "stop_grad_neighbors": cfg.stop_grad_neighbors,
             "encoder": dataclasses.asdict(cfg.encoder),
         },
         "vocab": {
@@ -271,7 +271,6 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
             perspectives=mc["perspectives"],
             n_classes=mc["n_classes"],
             neighbor_classes=mc["neighbor_classes"],
-            stop_grad_neighbors=mc["stop_grad_neighbors"],
         )
         packed = base64.b64decode(manifest["word_random_rows"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
@@ -524,7 +523,6 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
             if external_docs is not None and external_label_space is not None
             and features.use_attn_label else None
         ),
-        stop_grad_neighbors=config.stop_grad_neighbors,
     )
     model = KnnTextModel.create(model_config, vocab, seed=config.seed, word_table=word_table)
     if config.train_oov_embeddings:

@@ -195,6 +195,26 @@ class TestTrainEvalPredict:
         assert record["neighbors"]
         assert {"doc_id", "bm25", "label", "attention"} <= set(record["neighbors"][0])
 
+    @pytest.mark.parametrize("stop_grad", [True, False])
+    def test_checkpoint_with_removed_stop_grad_key_serves_the_same(self, trained, tmp_path,
+                                                                 capsys, stop_grad):
+        # Checkpoints written while ``stop_grad_neighbors`` existed carry it in
+        # their model manifest; restore ignores it.
+        ckpt = trained / "model.ckpt"
+        assert "stop_grad_neighbors" not in trainer.read_checkpoint(ckpt).manifest["model"]
+        old = tmp_path / "old.ckpt"
+        rewrite_manifest(ckpt, old, (("model", "stop_grad_neighbors"), stop_grad))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("c0w1 c0w2 f3\nc1w0 c1w3 f2\nc2w2 zzz\n", encoding="utf-8")
+        outputs = []
+        for i, path in enumerate((old, ckpt)):
+            model = trainer.model_from_checkpoint(trainer.load_checkpoint(path))
+            prov = tmp_path / f"prov{i}.jsonl"
+            assert run(["predict", "--checkpoint", path, "--memory", trained / "memory.knn",
+                        "--input", texts, "--provenance", prov]) == 0
+            outputs.append((model.config, capsys.readouterr().out, prov.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_predict_rejects_serve_time_min_count(self, trained, capsys):
         # The checkpoint's stored vocabulary is the one served; no flag can change it.
         code = run(["predict", *serving(trained), "--text", "c0w1 c0w2 f3", "--min-count", "2"])
@@ -635,8 +655,9 @@ class TestConfigHandling:
         assert "nonsense_key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("threads", 2), ("mode", "vanilla_cosine"),
-                                            ("self_exclude", False)],
-                             ids=["threads", "mode", "self_exclude"])
+                                            ("self_exclude", False),
+                                            ("stop_grad_neighbors", True)],
+                             ids=["threads", "mode", "self_exclude", "stop_grad_neighbors"])
     def test_removed_threads_key_is_usage_error(self, data_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps({"epochs": 1, key: value}), encoding="utf-8")
@@ -651,6 +672,47 @@ class TestConfigHandling:
         assert code == 1
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+    def test_removed_stop_grad_flags_are_usage_errors(self, data_dir, tmp_path, capsys):
+        for flag in ("--stop-grad-neighbors", "--no-stop-grad-neighbors"):
+            code = run(["train", flag, "--train", data_dir / "train.csv",
+                        "--out-dir", tmp_path / "run"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        assert "stop-grad" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("counts", [["a", 2], [None], [1.5], [True]],
+                             ids=["string", "null", "float", "bool"])
+    def test_unbalanced_counts_element_not_an_integer_is_usage_error(self, data_dir, tmp_path,
+                                                                      capsys, counts):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"setup": "unbalanced", "unbalanced_counts": counts}),
+                       encoding="utf-8")
+        out = tmp_path / "run"
+        code = run(["train", "--config", cfg, "--train", data_dir / "train.csv", *FAST,
+                    "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "key 'unbalanced_counts' expects a list of integers" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "split_seed"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, data_dir, tmp_path, capsys, key, source):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({key: -1}), encoding="utf-8")
+        given = (["--" + key.replace("_", "-"), "-1"] if source == "flag"
+                 else ["--config", cfg])
+        out = tmp_path / "run"
+        code = run(["train", *given, "--train", data_dir / "train.csv", *FAST,
+                    "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} must be >= 0, got -1" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_malformed_config_json_is_usage_error(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -306,9 +306,9 @@ class TestAssembleAndPredict:
 
 
 class TestModel:
-    def model(self, preset_name="M7", n_classes=3, seed=0, **kwargs):
+    def model(self, preset_name="M7", n_classes=3, seed=0):
         config = ModelConfig(encoder=TINY, preset=preset_name, perspectives=2,
-                             n_classes=n_classes, **kwargs)
+                             n_classes=n_classes)
         docs, vocab, lookup, neighbors = toy_world(n_classes=n_classes)
         model = KnnTextModel.create(config, vocab, seed=seed)
         return model, docs, lookup, neighbors
@@ -376,17 +376,6 @@ class TestModel:
         tape.backward(result.loss)
         assert model.matching.W.grad is not None
         assert model.encoder.params.char_table.grad is not None
-
-    def test_stop_grad_neighbors_changes_encoder_grads(self):
-        model_full, docs, lookup, neighbors = self.model("M7", seed=5)
-        model_stop, _, _, _ = self.model("M7", seed=5, stop_grad_neighbors=True)
-        grads = {}
-        for tag, model in (("full", model_full), ("stop", model_stop)):
-            with Tape() as tape:
-                result = model.forward_batch(docs, neighbors, lookup)
-            tape.backward(result.loss)
-            grads[tag] = model.encoder.params.char_table.grad.copy()
-        assert not np.allclose(grads["full"], grads["stop"])
 
     def test_full_m7_grad_check(self):
         model, docs, lookup, neighbors = self.model("M7", seed=6)
