@@ -1,4 +1,4 @@
-"""The one binary container shared by the index, the memory and the checkpoint.
+"""The one binary container shared by the index file and the checkpoint.
 
 Layout::
 
@@ -8,8 +8,8 @@ Layout::
     body      raw bytes whose exact length the manifest determines
 
 ``read_artifact`` makes every framing check (bad magic, short header,
-short manifest, short body, trailing bytes) and raises the caller's error
-type for each, so every artifact fails the same typed way.
+short manifest, short body, trailing bytes) and the caller's own, and raises
+the caller's error type for each, so every artifact fails the same typed way.
 """
 
 from __future__ import annotations
@@ -44,21 +44,22 @@ def write_artifact(path: str | Path, magic: bytes, manifest: dict,
 
 
 def file_sha256(path: str | Path) -> str:
-    """Hex SHA-256 of a file's bytes, by which one artifact names another."""
+    """Hex SHA-256 of a file's bytes, by which a config echo names an input file."""
     with Path(path).open("rb") as fh:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def read_artifact(path: str | Path, magic: bytes, error: type[Exception],
-                  parse: Callable[[object], tuple[T, int]], *,
-                  kind: str, body_name: str) -> tuple[T, bytes]:
-    """Read a ``write_artifact`` file and return ``parse``'s value and the body.
+                  parse: Callable[[object], tuple[Callable[[bytes], T], int]], *,
+                  kind: str, body_name: str) -> T:
+    """Read a ``write_artifact`` file and return the value it holds.
 
-    ``parse`` takes the decoded manifest and returns its value and the body's
-    byte length. A ``KeyError``, ``TypeError`` or ``ValueError`` (which
-    covers ``UnicodeDecodeError`` and ``json.JSONDecodeError``) raised while
-    decoding or parsing the manifest becomes ``error``, as does every framing
-    fault; messages name the file, ``kind`` and ``body_name``.
+    ``parse`` takes the decoded manifest and returns the function that builds
+    the value from the body, and the body's byte length. A ``KeyError``,
+    ``TypeError`` or ``ValueError`` (which covers ``UnicodeDecodeError`` and
+    ``json.JSONDecodeError``) raised while decoding or parsing the manifest
+    becomes ``error``, as do a builder's ``ValueError`` and every framing
+    fault; messages name the file.
     """
     with Path(path).open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -71,15 +72,17 @@ def read_artifact(path: str | Path, magic: bytes, error: type[Exception],
         (length,) = struct.unpack("<Q", raw)
         if length > size - fh.tell():
             raise error(f"{path}: truncated {kind} manifest")
-        blob = fh.read(length)
         try:
-            value, want = parse(json.loads(blob.decode("utf-8")))
+            build, want = parse(json.loads(fh.read(length).decode("utf-8")))
         except (KeyError, TypeError, ValueError) as exc:
             raise error(f"{path}: malformed {kind} manifest: {exc}") from None
-        del blob
         have = size - fh.tell()
         if have < want:
             raise error(f"{path}: truncated {body_name} ({have} of {want} bytes)")
         if have > want:
             raise error(f"{path}: {have - want} trailing bytes after the {body_name}")
-        return value, fh.read(want)
+        body = fh.read(want)
+    try:
+        return build(body)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None

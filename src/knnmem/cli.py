@@ -6,15 +6,13 @@ are the ``RunConfig`` fields; explicit flags override file values. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 numeric failure: a NaN or inf
 in training (named with its epoch, batch and check) or an ``autodiff`` error.
 
-``train`` writes ``model.ckpt`` and, unless the preset retrieves nothing,
-``memory.knn``: the documents it trained against (after the dev split or
-subsample, or the external corpus) as their ids, labels and tokens' term
-ids, from which loading derives their index again, with the label names,
-BM25 ``k1``/``b`` and K. The checkpoint records the memory's SHA-256, the
-model's label names and the run's evaluation batch size beside its
-vocabulary and float width. ``eval`` and ``predict`` serve from those two
-files alone: they take no ``RunConfig`` flag, and refuse a memory whose
-SHA-256 is not the one the checkpoint records.
+``train`` writes one artifact, ``model.ckpt``: the model's tensors,
+vocabulary, float width, label names and evaluation batch size and, unless
+the preset retrieves nothing, its memory: the documents it trained against
+(after the dev split or subsample, or the external corpus) with their
+labels, label names, BM25 ``k1``/``b`` and K. ``eval`` and ``predict`` serve
+from that file alone and take no ``RunConfig`` flag, so they retrieve
+exactly as training did.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .artifact import file_sha256
 from .autodiff import AutodiffError
 from .config import ConfigError, RunConfig, load_run_config, _FIELDS
 from .corpus import (
@@ -42,7 +39,7 @@ from .corpus import (
 )
 from .encoder import EncoderError
 from .memory import PRESETS, ModelError
-from .retrieval import Memory, RetrievalError, load_memory, save_memory, search_knn
+from .retrieval import Memory, RetrievalError, search_knn
 from .trainer import (
     CheckpointError,
     NumericFailure,
@@ -69,9 +66,8 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_ALIASES = {"k_neighbors": ["--k"], "perspectives": ["--i"],
                  "train_csv": ["--train"], "eval_csv": ["--dev"]}
 _SERVING = ("The vocabulary, float width, label names and batch size come from the "
-            "checkpoint, the BM25 k1/b and K from the memory.")
+            "checkpoint, and so do the memory's documents, BM25 k1/b and K.")
 _CHECKPOINT_HELP = "model.ckpt that train wrote"
-_MEMORY_HELP = "memory.knn that train wrote with the checkpoint (unless the preset is M1)"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,14 +90,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_train = sub.add_parser("train",
-                             help="train a model; save the best-on-dev checkpoint and its memory")
+                             help="train a model; save the best-on-dev checkpoint with its memory")
     _add_config_flags(p_train)
 
     # Serving takes no abbreviations, so that no training flag (--i, say) is read as one.
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV",
                             description=_SERVING, allow_abbrev=False)
     p_eval.add_argument("--checkpoint", required=True, metavar="FILE", help=_CHECKPOINT_HELP)
-    p_eval.add_argument("--memory", metavar="FILE", help=_MEMORY_HELP)
     p_eval.add_argument("--data", required=True, metavar="CSV", help="labeled evaluation CSV")
     p_eval.add_argument("--out-dir", default="runs", metavar="DIR",
                         help="directory for eval.json (default: runs)")
@@ -109,7 +104,6 @@ def build_parser() -> _Parser:
     p_pred = sub.add_parser("predict", description=_SERVING, allow_abbrev=False,
                             help="predict labels for raw text, optionally with provenance")
     p_pred.add_argument("--checkpoint", required=True, metavar="FILE", help=_CHECKPOINT_HELP)
-    p_pred.add_argument("--memory", metavar="FILE", help=_MEMORY_HELP)
     p_pred.add_argument("--text", metavar="TEXT", help="one text to classify")
     p_pred.add_argument("--input", metavar="FILE", help="file with one text per line")
     p_pred.add_argument("--provenance", metavar="FILE",
@@ -176,16 +170,12 @@ def cmd_train(config: RunConfig) -> int:
     )
     pipeline = report.pop("_pipeline")
     checkpoint = pipeline.train_result.checkpoint
-    digest = None
-    if pipeline.index is not None:
-        save_memory(out / "memory.knn", Memory(
-            pipeline.index, pipeline.neighbor_docs, external_labels or labels,
-            config.bm25_params(), config.k_neighbors))
-        digest = file_sha256(out / "memory.knn")
-    # What serving needs beside the model: its own label names (a transfer
-    # memory has others) and the batch size its dev evaluation used.
-    save_checkpoint(out / "model.ckpt", dataclasses.replace(checkpoint, manifest={
-        **checkpoint.manifest, "memory_sha256": digest, "label_names": list(labels.names),
+    memory = None if pipeline.index is None else Memory(
+        pipeline.index, pipeline.neighbor_docs, external_labels or labels,
+        config.bm25_params(), config.k_neighbors)
+    # Serving needs the memory, the model's own label names and its dev batch size.
+    save_checkpoint(out / "model.ckpt", dataclasses.replace(checkpoint, memory=memory, manifest={
+        **checkpoint.manifest, "label_names": list(labels.names),
         "eval_batch_size": config.eval_batch_size}))
     (out / "train_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -194,52 +184,37 @@ def cmd_train(config: RunConfig) -> int:
               f"dev_accuracy {stats.dev_accuracy:.4f}")
     print(f"best epoch {pipeline.train_result.best_epoch} "
           f"dev_accuracy {pipeline.train_result.best_dev_accuracy:.4f}")
-    memory_note = f", {out / 'memory.knn'}" if digest else ""
-    print(f"wrote {out / 'model.ckpt'}{memory_note}, {out / 'metrics.jsonl'}, "
-          f"{out / 'train_report.json'}")
+    print(f"wrote {out / 'model.ckpt'}, {out / 'metrics.jsonl'}, {out / 'train_report.json'}")
     return 0
 
 
-def _recorded(path: str, manifest: dict) -> tuple[LabelSpace, int]:
-    """The label space and evaluation batch size that ``train`` recorded in
-    a checkpoint's manifest."""
+def _restore(path: str) -> tuple:
+    """The model with its vocabulary and float width, its memory (None for a
+    preset without one), label space and evaluation batch size, as ``train``
+    recorded them. The model's memory bank encodes only the neighbours read."""
+    checkpoint = read_checkpoint(path)
+    manifest = checkpoint.manifest
+    ad.set_default_dtype(np.float32 if manifest["float_bytes"] == 4 else np.float64)
     try:
         names, batch_size = manifest["label_names"], manifest["eval_batch_size"]
         if type(batch_size) is not int or batch_size < 1:
             raise ValueError(f"eval_batch_size {batch_size!r} is not an integer >= 1")
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"label_names {names!r} is not a list of strings")
-        return LabelSpace(tuple(names)), batch_size
+        labels = LabelSpace(tuple(names))
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint records no {exc.args[0]}; "
                               "retrain to serve it") from None
     except ValueError as exc:  # a CorpusError from LabelSpace too
         raise CheckpointError(f"{path}: checkpoint {exc}; retrain to serve it") from None
-
-
-def _restore(args: argparse.Namespace) -> tuple:
-    """The model, with its training vocabulary and float width; the memory
-    the checkpoint names by digest (None for a preset without one); and the
-    model's label space and evaluation batch size as ``train`` recorded them.
-    The model's memory bank encodes only the neighbours its requests read."""
-    checkpoint = read_checkpoint(args.checkpoint)
-    ad.set_default_dtype(np.float32 if checkpoint.manifest["float_bytes"] == 4 else np.float64)
-    labels, batch_size = _recorded(args.checkpoint, checkpoint.manifest)
     model = model_from_checkpoint(checkpoint)
     if labels.c != model.config.n_classes:
-        raise CheckpointError(f"{args.checkpoint}: checkpoint records {labels.c} label_names for "
+        raise CheckpointError(f"{path}: checkpoint records {labels.c} label_names for "
                               f"a model of n_classes {model.config.n_classes}; retrain to serve it")
-    if args.memory is None:
-        if model.config.features.uses_memory:
-            raise UsageError(f"preset {model.config.preset} retrieves neighbours: pass the "
-                             "memory.knn that train wrote with the checkpoint (--memory)")
-        return model, None, labels, batch_size
-    memory = load_memory(args.memory)
-    want, got = checkpoint.manifest.get("memory_sha256"), file_sha256(args.memory)
-    if got != want:
-        raise CheckpointError(f"{args.memory}: memory digest mismatch: its sha256 is {got}, "
-                              f"the checkpoint records {want}")
-    return model, memory, labels, batch_size
+    if checkpoint.memory is None and model.config.features.uses_memory:
+        raise CheckpointError(f"{path}: preset {model.config.preset} retrieves neighbours, "
+                              "but the checkpoint holds no memory; retrain to serve it")
+    return model, checkpoint.memory, labels, batch_size
 
 
 def _with_neighbors(memory: Memory | None, docs: list[Document]) -> tuple:
@@ -254,7 +229,7 @@ def _with_neighbors(memory: Memory | None, docs: list[Document]) -> tuple:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model, memory, labels, batch_size = _restore(args)
+    model, memory, labels, batch_size = _restore(args.checkpoint)
     eval_docs, neighbors, neighbor_docs = _with_neighbors(memory, load_dataset(args.data, labels))
     report = evaluate(model, eval_docs, neighbors, neighbor_docs, batch_size=batch_size)
     out = _out_dir(args.out_dir)
@@ -286,7 +261,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     texts = [t.rstrip("\n") for t in texts if t.strip()]
     if not texts:
         raise CorpusError("no input text to classify")
-    model, memory, labels, batch_size = _restore(args)
+    model, memory, labels, batch_size = _restore(args.checkpoint)
     docs = []
     for i, text in enumerate(texts):
         tokens = tokenize(text)

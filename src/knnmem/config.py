@@ -1,7 +1,7 @@
 """Run configuration: one JSON file drives ``train`` and ``sweep``,
 explicit command-line flags override file values, and unknown keys are
 rejected. ``eval`` and ``predict`` take none of it: they serve what the
-checkpoint and memory record."""
+checkpoint records, its memory included."""
 
 from __future__ import annotations
 

@@ -218,6 +218,8 @@ def split_dev(corpus: Sequence[Document], spec: SplitSpec) -> tuple[list[Documen
     """Hold out ``dev_per_class`` instances per class by seeded shuffle."""
     if spec.dev_per_class < 0:
         raise CorpusError(f"dev_per_class must be >= 0, got {spec.dev_per_class}")
+    if spec.seed < 0:
+        raise CorpusError(f"split seed must be >= 0, got {spec.seed}")
     groups = _group_by_label(corpus)
     rng = np.random.default_rng(spec.seed)
     dev_positions: set[int] = set()
@@ -246,6 +248,8 @@ class Unbalanced:
 
 def subsample(corpus: Sequence[Document], mode: LowResource | Unbalanced, seed: int) -> list[Document]:
     """Seeded per-class subsample; exact counts (unbalanced) or floor(fraction*n)."""
+    if seed < 0:
+        raise CorpusError(f"subsample seed must be >= 0, got {seed}")
     groups = _group_by_label(corpus)
     wanted: dict[int, int] = {}
     if isinstance(mode, LowResource):

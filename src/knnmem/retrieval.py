@@ -9,9 +9,9 @@ An index is defined by its documents: their ids, lengths and tokens as
 term ids into the sorted ``terms``. The postings are derived from those by
 one sort and packed: the postings of term id ``t`` are the slice
 ``post_start[t]:post_start[t + 1]`` of ``post_rows`` (internal rows,
-ascending) and ``post_tfs`` (term frequencies). Index and memory files store
-the documents, not the postings. Each posting's BM25
-contribution, its *impact*
+ascending) and ``post_tfs`` (term frequencies). An index file, like the
+memory part of a checkpoint, stores the documents, not the postings. Each
+posting's BM25 contribution, its *impact*
 
     idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)),
 
@@ -38,7 +38,6 @@ from .artifact import read_artifact, write_artifact
 from .corpus import Document, LabelSpace
 
 _INDEX_MAGIC = b"KNNIDX02"
-_MEMORY_MAGIC = b"KNNMEM02"
 
 
 class RetrievalError(ValueError):
@@ -294,42 +293,38 @@ def _int64s(manifest: dict, key: str) -> np.ndarray:
     raise ValueError(f"{key} must be a list of int64 integers")
 
 
-def _read_index(path: str | Path, magic: bytes, kind: str,
-                fields: Callable[[dict, int], object] = lambda manifest, n_docs: None):
-    """The index a file of the ``save_index`` layout holds, and the value of
-    ``fields(manifest, n_docs)``, which reads and checks the manifest's
-    other fields; a short, overlong or malformed part of the file raises
-    ``RetrievalError``."""
+def _index_reader(manifest) -> tuple[Callable[[bytes], InvertedIndex], int]:
+    """``read_artifact``'s parse of a ``_manifest`` object; its builder
+    raises ``ValueError`` on a term id outside ``terms``."""
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not a JSON object")
+    doc_ids, doc_lens = _int64s(manifest, "doc_ids"), _int64s(manifest, "doc_lens")
+    terms = manifest["terms"]
+    if doc_ids.size == 0:
+        raise ValueError("doc_ids must not be empty")
+    if (doc_ids[1:] <= doc_ids[:-1]).any():
+        raise ValueError("doc_ids must be strictly ascending")
+    if doc_lens.shape != doc_ids.shape or (doc_lens < 0).any():
+        raise ValueError("doc_lens must give one length >= 0 per doc id")
+    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+        raise ValueError("terms must be a list of strings")
+    if any(a >= b for a, b in zip(terms, terms[1:])):
+        raise ValueError("terms must be strictly ascending")
 
-    def parse(manifest):
-        if not isinstance(manifest, dict):
-            raise ValueError("manifest is not a JSON object")
-        doc_ids, doc_lens = _int64s(manifest, "doc_ids"), _int64s(manifest, "doc_lens")
-        terms = manifest["terms"]
-        if doc_ids.size == 0:
-            raise ValueError("doc_ids must not be empty")
-        if (doc_ids[1:] <= doc_ids[:-1]).any():
-            raise ValueError("doc_ids must be strictly ascending")
-        if doc_lens.shape != doc_ids.shape or (doc_lens < 0).any():
-            raise ValueError("doc_lens must give one length >= 0 per doc id")
-        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-            raise ValueError("terms must be a list of strings")
-        if any(a >= b for a, b in zip(terms, terms[1:])):
-            raise ValueError("terms must be strictly ascending")
-        return (doc_ids, doc_lens, terms, fields(manifest, doc_ids.size)), 4 * int(doc_lens.sum())
+    def build(body: bytes) -> InvertedIndex:
+        doc_terms = np.frombuffer(body, dtype="<u4")
+        if doc_terms.size and doc_terms.max() >= len(terms):
+            raise ValueError("a term id is outside the index's terms")
+        return InvertedIndex(doc_ids, terms, doc_lens, doc_terms)
 
-    (doc_ids, doc_lens, terms, value), body = read_artifact(
-        path, magic, RetrievalError, parse, kind=kind, body_name="term ids")
-    doc_terms = np.frombuffer(body, dtype="<u4")
-    if doc_terms.size and doc_terms.max() >= len(terms):
-        raise RetrievalError(f"{path}: a term id is outside the index's terms")
-    return InvertedIndex(doc_ids, terms, doc_lens, doc_terms), value
+    return build, 4 * int(doc_lens.sum())
 
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a ``save_index`` file; a short, overlong or malformed part of it
     raises ``RetrievalError``."""
-    return _read_index(path, _INDEX_MAGIC, "index")[0]
+    return read_artifact(path, _INDEX_MAGIC, RetrievalError, _index_reader,
+                         kind="index", body_name="term ids")
 
 
 @dataclass(frozen=True)
@@ -344,11 +339,10 @@ class Memory:
     k: int
 
 
-def save_memory(path: str | Path, memory: Memory) -> None:
-    """Memory file: the layout of ``save_index``, whose manifest also holds
-    each document's label (in doc-id order), the label names, ``k1``, ``b``
-    and ``k``. A memory whose documents (ids or tokens) are not those of its
-    index raises ``RetrievalError``, and nothing is written."""
+def memory_manifest(memory: Memory) -> tuple[dict, np.ndarray]:
+    """``memory`` as a ``_manifest`` object that also holds each document's
+    label, the label names, ``k1``, ``b`` and ``k``, and its term ids as
+    LE-u32. Documents (ids or tokens) not its index's raise ``RetrievalError``."""
     index = memory.index
     manifest = _manifest(index)
     if sorted(memory.docs) != manifest["doc_ids"]:
@@ -360,24 +354,27 @@ def save_memory(path: str | Path, memory: Memory) -> None:
         raise RetrievalError("memory documents' tokens are not those of its index")
     manifest.update(labels=[d.label for d in docs], label_names=list(memory.labels.names),
                     k1=memory.params.k1, b=memory.params.b, k=memory.k)
-    write_artifact(path, _MEMORY_MAGIC, manifest, [index.doc_terms.astype("<u4", copy=False)])
+    return manifest, index.doc_terms.astype("<u4", copy=False)
 
 
-def _memory_fields(manifest: dict, n_docs: int):
+def memory_reader(manifest) -> tuple[Callable[[bytes], Memory], int]:
+    """``_index_reader`` for a ``memory_manifest`` object, whose builder
+    gives back the ``Memory``."""
+    read_index, size = _index_reader(manifest)
     space, labels, k = LabelSpace(tuple(manifest["label_names"])), manifest["labels"], manifest["k"]
-    if len(labels) != n_docs or not all(type(y) is int and 0 <= y < space.c for y in labels):
+    if len(labels) != len(manifest["doc_ids"]) or not all(
+            type(y) is int and 0 <= y < space.c for y in labels):
         raise ValueError(f"labels must give one label in [0, {space.c}) per doc id")
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
-    return labels, space, Bm25Params(float(manifest["k1"]), float(manifest["b"])), k
+    params = Bm25Params(float(manifest["k1"]), float(manifest["b"]))
 
+    def build(body: bytes) -> Memory:
+        index = read_index(body)
+        words = list(map(index.terms.__getitem__, index.doc_terms.tolist()))
+        ends = np.cumsum(index.doc_lens).tolist()
+        docs = {doc_id: Document(doc_id, label, " ".join(words[a:z]), "", tuple(words[a:z]))
+                for doc_id, label, a, z in zip(index.doc_ids.tolist(), labels, [0] + ends, ends)}
+        return Memory(index, docs, space, params, k)
 
-def load_memory(path: str | Path) -> Memory:
-    """Read a ``save_memory`` file; a short, overlong or malformed part of it
-    raises ``RetrievalError``."""
-    index, (labels, space, params, k) = _read_index(path, _MEMORY_MAGIC, "memory", _memory_fields)
-    words = list(map(index.terms.__getitem__, index.doc_terms.tolist()))
-    ends = np.cumsum(index.doc_lens).tolist()
-    docs = {doc_id: Document(doc_id, label, " ".join(words[a:z]), "", tuple(words[a:z]))
-            for doc_id, label, a, z in zip(index.doc_ids.tolist(), labels, [0] + ends, ends)}
-    return Memory(index, docs, space, params, k)
+    return build, size

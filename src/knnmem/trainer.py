@@ -16,7 +16,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,8 +37,12 @@ from .memory import KnnTextModel, ModelConfig, preset
 from .retrieval import (
     Bm25Params,
     InvertedIndex,
+    Memory,
     NeighborSet,
+    RetrievalError,
     build_index,
+    memory_manifest,
+    memory_reader,
     precompute_neighbors,
     search_knn,
 )
@@ -120,6 +124,7 @@ class EvalReport:
 class Checkpoint:
     manifest: dict
     tensors: dict[str, np.ndarray]
+    memory: Memory | None = None  # what the model retrieves from; None without retrieval
 
     @property
     def epoch(self) -> int:
@@ -184,18 +189,25 @@ def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
     """Checkpoint file: an ``artifact`` container whose body is every tensor,
     in manifest order, as little-endian floats of the active width, which
-    the manifest records as ``float_bytes``."""
+    the manifest records as ``float_bytes``; then an attached memory's term
+    ids, whose other fields (``retrieval.memory_manifest``) are the manifest's
+    ``"memory"`` object, apart from the model's own label names. A memory
+    that is not its index's raises ``CheckpointError``, and nothing is written."""
     width = np.dtype(ad.get_default_dtype()).itemsize
     manifest = {**checkpoint.manifest, "float_bytes": width}
-    write_artifact(path, _CKPT_MAGIC, manifest, [
-        np.ascontiguousarray(checkpoint.tensors[spec["name"]], dtype=_FLOAT_DTYPES[width])
-        for spec in manifest["tensors"]
-    ])
+    parts = [np.ascontiguousarray(checkpoint.tensors[spec["name"]], dtype=_FLOAT_DTYPES[width])
+             for spec in manifest["tensors"]]
+    if checkpoint.memory is not None:
+        try:
+            manifest["memory"], term_ids = memory_manifest(checkpoint.memory)
+        except RetrievalError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+        parts.append(term_ids)
+    write_artifact(path, _CKPT_MAGIC, manifest, parts)
 
 
-def _tensor_specs(manifest) -> tuple[tuple[dict, int, list[tuple[str, tuple[int, ...]]]], int]:
-    """The manifest, its float width and each tensor's name and shape,
-    checked for type, and the byte length of the tensor data."""
+def _checkpoint_reader(manifest) -> tuple[Callable[[bytes], Checkpoint], int]:
+    """``read_artifact``'s parse of a ``save_checkpoint`` manifest."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest is not a JSON object")
     width = manifest["float_bytes"]
@@ -211,24 +223,31 @@ def _tensor_specs(manifest) -> tuple[tuple[dict, int, list[tuple[str, tuple[int,
         if type(spec["frozen"]) is not bool:
             raise ValueError(f"tensor {name} frozen flag {spec['frozen']!r} is not a boolean")
         specs.append((name, tuple(shape)))
-    return (manifest, width, specs), width * sum(math.prod(shape) for _, shape in specs)
+    memory = manifest.pop("memory", None)
+    try:
+        read_memory, memory_bytes = (None, 0) if memory is None else memory_reader(memory)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"memory {exc}") from None
+
+    def build(body: bytes) -> Checkpoint:
+        tensors, offset = {}, 0
+        for name, shape in specs:
+            count = math.prod(shape)
+            tensors[name] = np.frombuffer(body, dtype=_FLOAT_DTYPES[width], count=count,
+                                          offset=offset).reshape(shape)
+            offset += count * width
+        return Checkpoint(manifest, tensors, read_memory and read_memory(memoryview(body)[offset:]))
+
+    return build, width * sum(math.prod(shape) for _, shape in specs) + memory_bytes
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Read a ``save_checkpoint`` file at the float width it was written
-    with (its manifest's ``float_bytes``); a short, overlong or malformed
-    part of it raises ``CheckpointError``. Each tensor is a read-only view
-    of the file's body."""
-    (manifest, width, specs), body = read_artifact(
-        path, _CKPT_MAGIC, CheckpointError, _tensor_specs,
-        kind="checkpoint", body_name="tensor data")
-    tensors, offset = {}, 0
-    for name, shape in specs:
-        count = math.prod(shape)
-        tensors[name] = np.frombuffer(body, dtype=_FLOAT_DTYPES[width], count=count,
-                                      offset=offset).reshape(shape)
-        offset += count * width
-    return Checkpoint(manifest=manifest, tensors=tensors)
+    with (its manifest's ``float_bytes``), and its memory, if any, as
+    ``Checkpoint.memory``; a short, overlong or malformed part of it raises
+    ``CheckpointError``. Each tensor is a read-only view of the file's body."""
+    return read_artifact(path, _CKPT_MAGIC, CheckpointError, _checkpoint_reader,
+                         kind="checkpoint", body_name="tensor data")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

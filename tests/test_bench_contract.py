@@ -1,0 +1,75 @@
+"""The benchmark's workloads (`perfbench/workloads.py`) call the package by
+name and restore `serve_m7`'s model from a checkpoint that carries no
+memory; renaming a function they use, or changing what such a checkpoint
+holds, must fail here rather than break every benchmark run."""
+
+import ast
+import importlib.util
+import json
+import struct
+import sys
+from pathlib import Path
+
+import pytest
+
+from knnmem import trainer
+from knnmem.corpus import build_vocab
+from knnmem.datagen import TopicalSpec, make_topical_corpus
+from knnmem.encoder import EncoderConfig
+from knnmem.memory import KnnTextModel, ModelConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("workloads_under_test", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    path, loaded = list(sys.path), set(sys.modules)
+    # Leave no bytecode cache next to the benchmark's files, and none of
+    # their modules behind: workloads.py imports `trace_spans` from its
+    # folder, and its dataclasses look their module up while it loads.
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(PERFBENCH))
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path[:] = path
+        for name in {spec.name, "trace_spans"} - loaded:
+            sys.modules.pop(name, None)
+    return module
+
+
+def test_every_package_name_resolves(workloads):
+    """Each `module.name` that the workloads read from a `knnmem` module
+    they import exists; the `from knnmem... import` names resolved on load."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: getattr(workloads, alias.asname or alias.name)
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "knnmem" for alias in node.names}
+    assert set(modules) == {"corpus", "retrieval", "trainer"}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("trainer", "save_checkpoint") in used and ("retrieval", "load_index") in used
+    assert [f"{m}.{a}" for m, a in sorted(used) if not hasattr(modules[m], a)] == []
+
+
+def test_serve_m7_restore_chain_on_a_checkpoint_without_memory(tmp_path):
+    docs, labels = make_topical_corpus(6, TopicalSpec(seed=3))
+    vocab = build_vocab(docs)
+    config = ModelConfig(encoder=EncoderConfig(word_dim=6, char_dim=3, char_lstm_dim=4, hidden=5),
+                         preset="M7", perspectives=2, n_classes=labels.c)
+    model = KnnTextModel.create(config, vocab, seed=1)
+    path = tmp_path / "model.ckpt"
+    trainer.save_checkpoint(path, trainer.make_checkpoint(model, vocab, epoch=0, dev_accuracy=0.0))
+    restored = trainer.model_from_checkpoint(trainer.load_checkpoint(path), vocab,
+                                             expected_classes=labels.c)
+    assert restored.config == model.config
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<Q", blob[8:16])
+    assert "memory" not in json.loads(blob[16:16 + size])
+    assert trainer.read_checkpoint(path).memory is None

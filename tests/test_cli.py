@@ -1,5 +1,5 @@
 import argparse
-import hashlib
+import dataclasses
 import json
 import struct
 
@@ -23,7 +23,7 @@ from knnmem.corpus import (
 )
 from knnmem.datagen import make_separable_corpus, write_zhang_csv
 from knnmem.encoder import EncoderConfig, TextEncoder
-from knnmem.retrieval import Bm25Params, NeighborSet, build_index, load_memory, search_knn
+from knnmem.retrieval import Bm25Params, NeighborSet, build_index, search_knn
 
 # Training flags of a small, fast run; `eval` and `predict` take only `serving(out)`.
 FAST = ["--epochs", "2", "--lr", "0.01", "--batch-size", "8", "--k", "2",
@@ -38,8 +38,12 @@ PARAMETERS = ["word_emb", "char_emb", "char_lstm.Wx", "char_lstm.Wh", "char_lstm
 
 
 def serving(out):
-    """The serving arguments of a run: the checkpoint and memory it wrote."""
-    return ["--checkpoint", out / "model.ckpt", "--memory", out / "memory.knn"]
+    """The serving argument of a run: the checkpoint it wrote, which holds its memory."""
+    return ["--checkpoint", out / "model.ckpt"]
+
+
+def memory_of(out):
+    return trainer.read_checkpoint(out / "model.ckpt").memory
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +62,7 @@ def run(args):
 
 _DROP = object()
 _MALFORMED = "malformed checkpoint manifest"
-_BAD_MEMORY = "malformed memory manifest"
+_BAD_MEMORY = "malformed checkpoint manifest: memory "
 
 
 def rewrite_manifest(src, dst, change):
@@ -84,16 +88,16 @@ def rewrite_manifest(src, dst, change):
 
 class TestIndexCommand:
     """The BM25 index over the training documents, once written by its own
-    command, is now written by `train` as part of the memory."""
+    command, is now written by `train` as part of the checkpoint's memory."""
 
     def test_writes_artifacts_and_stats(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", out]) == 0
-        assert str(out / "memory.knn") in capsys.readouterr().out
+        assert str(out / "model.ckpt") in capsys.readouterr().out
         train_docs, _ = split_dev(load_dataset(data_dir / "train.csv", LabelSpace.of_size(3)),
                                   SplitSpec(3, 0))
         want = build_index(train_docs)
-        got = load_memory(out / "memory.knn")
+        got = memory_of(out)
         assert got.index.doc_ids.size == want.doc_ids.size == len(train_docs)
         assert got.index.terms == want.terms
         for field in ("doc_terms", "post_start", "post_rows", "post_tfs"):
@@ -105,7 +109,7 @@ class TestIndexCommand:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             assert run(["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", out]) == 0
-        assert (out1 / "memory.knn").read_bytes() == (out2 / "memory.knn").read_bytes()
+        assert (out1 / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
 
 
 class TestTrainEvalPredict:
@@ -117,11 +121,12 @@ class TestTrainEvalPredict:
         return out
 
     def test_train_artifacts(self, trained, capsys):
-        assert (trained / "model.ckpt").exists()
-        digest = hashlib.sha256((trained / "memory.knn").read_bytes()).hexdigest()
-        assert trainer.read_checkpoint(trained / "model.ckpt").manifest["memory_sha256"] == digest
-        assert (trained / "metrics.jsonl").exists()
-        assert (trained / "train_report.json").exists()
+        # One artifact: the checkpoint carries the memory, and names no other file.
+        assert sorted(p.name for p in trained.iterdir()) == \
+            ["metrics.jsonl", "model.ckpt", "train_report.json"]
+        checkpoint = trainer.read_checkpoint(trained / "model.ckpt")
+        assert "memory_sha256" not in checkpoint.manifest
+        assert checkpoint.memory is not None and checkpoint.memory.k == 2
         lines = (trained / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 3  # 2 epochs + summary
         summary = json.loads(lines[-1])["summary"]
@@ -144,8 +149,8 @@ class TestTrainEvalPredict:
         # Label names that do not number the model's classes cannot be served.
         bad = tmp_path / "bad.ckpt"
         rewrite_manifest(trained / "model.ckpt", bad, (("label_names",), ["a", "b", "c", "d"]))
-        code = run(["eval", "--checkpoint", bad, "--memory", trained / "memory.knn",
-                    "--data", data_dir / "eval.csv", "--out-dir", tmp_path])
+        code = run(["eval", "--checkpoint", bad, "--data", data_dir / "eval.csv",
+                    "--out-dir", tmp_path])
         assert code == 2
         err = capsys.readouterr().err
         assert "4 label_names for a model of n_classes 3" in err and "retrain" in err
@@ -182,7 +187,7 @@ class TestTrainEvalPredict:
         prov = tmp_path / "prov.jsonl"
         assert run(["predict", *common, "--text", "c0w1 c0w2 f3", "--provenance", prov]) == 0
         listed = [n["doc_id"] for n in json.loads(prov.read_text())["neighbors"]]
-        docs = load_memory(trained / "memory.knn").docs
+        docs = memory_of(trained).docs
         assert len(listed) == 2
         assert calls == [[("c0w1", "c0w2", "f3")] + [docs[i].tokens for i in listed]]
 
@@ -210,8 +215,8 @@ class TestTrainEvalPredict:
         for i, path in enumerate((old, ckpt)):
             model = trainer.model_from_checkpoint(trainer.load_checkpoint(path))
             prov = tmp_path / f"prov{i}.jsonl"
-            assert run(["predict", "--checkpoint", path, "--memory", trained / "memory.knn",
-                        "--input", texts, "--provenance", prov]) == 0
+            assert run(["predict", "--checkpoint", path, "--input", texts,
+                        "--provenance", prov]) == 0
             outputs.append((model.config, capsys.readouterr().out, prov.read_bytes()))
         assert outputs[0] == outputs[1]
 
@@ -244,8 +249,7 @@ class TestTrainEvalPredict:
         rewrite_manifest(trained / "model.ckpt", bad, change)
         with pytest.raises(trainer.CheckpointError, match=match):
             trainer.model_from_checkpoint(trainer.load_checkpoint(bad))
-        code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3"])
+        code = run(["predict", "--checkpoint", bad, "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
@@ -265,8 +269,7 @@ class TestTrainEvalPredict:
                                                              change, match):
         bad = tmp_path / "bad.ckpt"
         rewrite_manifest(trained / "model.ckpt", bad, change)
-        code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3"])
+        code = run(["predict", "--checkpoint", bad, "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
         assert match in err and "retrain" in err and "Traceback" not in err
@@ -279,9 +282,8 @@ class TestTrainEvalPredict:
         tensors = dict(ckpt.tensors, **{name: ckpt.tensors[name].copy()})
         tensors[name].flat[-1] = bad
         path = tmp_path / "bad.ckpt"
-        trainer.save_checkpoint(path, trainer.Checkpoint(ckpt.manifest, tensors))
-        code = run(["predict", "--checkpoint", path, "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3"])
+        trainer.save_checkpoint(path, dataclasses.replace(ckpt, tensors=tensors))
+        code = run(["predict", "--checkpoint", path, "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
         assert f"checkpoint tensor {name} holds a non-finite value" in err
@@ -294,58 +296,60 @@ class TestTrainEvalPredict:
         model = {**ckpt.manifest["model"], "mode": "vanilla_cosine"}
         specs = [spec for spec in ckpt.manifest["tensors"] if spec["name"] != "match.W"]
         bad = tmp_path / "vanilla.ckpt"
-        trainer.save_checkpoint(bad, trainer.Checkpoint(
-            {**ckpt.manifest, "model": model, "tensors": specs}, ckpt.tensors))
-        code = run(["predict", "--checkpoint", bad, "--memory", trained / "memory.knn",
-                    "--text", "c0w1 c0w2 f3"])
+        trainer.save_checkpoint(bad, dataclasses.replace(
+            ckpt, manifest={**ckpt.manifest, "model": model, "tensors": specs}))
+        code = run(["predict", "--checkpoint", bad, "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
         assert "no tensor for match.W" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("damage, match", [
-        pytest.param(lambda blob: blob[:-4], "truncated", id="cut-4"),
-        pytest.param(lambda blob: blob[: len(blob) // 2], "truncated", id="cut-half"),
-        pytest.param(lambda blob: blob + b"\0" * 4, "trailing bytes", id="trailing"),
-        pytest.param(b"{not json", _BAD_MEMORY, id="not-json"),
-        pytest.param((("labels",), _DROP), _BAD_MEMORY, id="no-labels"),
-        pytest.param((("labels", 0), 7), _BAD_MEMORY, id="label-out-of-range"),
-        pytest.param((("label_names",), ["only"]), _BAD_MEMORY, id="one-label-name"),
-        pytest.param((("doc_ids", 0), "x"), _BAD_MEMORY, id="non-integer-doc-id"),
-        pytest.param((("k",), -1), _BAD_MEMORY, id="negative-k"),
-        pytest.param((("k1",), -0.5), _BAD_MEMORY, id="negative-k1"),
-        pytest.param((("k1",), float("nan")), _BAD_MEMORY, id="nan-k1"),
-        pytest.param(lambda blob: b"KNNMEM01" + blob[8:], "bad memory magic b'KNNMEM01'",
+        pytest.param(lambda blob, n: blob[:-4], "truncated", id="cut-4"),
+        pytest.param(lambda blob, n: blob[:len(blob) - n // 2], "truncated", id="cut-half"),
+        pytest.param(lambda blob, n: blob + b"\0" * 4, "trailing bytes", id="trailing"),
+        pytest.param((("memory",), "{not json"), _BAD_MEMORY + "manifest is not a JSON object",
+                     id="not-json"),
+        pytest.param((("memory", "labels"), _DROP), _BAD_MEMORY, id="no-labels"),
+        pytest.param((("memory", "labels", 0), 7), _BAD_MEMORY, id="label-out-of-range"),
+        pytest.param((("memory", "label_names"), ["only"]), _BAD_MEMORY, id="one-label-name"),
+        pytest.param((("memory", "doc_ids", 0), "x"), _BAD_MEMORY, id="non-integer-doc-id"),
+        pytest.param((("memory", "k"), -1), _BAD_MEMORY, id="negative-k"),
+        pytest.param((("memory", "k1"), -0.5), _BAD_MEMORY, id="negative-k1"),
+        pytest.param((("memory", "k1"), float("nan")), _BAD_MEMORY, id="nan-k1"),
+        pytest.param(lambda blob, n: b"KNNTXT01" + blob[8:], "bad checkpoint magic b'KNNTXT01'",
                      id="old-magic"),
-        pytest.param(lambda blob: blob[:-4] + struct.pack("<I", 2**32 - 1),
+        pytest.param(lambda blob, n: blob[:-4] + struct.pack("<I", 2**32 - 1),
                      "a term id is outside the index's terms", id="term-id-outside-terms"),
     ])
     def test_damaged_memory_is_data_error(self, trained, tmp_path, capsys, damage, match):
-        bad = tmp_path / "bad.knn"
+        # The memory part of the checkpoint: its manifest object, and its
+        # term ids, the last n bytes of the file.
+        ckpt, bad = trained / "model.ckpt", tmp_path / "bad.ckpt"
         if callable(damage):
-            bad.write_bytes(damage((trained / "memory.knn").read_bytes()))
+            n = 4 * int(memory_of(trained).index.doc_lens.sum())
+            bad.write_bytes(damage(ckpt.read_bytes(), n))
         else:
-            rewrite_manifest(trained / "memory.knn", bad, damage)
-        code = run(["predict", "--checkpoint", trained / "model.ckpt", "--memory", bad,
-                    "--text", "c0w1 c0w2 f3"])
+            rewrite_manifest(ckpt, bad, damage)
+        code = run(["predict", "--checkpoint", bad, "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
-        assert match in err and "Traceback" not in err
+        assert f"{bad}: " in err and match in err and "Traceback" not in err
 
-    def test_memory_of_another_run_is_data_error(self, trained, data_dir, tmp_path, capsys):
-        other = tmp_path / "other"
-        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--split-seed", "1",
-                    "--out-dir", other]) == 0
-        code = run(["eval", "--checkpoint", trained / "model.ckpt", "--memory", other / "memory.knn",
-                    "--data", data_dir / "eval.csv", "--out-dir", tmp_path / "eval-out"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "memory digest mismatch" in err and "Traceback" not in err
-
-    def test_memory_preset_without_memory_is_usage_error(self, trained, capsys):
-        code = run(["predict", "--checkpoint", trained / "model.ckpt", "--text", "c0w1 f3"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--memory" in err and "Traceback" not in err
+    def test_memory_preset_checkpoint_of_two_file_layout_is_data_error(
+            self, trained, data_dir, tmp_path, capsys):
+        # The layout train wrote when the memory was a file of its own: the
+        # checkpoint named that file by its SHA-256 and held no memory.
+        plain, old = tmp_path / "plain.ckpt", tmp_path / "old.ckpt"
+        trainer.save_checkpoint(plain, dataclasses.replace(
+            trainer.read_checkpoint(trained / "model.ckpt"), memory=None))
+        rewrite_manifest(plain, old, (("memory_sha256",), "ab" * 32))
+        for request in (["eval", "--data", data_dir / "eval.csv", "--out-dir", tmp_path / "eval"],
+                        ["predict", "--text", "c0w1 f3"]):
+            assert run([request[0], "--checkpoint", old, *request[1:]]) == 2
+            err = capsys.readouterr().err
+            assert f"{old}: preset M7 retrieves neighbours, but the checkpoint holds no memory" in err
+            assert "retrain" in err and "Traceback" not in err
+        assert not (tmp_path / "eval").exists()
 
     def test_predict_input_not_utf8_is_data_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "in.txt"
@@ -358,14 +362,11 @@ class TestTrainEvalPredict:
     def test_predict_empty_input_is_error(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n", encoding="utf-8")
-        code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--memory", trained / "memory.knn",
-                    "--input", empty])
+        code = run(["predict", *serving(trained), "--input", empty])
         assert code == 2
 
     def test_predict_requires_exactly_one_source(self, trained, capsys):
-        code = run(["predict", "--checkpoint", trained / "model.ckpt",
-                    "--memory", trained / "memory.knn"])
+        code = run(["predict", *serving(trained)])
         assert code == 1
 
 
@@ -383,8 +384,7 @@ class TestTrainReruns:
             monkeypatch.chdir(tmp_path / where)
             assert run(["train", "--train", csv, *FAST, "--float-width", width,
                         "--out-dir", out]) == 0
-            blobs.append([(tmp_path / where / out / name).read_bytes()
-                          for name in ("model.ckpt", "memory.knn")])
+            blobs.append((tmp_path / where / out / "model.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
 
@@ -459,7 +459,7 @@ class TestServingUsesTrainingMemory:
         out = tmp_path / "run"
         assert run(["train", "--train", data_dir / "train.csv", *FAST, "--out-dir", out]) == 0
         train_docs, dev_docs = self.split(data_dir)
-        memory = load_memory(out / "memory.knn")
+        memory = memory_of(out)
         assert [(d.id, d.label, d.tokens) for d in memory.docs.values()] == \
             [(d.id, d.label, d.tokens) for d in train_docs]
         records = self.provenance(out, [d.text for d in dev_docs], tmp_path)
@@ -474,7 +474,7 @@ class TestServingUsesTrainingMemory:
         train_docs = self.split(data_dir)[0]
         kept = subsample(train_docs, LowResource(0.5), seed=0)
         assert len(kept) < len(train_docs)
-        assert sorted(load_memory(out / "memory.knn").docs) == [d.id for d in kept]
+        assert sorted(memory_of(out).docs) == [d.id for d in kept]
 
     def test_transfer_serves_its_external_memory(self, data_dir, tmp_path):
         external, _ = make_separable_corpus(6, 2, seed=9)
@@ -483,7 +483,7 @@ class TestServingUsesTrainingMemory:
         assert run(["train", "--train", data_dir / "train.csv", *FAST, "--setup", "transfer",
                     "--external-csv", tmp_path / "external.csv", "--external-classes", "2",
                     "--out-dir", out]) == 0
-        memory = load_memory(out / "memory.knn")
+        memory = memory_of(out)
         assert memory.labels == LabelSpace.of_size(2)
         assert [d.tokens for d in memory.docs.values()] == [d.tokens for d in external]
         records = self.provenance(out, ["c0w1 c0w2 f3", "c2w1 c2w4 f0 f1"], tmp_path)
@@ -492,23 +492,72 @@ class TestServingUsesTrainingMemory:
         assert run(["eval", *serving(out), "--data", data_dir / "eval.csv",
                     "--out-dir", tmp_path / "eval"]) == 0
 
+    def test_transfer_checkpoint_keeps_both_label_spaces(self, data_dir, tmp_path, capsys):
+        # The memory's label names are the external corpus's, in their own
+        # manifest object; the checkpoint's own are the model's, which serving prints.
+        external, _ = make_separable_corpus(6, 2, seed=9)
+        write_zhang_csv(tmp_path / "external.csv", external)
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--setup", "transfer",
+                    "--class-names", "World,Sports,Tech", "--external-csv",
+                    tmp_path / "external.csv", "--external-class-names", "Near,Far",
+                    "--out-dir", out]) == 0
+        blob = (out / "model.ckpt").read_bytes()
+        (size,) = struct.unpack("<Q", blob[8:16])
+        manifest = json.loads(blob[16:16 + size])
+        assert manifest["label_names"] == ["World", "Sports", "Tech"]
+        assert manifest["memory"]["label_names"] == ["Near", "Far"]
+        checkpoint = trainer.read_checkpoint(out / "model.ckpt")
+        assert checkpoint.manifest["label_names"] == ["World", "Sports", "Tech"]
+        assert checkpoint.memory.labels == LabelSpace(("Near", "Far"))
+        assert trainer.model_from_checkpoint(checkpoint).config.neighbor_classes == 2
+        capsys.readouterr()
+        assert run(["predict", *serving(out), "--text", "c0w1 c0w2 f3"]) == 0
+        assert capsys.readouterr().out.strip() in ("World", "Sports", "Tech")
+
     def test_m1_serves_without_memory(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["train", "--train", data_dir / "train.csv", *FAST, "--preset", "M1",
                     "--out-dir", out]) == 0
-        assert not (out / "memory.knn").exists()
-        assert trainer.read_checkpoint(out / "model.ckpt").manifest["memory_sha256"] is None
-        serve = ["--checkpoint", out / "model.ckpt"]
-        assert run(["predict", *serve, "--text", "c0w1 f3"]) == 0
-        assert run(["eval", *serve, "--data", data_dir / "eval.csv", "--out-dir", out / "eval"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["metrics.jsonl", "model.ckpt", "train_report.json"]
+        blob = (out / "model.ckpt").read_bytes()
+        (size,) = struct.unpack("<Q", blob[8:16])
+        assert not {"memory", "memory_sha256"} & json.loads(blob[16:16 + size]).keys()
+        assert memory_of(out) is None
+        assert run(["predict", *serving(out), "--text", "c0w1 f3"]) == 0
+        assert run(["eval", *serving(out), "--data", data_dir / "eval.csv",
+                    "--out-dir", out / "eval"]) == 0
+
+    def test_m1_checkpoint_of_two_file_layout_serves_the_same(self, data_dir, tmp_path, capsys):
+        # Train wrote an M1 checkpoint with "memory_sha256": null when the
+        # memory was a file of its own; it needs no memory, so it still serves.
+        out = tmp_path / "run"
+        assert run(["train", "--train", data_dir / "train.csv", *FAST, "--preset", "M1",
+                    "--out-dir", out]) == 0
+        old = tmp_path / "old.ckpt"
+        rewrite_manifest(out / "model.ckpt", old, (("memory_sha256",), None))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("c0w1 c0w2 f3\nc1w0 c1w3 f2\nc2w2 zzz\n", encoding="utf-8")
+        outputs = []
+        for i, path in enumerate((old, out / "model.ckpt")):
+            prov, served = tmp_path / f"prov{i}.jsonl", tmp_path / f"eval{i}"
+            capsys.readouterr()
+            assert run(["predict", "--checkpoint", path, "--input", texts,
+                        "--provenance", prov]) == 0
+            assert run(["eval", "--checkpoint", path, "--data", data_dir / "eval.csv",
+                        "--out-dir", served]) == 0
+            outputs.append((capsys.readouterr().out.replace(str(served), "<out>"),
+                            prov.read_bytes(), (served / "eval.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestServingFromArtifacts:
-    """`model.ckpt` and `memory.knn` are the whole input of `eval` and `predict`."""
+    """`model.ckpt`, which holds the memory, is the whole input of `eval` and `predict`."""
 
     OPTIONS = {
-        "eval": {"--checkpoint", "--memory", "--data", "--out-dir"},
-        "predict": {"--checkpoint", "--memory", "--text", "--input", "--provenance"},
+        "eval": {"--checkpoint", "--data", "--out-dir"},
+        "predict": {"--checkpoint", "--text", "--input", "--provenance"},
     }
     REQUEST = {"eval": ["--data", "eval.csv"], "predict": ["--text", "c0w1"]}
 
@@ -528,6 +577,14 @@ class TestServingFromArtifacts:
             err = capsys.readouterr().err
             assert code == 1, flag
             assert f"unrecognized arguments: {flag} 1" in err and "Traceback" not in err, flag
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_removed_memory_flag_is_refused(self, command, capsys):
+        code = run([command, "--checkpoint", "model.ckpt", *self.REQUEST[command],
+                    "--memory", "memory.knn"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --memory memory.knn" in err and "Traceback" not in err
 
     def test_label_names_come_from_the_checkpoint(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -752,7 +809,7 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         name = flag[2:].replace("-", "_")
         assert f"{name} must be finite" in err and "Traceback" not in err
-        assert not (out / "memory.knn").exists() and not (out / "model.ckpt").exists()
+        assert not out.exists() or not any(out.iterdir())
 
     def test_non_finite_value_in_training_exits_3(self, data_dir, tmp_path, capsys):
         # A finite but huge lr sends the weights to about 1e300 in the first
@@ -832,8 +889,9 @@ class TestConfigHandling:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert "--memory" in text and "K from the memory" in text
+        assert "--memory" not in text
         assert "label names and batch size come from the checkpoint" in text
+        assert "and so do the memory's documents, BM25 k1/b and K" in text
         for flag in ("--k1", "--b ", "--k ", "--config", "--classes", "--float-width"):
             assert flag not in text
         args = {"eval": ["--data", "x.csv"], "predict": ["--text", "c0w1"]}[command]

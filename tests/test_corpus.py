@@ -165,6 +165,11 @@ class TestSplitDev:
         with pytest.raises(CorpusError, match="dev_per_class must be >= 0, got -3"):
             split_dev(self.corpus(per_class=9), SplitSpec(dev_per_class=-3, seed=0))
 
+    def test_negative_seed_is_refused(self):
+        # numpy's own refusal is an untyped ValueError that names no setting.
+        with pytest.raises(CorpusError, match="split seed must be >= 0, got -1"):
+            split_dev(self.corpus(per_class=9), SplitSpec(dev_per_class=1, seed=-1))
+
 
 class TestSubsample:
     def corpus(self, sizes=(30, 40, 50, 60)):
@@ -197,6 +202,12 @@ class TestSubsample:
         # A negative slice would keep all but that many documents of the class.
         with pytest.raises(CorpusError, match="class 1 count -2 is negative"):
             subsample(self.corpus(), Unbalanced((2, -2, 8, 16)), seed=0)
+
+    @pytest.mark.parametrize("mode", [LowResource(0.5), Unbalanced((2, 4, 8, 16))],
+                             ids=["low_resource", "unbalanced"])
+    def test_negative_seed_is_refused(self, mode):
+        with pytest.raises(CorpusError, match="subsample seed must be >= 0, got -1"):
+            subsample(self.corpus(), mode, -1)
 
     def test_deterministic(self):
         corpus = self.corpus()

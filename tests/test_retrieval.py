@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -23,12 +24,12 @@ from knnmem.retrieval import (
     bm25_score,
     build_index,
     load_index,
-    load_memory,
+    memory_manifest,
     precompute_neighbors,
     save_index,
-    save_memory,
     search_knn,
 )
+from knnmem.trainer import Checkpoint, CheckpointError, read_checkpoint, save_checkpoint
 
 from bm25_oracle import oracle_bm25_score, oracle_postings, oracle_rank
 
@@ -547,9 +548,9 @@ class TestSaveIndexRange:
         index = build_index(docs)
         save_index(tmp_path / "out.idx", index)
         assert load_index(tmp_path / "out.idx").postings("a") == [(ids[0], 1), (ids[1], 1)]
-        save_memory(tmp_path / "memory.knn", Memory(index, {d.id: d for d in docs},
-                                                    LabelSpace(("x", "y")), Bm25Params(), 1))
-        loaded = load_memory(tmp_path / "memory.knn")
+        save_checkpoint(tmp_path / "model.ckpt", with_memory(Memory(
+            index, {d.id: d for d in docs}, LabelSpace(("x", "y")), Bm25Params(), 1)))
+        loaded = read_checkpoint(tmp_path / "model.ckpt").memory
         assert [(d.id, d.label, d.tokens) for d in loaded.docs.values()] == \
             [(d.id, d.label, d.tokens) for d in docs]
 
@@ -560,45 +561,65 @@ class TestSaveIndexRange:
         assert load_index(p).postings("a") == [(0, 1), (2**32 - 1, 1)]
 
 
+def with_memory(memory):
+    """A checkpoint that holds no tensor, only ``memory``."""
+    return Checkpoint(manifest={"tensors": []}, tensors={}, memory=memory)
+
+
 class TestMemoryFile:
-    """`save_memory`/`load_memory` give back the documents, label space, BM25
-    settings and K, and retrieval over the loaded memory is unchanged."""
+    """A memory saved with its checkpoint gives back the documents, label
+    space, BM25 settings and K, and retrieval over it is unchanged. A damaged
+    memory part is a `CheckpointError` that names the file."""
 
     LABELS = LabelSpace(("x", "y", "z"))
 
     def save(self, path, docs, params=Bm25Params(0.5, 0.3), k=3):
-        save_memory(path, Memory(build_index(docs), {d.id: d for d in docs}, self.LABELS, params, k))
-        return load_memory(path)
+        memory = Memory(build_index(docs), {d.id: d for d in docs}, self.LABELS, params, k)
+        save_checkpoint(path, with_memory(memory))
+        return read_checkpoint(path).memory
 
     @staticmethod
     def rewrite(path, change):
         blob = path.read_bytes()
         (size,) = struct.unpack("<Q", blob[8:16])
-        manifest = {**json.loads(blob[16:16 + size]), **change}
+        manifest = json.loads(blob[16:16 + size])
+        manifest["memory"].update(change)
         raw = json.dumps(manifest).encode("utf-8")
         path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + size:])
+
+    @staticmethod
+    def refused(path, match):
+        return pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + match)
 
     def test_round_trip_ids_labels_tokens_and_settings(self, tmp_path):
         rng = np.random.default_rng(23)
         docs = [doc(3 * d.id + 1, d.tokens, label=d.id % 3) for d in random_corpus(rng, 30, 11)]
-        loaded = self.save(tmp_path / "memory.knn", docs[::-1])
+        loaded = self.save(tmp_path / "model.ckpt", docs[::-1])
         assert [(d.id, d.label, d.tokens) for d in loaded.docs.values()] == \
             [(d.id, d.label, d.tokens) for d in docs]
         assert (loaded.labels, loaded.params, loaded.k) == (self.LABELS, Bm25Params(0.5, 0.3), 3)
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        p, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+        self.save(p, [doc(1, ["a"], label=2), doc(4, ["a", "b"])])
+        checkpoint = read_checkpoint(p)
+        assert "memory" not in checkpoint.manifest
+        save_checkpoint(again, checkpoint)
+        assert again.read_bytes() == p.read_bytes()
 
     def test_dataset_tokens_round_trip(self, tmp_path):
         csv = tmp_path / "data.csv"
         csv.write_text('"1","IBM and Kodak.","camera-phones, deal"\n"2","Second doc",""\n',
                        encoding="utf-8")
         docs = load_dataset(csv, LabelSpace.of_size(4))
-        loaded = list(self.save(tmp_path / "memory.knn", docs).docs.values())
+        loaded = list(self.save(tmp_path / "model.ckpt", docs).docs.values())
         assert [(d.id, d.label, d.tokens) for d in loaded] == [(d.id, d.label, d.tokens) for d in docs]
         assert [tuple(tokenize(d.text)) for d in loaded] == [d.tokens for d in docs]
 
     def test_search_over_loaded_memory_is_unchanged(self, tmp_path):
         rng = np.random.default_rng(24)
         docs = random_corpus(rng, 60, 15)
-        loaded = self.save(tmp_path / "memory.knn", docs)
+        loaded = self.save(tmp_path / "model.ckpt", docs)
         index = build_index(docs)
         for params in (Bm25Params(), Bm25Params(0.5, 0.3), Bm25Params(2.0, 1.0)):
             for query in docs[:20]:
@@ -608,11 +629,11 @@ class TestMemoryFile:
     @pytest.mark.parametrize("doc_ids", [pytest.param([1, 1, 4], id="duplicate"),
                                          pytest.param([4, 1, 7], id="unsorted")])
     def test_duplicate_or_unsorted_ids_rejected(self, tmp_path, doc_ids):
-        p = tmp_path / "memory.knn"
+        p = tmp_path / "model.ckpt"
         self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"]), doc(7, ["b"])])
         self.rewrite(p, {"doc_ids": doc_ids})
-        with pytest.raises(RetrievalError, match="strictly ascending"):
-            load_memory(p)
+        with self.refused(p, "malformed checkpoint manifest: memory doc_ids must be strictly ascending"):
+            read_checkpoint(p)
 
     @pytest.mark.parametrize("change", [
         {"labels": [0, 1]},
@@ -624,26 +645,39 @@ class TestMemoryFile:
         {"k1": None},
     ])
     def test_bad_memory_manifest_keys(self, tmp_path, change):
-        p = tmp_path / "memory.knn"
+        p = tmp_path / "model.ckpt"
         self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"]), doc(7, ["b"])])
         self.rewrite(p, change)
-        with pytest.raises(RetrievalError, match="malformed memory manifest"):
-            load_memory(p)
+        with self.refused(p, "malformed checkpoint manifest: memory "):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("cut, match", [
+        (4, r"truncated tensor data \(8 of 12 bytes\)"),
+        (-4, "4 trailing bytes after the tensor data"),
+    ], ids=["truncated", "overlong"])
+    def test_term_ids_of_another_length(self, tmp_path, cut, match):
+        p = tmp_path / "model.ckpt"
+        self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"])])
+        blob = p.read_bytes()
+        p.write_bytes(blob[:-cut] if cut > 0 else blob + b"\0" * -cut)
+        with self.refused(p, match):
+            read_checkpoint(p)
 
     def test_token_id_outside_terms(self, tmp_path):
-        p = tmp_path / "memory.knn"
+        p = tmp_path / "model.ckpt"
         self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"])])
         p.write_bytes(p.read_bytes()[:-4] + struct.pack("<I", 2))
-        with pytest.raises(RetrievalError, match=": a term id is outside the index's terms"):
-            load_memory(p)
+        with self.refused(p, "a term id is outside the index's terms"):
+            read_checkpoint(p)
 
     def test_documents_must_match_the_index(self, tmp_path):
         docs = [doc(1, ["a"]), doc(4, ["a", "b"])]
-        p = tmp_path / "memory.knn"
+        p = tmp_path / "model.ckpt"
         for other in ({1: docs[0]}, {1: docs[0], 4: docs[1], 5: doc(5, ["a"])}):
-            with pytest.raises(RetrievalError, match="not the documents"):
-                save_memory(p, Memory(build_index(docs), other, self.LABELS, Bm25Params(), 2))
-        assert not p.exists()
+            with self.refused(p, "memory documents are not the documents of its index"):
+                save_checkpoint(p, with_memory(
+                    Memory(build_index(docs), other, self.LABELS, Bm25Params(), 2)))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tokens", [
         pytest.param({1: ["a"], 4: ["a", "zzz"]}, id="token-not-in-terms"),
@@ -653,18 +687,30 @@ class TestMemoryFile:
     ])
     def test_tokens_must_match_the_index(self, tmp_path, tokens):
         index = build_index([doc(1, ["a"]), doc(4, ["a", "b"])])
-        p = tmp_path / "memory.knn"
-        with pytest.raises(RetrievalError, match="tokens are not those of its index"):
-            save_memory(p, Memory(index, {i: doc(i, t) for i, t in tokens.items()},
-                                  self.LABELS, Bm25Params(), 2))
-        assert not p.exists()
+        p = tmp_path / "model.ckpt"
+        with self.refused(p, "memory documents' tokens are not those of its index"):
+            save_checkpoint(p, with_memory(Memory(index, {i: doc(i, t) for i, t in tokens.items()},
+                                                  self.LABELS, Bm25Params(), 2)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_previous_format_magic(self, tmp_path):
+        # The separate memory file that train wrote beside its checkpoint
+        # before the checkpoint carried the memory.
+        docs = [doc(1, ["a"]), doc(4, ["a", "b"])]
+        manifest, term_ids = memory_manifest(
+            Memory(build_index(docs), {d.id: d for d in docs}, self.LABELS, Bm25Params(), 2))
         p = tmp_path / "memory.knn"
-        self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"])])
-        p.write_bytes(b"KNNMEM01" + p.read_bytes()[8:])
-        with pytest.raises(RetrievalError, match=": bad memory magic b'KNNMEM01'"):
-            load_memory(p)
+        write_artifact(p, b"KNNMEM02", manifest, [term_ids])
+        with self.refused(p, "bad checkpoint magic b'KNNMEM02'"):
+            read_checkpoint(p)
+
+    def test_checkpoint_without_memory_has_no_memory_part(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, Checkpoint(manifest={"tensors": []}, tensors={}))
+        (size,) = struct.unpack("<Q", p.read_bytes()[8:16])
+        assert p.stat().st_size == 16 + size
+        assert json.loads(p.read_bytes()[16:]) == {"float_bytes": 8, "tensors": []}
+        assert read_checkpoint(p).memory is None
 
 
 def test_bm25_params_validation():
