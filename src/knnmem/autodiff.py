@@ -17,8 +17,9 @@ check and raise ``NonFiniteError`` saying what the check covers:
 composition and ``x @ Wx + b`` that feed it), as a saturated gate would hide
 an inf; ``perspective_cosine`` its output (the pair rows and the weights; a
 NaN norm is not masked as a zero one); ``softmax_cross_entropy`` its logits
-(the attentive sums, feature concat, classifier matmul and bias). With
-finite operands every value between them is bounded, so no other op scans.
+(the attentive sums, feature concat, classifier matmul and bias), a check
+that a forward computing no loss makes by ``check_logits``. With finite
+operands every value between them is bounded, so no other op scans.
 A restored checkpoint is scanned once (``trainer.model_from_checkpoint``),
 so a bad weight is refused at load, by name, not by the requests reading it.
 """
@@ -341,8 +342,9 @@ def _scatter_add_rows(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.nd
     start = 0
     for rows_k, k in zip(np.split(present, firsts[1:]), ks.tolist()):
         stop = start + rows_k.size * k
-        block = values[order[start:stop]].reshape((rows_k.size, k) + values.shape[1:])
-        out[rows_k] = np.add.reduce(block, axis=1)
+        block = values[order[start:stop]]
+        out[rows_k] = block if k == 1 else np.add.reduce(
+            block.reshape((rows_k.size, k) + values.shape[1:]), axis=1)
         start = stop
     return out
 
@@ -362,35 +364,116 @@ def rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), backward)
 
 
+def _prefix_tree(idx: np.ndarray, counts: list[int], n_rows: int):
+    """The prefix tree of the rows of ``idx``, one level per step.
+
+    The rows are sorted by descending length, ``counts[t]`` of them running
+    at step ``t``. A node at depth ``t`` is a distinct prefix
+    ``idx[:t + 1, j]`` of the running rows. The nodes of a depth are
+    ordered by their longest row, the first of them in row order. Yields
+    ``(n, parents, proj_rows, ends)`` per depth:
+
+    - ``n`` nodes, whose projection rows are ``proj_rows``;
+    - ``parents``, the previous depth's node of each, or ``None`` when they
+      are the previous depth's first ``n`` nodes. That holds at every depth
+      where no node has two children: a node's longest row continues it;
+    - ``ends``, the node of each row that ends at this depth (the rows
+      ``counts[t + 1]:counts[t]``), or ``None`` once every node holds one
+      row. From there on node ``p`` is row ``p``, and every level is the
+      plain sorted-rows step.
+
+    It holds O(B) index state, whatever the number of steps.
+    """
+    node = rep = None  # while rows share nodes: each running row's node, each node's first row
+    for t, cnt in enumerate(counts):
+        x = idx[t, :cnt]
+        parents = None
+        if t == 0:
+            groups = _group(x) if cnt > 1 else None
+        elif rep is None:
+            yield cnt, None, x, None
+            continue
+        else:
+            up = node[:cnt]
+            # A node has two children where a row's entry differs from its first row's.
+            if np.array_equal(x, x[rep[up]]):
+                rep = rep[:int(np.searchsorted(rep, cnt))]
+                groups = (node, rep) if rep.size < cnt else None
+            else:
+                groups = _group(up * n_rows + x)
+                parents = up if groups is None else up[groups[1]]
+        if groups is None:  # every node holds one row: node p is row p from here on
+            node = rep = None
+            yield cnt, parents, x, None
+        else:
+            node, rep = groups
+            ends_from = counts[t + 1] if t + 1 < len(counts) else 0
+            yield rep.size, parents, x[rep], node[ends_from:cnt]
+
+
+def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Groups of equal ``key`` entries, ordered by their first entry: each
+    entry's group and each group's first entry, or ``None`` when every
+    entry differs. One stable sort, so the check for no repeats is cheap."""
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    starts = np.empty(key.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
+    if starts.all():
+        return None
+    first = by_key[starts]  # each group's first entry, groups in key order
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    group = np.empty_like(by_key)
+    group[by_key] = rank[np.cumsum(starts) - 1]
+    return group, first[by_first]
+
+
 def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     """One whole LSTM pass from a zero state; returns each row's final ``h``.
 
     ``proj`` holds precomputed input projections ``x @ Wx + b`` (gate order
     i, f, g, o along columns). Row ``j`` runs ``lengths[j]`` steps, reading
-    ``proj[index[t, j]]`` at step ``t``; after its last step its state is
-    never touched again. The pass is a single tape node whose backward is
-    hand-written BPTT.
+    ``proj[index[t, j]]`` at step ``t``. The pass is a single tape node
+    whose backward is hand-written BPTT.
 
-    The rows are stably sorted once by descending length, so the rows still
-    running at step ``t`` are the prefix ``[:n_t]`` of that order. Forward
-    and backward update the views ``h[:n]``, ``c[:n]``, ``dh[:n]`` and
-    ``dc[:n]`` in place, with no gather or scatter of state, and the result
-    comes back in input order.
+    An LSTM state depends only on the inputs read so far, so rows whose
+    first ``t + 1`` entries of ``index`` agree share one state at step
+    ``t``: the recurrence runs one row per node of the rows' prefix tree
+    (``_prefix_tree``), and each row's output is its last node's ``h``.
+    The rows are stably sorted once by descending length, and each depth's
+    nodes are ordered by their longest row. Where no node has two children
+    the nodes still running are then the prefix ``[:n_t]`` of the previous
+    depth's, and forward and backward update the views ``h[:n]``,
+    ``c[:n]``, ``dh[:n]`` and ``dc[:n]`` in place. Only a depth where a node
+    has two or more children gathers its parents' ``h`` and ``c``, and its
+    backward sums each parent's children's ``dh`` and ``dc``: one stable
+    sort by parent, then one ``np.add.reduceat`` over the runs, on rows
+    only ``h`` wide. A row that ends on a node that runs on (a prefix of
+    another row, or one of duplicate rows) copies out its ``h`` at its last
+    step, and its output gradient is added into that node's ``dh``. Once
+    every node holds one row, the remaining steps are the plain sorted-rows
+    loop: a row's state is never touched after its last step, and its ``h``
+    stays in place. A call whose rows all differ at step 0 runs that loop
+    from the start.
 
     Each step's ``h_prev @ Wh`` is one ``_matmul_rows`` call, chunked only
     without a tape; ``h`` and the buffer it writes have spare rows for it.
+    Untaped, a node's bytes are those of any row it stands for run alone.
 
     Without a tape (or with nothing to differentiate) one ``(B, 4h)`` gate
     buffer and one ``(B, h)`` buffer serve every step, so the pass holds one
     step's worth of memory whatever its length. Under a tape every
-    step's projection rows are gathered into one ``(sum n_t, 4h)`` stack,
+    node's projection row is gathered into one ``(sum n_t, 4h)`` stack,
     which becomes the saved gates in place (with ``tanh(g)`` in the g
-    columns), beside stacks of each step's ``h_prev``, ``c_prev`` and
-    ``tanh(c)``. The backward reads all four by step offset and writes each
-    step's gate gradients into its rows of one buffer ``dZ``, applying the
-    gate derivatives (``s(1-s)``, ``1-g**2`` in the g columns) as one block;
-    ``dWh`` is then one product ``H_prev.T @ dZ`` and ``dproj`` one
-    scatter-add of ``dZ``.
+    columns), beside stacks of each node's ``h_prev``, ``c_prev`` and
+    ``tanh(c)``: one row per node. The backward reads all four by depth
+    offset and writes each node's gate gradients into its row of one buffer
+    ``dZ``, applying the gate derivatives (``s(1-s)``, ``1-g**2`` in the g
+    columns) as one block; ``dWh`` is then one product ``H_prev.T @ dZ``
+    and ``dproj`` one scatter-add of ``dZ``.
     """
     idx = np.asarray(index, dtype=np.int64)
     lens = np.asarray(lengths, dtype=np.int64)
@@ -415,12 +498,16 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     # Rows still running at each step; with the rows in `order` they are a prefix.
     counts = batch - np.cumsum(np.bincount(lens, minlength=n_steps))[:n_steps]
     counts = counts[counts > 0].tolist()
-    offsets = np.cumsum([0] + counts).tolist()
+    levels = _prefix_tree(idx, counts, P.shape[0])
     h = np.zeros((batch + ROW_ALIGN, hidden), dtype=_DTYPE)
     c = np.zeros((batch, hidden), dtype=_DTYPE)
+    out_data = np.empty_like(c)
+    kept = 0  # rows [:kept] keep their final h in place
     gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     if track:
-        rows_all = idx[np.arange(n_steps)[:, None] < lens[order]]
+        levels = list(levels)
+        offsets = np.cumsum([0] + [level[0] for level in levels]).tolist()
+        rows_all = np.concatenate([np.empty(0, dtype=np.int64), *(level[2] for level in levels)])
         S = P.take(rows_all, axis=0)
         H_prev, C_prev, TC = (np.empty((offsets[-1], hidden), dtype=_DTYPE) for _ in range(3))
         # Each step's h_prev @ Wh goes into this one buffer: a fresh product
@@ -430,7 +517,11 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
         gates = np.empty((batch + ROW_ALIGN, width), dtype=_DTYPE)
         work = np.empty((batch, hidden), dtype=_DTYPE)
     with np.errstate(over="ignore"):
-        for t, n in enumerate(counts):
+        for t, (n, parents, proj_rows, ends) in enumerate(levels):
+            if parents is not None:
+                h[:n], c[:n] = h[parents], c[parents]
+            if ends is None and not kept:
+                kept = n
             h_n, c_n = h[:n], c[:n]
             if track:
                 lo, hi = offsets[t], offsets[t + 1]
@@ -443,7 +534,7 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
                 s, tc = gates[:n], work[:n]
                 _matmul_rows(h, W, gates, n, chunk=True)
                 # A plain gather: `np.take(..., out=s)` is about twice as slow.
-                s += P.take(idx[t, :n], axis=0)
+                s += P.take(proj_rows, axis=0)
             # tc holds tanh(g) while s becomes 1 / (1 + exp(-s)) in place.
             np.tanh(s[:, gg], out=tc)
             np.exp(np.negative(s, out=s), out=s)
@@ -455,8 +546,9 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
             c_n += tc
             np.tanh(c_n, out=tc)
             np.multiply(s[:, go], tc, out=h_n)
-    out_data = np.empty_like(c)
-    out_data[order] = h[:batch]
+            if ends is not None:
+                out_data[order[counts[t] - ends.size:counts[t]]] = h[ends]
+    out_data[order[:kept]] = h[:kept]
     out = Tensor(out_data)
 
     def backward(gh):
@@ -465,8 +557,34 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
         dZ = np.empty((offsets[-1], width), dtype=_DTYPE)
         deriv = np.empty((batch, width), dtype=_DTYPE)
         work = np.empty((batch, hidden), dtype=_DTYPE)
-        for t in reversed(range(len(counts))):
-            lo, hi, n = offsets[t], offsets[t + 1], counts[t]
+        n_next, next_parents = 0, None
+        for t in reversed(range(len(levels))):
+            n, parents, _, ends = levels[t]
+            if ends is not None:
+                # dh[:n] and dc[:n] become this depth's nodes' gradients: the
+                # sums over their children, and the rows ending on them.
+                if next_parents is not None:
+                    # Each continuing parent's children, one run each in
+                    # parent order, summed with `work` as the gather buffer.
+                    by_parent = np.argsort(next_parents, kind="stable")
+                    runs = np.bincount(next_parents)
+                    starts = np.cumsum(runs) - runs
+                    m = runs.size
+                    for grad in (dh, dc):
+                        np.take(grad, by_parent, axis=0, out=work[:n_next], mode="clip")
+                        np.add.reduceat(work[:n_next], starts, axis=0, out=grad[:m])
+                    dh[m:n] = 0.0
+                    dc[m:n] = 0.0
+                else:
+                    dh[n_next:n] = 0.0
+                    dc[n_next:n] = 0.0
+                ending = gh[order[counts[t] - ends.size:counts[t]]]
+                if ends.size and np.bincount(ends).max() > 1:  # duplicate rows end on one node
+                    np.add.at(dh, ends, ending)
+                else:
+                    dh[ends] += ending
+            n_next, next_parents = n, parents
+            lo, hi = offsets[t], offsets[t + 1]
             s, tc, c_prev, dz = S[lo:hi], TC[lo:hi], C_prev[lo:hi], dZ[lo:hi]
             dh_n, dc_n, d, tmp = dh[:n], dc[:n], deriv[:n], work[:n]
             # dc += dh * o * (1 - tc**2)
@@ -545,6 +663,13 @@ def perspective_cosine(q: Tensor, n: Tensor, W: Tensor) -> Tensor:
     return _record(out, (q, n, W), backward)
 
 
+def check_logits(logits: np.ndarray) -> None:
+    """The check ``softmax_cross_entropy`` makes on its logits, for a forward
+    that computes no loss."""
+    _check_finite("softmax_cross_entropy: non-finite logits (this check covers the attentive"
+                  " sums, the feature concat, the classifier matmul and its bias)", logits)
+
+
 def softmax_cross_entropy(logits: Tensor, target_indices) -> Tensor:
     """Fused, shift-stabilized softmax + cross entropy; one loss per row."""
     targets = np.asarray(target_indices, dtype=np.int64)
@@ -555,8 +680,7 @@ def softmax_cross_entropy(logits: Tensor, target_indices) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise AutodiffError("softmax_cross_entropy: target index out of range")
     z = logits.data
-    _check_finite("softmax_cross_entropy: non-finite logits (this check covers the attentive"
-                  " sums, the feature concat, the classifier matmul and its bias)", z)
+    check_logits(z)
     zmax = z.max(axis=1, keepdims=True)
     shifted = z - zmax
     exp = np.exp(shifted)

@@ -262,12 +262,13 @@ class MemoryBank:
 
 @dataclass
 class ForwardResult:
-    """A batch's mean loss and per-query outputs. ``attention`` is the
-    (P, I) attention of every (query, neighbor) pair, queries in batch order
-    and each query's neighbors in listed order, or ``None`` for a preset
-    without memory."""
+    """A batch's per-query outputs and, under a ``Tape``, its mean loss: an
+    untaped forward computes none (``None``) and reads no label.
+    ``attention`` is the (P, I) attention of every (query, neighbor) pair,
+    queries in batch order and each query's neighbors in listed order, or
+    ``None`` for a preset without memory."""
 
-    loss: Tensor
+    loss: Tensor | None
     logits: np.ndarray
     predictions: np.ndarray
     probabilities: np.ndarray
@@ -341,8 +342,9 @@ class KnnTextModel:
     def forward_batch(self, docs: Sequence[Document],
                       neighbor_map: Mapping[int, NeighborSet] | None = None,
                       neighbor_docs: Mapping[int, Document] | None = None) -> ForwardResult:
-        """Encode the inputs, apply the memory head, and return the mean
-        cross-entropy, per-example predictions and the pairs' attention.
+        """Encode the inputs, apply the memory head, and return the
+        per-example predictions, the pairs' attention and, under a ``Tape``,
+        the mean cross-entropy.
 
         Under a ``Tape`` or without a ``bank``, the neighbors are encoded
         with the inputs (deduplicated), and gradients flow through both
@@ -425,9 +427,12 @@ class KnnTextModel:
                 f"feature width {feat_mat.shape[1]} != classifier width {self.classifier.W.shape[0]}"
             )
         logits = ad.add(ad.matmul(feat_mat, self.classifier.W), self.classifier.b)
-        targets = [doc.label for doc in docs]
-        losses = ad.softmax_cross_entropy(logits, targets)
-        loss = ad.scalar_mul(ad.sum(losses), 1.0 / len(docs))
+        loss = None
+        if ad.recording():
+            losses = ad.softmax_cross_entropy(logits, [doc.label for doc in docs])
+            loss = ad.scalar_mul(ad.sum(losses), 1.0 / len(docs))
+        else:
+            ad.check_logits(logits.data)
         return ForwardResult(
             loss=loss,
             logits=logits.data,

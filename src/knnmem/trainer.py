@@ -347,6 +347,8 @@ def evaluate(model: KnnTextModel, docs: Sequence[Document],
     if not docs:
         raise TrainingError("cannot evaluate on an empty corpus")
     c = model.config.n_classes
+    if any(not 0 <= doc.label < c for doc in docs):
+        raise TrainingError(f"a gold label lies outside the model's {c} classes")
     confusion = np.zeros((c, c), dtype=np.int64)
     for start in range(0, len(docs), batch_size):
         batch = docs[start:start + batch_size]

@@ -484,6 +484,83 @@ class TestLstmSequence:
         fd_check(lambda: ad.sum(tanh(lstm_sequence(add(proj, b), index, Wh, lengths))),
                  {"proj": proj, "Wh": Wh, "b": b})
 
+    @staticmethod
+    def check_shared_prefixes(index, lengths, fd=False, seed=48):
+        """Rows that share prefixes share states. Untaped, each row's output
+        has the bytes of the row run alone; taped, the outputs match the
+        step reference and the gradients are the sums of each row's own,
+        to rounding; with ``fd``, they match finite differences too."""
+        index, lengths = np.asarray(index), np.asarray(lengths)
+        rng = np.random.default_rng(seed)
+        proj, _, Wh, b, _ = lstm_inputs(rng, n_rows=int(index.max()) + 1)
+        batch = index.shape[1]
+        weights = rng.uniform(-1.0, 1.0, (batch, 3))
+        want = ref_lstm_sequence(proj.data + b.data, index, Wh.data, lengths)
+        got = lstm_sequence(add(proj, b), index, Wh, lengths).data
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
+        for j in range(batch):
+            alone = lstm_sequence(add(proj, b), index[:, j:j + 1], Wh, lengths[j:j + 1]).data
+            assert np.array_equal(got[j], alone[0])
+
+        def grads(cols):
+            zero_grads([proj, Wh, b])
+            with Tape() as tape:
+                out = lstm_sequence(add(proj, b), index[:, cols], Wh, lengths[cols])
+                loss = ad.sum(mul(tanh(out), weights[cols]))
+            tape.backward(loss)
+            return out.data, [np.array(p.grad) for p in (proj, Wh, b)]
+
+        taped, together = grads(np.arange(batch))
+        assert np.allclose(taped, want, rtol=0, atol=1e-14)
+        apart = [grads(np.array([j]))[1] for j in range(batch)]
+        for k, grad in enumerate(together):
+            assert np.allclose(grad, np.sum([g[k] for g in apart], axis=0), rtol=1e-12, atol=1e-14)
+        if fd:
+            fd_check(lambda: ad.sum(mul(tanh(lstm_sequence(add(proj, b), index, Wh, lengths)), weights)),
+                     {"proj": proj, "Wh": Wh, "b": b})
+
+    def test_duplicate_rows(self):
+        # Rows 0, 1 and 3 are one row three times; their gradients add up on one state.
+        self.check_shared_prefixes([[0, 0, 1, 0], [1, 1, 0, 1], [2, 2, 0, 2]], [3, 3, 2, 3], fd=True)
+
+    def test_row_that_is_a_prefix_of_another(self):
+        # Rows 1 and 2 end on nodes that row 0 runs on from.
+        self.check_shared_prefixes([[0, 0, 0, 2], [1, 1, 1, 0], [2, 0, 2, 0], [1, 0, 0, 0]],
+                                   [4, 2, 3, 1], fd=True)
+
+    def test_rows_share_only_their_first_entry(self):
+        self.check_shared_prefixes([[0, 0, 0, 1], [1, 2, 0, 1], [2, 1, 1, 0]], [3, 3, 2, 3])
+
+    def test_fan_out_below_step_zero(self):
+        # Rows 0-2 share two steps; rows 0 and 2 part at step 3, rows 0 and 1 at step 2.
+        self.check_shared_prefixes([[0, 0, 0, 1], [1, 1, 1, 1], [2, 0, 2, 2], [0, 1, 2, 0]],
+                                   [4, 4, 4, 2], fd=True)
+
+    def test_no_shared_prefix(self):
+        self.check_shared_prefixes([[0, 1, 2, 3], [1, 1, 0, 2], [2, 0, 0, 1], [3, 3, 1, 0]],
+                                   [4, 3, 1, 2])
+
+    @given(st.integers(2, 3), st.integers(1, 5), st.integers(1, 9), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_prefixes_on_small_alphabets(self, alphabet, n_steps, batch, data):
+        symbols = st.integers(0, alphabet - 1)
+        index = data.draw(st.lists(st.lists(symbols, min_size=batch, max_size=batch),
+                                   min_size=n_steps, max_size=n_steps))
+        lengths = data.draw(st.lists(st.integers(1, n_steps), min_size=batch, max_size=batch))
+        self.check_shared_prefixes(index, lengths)
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(49)
+        proj, _, Wh, _, _ = lstm_inputs(rng)
+        for n_steps in (0, 3):
+            index, lengths = np.zeros((n_steps, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+            assert lstm_sequence(proj, index, Wh, lengths).shape == (0, 3)
+            zero_grads([proj, Wh])
+            with Tape() as tape:
+                loss = ad.sum(lstm_sequence(proj, index, Wh, lengths))
+            tape.backward(loss)
+            assert not proj.grad.any() and not Wh.grad.any()
+
     def test_one_tape_node(self):
         rng = np.random.default_rng(44)
         proj, index, Wh, _, lengths = lstm_inputs(rng)

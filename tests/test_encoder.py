@@ -6,7 +6,7 @@ import pytest
 import knnmem.autodiff as ad
 from knnmem.autodiff import Tape, Tensor, grad_check
 from knnmem.corpus import Document, build_vocab
-from knnmem.datagen import TopicalSpec, make_topical_corpus
+from knnmem.datagen import TopicalSpec, make_marker_corpus, make_topical_corpus
 from knnmem.encoder import (
     EncoderConfig,
     EncoderError,
@@ -269,6 +269,59 @@ class TestCharCompose:
         assert report.worst() < 1e-3, report.max_rel_err
 
 
+class TestCharPassWork:
+    """The recurrence runs one row per distinct prefix: the rows a char pass
+    hands to ``autodiff._matmul_rows`` are its words' distinct clipped
+    prefixes, taped or not, and a lone word's are its length."""
+
+    @staticmethod
+    def recurrent_rows(monkeypatch, enc, words, tape):
+        ids, lens = enc._char_ids(words)
+        p = enc.params.char_lstm
+        proj = ad.add(ad.matmul(enc.params.char_table, p.Wx), p.b)
+        counted = []
+        real = ad._matmul_rows
+
+        def counting(a, b, out, n, chunk):
+            counted.append(n)
+            real(a, b, out, n, chunk)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_matmul_rows", counting)
+            if tape:
+                with Tape():
+                    ad.lstm_sequence(proj, ids, p.Wh, lens)
+            else:
+                ad.lstm_sequence(proj, ids, p.Wh, lens)
+        return sum(counted)
+
+    @staticmethod
+    def batch_words(docs, config):
+        """A 32-document batch's distinct words, clipped as the encoder clips them."""
+        words = dict.fromkeys(tok for d in docs[:32] for tok in d.tokens[:config.max_tokens])
+        return list(words)
+
+    @pytest.mark.parametrize("tape", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("corpus", ["marker", "topical"])
+    def test_one_row_per_distinct_prefix(self, monkeypatch, corpus, tape):
+        if corpus == "marker":
+            docs, _, _ = make_marker_corpus(16, 2, 4, seed=3, visible_len=16)
+            config = EncoderConfig(word_dim=50, char_dim=10, char_lstm_dim=20, hidden=25, max_tokens=16)
+        else:
+            docs, _ = make_topical_corpus(16, TopicalSpec(seed=3))
+            config = EncoderConfig(word_dim=8, char_dim=5, char_lstm_dim=6, hidden=7)
+        enc = TextEncoder.create(config, build_vocab(docs), seed=0)
+        words = self.batch_words(docs, config)
+        clipped = [w[:config.max_word_chars] for w in words]
+        prefixes = {w[:k] for w in clipped for k in range(1, len(w) + 1)}
+        rows = self.recurrent_rows(monkeypatch, enc, words, tape)
+        assert rows == len(prefixes) < sum(len(w) for w in clipped) / 2
+
+    @pytest.mark.parametrize("tape", [False, True], ids=["untaped", "taped"])
+    def test_lone_word_runs_one_row_per_step(self, monkeypatch, tiny_encoder, tape):
+        assert self.recurrent_rows(monkeypatch, tiny_encoder, ["birds"], tape) == 5
+
+
 class TestWordRepresent:
     def test_oov_uses_row_zero(self, tiny_encoder):
         enc = tiny_encoder
@@ -280,6 +333,23 @@ class TestWordRepresent:
         row = enc.vocab.word_id("cat")
         vec = word_inputs(enc, ["cat"])[0]
         assert np.allclose(vec[: TINY.word_dim], enc.params.word.tensor.data[row])
+
+    def test_batch_words_reach_projection_with_vocabulary_ids(self, tiny_encoder, monkeypatch):
+        # encode_batch maps its distinct words to ids in one pass; OOV words get row 0.
+        seen = []
+        project = TextEncoder._project
+
+        def spy(self, word_ids, words):
+            seen.append((word_ids, list(words)))
+            return project(self, word_ids, words)
+
+        monkeypatch.setattr(TextEncoder, "_project", spy)
+        tiny_encoder.encode_batch([["the", "zzz", "cat", "the"], ["qqq", "dog", "zzz"]])
+        (word_ids, words), = seen
+        assert words == ["the", "zzz", "cat", "qqq", "dog"]
+        assert word_ids.dtype == np.int64
+        assert word_ids.tolist() == [tiny_encoder.vocab.word_id(w) for w in words]
+        assert word_ids[[1, 3]].tolist() == [0, 0] and word_ids[[0, 2, 4]].all()
 
 
 class TestEncodeText:

@@ -318,10 +318,18 @@ class TestModel:
         baseline = BilstmBaseline.create(TINY, model.encoder.vocab, 3, seed=0)
         for name, p in model.named_params().items():
             assert p.data.tobytes() == baseline.named_params()[name].data.tobytes()
-        got = model.forward_batch(docs, neighbors, lookup)
-        want = baseline.forward_batch(docs)
+        with Tape():  # the model computes its loss only under a tape
+            got = model.forward_batch(docs, neighbors, lookup)
+            want = baseline.forward_batch(docs)
         assert got.loss.data.tobytes() == want.loss.data.tobytes()
         assert np.array_equal(got.logits, want.logits)
+
+    def test_loss_only_under_a_tape(self):
+        # Untaped forwards (evaluate, predict) read no label and compute no loss.
+        model, docs, lookup, neighbors = self.model("M7")
+        assert model.forward_batch(docs, neighbors, lookup).loss is None
+        with Tape():
+            assert model.forward_batch(docs, neighbors, lookup).loss.size == 1
 
     def test_k0_gives_zero_memory_blocks(self):
         model, docs, lookup, _ = self.model("M7")

@@ -221,6 +221,16 @@ class TestEvaluate:
         assert report.accuracy == pytest.approx(1.0 / 3.0)
         assert report.per_class[0] == 1.0 and report.per_class[1] == 0.0
 
+    def test_gold_label_outside_the_classes_is_refused(self, world):
+        # An untaped forward reads no label, so evaluate checks them itself.
+        train_docs, _, labels = world
+        model = KnnTextModel.create(
+            ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c), build_vocab(train_docs), seed=0)
+        for bad in (-1, labels.c):
+            docs = [train_docs[0], dataclasses.replace(train_docs[1], label=bad)]
+            with pytest.raises(TrainingError, match="gold label"):
+                evaluate(model, docs, None, None)
+
     def test_confusion_rows_match_support(self, world):
         train_docs, dev_docs, labels = world
         result = run_pipeline(train_docs, dev_docs, labels, quick_config(), TINY)
