@@ -22,6 +22,10 @@ that a forward computing no loss makes by ``check_logits``. With finite
 operands every value between them is bounded, so no other op scans.
 A restored checkpoint is scanned once (``trainer.model_from_checkpoint``),
 so a bad weight is refused at load, by name, not by the requests reading it.
+
+A tensor keeps a float32 or float64 array's dtype and an op's output its
+inputs', so models of both widths share a process; a model's parameters
+have one width (``memory.KnnTextModel.create``).
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-_DTYPE = np.float64
 _ACTIVE_TAPE: "Tape | None" = None
 
 COSINE_EPS = 1e-12
@@ -47,16 +50,9 @@ class NonFiniteError(AutodiffError):
     """A NaN or inf reached one of the three checked ops."""
 
 
-def set_default_dtype(dtype) -> None:
-    """Switch tensor precision; float64 for checks, float32 allowed for speed."""
-    global _DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise AutodiffError(f"unsupported dtype {dtype}")
-    _DTYPE = dtype
-
-
 def get_default_dtype():
-    return _DTYPE
+    """float64: the width of a model built without one."""
+    return np.float64
 
 
 def recording() -> bool:
@@ -71,12 +67,14 @@ def _check_finite(message: str, *arrays: np.ndarray) -> None:
 
 
 class Tensor:
-    """Dense real tensor; a leaf parameter when created directly."""
+    """Dense real tensor; a leaf parameter when created directly. A float32
+    or float64 array keeps its dtype; anything else becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype.char in "fd" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -473,7 +471,7 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     offset and writes each node's gate gradients into its row of one buffer
     ``dZ``, applying the gate derivatives (``s(1-s)``, ``1-g**2`` in the g
     columns) as one block; ``dWh`` is then one product ``H_prev.T @ dZ``
-    and ``dproj`` one scatter-add of ``dZ``.
+    and ``dproj`` one scatter-add of ``dZ``. Every buffer takes ``proj``'s dtype.
     """
     idx = np.asarray(index, dtype=np.int64)
     lens = np.asarray(lengths, dtype=np.int64)
@@ -499,8 +497,9 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     counts = batch - np.cumsum(np.bincount(lens, minlength=n_steps))[:n_steps]
     counts = counts[counts > 0].tolist()
     levels = _prefix_tree(idx, counts, P.shape[0])
-    h = np.zeros((batch + ROW_ALIGN, hidden), dtype=_DTYPE)
-    c = np.zeros((batch, hidden), dtype=_DTYPE)
+    dtype = P.dtype
+    h = np.zeros((batch + ROW_ALIGN, hidden), dtype=dtype)
+    c = np.zeros((batch, hidden), dtype=dtype)
     out_data = np.empty_like(c)
     kept = 0  # rows [:kept] keep their final h in place
     gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
@@ -509,13 +508,13 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
         offsets = np.cumsum([0] + [level[0] for level in levels]).tolist()
         rows_all = np.concatenate([np.empty(0, dtype=np.int64), *(level[2] for level in levels)])
         S = P.take(rows_all, axis=0)
-        H_prev, C_prev, TC = (np.empty((offsets[-1], hidden), dtype=_DTYPE) for _ in range(3))
+        H_prev, C_prev, TC = (np.empty((offsets[-1], hidden), dtype=dtype) for _ in range(3))
         # Each step's h_prev @ Wh goes into this one buffer: a fresh product
         # of this size would take new pages, and page faults, every step.
-        hw = np.empty((batch + ROW_ALIGN, width), dtype=_DTYPE)
+        hw = np.empty((batch + ROW_ALIGN, width), dtype=dtype)
     else:
-        gates = np.empty((batch + ROW_ALIGN, width), dtype=_DTYPE)
-        work = np.empty((batch, hidden), dtype=_DTYPE)
+        gates = np.empty((batch + ROW_ALIGN, width), dtype=dtype)
+        work = np.empty((batch, hidden), dtype=dtype)
     with np.errstate(over="ignore"):
         for t, (n, parents, proj_rows, ends) in enumerate(levels):
             if parents is not None:
@@ -552,11 +551,11 @@ def lstm_sequence(proj: Tensor, index, Wh: Tensor, lengths) -> Tensor:
     out = Tensor(out_data)
 
     def backward(gh):
-        dh = np.asarray(gh[order], dtype=_DTYPE)
+        dh = np.asarray(gh[order], dtype=dtype)
         dc = np.zeros_like(dh)
-        dZ = np.empty((offsets[-1], width), dtype=_DTYPE)
-        deriv = np.empty((batch, width), dtype=_DTYPE)
-        work = np.empty((batch, hidden), dtype=_DTYPE)
+        dZ = np.empty((offsets[-1], width), dtype=dtype)
+        deriv = np.empty((batch, width), dtype=dtype)
+        work = np.empty((batch, hidden), dtype=dtype)
         n_next, next_parents = 0, None
         for t in reversed(range(len(levels))):
             n, parents, _, ends = levels[t]
@@ -737,7 +736,7 @@ class Adam:
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items() if p.requires_grad}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items() if p.requires_grad}
-        self.row_masks = {n: np.asarray(m, dtype=_DTYPE) for n, m in (row_masks or {}).items()}
+        self.row_masks = {n: np.asarray(m, params[n].data.dtype) for n, m in (row_masks or {}).items()}
 
     def step(self) -> None:
         self.step_count += 1

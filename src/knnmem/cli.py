@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import AutodiffError
 from .config import ConfigError, RunConfig, load_run_config, _FIELDS
 from .corpus import (
@@ -45,9 +44,9 @@ from .trainer import (
     NumericFailure,
     TrainingError,
     evaluate,
+    load_checkpoint,
     model_from_checkpoint,
     predict_with_provenance,
-    read_checkpoint,
     run_setup,
     save_checkpoint,
     write_provenance,
@@ -121,13 +120,6 @@ def build_parser() -> _Parser:
 _COMMAND_KEYS = {"command", "config", "axis", "axis_max"}
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {k: v for k, v in vars(args).items() if k not in _COMMAND_KEYS}
-    config = load_run_config(args.config, overrides)
-    ad.set_default_dtype(np.float64 if config.float_width == 64 else np.float32)
-    return config
-
-
 def _load_train_dev(config: RunConfig) -> tuple[list[Document], list[Document], LabelSpace]:
     if not config.train_csv:
         raise UsageError("a training CSV is required (--train or --train-csv)")
@@ -149,8 +141,8 @@ def _out_dir(path: str) -> Path:
 
 
 def cmd_train(config: RunConfig) -> int:
-    train_docs, dev_docs, labels = _load_train_dev(config)
     train_config, encoder_config = config.train_config(), config.encoder_config()
+    train_docs, dev_docs, labels = _load_train_dev(config)
     external_docs = external_labels = None
     if config.setup in ("semi_supervised", "transfer"):
         if not config.external_csv:
@@ -192,9 +184,8 @@ def _restore(path: str) -> tuple:
     """The model with its vocabulary and float width, its memory (None for a
     preset without one), label space and evaluation batch size, as ``train``
     recorded them. The model's memory bank encodes only the neighbours read."""
-    checkpoint = read_checkpoint(path)
+    checkpoint = load_checkpoint(path)
     manifest = checkpoint.manifest
-    ad.set_default_dtype(np.float32 if manifest["float_bytes"] == 4 else np.float64)
     try:
         names, batch_size = manifest["label_names"], manifest["eval_batch_size"]
         if type(batch_size) is not int or batch_size < 1:
@@ -233,7 +224,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     eval_docs, neighbors, neighbor_docs = _with_neighbors(memory, load_dataset(args.data, labels))
     report = evaluate(model, eval_docs, neighbors, neighbor_docs, batch_size=batch_size)
     out = _out_dir(args.out_dir)
-    served = {"float_width": 8 * np.dtype(ad.get_default_dtype()).itemsize,
+    served = {"float_width": 8 * model.classifier.W.data.itemsize,
               "label_names": list(labels.names), "eval_batch_size": batch_size}
     if memory is not None:
         served.update(k1=memory.params.k1, b=memory.params.b, k_neighbors=memory.k)
@@ -282,8 +273,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     if args.axis_max < 0:
         raise UsageError(f"--max must be >= 0, got {args.axis_max}")
-    train_docs, dev_docs, labels = _load_train_dev(config)
     base, encoder_config = config.train_config(), config.encoder_config()
+    train_docs, dev_docs, labels = _load_train_dev(config)
     axis = args.axis
     rows = []
     field = {"K": "k_neighbors", "I": "perspectives", "preset": "preset"}[axis]
@@ -310,13 +301,12 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
-    # Commands set the process-wide float width; an in-process caller gets its own back.
-    dtype = ad.get_default_dtype()
     try:
         args = parser.parse_args(argv)
         if args.command in ("eval", "predict"):
             return (cmd_eval if args.command == "eval" else cmd_predict)(args)
-        config = _config_from_args(args)
+        config = load_run_config(args.config, {k: v for k, v in vars(args).items()
+                                               if k not in _COMMAND_KEYS})
         return cmd_train(config) if args.command == "train" else cmd_sweep(config, args)
     except (UsageError, ConfigError, TrainingError, AutodiffError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -325,8 +315,6 @@ def main(argv=None) -> int:
             FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        ad.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ step) is aligned and chunked (``autodiff._matmul_rows``), so an
 embedding's bytes do not depend on its batch: a ``memory.MemoryBank``
 caches exact rows. A taped encode runs each product unchunked, over all
 its rows at once, so a row may differ from its untaped bytes by about one
-unit in the last place, in float64 as in float32.
+unit in the last place, in float64 as in float32: the width of the
+parameters, drawn in float64 and cast by ``memory.KnnTextModel.create``.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def lstm_step(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor,
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
     if mask is not None and not mask.all():
-        dtype = ad.get_default_dtype()
+        dtype = c.data.dtype
         m = Tensor(mask.astype(dtype).reshape(-1, 1))
         inv = Tensor((~mask).astype(dtype).reshape(-1, 1))
         c = ad.add(ad.mul(c, m), ad.mul(c_prev, inv))
@@ -335,7 +336,7 @@ class WordCache(TextEncoder):
     def __init__(self, encoder: TextEncoder):
         super().__init__(encoder.config, encoder.vocab, encoder.params)
         shape = (self.vocab.n_words, 4 * self.config.hidden)
-        self._rows = tuple(np.empty(shape, dtype=ad.get_default_dtype()) for _ in range(2))
+        self._rows = tuple(np.empty(shape, dtype=self.params.fwd.Wx.data.dtype) for _ in range(2))
         self.slot = np.full(self.vocab.n_words, -1, dtype=np.int64)
 
     def _project(self, word_ids: np.ndarray, words: Sequence[str]) -> tuple[Tensor, Tensor]:

@@ -148,8 +148,8 @@ def _attentive_sum(attention: Tensor, slots: np.ndarray, table: Tensor,
     n_queries, k_max = slots.shape
     width = table.shape[1]
     if n_pairs == 0:
-        return Tensor(np.zeros((n_queries, perspectives * width)))
-    padded = ad.concat([attention, Tensor(np.zeros((1, perspectives)))], axis=0)
+        return Tensor(np.zeros((n_queries, perspectives * width), dtype=attention.data.dtype))
+    padded = ad.concat([attention, Tensor(np.zeros_like(attention.data[:1]))], axis=0)
     att = ad.reshape(ad.rows(padded, slots.reshape(-1)), (n_queries, k_max, perspectives, 1))
     values = ad.rows(table, np.append(table_rows, table_rows[0])[slots.reshape(-1)])
     weighted = ad.mul(att, ad.reshape(values, (n_queries, k_max, 1, width)))
@@ -213,8 +213,8 @@ class MemoryBank:
     The bank holds only while every encoder parameter's ``.data`` is the
     array it was built from. Building marks those arrays read-only, so an
     in-place write raises instead of leaving the bank stale; rebinding
-    ``.data`` (as ``Adam.step`` and ``model_from_checkpoint`` do), another
-    float width or another encoder rebuilds both, another ``neighbor_docs``
+    ``.data`` (as ``Adam.step``, ``model_from_checkpoint`` and a change of
+    width do) or another encoder rebuilds both, another ``neighbor_docs``
     mapping resets the doc rows, and a requested row whose document is no
     longer the object it encoded is encoded again.
     """
@@ -234,8 +234,7 @@ class MemoryBank:
         the bank's check of its state, for ``table`` and ``words`` alike."""
         arrays = [p.data for p in encoder.named_params().values()]
         if not (encoder is self._encoder and len(arrays) == len(self._arrays)
-                and all(map(operator.is_, arrays, self._arrays))
-                and self.table.dtype == ad.get_default_dtype()):
+                and all(map(operator.is_, arrays, self._arrays))):
             for a in arrays:
                 a.flags.writeable = False
             self._encoder, self._arrays, self._mapping = encoder, arrays, None
@@ -246,7 +245,8 @@ class MemoryBank:
             raise ModelError("a requested doc id is missing from neighbor_docs") from None
         if neighbor_docs is not self._mapping:
             self._mapping, self.row_of, self._docs = neighbor_docs, {}, {}
-            self.table = np.empty((len(neighbor_docs), encoder.config.l), dtype=ad.get_default_dtype())
+            self.table = np.empty((len(neighbor_docs), encoder.config.l),
+                                  dtype=encoder.params.fwd.Wx.data.dtype)
         rows = [self.row_of.setdefault(doc_id, len(self.row_of)) for doc_id in ids]
         if len(self.row_of) > len(self.table):  # the mapping grew in place
             self.table = np.resize(self.table, (2 * len(self.row_of), self.table.shape[1]))
@@ -317,7 +317,16 @@ class KnnTextModel:
 
     @classmethod
     def create(cls, config: ModelConfig, vocab, seed: int | None,
-               word_table: EmbeddingTable | None = None) -> "KnnTextModel":
+               word_table: EmbeddingTable | None = None,
+               dtype=ad.get_default_dtype()) -> "KnnTextModel":
+        """A model of float width ``dtype``, float32 or float64: each drawn
+        parameter is cast to it once. A given ``word_table`` becomes
+        ``word_emb`` as it is, so one of another width raises ``ModelError``."""
+        dtype = np.dtype(dtype)
+        table = dtype if word_table is None else word_table.tensor.data.dtype
+        if dtype.char not in "fd" or table != dtype:
+            raise ModelError(f"float width {dtype}, word_emb {table}: "
+                             "a model's parameters are all float32 or all float64")
         encoder = TextEncoder.create(config.encoder, vocab, seed, word_table)
         matching = None
         if config.features.uses_memory:
@@ -326,7 +335,10 @@ class KnnTextModel:
                               matching.W.shape[0] if matching else 0,
                               config.effective_neighbor_classes)
         classifier = ClassifierParams.create(width, config.n_classes, seed)
-        return cls(config, encoder, matching, classifier)
+        model = cls(config, encoder, matching, classifier)
+        for p in model.named_params().values():
+            p.data = p.data.astype(dtype, copy=False)
+        return model
 
     def named_params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
@@ -416,7 +428,7 @@ class KnnTextModel:
                 labels = np.array([nbr.label for nbr in nbrs], dtype=np.int64)
                 if labels.size and (labels.min() < 0 or labels.max() >= c):
                     raise ModelError(f"neighbor label out of range for c={c}")
-                attn_label = _attentive_sum(att, order, Tensor(np.eye(c)), labels)
+                attn_label = _attentive_sum(att, order, Tensor(np.eye(c, dtype=att.data.dtype)), labels)
             if features.use_attn_text:
                 attn_text = _attentive_sum(att, order, H_nbr, nbr_slots)
             feat_mat = assemble_features(h, attn_label, attn_text, features)

@@ -48,7 +48,7 @@ from .retrieval import (
 )
 
 _CKPT_MAGIC = b"KNNTXT02"
-_FLOAT_DTYPES = {4: "<f4", 8: "<f8"}
+_FLOATS_BY_WIDTH = {4: "<f4", 8: "<f8"}
 
 SETUPS = ("full", "low_resource", "unbalanced", "semi_supervised", "transfer")
 
@@ -78,6 +78,7 @@ class TrainConfig:
     min_count: int = 1
     eval_batch_size: int = 64
     train_oov_embeddings: bool = False
+    float_width: int = 64  # the model's, 64 or 32 bits
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -100,6 +101,8 @@ class TrainConfig:
             raise TrainingError(f"lr must be > 0, got {self.lr}")
         if self.clip_norm < 0.0:
             raise TrainingError(f"clip_norm must be >= 0 (0 disables clipping), got {self.clip_norm}")
+        if self.float_width not in (32, 64):
+            raise TrainingError(f"float_width must be 32 or 64, got {self.float_width}")
 
 
 @dataclass
@@ -188,15 +191,21 @@ def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
 
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
     """Checkpoint file: an ``artifact`` container whose body is every tensor,
-    in manifest order, as little-endian floats of the active width, which
-    the manifest records as ``float_bytes``; then an attached memory's term
-    ids, whose other fields (``retrieval.memory_manifest``) are the manifest's
-    ``"memory"`` object, apart from the model's own label names. A memory
-    that is not its index's raises ``CheckpointError``, and nothing is written."""
-    width = np.dtype(ad.get_default_dtype()).itemsize
-    manifest = {**checkpoint.manifest, "float_bytes": width}
-    parts = [np.ascontiguousarray(checkpoint.tensors[spec["name"]], dtype=_FLOAT_DTYPES[width])
-             for spec in manifest["tensors"]]
+    in manifest order, as little-endian floats of their one width (float64
+    for none), which the manifest records as ``float_bytes``; then an
+    attached memory's term ids, whose other fields (``retrieval.memory_manifest``)
+    are the manifest's ``"memory"`` object, apart from the model's own label
+    names. Tensors of two widths, or a memory that is not its index's, raise
+    ``CheckpointError``, and nothing is written."""
+    names = [spec["name"] for spec in checkpoint.manifest["tensors"]]
+    dtype = checkpoint.tensors[names[0]].dtype if names else np.dtype(np.float64)
+    for name in names:
+        if checkpoint.tensors[name].dtype != dtype or dtype.char not in "fd":
+            raise CheckpointError(f"{path}: tensor {name} is {checkpoint.tensors[name].dtype}, "
+                                  f"{names[0]} {dtype}: a checkpoint is float32 or float64")
+    manifest = {**checkpoint.manifest, "float_bytes": dtype.itemsize}
+    parts = [np.ascontiguousarray(checkpoint.tensors[name], dtype=_FLOATS_BY_WIDTH[dtype.itemsize])
+             for name in names]
     if checkpoint.memory is not None:
         try:
             manifest["memory"], term_ids = memory_manifest(checkpoint.memory)
@@ -211,7 +220,7 @@ def _checkpoint_reader(manifest) -> tuple[Callable[[bytes], Checkpoint], int]:
     if not isinstance(manifest, dict):
         raise ValueError("manifest is not a JSON object")
     width = manifest["float_bytes"]
-    if type(width) is not int or width not in _FLOAT_DTYPES:
+    if type(width) is not int or width not in _FLOATS_BY_WIDTH:
         raise ValueError(f"unknown float width {width!r}")
     specs = []
     for spec in manifest["tensors"]:
@@ -233,7 +242,7 @@ def _checkpoint_reader(manifest) -> tuple[Callable[[bytes], Checkpoint], int]:
         tensors, offset = {}, 0
         for name, shape in specs:
             count = math.prod(shape)
-            tensors[name] = np.frombuffer(body, dtype=_FLOAT_DTYPES[width], count=count,
+            tensors[name] = np.frombuffer(body, dtype=_FLOATS_BY_WIDTH[width], count=count,
                                           offset=offset).reshape(shape)
             offset += count * width
         return Checkpoint(manifest, tensors, read_memory and read_memory(memoryview(body)[offset:]))
@@ -241,27 +250,14 @@ def _checkpoint_reader(manifest) -> tuple[Callable[[bytes], Checkpoint], int]:
     return build, width * sum(math.prod(shape) for _, shape in specs) + memory_bytes
 
 
-def read_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a ``save_checkpoint`` file at the float width it was written
-    with (its manifest's ``float_bytes``), and its memory, if any, as
-    ``Checkpoint.memory``; a short, overlong or malformed part of it raises
-    ``CheckpointError``. Each tensor is a read-only view of the file's body."""
+    with (its manifest's ``float_bytes``), whatever else the process holds,
+    and its memory, if any, as ``Checkpoint.memory``; a short, overlong or
+    malformed part of it raises ``CheckpointError``. Each tensor is a
+    read-only view of the file's body."""
     return read_artifact(path, _CKPT_MAGIC, CheckpointError, _checkpoint_reader,
                          kind="checkpoint", body_name="tensor data")
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """``read_checkpoint``, and a float width other than the active one
-    raises ``CheckpointError`` too."""
-    checkpoint = read_checkpoint(path)
-    width = checkpoint.manifest["float_bytes"]
-    expected = np.dtype(ad.get_default_dtype()).itemsize
-    if width != expected:
-        raise CheckpointError(
-            f"{path}: checkpoint float width {width} != active width {expected}; "
-            f"set the matching default dtype before loading"
-        )
-    return checkpoint
 
 
 def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = None,
@@ -270,10 +266,11 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
     stored in the manifest; either way it must match the stored hashes. A
     manifest that lacks a field (the stored word and char lists included) or
     holds one of the wrong type, or a NaN or inf tensor, raises
-    ``CheckpointError``. A checkpoint tensor of the active float width
-    becomes the parameter array itself, without a copy, so the parameter
-    arrays are read-only: an in-place write (or ``grad_check``) raises until
-    ``.data`` is rebound, as ``Adam.step`` does."""
+    ``CheckpointError``, and so does a tensor of another float width than
+    ``word_emb``. The model takes the stored width, and each checkpoint
+    tensor becomes the parameter array itself, without a copy, so the
+    parameter arrays are read-only: an in-place write (or ``grad_check``)
+    raises until ``.data`` is rebound, as ``Adam.step`` does."""
     manifest = checkpoint.manifest
     try:
         vc, mc = manifest["vocab"], manifest["model"]
@@ -314,11 +311,9 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
             f"expected at least {vocab.n_words}"
         )
     # The stored table stands in for the random one, which would only be overwritten.
-    word_table = EmbeddingTable(
-        tensor=Tensor(stored.astype(ad.get_default_dtype(), copy=False), name="word_emb"),
-        random_rows=random_rows[: vocab.n_words].astype(bool),
-    )
-    model = KnnTextModel.create(config, vocab, seed=None, word_table=word_table)
+    word_table = EmbeddingTable(Tensor(stored, name="word_emb"),
+                                random_rows[: vocab.n_words].astype(bool))
+    model = KnnTextModel.create(config, vocab, seed=None, word_table=word_table, dtype=stored.dtype)
     params = model.named_params()
     missing = params.keys() - {spec["name"] for spec in manifest["tensors"]}
     if missing:
@@ -331,10 +326,13 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
             raise CheckpointError(
                 f"shape mismatch for {name}: manifest {spec['shape']} vs model {params[name].data.shape}"
             )
-        if not np.isfinite(checkpoint.tensors[name]).all():
+        tensor = checkpoint.tensors[name]
+        if tensor.dtype != stored.dtype:
+            raise CheckpointError(f"checkpoint tensor {name} is {tensor.dtype}, word_emb {stored.dtype}")
+        if not np.isfinite(tensor).all():
             raise CheckpointError(f"checkpoint tensor {name} holds a non-finite value")
         if params[name] is not word_table.tensor:  # word_emb holds its array already
-            params[name].data = checkpoint.tensors[name].astype(ad.get_default_dtype(), copy=False)
+            params[name].data = tensor
         params[name].requires_grad = not spec["frozen"]
     return model
 
@@ -429,7 +427,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
     row_masks = {}
     word = model.encoder.params.word
     if word.tensor.requires_grad and not word.random_rows.all():
-        row_masks["word_emb"] = word.random_rows.astype(ad.get_default_dtype())
+        row_masks["word_emb"] = word.random_rows
     optimizer = Adam(params, lr=config.lr, row_masks=row_masks)
     if neighbors is not None:
         neighbors = {doc_id: ns.top(config.k_neighbors) for doc_id, ns in neighbors.items()}
@@ -529,10 +527,12 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         raise TrainingError("empty dev corpus: best-on-dev selection needs a document")
     features = preset(config.preset)
     vocab = build_vocab(train_docs, min_count=config.min_count)
+    dtype = np.float32 if config.float_width == 32 else np.float64
     word_table = None
     if embeddings is not None:
         word_table = load_pretrained_embeddings(embeddings, vocab, seed=config.seed,
                                                 fallback_dim=encoder_config.word_dim)
+        word_table.tensor.data = word_table.tensor.data.astype(dtype)
         encoder_config = dataclasses.replace(encoder_config, word_dim=word_table.dim)
     model_config = ModelConfig(
         encoder=encoder_config,
@@ -545,7 +545,8 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
             and features.use_attn_label else None
         ),
     )
-    model = KnnTextModel.create(model_config, vocab, seed=config.seed, word_table=word_table)
+    model = KnnTextModel.create(model_config, vocab, seed=config.seed, word_table=word_table,
+                                dtype=dtype)
     if config.train_oov_embeddings:
         model.encoder.params.word.tensor.requires_grad = True
 

@@ -154,6 +154,101 @@ class TestPrimitiveGradients:
         fd_check(lambda: ad.sum(softmax_cross_entropy(logits, targets)), {"logits": logits})
 
 
+def near_zero_norm_head(seed: int, dtype):
+    """Pairs whose weighted norms are 1, 1e-6, 4 and 1.1 times COSINE_EPS
+    (kept) and 0.9 and 0.25 times it (masked), in every combination, each
+    with an unrelated, a 10%-noisy and a 0.1%-noisy copy of the query as
+    neighbour; matched under 5 perspectives near 1 (so a weighted norm lies
+    within 1% of the row's), then a classifier and the softmax. Returns the
+    float64 inputs (float32-representable), and the cosines,
+    probabilities, losses, logits and gradients of q, n and W computed at
+    ``dtype``."""
+    rng = np.random.default_rng(seed)
+    eps, width, perspectives, classes = ad.COSINE_EPS, 200, 5, 4
+    norms = np.array([1.0, 1e-6, 4 * eps, 1.1 * eps, 0.9 * eps, 0.25 * eps])
+    nq, nn = (a.ravel() for a in np.meshgrid(norms, norms))
+    unit = lambda x: x / np.linalg.norm(x, axis=1, keepdims=True)
+    q, n = [], []
+    for noise in (None, 0.1, 1e-3):
+        u = unit(rng.normal(size=(nq.size, width)))
+        v = unit(rng.normal(size=u.shape) if noise is None
+                 else u * (1.0 + noise * rng.normal(size=u.shape)))
+        q.append(u * nq[:, None])
+        n.append(v * nn[:, None])
+    inputs = [np.concatenate(q), np.concatenate(n),
+              1.0 + rng.uniform(-0.01, 0.01, (perspectives, width)),
+              rng.uniform(-3.0, 3.0, (perspectives, classes))]
+    inputs = [a.astype(np.float32).astype(np.float64) for a in inputs]
+    inputs.append(rng.integers(0, classes, inputs[0].shape[0]))
+    *weights, targets = inputs
+    qt, nt, Wt, Ct = (Tensor(a.astype(dtype), requires_grad=True) for a in weights)
+    with Tape() as tape:
+        cos = perspective_cosine(qt, nt, Wt)
+        logits = matmul(cos, Ct)
+        losses = softmax_cross_entropy(logits, targets)
+        loss = ad.sum(losses)
+    tape.backward(loss)
+    return inputs, (cos.data, softmax_probs(logits.data), losses.data, logits.data,
+                    qt.grad, nt.grad, Wt.grad)
+
+
+class TestFloatWidth:
+    """A tensor keeps its array's float width, so float32 and float64 run
+    side by side, and float32 is held to written bounds against float64."""
+
+    def test_tensor_keeps_float32_and_float64(self):
+        assert Tensor(np.zeros(2, dtype=np.float32)).data.dtype == np.float32
+        assert Tensor(np.float32(1.0)).data.dtype == np.float32
+        for other in (np.zeros(2, dtype=np.float16), np.arange(3), [1, 2], True, 0.5):
+            assert Tensor(other).data.dtype == np.float64
+        a = rand(np.random.default_rng(60), 3, 4)
+        b = Tensor(a.data.astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            out64, out32 = ad.sum(tanh(a)), ad.sum(tanh(b))
+        tape.backward(out32)
+        assert (out64.data.dtype, out32.data.dtype, b.grad.dtype) == (np.float64, np.float32,
+                                                                       np.float32)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float32_tracks_float64_near_zero_norms(self, seed):
+        # The bound was chosen from measurements: over seeds 0-199 of these
+        # inputs, float32 differed from float64 by at most 3.3 eps32 in a
+        # cosine, 4.0 eps32 in a probability, 5.0 eps32 of 1 + max |logit|
+        # in a loss, and 0.43, 0.43 and 1.8 eps32 of the scale below in an
+        # entry of the q, n and W gradients. That scale is the size of the
+        # terms an entry sums, not of the sum: the sum cancels for nearly
+        # parallel pairs, and the softmax gradient p - 1 for a confident
+        # target. The worst cosine error was 3.1 eps32 among the pairs with
+        # a norm of 1.1 or 4 times COSINE_EPS and 3.2 eps32 among those with
+        # norms of 1e-6 or more: the arithmetic is scale-free. The bound is
+        # 16 eps32, about three times the worst figure. The pairs masked in
+        # float64 (a norm below COSINE_EPS) are exactly those masked in
+        # float32, and their gradient is exactly zero in both.
+        tol = 16 * np.finfo(np.float32).eps
+        (q, n, W, C, targets), want = near_zero_norm_head(seed, np.float64)
+        _, got = near_zero_norm_head(seed, np.float32)
+        # softmax_probs reads float32 logits in float64, as served predictions do.
+        assert [g.dtype for g in got] == [np.float32, np.float64] + [np.float32] * 5
+        cos, probs, losses, logits, dq, dn, dW = want
+        assert np.array_equal(got[0] == 0.0, cos == 0.0)
+        assert np.abs(got[0] - cos).max() <= tol
+        assert np.abs(got[1] - probs).max() <= tol
+        assert np.abs(got[2] - losses).max() <= tol * (1.0 + np.abs(logits).max())
+        # The size of dL/dcos's terms per pair and perspective (zero where
+        # masked), and the weighted norms it is divided by.
+        dcos = np.where(cos == 0.0, 0.0, (probs + np.eye(C.shape[1])[targets]) @ np.abs(C.T))
+        W2 = W * W
+        norm_q, norm_n = np.sqrt(q * q @ W2.T), np.sqrt(n * n @ W2.T)
+        safe = lambda x: np.where(dcos == 0.0, 1.0, x)
+        scale_q = (dcos / safe(norm_q)) @ np.abs(W)
+        scale_n = (dcos / safe(norm_n)) @ np.abs(W)
+        scale_W = np.abs(W) * (2 * (dcos / safe(norm_q * norm_n)).T @ np.abs(q * n)
+                               + (dcos / safe(norm_q ** 2)).T @ (q * q)
+                               + (dcos / safe(norm_n ** 2)).T @ (n * n))
+        for g32, g64, scale in ((got[4], dq, scale_q), (got[5], dn, scale_n), (got[6], dW, scale_W)):
+            assert np.all(np.abs(g32 - g64) <= tol * scale)
+
+
 class TestForwardExamples:
     def test_cosine_identical_is_one(self):
         v = Tensor([[0.3, -1.2, 2.0]])
@@ -375,6 +470,14 @@ class TestAdam:
         assert np.all(table.data[1] == 0.0)
         assert np.all(table.data[0] != 0.0) and np.all(table.data[2] != 0.0)
 
+    def test_float32_row_mask_keeps_float32(self):
+        table = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
+        opt = Adam({"t": table}, lr=0.1, row_masks={"t": np.array([True, False, True])})
+        table.grad = np.ones((3, 2), dtype=np.float32)
+        opt.step()
+        assert opt.row_masks["t"].dtype == table.data.dtype == np.float32
+        assert np.all(table.data[1] == 0.0) and np.all(table.data[0] != 0.0)
+
     def test_matches_reference_adam_trajectory(self):
         # Independent scalar reference implementation of Adam with bias correction.
         rng = np.random.default_rng(16)
@@ -431,11 +534,12 @@ def ref_lstm_sequence(proj, index, Wh, lengths):
     return h
 
 
-def lstm_inputs(rng, n_rows=5):
-    """Four steps, four rows, hidden 3; the op reads ``add(proj, b)``."""
-    proj = rand(rng, n_rows, 12)
-    Wh = Tensor(rng.uniform(-0.5, 0.5, (3, 12)), requires_grad=True)
-    b = Tensor(rng.uniform(-0.5, 0.5, (1, 12)), requires_grad=True)
+def lstm_inputs(rng, n_rows=5, dtype=np.float64):
+    """Four steps, four rows, hidden 3, at width ``dtype``; the op reads
+    ``add(proj, b)``."""
+    proj = Tensor(rng.uniform(-1.0, 1.0, (n_rows, 12)).astype(dtype), requires_grad=True)
+    Wh = Tensor(rng.uniform(-0.5, 0.5, (3, 12)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.uniform(-0.5, 0.5, (1, 12)).astype(dtype), requires_grad=True)
     index = rng.integers(0, n_rows, (4, 4))
     # Rows: full length, ragged, active at the first step only, and ragged again.
     lengths = np.array([4, 3, 1, 2])
@@ -569,18 +673,14 @@ class TestLstmSequence:
         assert len(tape) == 1
 
     def test_float32_stays_float32(self):
-        ad.set_default_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(45)
-            proj, index, Wh, b, lengths = lstm_inputs(rng)
-            with Tape() as tape:
-                loss = ad.sum(lstm_sequence(add(proj, b), index, Wh, lengths))
-            tape.backward(loss)
-            assert loss.data.dtype == np.float32
-            for p in (proj, Wh, b):
-                assert p.grad.dtype == np.float32
-        finally:
-            ad.set_default_dtype(np.float64)
+        rng = np.random.default_rng(45)
+        proj, index, Wh, b, lengths = lstm_inputs(rng, dtype=np.float32)
+        with Tape() as tape:
+            loss = ad.sum(lstm_sequence(add(proj, b), index, Wh, lengths))
+        tape.backward(loss)
+        assert loss.data.dtype == np.float32
+        for p in (proj, Wh, b):
+            assert p.grad.dtype == np.float32
 
     def test_shape_errors(self):
         rng = np.random.default_rng(46)

@@ -1,7 +1,7 @@
-"""The benchmark's workloads (`perfbench/workloads.py`) call the package by
-name and restore `serve_m7`'s model from a checkpoint that carries no
-memory; renaming a function they use, or changing what such a checkpoint
-holds, must fail here rather than break every benchmark run."""
+"""The benchmark (`perfbench/workloads.py` and `perfbench/run.py`) calls
+the package by name, and restores `serve_m7`'s model from a checkpoint that
+carries no memory; renaming a function it uses, or changing what such a
+checkpoint holds, must fail here rather than break every benchmark run."""
 
 import ast
 import importlib.util
@@ -20,6 +20,19 @@ from knnmem.memory import KnnTextModel, ModelConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
+
+
+def package_reads(path: Path) -> tuple[dict[str, str], set[tuple[str, str]]]:
+    """The `knnmem` modules that a file imports by `from knnmem import m`,
+    anywhere in it, by the name it binds, and each `m.name` it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "knnmem"
+               for alias in node.names}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    return modules, used
 
 
 @pytest.fixture(scope="module")
@@ -46,15 +59,22 @@ def workloads():
 def test_every_package_name_resolves(workloads):
     """Each `module.name` that the workloads read from a `knnmem` module
     they import exists; the `from knnmem... import` names resolved on load."""
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    modules = {alias.asname or alias.name: getattr(workloads, alias.asname or alias.name)
-               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and node.module == "knnmem" for alias in node.names}
-    assert set(modules) == {"corpus", "retrieval", "trainer"}
-    used = {(node.value.id, node.attr) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in modules}
+    names, used = package_reads(WORKLOADS)
+    assert set(names) == {"corpus", "retrieval", "trainer"}
+    modules = {name: getattr(workloads, name) for name in names}
     assert ("trainer", "save_checkpoint") in used and ("retrieval", "load_index") in used
+    assert [f"{m}.{a}" for m, a in sorted(used) if not hasattr(modules[m], a)] == []
+
+
+def test_run_py_package_names_resolve():
+    """`run.py` imports `knnmem` modules inside its functions, after putting
+    the checkout's `src` on the path; each name it reads from them exists.
+    Its `environment()` reports `autodiff.get_default_dtype()` as the float
+    width of every workload."""
+    names, used = package_reads(PERFBENCH / "run.py")
+    assert names == {"autodiff": "autodiff"}
+    assert ("autodiff", "get_default_dtype") in used
+    modules = {name: importlib.import_module(f"knnmem.{module}") for name, module in names.items()}
     assert [f"{m}.{a}" for m, a in sorted(used) if not hasattr(modules[m], a)] == []
 
 
@@ -72,4 +92,4 @@ def test_serve_m7_restore_chain_on_a_checkpoint_without_memory(tmp_path):
     blob = path.read_bytes()
     (size,) = struct.unpack("<Q", blob[8:16])
     assert "memory" not in json.loads(blob[16:16 + size])
-    assert trainer.read_checkpoint(path).memory is None
+    assert trainer.load_checkpoint(path).memory is None

@@ -11,18 +11,16 @@ import knnmem.trainer as trainer
 from knnmem.cli import build_parser, main
 from knnmem.config import _FIELDS, ConfigError, load_run_config
 from knnmem.corpus import (
-    Document,
     LabelSpace,
     LowResource,
     SplitSpec,
-    build_vocab,
     load_dataset,
     split_dev,
     subsample,
     tokenize,
 )
 from knnmem.datagen import make_separable_corpus, write_zhang_csv
-from knnmem.encoder import EncoderConfig, TextEncoder
+from knnmem.encoder import TextEncoder
 from knnmem.retrieval import Bm25Params, NeighborSet, build_index, search_knn
 
 # Training flags of a small, fast run; `eval` and `predict` take only `serving(out)`.
@@ -43,7 +41,7 @@ def serving(out):
 
 
 def memory_of(out):
-    return trainer.read_checkpoint(out / "model.ckpt").memory
+    return trainer.load_checkpoint(out / "model.ckpt").memory
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +122,7 @@ class TestTrainEvalPredict:
         # One artifact: the checkpoint carries the memory, and names no other file.
         assert sorted(p.name for p in trained.iterdir()) == \
             ["metrics.jsonl", "model.ckpt", "train_report.json"]
-        checkpoint = trainer.read_checkpoint(trained / "model.ckpt")
+        checkpoint = trainer.load_checkpoint(trained / "model.ckpt")
         assert "memory_sha256" not in checkpoint.manifest
         assert checkpoint.memory is not None and checkpoint.memory.k == 2
         lines = (trained / "metrics.jsonl").read_text().splitlines()
@@ -206,7 +204,7 @@ class TestTrainEvalPredict:
         # Checkpoints written while ``stop_grad_neighbors`` existed carry it in
         # their model manifest; restore ignores it.
         ckpt = trained / "model.ckpt"
-        assert "stop_grad_neighbors" not in trainer.read_checkpoint(ckpt).manifest["model"]
+        assert "stop_grad_neighbors" not in trainer.load_checkpoint(ckpt).manifest["model"]
         old = tmp_path / "old.ckpt"
         rewrite_manifest(ckpt, old, (("model", "stop_grad_neighbors"), stop_grad))
         texts = tmp_path / "texts.txt"
@@ -278,7 +276,7 @@ class TestTrainEvalPredict:
     @pytest.mark.parametrize("name", PARAMETERS)
     def test_non_finite_checkpoint_tensor_is_data_error(self, trained, tmp_path, capsys,
                                                         name, bad):
-        ckpt = trainer.read_checkpoint(trained / "model.ckpt")
+        ckpt = trainer.load_checkpoint(trained / "model.ckpt")
         tensors = dict(ckpt.tensors, **{name: ckpt.tensors[name].copy()})
         tensors[name].flat[-1] = bad
         path = tmp_path / "bad.ckpt"
@@ -292,7 +290,7 @@ class TestTrainEvalPredict:
     def test_memory_checkpoint_without_match_w_is_data_error(self, trained, tmp_path, capsys):
         # The shape of a checkpoint of the former plain-cosine mode, which
         # stored no match.W: it must never be served as a multi-perspective model.
-        ckpt = trainer.read_checkpoint(trained / "model.ckpt")
+        ckpt = trainer.load_checkpoint(trained / "model.ckpt")
         model = {**ckpt.manifest["model"], "mode": "vanilla_cosine"}
         specs = [spec for spec in ckpt.manifest["tensors"] if spec["name"] != "match.W"]
         bad = tmp_path / "vanilla.ckpt"
@@ -341,7 +339,7 @@ class TestTrainEvalPredict:
         # checkpoint named that file by its SHA-256 and held no memory.
         plain, old = tmp_path / "plain.ckpt", tmp_path / "old.ckpt"
         trainer.save_checkpoint(plain, dataclasses.replace(
-            trainer.read_checkpoint(trained / "model.ckpt"), memory=None))
+            trainer.load_checkpoint(trained / "model.ckpt"), memory=None))
         rewrite_manifest(plain, old, (("memory_sha256",), "ab" * 32))
         for request in (["eval", "--data", data_dir / "eval.csv", "--out-dir", tmp_path / "eval"],
                         ["predict", "--text", "c0w1 f3"]):
@@ -391,12 +389,9 @@ class TestTrainReruns:
 class TestFloat32Serving:
     @pytest.fixture
     def trained32(self, data_dir, tmp_path):
-        try:
-            assert run(["train", "--train", data_dir / "train.csv", *FAST,
-                        "--float-width", "32", "--out-dir", tmp_path]) == 0
-            yield tmp_path
-        finally:
-            ad.set_default_dtype(np.float64)
+        assert run(["train", "--train", data_dir / "train.csv", *FAST,
+                    "--float-width", "32", "--out-dir", tmp_path]) == 0
+        return tmp_path
 
     def test_predict_and_eval_take_width_from_checkpoint(self, trained32, data_dir, capsys):
         serve = serving(trained32)
@@ -411,15 +406,6 @@ class TestFloat32Serving:
         assert run(["predict", *serve, "--float-width", "64", "--text", "c1w0 f2"]) == 1
         err = capsys.readouterr().err
         assert "unrecognized arguments: --float-width 64" in err and "Traceback" not in err
-
-
-    def test_library_call_after_float32_predict_runs_in_float64(self, trained32):
-        assert run(["predict", *serving(trained32), "--text", "c0w1 c0w2 f3"]) == 0
-        vocab = build_vocab([Document(id=0, label=0, title="c0w1 f3", body="",
-                                      tokens=("c0w1", "f3"))])
-        encoder = TextEncoder.create(EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4,
-                                                   hidden=4), vocab, seed=0)
-        assert encoder.encode_batch([["c0w1", "f3"]]).data.dtype == np.float64
 
 class TestServingUsesTrainingMemory:
     """`eval` and `predict` retrieve from the documents `train` trained
@@ -507,7 +493,7 @@ class TestServingUsesTrainingMemory:
         manifest = json.loads(blob[16:16 + size])
         assert manifest["label_names"] == ["World", "Sports", "Tech"]
         assert manifest["memory"]["label_names"] == ["Near", "Far"]
-        checkpoint = trainer.read_checkpoint(out / "model.ckpt")
+        checkpoint = trainer.load_checkpoint(out / "model.ckpt")
         assert checkpoint.manifest["label_names"] == ["World", "Sports", "Tech"]
         assert checkpoint.memory.labels == LabelSpace(("Near", "Far"))
         assert trainer.model_from_checkpoint(checkpoint).config.neighbor_classes == 2
@@ -829,6 +815,7 @@ class TestConfigHandling:
         ("--lr", "-0.01", 1, "lr must be > 0, got -0.01"),
         ("--lr", "0", 1, "lr must be > 0, got 0.0"),
         ("--clip-norm", "-1", 1, "clip_norm must be >= 0"),
+        ("--float-width", "16", 1, "float_width must be 32 or 64, got 16"),
     ])
     def test_count_below_range_is_refused(self, data_dir, tmp_path, capsys, flag, value,
                                           code, match):

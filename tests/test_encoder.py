@@ -29,6 +29,14 @@ def make_vocab(texts):
     return build_vocab(docs)
 
 
+def at_width(enc, dtype):
+    """``enc`` with every parameter cast to ``dtype``, as
+    ``KnnTextModel.create`` casts a model's."""
+    for p in enc.named_params().values():
+        p.data = p.data.astype(dtype)
+    return enc
+
+
 @pytest.fixture
 def tiny_encoder():
     vocab = make_vocab(["the cat sat on the mat", "a dog ran fast", "birds fly high up"])
@@ -57,7 +65,8 @@ def reference_encode_batch(enc, token_seqs):
             uniq.setdefault(tok, len(uniq))
     words = [w[: cfg.max_word_chars] for w in uniq]
     wlens = np.array([len(w) for w in words])
-    h = c = Tensor(np.zeros((len(words), cfg.char_lstm_dim)))
+    dtype = params.fwd.Wx.data.dtype
+    h = c = Tensor(np.zeros((len(words), cfg.char_lstm_dim), dtype=dtype))
     for t in range(int(wlens.max())):
         ids = [vocab.char_id(w[t]) if t < len(w) else 0 for w in words]
         h, c = lstm_step(params.char_lstm, ad.rows(params.char_table, ids), h, c, mask=wlens > t)
@@ -71,7 +80,7 @@ def reference_encode_batch(enc, token_seqs):
 
     finals = []
     for lstm, backward in ((params.fwd, False), (params.bwd, True)):
-        h = c = Tensor(np.zeros((len(seqs), cfg.hidden)))
+        h = c = Tensor(np.zeros((len(seqs), cfg.hidden), dtype=dtype))
         for t in range(int(lens.max())):
             pos = np.maximum(lens - 1 - t, 0) if backward else np.full(len(seqs), t)
             h, c = lstm_step(lstm, x_at(pos), h, c, mask=lens > t)
@@ -140,17 +149,14 @@ class TestFusedMatchesStepReference:
         # chain's error by about n * eps of its largest terms, so each
         # array may differ by 1000 * eps32 of its own largest magnitude.
         tol = 1000 * np.finfo(np.float32).eps
-        ad.set_default_dtype(np.float32)
-        try:
-            vocab = make_vocab([" ".join(s) for s in RAGGED[:3]])
-            enc = TextEncoder.create(config, vocab, seed=13)
-            enc.params.word.tensor.requires_grad = True
-            weights = np.random.default_rng(3).uniform(-1.0, 1.0, (len(RAGGED), config.l))
-            got, got_grads = encoder_grads(enc, TextEncoder.encode_batch, RAGGED, weights)
-            want, want_grads = encoder_grads(enc, reference_encode_batch, RAGGED, weights)
-        finally:
-            ad.set_default_dtype(np.float64)
-        assert got.dtype == np.float32
+        vocab = make_vocab([" ".join(s) for s in RAGGED[:3]])
+        enc = at_width(TextEncoder.create(config, vocab, seed=13), np.float32)
+        enc.params.word.tensor.requires_grad = True
+        weights = np.random.default_rng(3).uniform(-1.0, 1.0, (len(RAGGED), config.l))
+        weights = weights.astype(np.float32)
+        got, got_grads = encoder_grads(enc, TextEncoder.encode_batch, RAGGED, weights)
+        want, want_grads = encoder_grads(enc, reference_encode_batch, RAGGED, weights)
+        assert got.dtype == want.dtype == np.float32
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
         assert set(got_grads) == set(want_grads)
         for name, grad in want_grads.items():
@@ -167,18 +173,14 @@ class TestFusedMatchesStepReference:
         assert lengths[0] == lengths[1]
 
     def test_float32_outputs(self):
-        ad.set_default_dtype(np.float32)
-        try:
-            vocab = make_vocab(["the cat sat"])
-            enc = TextEncoder.create(TINY, vocab, seed=2)
-            with Tape() as tape:
-                out = enc.encode_batch([["the", "cat"], ["sat"]])
-                loss = ad.sum(out)
-            tape.backward(loss)
-            assert out.data.dtype == np.float32
-            assert enc.params.char_lstm.Wh.grad.dtype == np.float32
-        finally:
-            ad.set_default_dtype(np.float64)
+        vocab = make_vocab(["the cat sat"])
+        enc = at_width(TextEncoder.create(TINY, vocab, seed=2), np.float32)
+        with Tape() as tape:
+            out = enc.encode_batch([["the", "cat"], ["sat"]])
+            loss = ad.sum(out)
+        tape.backward(loss)
+        assert out.data.dtype == np.float32
+        assert enc.params.char_lstm.Wh.grad.dtype == np.float32
 
 
 def word_inputs(enc, tokens):
@@ -423,18 +425,14 @@ class TestBatchInvariance:
     def test_topical_corpus_encodes_to_identical_bytes(self, dtype):
         docs, _ = make_topical_corpus(75, TopicalSpec(seed=100))
         seqs = [d.tokens for d in docs]
-        ad.set_default_dtype(dtype)
-        try:
-            enc = TextEncoder.create(EncoderConfig(), build_vocab(docs[::2]), seed=0)
-            batch = enc.encode_batch(seqs).data
-            encodes = {
-                "alone": np.concatenate([enc.encode_batch([s]).data for s in seqs]),
-                "in pairs": np.concatenate([enc.encode_batch(seqs[i:i + 2]).data
-                                            for i in range(0, len(seqs), 2)]),
-                "reversed": enc.encode_batch(seqs[::-1]).data[::-1],
-            }
-        finally:
-            ad.set_default_dtype(np.float64)
+        enc = at_width(TextEncoder.create(EncoderConfig(), build_vocab(docs[::2]), seed=0), dtype)
+        batch = enc.encode_batch(seqs).data
+        encodes = {
+            "alone": np.concatenate([enc.encode_batch([s]).data for s in seqs]),
+            "in pairs": np.concatenate([enc.encode_batch(seqs[i:i + 2]).data
+                                        for i in range(0, len(seqs), 2)]),
+            "reversed": enc.encode_batch(seqs[::-1]).data[::-1],
+        }
         assert len(seqs) == 300 and batch.dtype == dtype
         for name, got in encodes.items():
             assert got.tobytes() == batch.tobytes(), f"{name}: {blas_build()}"

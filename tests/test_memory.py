@@ -560,23 +560,19 @@ class TestBatchInvariance:
         counts = rng.integers(0, 6, 64)
         query = np.repeat(np.arange(counts.size), counts)
         ids = rng.permutation(query.size)
-        ad.set_default_dtype(dtype)
-        try:
-            q, n, table = (Tensor(rng.normal(size=(query.size, 200))) for _ in range(3))
-            W = Tensor(1.0 + rng.uniform(-0.01, 0.01, (5, 200)))
-            att = ad.perspective_cosine(q, n, W)
-            summed = _attentive_sum(att, _canonical_slots(query, counts.size, ids), table,
-                                    np.arange(query.size)).data
-            for p in range(query.size):
-                alone = ad.perspective_cosine(Tensor(q.data[p:p + 1]), Tensor(n.data[p:p + 1]), W)
-                assert alone.data.tobytes() == att.data[p:p + 1].tobytes(), blas_build()
-            for b in np.flatnonzero(counts).tolist():
-                pairs = np.flatnonzero(query == b)
-                slots = _canonical_slots(np.zeros(pairs.size, dtype=np.int64), 1, ids[pairs])
-                alone = _attentive_sum(Tensor(att.data[pairs]), slots, table, pairs).data
-                assert alone.tobytes() == summed[b:b + 1].tobytes(), blas_build()
-        finally:
-            ad.set_default_dtype(np.float64)
+        q, n, table = (Tensor(rng.normal(size=(query.size, 200)).astype(dtype)) for _ in range(3))
+        W = Tensor((1.0 + rng.uniform(-0.01, 0.01, (5, 200))).astype(dtype))
+        att = ad.perspective_cosine(q, n, W)
+        summed = _attentive_sum(att, _canonical_slots(query, counts.size, ids), table,
+                                np.arange(query.size)).data
+        for p in range(query.size):
+            alone = ad.perspective_cosine(Tensor(q.data[p:p + 1]), Tensor(n.data[p:p + 1]), W)
+            assert alone.data.tobytes() == att.data[p:p + 1].tobytes(), blas_build()
+        for b in np.flatnonzero(counts).tolist():
+            pairs = np.flatnonzero(query == b)
+            slots = _canonical_slots(np.zeros(pairs.size, dtype=np.int64), 1, ids[pairs])
+            alone = _attentive_sum(Tensor(att.data[pairs]), slots, table, pairs).data
+            assert alone.tobytes() == summed[b:b + 1].tobytes(), blas_build()
         assert summed.dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
@@ -589,16 +585,12 @@ class TestBatchInvariance:
         lookup = {d.id: d for d in memory}
         config = ModelConfig(encoder=EncoderConfig(), preset="M7", perspectives=5,
                              n_classes=labels.c)
-        ad.set_default_dtype(dtype)
-        try:
-            model = KnnTextModel.create(config, build_vocab(memory), seed=0)
-            ones = [model.forward_batch([q], neighbors, lookup) for q in queries]
-            batched = model.forward_batch(queries, neighbors, lookup)
-            bank = model.bank
-            alone = {i: model.encoder.encode_batch([lookup[i].tokens]).data[0]
-                     for i in bank.row_of}
-        finally:
-            ad.set_default_dtype(np.float64)
+        model = KnnTextModel.create(config, build_vocab(memory), seed=0, dtype=dtype)
+        ones = [model.forward_batch([q], neighbors, lookup) for q in queries]
+        batched = model.forward_batch(queries, neighbors, lookup)
+        bank = model.bank
+        alone = {i: model.encoder.encode_batch([lookup[i].tokens]).data[0]
+                 for i in bank.row_of}
         assert len(queries) == 64 and batched.logits.dtype == dtype
         pair = 0
         for pos, one in enumerate(ones):

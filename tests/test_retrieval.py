@@ -29,7 +29,7 @@ from knnmem.retrieval import (
     save_index,
     search_knn,
 )
-from knnmem.trainer import Checkpoint, CheckpointError, read_checkpoint, save_checkpoint
+from knnmem.trainer import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 
 from bm25_oracle import oracle_bm25_score, oracle_postings, oracle_rank
 
@@ -550,7 +550,7 @@ class TestSaveIndexRange:
         assert load_index(tmp_path / "out.idx").postings("a") == [(ids[0], 1), (ids[1], 1)]
         save_checkpoint(tmp_path / "model.ckpt", with_memory(Memory(
             index, {d.id: d for d in docs}, LabelSpace(("x", "y")), Bm25Params(), 1)))
-        loaded = read_checkpoint(tmp_path / "model.ckpt").memory
+        loaded = load_checkpoint(tmp_path / "model.ckpt").memory
         assert [(d.id, d.label, d.tokens) for d in loaded.docs.values()] == \
             [(d.id, d.label, d.tokens) for d in docs]
 
@@ -576,7 +576,7 @@ class TestMemoryFile:
     def save(self, path, docs, params=Bm25Params(0.5, 0.3), k=3):
         memory = Memory(build_index(docs), {d.id: d for d in docs}, self.LABELS, params, k)
         save_checkpoint(path, with_memory(memory))
-        return read_checkpoint(path).memory
+        return load_checkpoint(path).memory
 
     @staticmethod
     def rewrite(path, change):
@@ -602,7 +602,7 @@ class TestMemoryFile:
     def test_rewrite_is_byte_identical(self, tmp_path):
         p, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
         self.save(p, [doc(1, ["a"], label=2), doc(4, ["a", "b"])])
-        checkpoint = read_checkpoint(p)
+        checkpoint = load_checkpoint(p)
         assert "memory" not in checkpoint.manifest
         save_checkpoint(again, checkpoint)
         assert again.read_bytes() == p.read_bytes()
@@ -633,7 +633,7 @@ class TestMemoryFile:
         self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"]), doc(7, ["b"])])
         self.rewrite(p, {"doc_ids": doc_ids})
         with self.refused(p, "malformed checkpoint manifest: memory doc_ids must be strictly ascending"):
-            read_checkpoint(p)
+            load_checkpoint(p)
 
     @pytest.mark.parametrize("change", [
         {"labels": [0, 1]},
@@ -649,7 +649,7 @@ class TestMemoryFile:
         self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"]), doc(7, ["b"])])
         self.rewrite(p, change)
         with self.refused(p, "malformed checkpoint manifest: memory "):
-            read_checkpoint(p)
+            load_checkpoint(p)
 
     @pytest.mark.parametrize("cut, match", [
         (4, r"truncated tensor data \(8 of 12 bytes\)"),
@@ -661,14 +661,14 @@ class TestMemoryFile:
         blob = p.read_bytes()
         p.write_bytes(blob[:-cut] if cut > 0 else blob + b"\0" * -cut)
         with self.refused(p, match):
-            read_checkpoint(p)
+            load_checkpoint(p)
 
     def test_token_id_outside_terms(self, tmp_path):
         p = tmp_path / "model.ckpt"
         self.save(p, [doc(1, ["a"]), doc(4, ["a", "b"])])
         p.write_bytes(p.read_bytes()[:-4] + struct.pack("<I", 2))
         with self.refused(p, "a term id is outside the index's terms"):
-            read_checkpoint(p)
+            load_checkpoint(p)
 
     def test_documents_must_match_the_index(self, tmp_path):
         docs = [doc(1, ["a"]), doc(4, ["a", "b"])]
@@ -702,7 +702,7 @@ class TestMemoryFile:
         p = tmp_path / "memory.knn"
         write_artifact(p, b"KNNMEM02", manifest, [term_ids])
         with self.refused(p, "bad checkpoint magic b'KNNMEM02'"):
-            read_checkpoint(p)
+            load_checkpoint(p)
 
     def test_checkpoint_without_memory_has_no_memory_part(self, tmp_path):
         p = tmp_path / "model.ckpt"
@@ -710,7 +710,7 @@ class TestMemoryFile:
         (size,) = struct.unpack("<Q", p.read_bytes()[8:16])
         assert p.stat().st_size == 16 + size
         assert json.loads(p.read_bytes()[16:]) == {"float_bytes": 8, "tensors": []}
-        assert read_checkpoint(p).memory is None
+        assert load_checkpoint(p).memory is None
 
 
 def test_bm25_params_validation():

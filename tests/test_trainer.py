@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import knnmem.autodiff as ad
+from knnmem.autodiff import Adam, Tape
 from knnmem.corpus import LabelSpace, build_vocab
 from knnmem.datagen import make_separable_corpus
-from knnmem.encoder import EncoderConfig
-from knnmem.memory import KnnTextModel, ModelConfig
-from knnmem.retrieval import NeighborSet
+from knnmem.encoder import EncoderConfig, random_embedding_table
+from knnmem.memory import KnnTextModel, ModelConfig, ModelError
+from knnmem.retrieval import NeighborSet, build_index, precompute_neighbors, search_knn
 from knnmem.trainer import (
     Checkpoint,
     CheckpointError,
@@ -258,14 +259,11 @@ class TestEvaluate:
         # its memory bank; a row's bytes do not depend on its batch, so the
         # reports are equal.
         train_docs, dev_docs, labels = world
-        config = quick_config(epochs=3, lr=3e-2, preset=preset_name)
-        ad.set_default_dtype(dtype)
-        try:
-            result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
-            again = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs,
-                             batch_size=config.eval_batch_size)
-        finally:
-            ad.set_default_dtype(np.float64)
+        config = quick_config(epochs=3, lr=3e-2, preset=preset_name,
+                              float_width=8 * np.dtype(dtype).itemsize)
+        result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
+        again = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs,
+                         batch_size=config.eval_batch_size)
         assert result.model.classifier.W.data.dtype == dtype
         assert result.dev_report.accuracy == again.accuracy
         assert result.dev_report.per_class == again.per_class
@@ -385,10 +383,10 @@ class TestCheckpoints:
         assert base.logits.tobytes() == got.logits.tobytes()
 
     @staticmethod
-    def _m1_checkpoint(train_docs, labels):
+    def _m1_checkpoint(train_docs, labels, dtype=np.float64):
         vocab = build_vocab(train_docs)
         model = KnnTextModel.create(
-            ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c), vocab, seed=0)
+            ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c), vocab, seed=0, dtype=dtype)
         return make_checkpoint(model, vocab, epoch=1, dev_accuracy=0.5)
 
     def test_checkpoint_without_stored_vocab_is_error(self, world):
@@ -486,16 +484,100 @@ class TestCheckpointFileErrors:
         with pytest.raises(CheckpointError, match=": bad checkpoint magic b'KNNTXT01'"):
             load_checkpoint(saved)
 
-    def test_float32_file_under_float64_names_widths(self, world, tmp_path):
+
+
+def train_and_serve(model, train_docs, dev_docs, neighbors, lookup, dtype):
+    """Three Adam steps on ``model``, then untaped forwards of ``dev_docs``
+    and of its first doc (whose words the bank holds by then), yielding
+    each result; every tape node, gradient and parameter of a step must be
+    at ``dtype``."""
+    params = model.named_params()
+    optimizer = Adam(params, lr=3e-2)
+    for start in range(0, 24, 8):
+        ad.zero_grads(params.values())
+        with Tape() as tape:
+            result = model.forward_batch(train_docs[start:start + 8], neighbors, lookup)
+        tape.backward(result.loss)
+        optimizer.step()
+        assert {node.data.dtype for node in tape._nodes} == {np.dtype(dtype)}
+        assert {p.grad.dtype for p in params.values() if p.grad is not None} == {np.dtype(dtype)}
+        assert {p.data.dtype for p in params.values()} == {np.dtype(dtype)}
+        yield result
+    yield model.forward_batch(dev_docs, neighbors, lookup)
+    yield model.forward_batch(dev_docs[:1], neighbors, lookup)
+
+
+class TestTwoWidths:
+    """The float width is a model's: float32 and float64 models share a
+    process, and a model whose arrays mix widths is refused."""
+
+    def test_interleaved_models_keep_their_widths(self, world):
+        train_docs, dev_docs, labels = world
+        vocab, index = build_vocab(train_docs), build_index(train_docs)
+        neighbors = precompute_neighbors(index, train_docs, 2, self_exclude=True)
+        neighbors.update({d.id: search_knn(index, d, 2) for d in dev_docs})
+        lookup = {d.id: d for d in train_docs}
+        config = ModelConfig(encoder=TINY, preset="M7", perspectives=2, n_classes=labels.c)
+
+        def run(dtype):
+            model = KnnTextModel.create(config, vocab, seed=0, dtype=dtype)
+            return train_and_serve(model, train_docs, dev_docs, neighbors, lookup, dtype)
+
+        alone = list(run(np.float64))
+        together = [r for pair in zip(run(np.float64), run(np.float32)) for r in pair]
+        assert len(together) == 2 * len(alone) == 10
+        for one, r64, r32 in zip(alone, together[0::2], together[1::2]):
+            assert r64.logits.dtype == r64.attention.dtype == np.float64
+            assert r32.logits.dtype == r32.attention.dtype == np.float32
+            for field in ("logits", "probabilities", "attention"):
+                assert getattr(r64, field).tobytes() == getattr(one, field).tobytes(), field
+            if one.loss is not None:
+                assert r64.loss.data.tobytes() == one.loss.data.tobytes()
+                assert r32.loss.data.dtype == np.float32
+
+    def test_float32_file_loads_as_float32_beside_float64_models(self, world, tmp_path):
+        train_docs, dev_docs, labels = world
+        served64 = model_from_checkpoint(TestCheckpoints._m1_checkpoint(train_docs, labels))
+        paths = {}
+        for dtype in (np.float32, np.float64):
+            paths[dtype] = tmp_path / f"{np.dtype(dtype).name}.ckpt"
+            save_checkpoint(paths[dtype], TestCheckpoints._m1_checkpoint(train_docs, labels, dtype))
+        for dtype in (np.float32, np.float64, np.float32):
+            checkpoint = load_checkpoint(paths[dtype])
+            assert checkpoint.manifest["float_bytes"] == np.dtype(dtype).itemsize
+            served = model_from_checkpoint(checkpoint)
+            assert {p.data.dtype for p in served.named_params().values()} == {np.dtype(dtype)}
+            assert served.forward_batch(dev_docs[:3]).logits.dtype == dtype
+            assert served64.forward_batch(dev_docs[:3]).logits.dtype == np.float64
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, load_checkpoint(paths[np.float32]))
+        assert again.read_bytes() == paths[np.float32].read_bytes()
+
+    def test_create_refuses_a_word_table_of_another_width(self, world):
         train_docs, _, labels = world
-        path = tmp_path / "f32.ckpt"
-        ad.set_default_dtype(np.float32)
-        try:
-            save_checkpoint(path, TestCheckpoints._m1_checkpoint(train_docs, labels))
-        finally:
-            ad.set_default_dtype(np.float64)
-        with pytest.raises(CheckpointError, match="float width 4 != active width 8"):
-            load_checkpoint(path)
+        vocab = build_vocab(train_docs)
+        config = ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c)
+        table = random_embedding_table(vocab.n_words, TINY.word_dim, seed=0)
+        with pytest.raises(ModelError, match="float width float32, word_emb float64"):
+            KnnTextModel.create(config, vocab, seed=0, word_table=table, dtype=np.float32)
+        with pytest.raises(ModelError, match="float width float16, word_emb float16"):
+            KnnTextModel.create(config, vocab, seed=0, dtype=np.float16)
+
+    def test_restore_refuses_a_tensor_of_another_width(self, world):
+        train_docs, _, labels = world
+        checkpoint = TestCheckpoints._m1_checkpoint(train_docs, labels, np.float32)
+        checkpoint.tensors["clf.W"] = checkpoint.tensors["clf.W"].astype(np.float64)
+        with pytest.raises(CheckpointError, match="tensor clf.W is float64, word_emb float32"):
+            model_from_checkpoint(checkpoint)
+
+    def test_save_refuses_mixed_widths_and_writes_nothing(self, world, tmp_path):
+        train_docs, _, labels = world
+        checkpoint = TestCheckpoints._m1_checkpoint(train_docs, labels, np.float32)
+        checkpoint.tensors["lstm_fwd.b"] = checkpoint.tensors["lstm_fwd.b"].astype(np.float64)
+        path = tmp_path / "mixed.ckpt"
+        with pytest.raises(CheckpointError, match="tensor lstm_fwd.b is float64, word_emb float32"):
+            save_checkpoint(path, checkpoint)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSetups:
@@ -580,6 +662,11 @@ class TestConfigValidation:
         assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
         with pytest.raises(TrainingError, match="clip_norm must be >= 0"):
             TrainConfig(clip_norm=-1.0)
+
+    def test_float_width_is_32_or_64(self):
+        assert TrainConfig(float_width=32).float_width == 32
+        with pytest.raises(TrainingError, match="float_width must be 32 or 64, got 16"):
+            TrainConfig(float_width=16)
 
     def test_zero_perspectives_accepted_negative_rejected(self):
         assert TrainConfig(perspectives=0).perspectives == 0  # plain cosine
