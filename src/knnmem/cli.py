@@ -6,13 +6,13 @@ are the ``RunConfig`` fields; explicit flags override file values. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 numeric failure: a NaN or inf
 in training (named with its epoch, batch and check) or an ``autodiff`` error.
 
-``train`` writes one artifact, ``model.ckpt``: the model's tensors,
-vocabulary, float width, label names and evaluation batch size and, unless
-the preset retrieves nothing, its memory: the documents it trained against
-(after the dev split or subsample, or the external corpus) with their
-labels, label names, BM25 ``k1``/``b`` and K. ``eval`` and ``predict`` serve
-from that file alone and take no ``RunConfig`` flag, so they retrieve
-exactly as training did.
+``train`` writes one artifact, ``model.ckpt``: the checkpoint that
+``run_pipeline`` returns, as it is. It holds the model's tensors,
+vocabulary, float width and label names and, unless the preset retrieves
+nothing, its memory: the documents it trained against (after the dev split
+or subsample, or the external corpus) with their labels, label names, BM25
+``k1``/``b`` and K. ``eval`` and ``predict`` serve from that file alone and
+take no ``RunConfig`` flag, so they retrieve exactly as training did.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 _FLAG_ALIASES = {"k_neighbors": ["--k"], "perspectives": ["--i"],
                  "train_csv": ["--train"], "eval_csv": ["--dev"]}
-_SERVING = ("The vocabulary, float width, label names and batch size come from the "
-            "checkpoint, and so do the memory's documents, BM25 k1/b and K.")
+_SERVING = ("The vocabulary, float width and label names come from the checkpoint, "
+            "and so do the memory's documents, BM25 k1/b and K.")
 _CHECKPOINT_HELP = "model.ckpt that train wrote"
 
 
@@ -150,7 +150,7 @@ def cmd_train(config: RunConfig) -> int:
         external_labels = config.external_label_space()
         external_docs = load_dataset(config.external_csv, external_labels)
     out = Path(config.out_dir)  # made by ``train``, after the splits are checked
-    report = run_setup(
+    report, pipeline = run_setup(
         config.setup, train_docs, dev_docs, labels, train_config, encoder_config,
         external_docs=external_docs, external_label_space=external_labels,
         low_resource_fraction=config.low_resource_fraction,
@@ -160,15 +160,7 @@ def cmd_train(config: RunConfig) -> int:
         config_echo=config.echo(),
         bm25_params=config.bm25_params(),
     )
-    pipeline = report.pop("_pipeline")
-    checkpoint = pipeline.train_result.checkpoint
-    memory = None if pipeline.index is None else Memory(
-        pipeline.index, pipeline.neighbor_docs, external_labels or labels,
-        config.bm25_params(), config.k_neighbors)
-    # Serving needs the memory, the model's own label names and its dev batch size.
-    save_checkpoint(out / "model.ckpt", dataclasses.replace(checkpoint, memory=memory, manifest={
-        **checkpoint.manifest, "label_names": list(labels.names),
-        "eval_batch_size": config.eval_batch_size}))
+    save_checkpoint(out / "model.ckpt", pipeline.train_result.checkpoint)
     (out / "train_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     for stats in pipeline.train_result.history:
@@ -182,20 +174,17 @@ def cmd_train(config: RunConfig) -> int:
 
 def _restore(path: str) -> tuple:
     """The model with its vocabulary and float width, its memory (None for a
-    preset without one), label space and evaluation batch size, as ``train``
-    recorded them. The model's memory bank encodes only the neighbours read."""
+    preset without one) and label space, as ``run_pipeline`` attached them.
+    Its memory bank encodes only the neighbours read; other keys are ignored."""
     checkpoint = load_checkpoint(path)
-    manifest = checkpoint.manifest
     try:
-        names, batch_size = manifest["label_names"], manifest["eval_batch_size"]
-        if type(batch_size) is not int or batch_size < 1:
-            raise ValueError(f"eval_batch_size {batch_size!r} is not an integer >= 1")
+        names = checkpoint.manifest["label_names"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"label_names {names!r} is not a list of strings")
         labels = LabelSpace(tuple(names))
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: checkpoint records no {exc.args[0]}; "
-                              "retrain to serve it") from None
+    except KeyError:
+        raise CheckpointError(f"{path}: checkpoint records no label_names; serve the checkpoint "
+                              "that run_pipeline returns or knnmem train writes") from None
     except ValueError as exc:  # a CorpusError from LabelSpace too
         raise CheckpointError(f"{path}: checkpoint {exc}; retrain to serve it") from None
     model = model_from_checkpoint(checkpoint)
@@ -205,7 +194,7 @@ def _restore(path: str) -> tuple:
     if checkpoint.memory is None and model.config.features.uses_memory:
         raise CheckpointError(f"{path}: preset {model.config.preset} retrieves neighbours, "
                               "but the checkpoint holds no memory; retrain to serve it")
-    return model, checkpoint.memory, labels, batch_size
+    return model, checkpoint.memory, labels
 
 
 def _with_neighbors(memory: Memory | None, docs: list[Document]) -> tuple:
@@ -220,12 +209,12 @@ def _with_neighbors(memory: Memory | None, docs: list[Document]) -> tuple:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model, memory, labels, batch_size = _restore(args.checkpoint)
+    model, memory, labels = _restore(args.checkpoint)
     eval_docs, neighbors, neighbor_docs = _with_neighbors(memory, load_dataset(args.data, labels))
-    report = evaluate(model, eval_docs, neighbors, neighbor_docs, batch_size=batch_size)
+    report = evaluate(model, eval_docs, neighbors, neighbor_docs)
     out = _out_dir(args.out_dir)
     served = {"float_width": 8 * model.classifier.W.data.itemsize,
-              "label_names": list(labels.names), "eval_batch_size": batch_size}
+              "label_names": list(labels.names)}
     if memory is not None:
         served.update(k1=memory.params.k1, b=memory.params.b, k_neighbors=memory.k)
     payload = {
@@ -252,7 +241,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     texts = [t.rstrip("\n") for t in texts if t.strip()]
     if not texts:
         raise CorpusError("no input text to classify")
-    model, memory, labels, batch_size = _restore(args.checkpoint)
+    model, memory, labels = _restore(args.checkpoint)
     docs = []
     for i, text in enumerate(texts):
         tokens = tokenize(text)
@@ -260,8 +249,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise CorpusError(f"input {i + 1} has no tokens after tokenization")
         docs.append(Document(id=i, label=0, title=text, body="", tokens=tuple(tokens)))
     docs, neighbors, neighbor_docs = _with_neighbors(memory, docs)
-    records = predict_with_provenance(model, docs, neighbors, neighbor_docs,
-                                      batch_size=batch_size, has_gold=False)
+    records = predict_with_provenance(model, docs, neighbors, neighbor_docs, has_gold=False)
     for record in records:
         print(labels.names[record["predicted"]])
     if args.provenance:
@@ -280,10 +268,9 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     field = {"K": "k_neighbors", "I": "perspectives", "preset": "preset"}[axis]
     for value in tuple(PRESETS) if axis == "preset" else range(args.axis_max + 1):
         train_config = dataclasses.replace(base, **{field: value})
-        report = run_setup("full", train_docs, dev_docs, labels, train_config,
-                           encoder_config, embeddings=config.embeddings,
-                           bm25_params=config.bm25_params())
-        report.pop("_pipeline")
+        report, _ = run_setup("full", train_docs, dev_docs, labels, train_config,
+                              encoder_config, embeddings=config.embeddings,
+                              bm25_params=config.bm25_params())
         rows.append({"axis": axis, "value": value, "dev_accuracy": report["dev_accuracy"],
                      "best_epoch": report["best_epoch"]})
         print(f"{axis}={value}: dev_accuracy {report['dev_accuracy']:.4f}")

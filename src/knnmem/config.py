@@ -56,7 +56,6 @@ class RunConfig:
     epochs: int = _f(15, "training passes over the training set")
     lr: float = _f(1e-4, "Adam learning rate, > 0")
     batch_size: int = _f(32, "minibatch size")
-    eval_batch_size: int = _f(64, "batch size of dev evaluation, recorded for eval and predict")
     clip_norm: float = _f(5.0, "global gradient-norm clip, >= 0; 0 disables")
     seed: int = _f(0, "seed for init, shuffling, and subsampling")
     float_width: int = _f(64, "float width of the model and its checkpoint: 64 or 32 bits")

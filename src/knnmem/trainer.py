@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -76,7 +77,6 @@ class TrainConfig:
     preset: str = "M7"
     clip_norm: float = 5.0
     min_count: int = 1
-    eval_batch_size: int = 64
     train_oov_embeddings: bool = False
     float_width: int = 64  # the model's, 64 or 32 bits
 
@@ -85,8 +85,6 @@ class TrainConfig:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
-        if self.eval_batch_size < 1:
-            raise TrainingError("eval_batch_size must be >= 1")
         if self.k_neighbors < 0:
             raise TrainingError("k_neighbors must be >= 0")
         if self.perspectives < 0:
@@ -411,7 +409,8 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
           config_echo: dict | None = None) -> TrainResult:
     """Run exactly ``config.epochs`` passes with per-epoch seeded reshuffles,
     evaluate on dev after each epoch, and return the best-on-dev checkpoint
-    (earliest epoch wins ties) with that epoch's dev report.
+    (earliest epoch wins ties) with that epoch's dev report. The checkpoint
+    holds no memory and no label names: ``run_pipeline`` attaches them.
 
     The global gradient norm is measured before clipping on every step, also
     when ``clip_norm`` is 0 and nothing is clipped; each epoch records its
@@ -455,8 +454,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
                 optimizer.step()
                 loss_sum += float(result.loss.data) * len(batch)
             where = f"epoch {epoch}, dev evaluation"
-            dev_report = evaluate(model, dev_docs, neighbors, neighbor_docs,
-                                  batch_size=config.eval_batch_size)
+            dev_report = evaluate(model, dev_docs, neighbors, neighbor_docs)
             clipped = sum(n > config.clip_norm for n in grad_norms) if config.clip_norm > 0 else 0
             stats = EpochStats(
                 epoch=epoch, train_loss=loss_sum / len(train_docs), dev_accuracy=dev_report.accuracy,
@@ -519,12 +517,24 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
     ``train`` computed for that checkpoint's epoch, with each batch's
     neighbours encoded in the batch, and equals ``evaluate(model, ...)``,
     which reads them from the model's memory bank, exactly: a row's bytes do
-    not depend on the batch that encoded it. An empty split is refused first.
+    not depend on the batch that encoded it. The checkpoint is the one to
+    serve: it carries the ``label_space`` names and, unless the preset
+    retrieves nothing, the ``Memory`` trained against, with its declared
+    label space, ``bm25_params`` and ``config.k_neighbors``. Refused: an
+    empty split, an id that two training or dev documents share (neighbours
+    are kept by id), and ``external_docs`` without ``external_label_space``.
     """
     if not train_docs:
         raise TrainingError("empty training corpus: the dev split or subsample left no document")
     if not dev_docs:
         raise TrainingError("empty dev corpus: best-on-dev selection needs a document")
+    twice = [i for i, n in Counter(d.id for d in (*train_docs, *dev_docs)).items() if n > 1]
+    if twice:
+        raise TrainingError(f"document id {twice[0]} is used twice across the training "
+                            "and dev corpora; each needs its own neighbours")
+    if external_docs is not None and external_label_space is None:
+        raise TrainingError("external_docs need their external_label_space: "
+                            "a memory declares its label space")
     features = preset(config.preset)
     vocab = build_vocab(train_docs, min_count=config.min_count)
     dtype = np.float32 if config.float_width == 32 else np.float64
@@ -539,18 +549,15 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         preset=config.preset,
         perspectives=config.perspectives,
         n_classes=label_space.c,
-        neighbor_classes=(
-            external_label_space.c
-            if external_docs is not None and external_label_space is not None
-            and features.use_attn_label else None
-        ),
+        neighbor_classes=(external_label_space.c if external_docs is not None
+                          and features.use_attn_label else None),
     )
     model = KnnTextModel.create(model_config, vocab, seed=config.seed, word_table=word_table,
                                 dtype=dtype)
     if config.train_oov_embeddings:
         model.encoder.params.word.tensor.requires_grad = True
 
-    index = None
+    index = memory = None
     neighbors: dict[int, NeighborSet] | None = None
     neighbor_docs: dict[int, Document] | None = None
     if features.uses_memory:
@@ -563,9 +570,13 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         )
         for doc in dev_docs:
             neighbors[doc.id] = search_knn(index, doc, config.k_neighbors, params=bm25_params)
+        memory = Memory(index, neighbor_docs, external_label_space or label_space,
+                        bm25_params, config.k_neighbors)
 
     result = train(model, train_docs, dev_docs, neighbors, neighbor_docs, config,
                    vocab, metrics_path=metrics_path, config_echo=config_echo)
+    result.checkpoint = dataclasses.replace(result.checkpoint, memory=memory, manifest={
+        **result.checkpoint.manifest, "label_names": list(label_space.names)})
     best_model = model_from_checkpoint(result.checkpoint, vocab,
                                        expected_classes=label_space.c)
     return PipelineResult(
@@ -588,8 +599,9 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
               embeddings: str | Path | None = None,
               metrics_path: str | Path | None = None,
               config_echo: dict | None = None,
-              bm25_params: Bm25Params = Bm25Params()) -> dict:
-    """One experimental setup end to end; returns a report dict.
+              bm25_params: Bm25Params = Bm25Params()) -> tuple[dict, PipelineResult]:
+    """One experimental setup end to end: its JSON report and the
+    ``run_pipeline`` result, whose checkpoint is the one to serve.
 
     ``semi_supervised`` forces the text-only neighbor features (M6) with
     neighbors from the external corpus; ``transfer`` keeps label features
@@ -635,5 +647,4 @@ def run_setup(setup: str, train_docs: Sequence[Document], dev_docs: Sequence[Doc
         "per_class_accuracy": result.dev_report.per_class,
         "history": [dataclasses.asdict(h) for h in result.train_result.history],
         "config": config_echo or {},
-        "_pipeline": result,
-    }
+    }, result

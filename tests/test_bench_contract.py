@@ -1,10 +1,14 @@
 """The benchmark (`perfbench/workloads.py` and `perfbench/run.py`) calls
-the package by name, and restores `serve_m7`'s model from a checkpoint that
-carries no memory; renaming a function it uses, or changing what such a
-checkpoint holds, must fail here rather than break every benchmark run."""
+the package by name and keyword, and restores `serve_m7`'s model from a
+checkpoint that carries no memory; renaming a function, a parameter or a
+config field it uses, or changing what such a checkpoint holds, must fail
+here rather than break every benchmark run."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
+import types
 import json
 import struct
 import sys
@@ -76,6 +80,67 @@ def test_run_py_package_names_resolve():
     assert ("autodiff", "get_default_dtype") in used
     modules = {name: importlib.import_module(f"knnmem.{module}") for name, module in names.items()}
     assert [f"{m}.{a}" for m, a in sorted(used) if not hasattr(modules[m], a)] == []
+
+
+def package_calls(path: Path) -> list[tuple[ast.Call, object]]:
+    """Each call in a file to a `knnmem` callable, with that callable: one
+    named through a `from knnmem import m` or `from knnmem.m import name`
+    anywhere in the file, and any attribute of it (`Class.method`)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "knnmem":
+            for alias in node.names:
+                if node.module == "knnmem":
+                    target = importlib.import_module(f"knnmem.{alias.name}")
+                else:
+                    target = getattr(importlib.import_module(node.module), alias.name)
+                bound[alias.asname or alias.name] = target
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            return getattr(resolve(node.value), node.attr, None)
+        return None
+
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target = resolve(node.func)
+            if (callable(target) and not isinstance(target, types.ModuleType)
+                    and getattr(target, "__module__", "").startswith("knnmem")):
+                calls.append((node, target))
+    return calls
+
+
+def unbound_calls(path: Path) -> tuple[list[str], list[str]]:
+    """The package calls of a file, as source, and those whose positional
+    count or keyword names do not bind to the callable's signature."""
+    checked, failed = [], []
+    for call, target in package_calls(path):
+        source = ast.unparse(call.func)
+        checked.append(source)
+        positional = [None] * sum(not isinstance(a, ast.Starred) for a in call.args)
+        keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+        try:
+            inspect.signature(target).bind_partial(*positional, **keywords)
+        except TypeError as exc:
+            failed.append(f"{path.name}:{call.lineno} {source}: {exc}")
+    return checked, failed
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "run.py"])
+def test_every_package_call_binds(name):
+    """Each call that the benchmark makes to the package passes arguments
+    that its signature takes: a renamed or deleted parameter, or a
+    ``TrainConfig`` field, fails here."""
+    checked, failed = unbound_calls(PERFBENCH / name)
+    want = {"workloads.py": {"trainer.run_pipeline", "trainer.TrainConfig", "EncoderConfig",
+                             "KnnTextModel.create", "trainer.evaluate", "retrieval.search_knn"},
+            "run.py": {"autodiff.get_default_dtype"}}[name]
+    assert want <= set(checked)
+    assert failed == []
 
 
 def test_serve_m7_restore_chain_on_a_checkpoint_without_memory(tmp_path):

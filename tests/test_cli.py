@@ -11,6 +11,7 @@ import knnmem.trainer as trainer
 from knnmem.cli import build_parser, main
 from knnmem.config import _FIELDS, ConfigError, load_run_config
 from knnmem.corpus import (
+    Document,
     LabelSpace,
     LowResource,
     SplitSpec,
@@ -20,14 +21,14 @@ from knnmem.corpus import (
     tokenize,
 )
 from knnmem.datagen import make_separable_corpus, write_zhang_csv
-from knnmem.encoder import TextEncoder
+from knnmem.encoder import EncoderConfig, TextEncoder
 from knnmem.retrieval import Bm25Params, NeighborSet, build_index, search_knn
 
 # Training flags of a small, fast run; `eval` and `predict` take only `serving(out)`.
 FAST = ["--epochs", "2", "--lr", "0.01", "--batch-size", "8", "--k", "2",
         "--perspectives", "2", "--word-dim", "4", "--char-dim", "3",
         "--char-lstm-dim", "4", "--hidden", "4", "--dev-per-class", "3",
-        "--classes", "3", "--eval-batch-size", "16"]
+        "--classes", "3"]
 
 # Every parameter tensor of an M7 checkpoint with I > 0.
 PARAMETERS = ["word_emb", "char_emb", "char_lstm.Wx", "char_lstm.Wh", "char_lstm.b",
@@ -141,7 +142,7 @@ class TestTrainEvalPredict:
         # The config records what was served, and nothing that serving never read.
         assert payload["config"] == {
             "float_width": 64, "label_names": ["class_0", "class_1", "class_2"],
-            "eval_batch_size": 16, "k1": 1.2, "b": 0.75, "k_neighbors": 2}
+            "k1": 1.2, "b": 0.75, "k_neighbors": 2}
 
     def test_eval_class_mismatch_is_error(self, trained, data_dir, tmp_path, capsys):
         # Label names that do not number the model's classes cannot be served.
@@ -254,14 +255,10 @@ class TestTrainEvalPredict:
 
     @pytest.mark.parametrize("change, match", [
         ((("label_names",), _DROP), "records no label_names"),
-        ((("eval_batch_size",), _DROP), "records no eval_batch_size"),
+        ((("label_names",), None), "label_names None is not a list of strings"),
         ((("label_names",), "class_0,class_1,class_2"), "is not a list of strings"),
         ((("label_names",), [0, 1, 2]), "is not a list of strings"),
         ((("label_names",), ["a", "a", "b"]), "class names must be distinct"),
-        ((("eval_batch_size",), 0), "eval_batch_size 0 is not an integer >= 1"),
-        ((("eval_batch_size",), -4), "eval_batch_size -4 is not an integer >= 1"),
-        ((("eval_batch_size",), 2.5), "eval_batch_size 2.5 is not an integer >= 1"),
-        ((("eval_batch_size",), True), "eval_batch_size True is not an integer >= 1"),
     ])
     def test_checkpoint_without_serving_fields_is_data_error(self, trained, tmp_path, capsys,
                                                              change, match):
@@ -270,7 +267,37 @@ class TestTrainEvalPredict:
         code = run(["predict", "--checkpoint", bad, "--text", "c0w1 c0w2 f3"])
         assert code == 2
         err = capsys.readouterr().err
-        assert match in err and "retrain" in err and "Traceback" not in err
+        # A checkpoint without label names was never servable; one with bad ones is damaged.
+        advice = ("serve the checkpoint that run_pipeline returns or knnmem train writes"
+                  if change[1] is _DROP else "retrain to serve it")
+        assert match in err and advice in err and "Traceback" not in err
+
+    def test_checkpoint_with_removed_eval_batch_size_serves_the_same(self, trained, data_dir,
+                                                                     tmp_path, capsys):
+        # Checkpoints written while the evaluation batch size was a setting
+        # record it, and echo it; serving ignores both.
+        ckpt = trained / "model.ckpt"
+        manifest = trainer.load_checkpoint(ckpt).manifest
+        assert "eval_batch_size" not in manifest and "eval_batch_size" not in manifest["config_echo"]
+        blob = ckpt.read_bytes()
+        (size,) = struct.unpack("<Q", blob[8:16])
+        manifest = json.loads(blob[16:16 + size])
+        manifest["eval_batch_size"] = manifest["config_echo"]["eval_batch_size"] = 1
+        old = tmp_path / "old.ckpt"
+        rewrite_manifest(ckpt, old, json.dumps(manifest).encode("utf-8"))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("c0w1 c0w2 f3\nc1w0 c1w3 f2\nc2w2 zzz\n", encoding="utf-8")
+        outputs = []
+        for i, path in enumerate((old, ckpt)):
+            prov, served = tmp_path / f"prov{i}.jsonl", tmp_path / f"eval{i}"
+            capsys.readouterr()
+            assert run(["predict", "--checkpoint", path, "--input", texts,
+                        "--provenance", prov]) == 0
+            assert run(["eval", "--checkpoint", path, "--data", data_dir / "eval.csv",
+                        "--out-dir", served]) == 0
+            outputs.append((capsys.readouterr().out.replace(str(served), "<out>"),
+                            prov.read_bytes(), (served / "eval.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", PARAMETERS)
@@ -538,6 +565,67 @@ class TestServingUsesTrainingMemory:
         assert outputs[0] == outputs[1]
 
 
+class TestLibraryCheckpointServes:
+    """The checkpoint that `run_pipeline` returns, saved as it is, serves
+    through `eval` and `predict` exactly as its in-process model predicts
+    with the pipeline's own index, BM25 settings and K."""
+
+    LABELS = LabelSpace.of_size(3)
+    TEXTS = ["c0w1 c0w2 f3", "c1w0 c1w3 f2", "c2w1 f0 f1 f5"]
+
+    @pytest.mark.parametrize("kind", ["M7", "M1", "transfer"])
+    def test_saved_pipeline_checkpoint_serves(self, data_dir, tmp_path, capsys, kind):
+        train_docs, dev_docs = split_dev(load_dataset(data_dir / "train.csv", self.LABELS),
+                                         SplitSpec(3, 0))
+        config = trainer.TrainConfig(epochs=2, lr=0.01, batch_size=8, k_neighbors=2,
+                                     perspectives=2, preset="M1" if kind == "M1" else "M7")
+        external = {}
+        if kind == "transfer":  # a memory whose label space is not the model's
+            docs, space = make_separable_corpus(6, 2, seed=9)
+            external = {"external_docs": docs, "external_label_space": space}
+        params = Bm25Params(k1=0.9, b=0.5)
+        result = trainer.run_pipeline(
+            train_docs, dev_docs, self.LABELS, config,
+            EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=4),
+            bm25_params=params, **external)
+        ckpt = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(ckpt, result.train_result.checkpoint)
+
+        def served(docs):
+            """The documents as serving numbers them, and their neighbours."""
+            if result.index is None:
+                return docs, None
+            offset = max(result.neighbor_docs) + 1
+            docs = [dataclasses.replace(d, id=d.id + offset) for d in docs]
+            return docs, {d.id: search_knn(result.index, d, 2, params=params) for d in docs}
+
+        eval_docs, neighbors = served(load_dataset(data_dir / "eval.csv", self.LABELS))
+        want = trainer.evaluate(result.model, eval_docs, neighbors, result.neighbor_docs)
+        assert run(["eval", "--checkpoint", ckpt, "--data", data_dir / "eval.csv",
+                    "--out-dir", tmp_path / "eval"]) == 0
+        payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
+        assert payload["accuracy"] == want.accuracy
+        assert payload["confusion"] == want.confusion.tolist()
+        assert payload["config"]["label_names"] == list(self.LABELS.names)
+
+        texts, prov = tmp_path / "in.txt", tmp_path / "prov.jsonl"
+        texts.write_text("\n".join(self.TEXTS) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--checkpoint", ckpt, "--input", texts,
+                    "--provenance", prov]) == 0
+        docs, neighbors = served([Document(id=i, label=0, title=t, body="",
+                                           tokens=tuple(tokenize(t)))
+                                  for i, t in enumerate(self.TEXTS)])
+        records = trainer.predict_with_provenance(result.model, docs, neighbors,
+                                                  result.neighbor_docs, has_gold=False)
+        assert capsys.readouterr().out.split() == \
+            [self.LABELS.names[r["predicted"]] for r in records]
+        assert [json.loads(line) for line in prov.read_text().splitlines()] == \
+            json.loads(json.dumps(records))
+        if kind == "transfer":
+            assert {n["label"] for r in records for n in r["neighbors"]} <= {0, 1}
+
+
 class TestServingFromArtifacts:
     """`model.ckpt`, which holds the memory, is the whole input of `eval` and `predict`."""
 
@@ -597,7 +685,7 @@ class TestServingFromArtifacts:
         # The same tensors in the same batches, neighbours encoded with each batch.
         out = tmp_path / "run"
         assert run(["train", "--train", data_dir / "train.csv", "--dev", data_dir / "eval.csv",
-                    *FAST, "--eval-batch-size", "4", "--float-width", width, "--out-dir", out]) == 0
+                    *FAST, "--float-width", width, "--out-dir", out]) == 0
         assert run(["eval", *serving(out), "--data", data_dir / "eval.csv",
                     "--out-dir", out / "eval"]) == 0
         report = json.loads((out / "train_report.json").read_text())
@@ -605,7 +693,6 @@ class TestServingFromArtifacts:
         assert report["dev_size"] == payload["total"] == 9
         assert payload["accuracy"] == report["dev_accuracy"]
         assert payload["per_class_accuracy"] == report["per_class_accuracy"]
-        assert payload["config"]["eval_batch_size"] == 4
         assert payload["config"]["float_width"] == int(width)
 
 
@@ -661,8 +748,8 @@ class TestSweep:
     def test_refused_sweep_creates_no_output_directory(self, data_dir, tmp_path, capsys):
         out = tmp_path / "never"
         assert run(["sweep", "--train", data_dir / "train.csv", "--axis", "K", *FAST,
-                    "--eval-batch-size", "0", "--out-dir", out]) == 1
-        assert "eval_batch_size must be >= 1" in capsys.readouterr().err
+                    "--batch-size", "0", "--out-dir", out]) == 1
+        assert "batch_size must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_max_is_usage_error(self, data_dir, tmp_path, capsys):
@@ -696,6 +783,20 @@ class TestConfigHandling:
         code = run(["train", "--config", cfg, "--train", data_dir / "train.csv"])
         assert code == 1
         assert "nonsense_key" in capsys.readouterr().err
+
+    def test_removed_eval_batch_size_is_refused(self, data_dir, tmp_path, capsys):
+        # Evaluation runs at one batch size; neither a config key nor a flag sets it.
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"eval_batch_size": 16}), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--train", data_dir / "train.csv",
+                    "--out-dir", out]) == 1
+        assert "unknown config keys: eval_batch_size" in capsys.readouterr().err
+        assert run(["train", "--train", data_dir / "train.csv", *FAST,
+                    "--eval-batch-size", "16", "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --eval-batch-size 16" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("threads", 2), ("mode", "vanilla_cosine"),
                                             ("self_exclude", False),
@@ -809,8 +910,6 @@ class TestConfigHandling:
         assert "Traceback" not in err and not (tmp_path / "run" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("flag, value, code, match", [
-        ("--eval-batch-size", "0", 1, "eval_batch_size must be >= 1"),
-        ("--eval-batch-size", "-4", 1, "eval_batch_size must be >= 1"),
         ("--dev-per-class", "-3", 2, "dev_per_class must be >= 0, got -3"),
         ("--lr", "-0.01", 1, "lr must be > 0, got -0.01"),
         ("--lr", "0", 1, "lr must be > 0, got 0.0"),
@@ -877,7 +976,7 @@ class TestConfigHandling:
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "--memory" not in text
-        assert "label names and batch size come from the checkpoint" in text
+        assert "float width and label names come from the checkpoint" in text
         assert "and so do the memory's documents, BM25 k1/b and K" in text
         for flag in ("--k1", "--b ", "--k ", "--config", "--classes", "--float-width"):
             assert flag not in text

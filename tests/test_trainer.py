@@ -11,7 +11,13 @@ from knnmem.corpus import LabelSpace, build_vocab
 from knnmem.datagen import make_separable_corpus
 from knnmem.encoder import EncoderConfig, random_embedding_table
 from knnmem.memory import KnnTextModel, ModelConfig, ModelError
-from knnmem.retrieval import NeighborSet, build_index, precompute_neighbors, search_knn
+from knnmem.retrieval import (
+    Bm25Params,
+    NeighborSet,
+    build_index,
+    precompute_neighbors,
+    search_knn,
+)
 from knnmem.trainer import (
     Checkpoint,
     CheckpointError,
@@ -34,7 +40,7 @@ TINY = EncoderConfig(word_dim=4, char_dim=3, char_lstm_dim=4, hidden=4, max_toke
 
 def quick_config(**kwargs):
     base = dict(epochs=2, lr=3e-3, batch_size=8, k_neighbors=2, perspectives=2,
-                seed=0, preset="M7", eval_batch_size=16)
+                seed=0, preset="M7")
     base.update(kwargs)
     return TrainConfig(**base)
 
@@ -177,6 +183,47 @@ class TestTrainLoop:
                              metrics_path=metrics)
         assert not metrics.parent.exists()
 
+    @pytest.mark.parametrize("where", ["dev", "train"])
+    def test_shared_document_id_is_refused(self, world, tmp_path, where):
+        # Neighbours are kept by document id: a dev document with a training
+        # document's id would overwrite that document's neighbours, and it
+        # would then retrieve itself while training.
+        train_docs, dev_docs, labels = world
+        taken = train_docs[3].id
+        if where == "dev":
+            dev_docs = [dataclasses.replace(dev_docs[0], id=taken), *dev_docs[1:]]
+        else:
+            train_docs = [*train_docs, dataclasses.replace(train_docs[0], id=taken)]
+        metrics = tmp_path / "run" / "metrics.jsonl"
+        with pytest.raises(TrainingError, match=f"document id {taken} is used twice"):
+            run_pipeline(train_docs, dev_docs, labels, quick_config(), TINY,
+                         metrics_path=metrics)
+        assert not metrics.parent.exists()
+
+    def test_external_docs_need_their_label_space(self, world):
+        train_docs, dev_docs, labels = world
+        external, _ = make_separable_corpus(2, 5, seed=9)
+        with pytest.raises(TrainingError, match="a memory declares its label space"):
+            run_pipeline(train_docs, dev_docs, labels, quick_config(preset="M6"), TINY,
+                         external_docs=external)
+
+    @pytest.mark.parametrize("preset_name", ["M7", "M1"])
+    def test_checkpoint_carries_its_memory_and_label_names(self, world, preset_name):
+        # The best checkpoint is the one to serve, as run_pipeline returns it.
+        train_docs, dev_docs, labels = world
+        params = Bm25Params(k1=0.5, b=0.6)
+        result = run_pipeline(train_docs, dev_docs, labels,
+                              quick_config(epochs=1, preset=preset_name), TINY,
+                              bm25_params=params)
+        checkpoint = result.train_result.checkpoint
+        assert checkpoint.manifest["label_names"] == list(labels.names)
+        if preset_name == "M1":
+            assert checkpoint.memory is None and result.index is None
+            return
+        memory = checkpoint.memory
+        assert memory.index is result.index and memory.docs == result.neighbor_docs
+        assert (memory.labels, memory.params, memory.k) == (labels, params, 2)
+
     def test_train_builds_no_memory_bank(self, world):
         train_docs, dev_docs, labels = world
         vocab = build_vocab(train_docs)
@@ -262,8 +309,7 @@ class TestEvaluate:
         config = quick_config(epochs=3, lr=3e-2, preset=preset_name,
                               float_width=8 * np.dtype(dtype).itemsize)
         result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
-        again = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs,
-                         batch_size=config.eval_batch_size)
+        again = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs)
         assert result.model.classifier.W.data.dtype == dtype
         assert result.dev_report.accuracy == again.accuracy
         assert result.dev_report.per_class == again.per_class
@@ -583,8 +629,8 @@ class TestTwoWidths:
 class TestSetups:
     def test_unbalanced_counts(self, world):
         train_docs, dev_docs, labels = world
-        report = run_setup("unbalanced", train_docs, dev_docs, labels,
-                           quick_config(epochs=1), TINY, per_class_counts=(2, 4, 8))
+        report, _ = run_setup("unbalanced", train_docs, dev_docs, labels,
+                              quick_config(epochs=1), TINY, per_class_counts=(2, 4, 8))
         assert report["train_size"] == 14
         assert report["train_per_class"] == [2, 4, 8]
         assert 0.0 <= report["dev_accuracy"] <= 1.0
@@ -592,21 +638,21 @@ class TestSetups:
     def test_semi_supervised_forces_m6(self, world):
         train_docs, dev_docs, labels = world
         external, ext_labels = make_separable_corpus(4, 5, seed=9)
-        report = run_setup("semi_supervised", train_docs, dev_docs, labels,
-                           quick_config(epochs=1), TINY,
-                           external_docs=external, external_label_space=ext_labels)
+        report, result = run_setup("semi_supervised", train_docs, dev_docs, labels,
+                                   quick_config(epochs=1), TINY,
+                                   external_docs=external, external_label_space=ext_labels)
         assert report["preset"] == "M6"
-        model = report["_pipeline"].model
+        model = result.model
         # No attentive-label block: width is l + I*l.
         assert model.feature_width() == TINY.l + 2 * TINY.l
 
     def test_transfer_uses_external_label_width(self, world):
         train_docs, dev_docs, labels = world
         external, ext_labels = make_separable_corpus(2, 14, seed=9)
-        report = run_setup("transfer", train_docs, dev_docs, labels,
-                           quick_config(epochs=1), TINY,
-                           external_docs=external, external_label_space=ext_labels)
-        model = report["_pipeline"].model
+        _, result = run_setup("transfer", train_docs, dev_docs, labels,
+                              quick_config(epochs=1), TINY,
+                              external_docs=external, external_label_space=ext_labels)
+        model = result.model
         assert model.feature_width() == TINY.l + 2 * 14 + 2 * TINY.l
         assert model.config.n_classes == labels.c
 
@@ -620,8 +666,8 @@ class TestSetups:
 
     def test_low_resource_fraction(self, world):
         train_docs, dev_docs, labels = world
-        report = run_setup("low_resource", train_docs, dev_docs, labels,
-                           quick_config(epochs=1), TINY, low_resource_fraction=0.5)
+        report, _ = run_setup("low_resource", train_docs, dev_docs, labels,
+                              quick_config(epochs=1), TINY, low_resource_fraction=0.5)
         assert report["train_size"] == 15
 
     def test_unknown_setup(self, world):
@@ -683,10 +729,10 @@ class TestEmbeddingsFollowVocabulary:
         path = tmp_path / "vectors.txt"
         path.write_text("".join(f"{w} {' '.join(repr(float(v)) for v in vec)}\n"
                                 for w, vec in vectors.items()), encoding="utf-8")
-        report = run_setup("low_resource", train_docs, dev_docs, labels,
-                           quick_config(epochs=1), TINY, low_resource_fraction=0.3,
-                           embeddings=path)
-        model = report["_pipeline"].model
+        _, result = run_setup("low_resource", train_docs, dev_docs, labels,
+                              quick_config(epochs=1), TINY, low_resource_fraction=0.3,
+                              embeddings=path)
+        model = result.model
         vocab = model.encoder.vocab
         assert vocab.n_words < full_vocab.n_words
         table = model.encoder.params.word
