@@ -722,21 +722,16 @@ def clip_global_norm(params: Iterable[Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with bias correction; frozen tensors are never touched.
-
-    ``row_masks`` optionally restricts updates of a named tensor to the
-    rows where the mask is 1 (used for partially trainable embeddings).
-    """
+    """Adam with bias correction; a tensor that requires no gradient is
+    never touched."""
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 row_masks: Mapping[str, np.ndarray] | None = None):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = dict(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items() if p.requires_grad}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items() if p.requires_grad}
-        self.row_masks = {n: np.asarray(m, params[n].data.dtype) for n, m in (row_masks or {}).items()}
 
     def step(self) -> None:
         self.step_count += 1
@@ -747,9 +742,6 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise AutodiffError(f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} for {name}")
-            mask = self.row_masks.get(name)
-            if mask is not None:
-                g = g * mask[:, None]
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[name] / (1.0 - self.beta1 ** t)

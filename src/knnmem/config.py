@@ -48,7 +48,6 @@ class RunConfig:
     max_tokens: int = _f(256, "encoder truncation length in tokens")
     max_word_chars: int = _f(32, "character-LSTM truncation length per word")
     embeddings: str | None = _f(None, "pretrained word-vector text file")
-    train_oov_embeddings: bool = _f(False, "update randomly initialized embedding rows during training")
     # memory
     preset: str = _f("M7", "feature preset M1..M7")
     perspectives: int = _f(5, "matching perspectives (I); 0 is plain cosine")

@@ -1,6 +1,6 @@
 """Text encoder: frozen word vectors + trainable character-composed vectors,
 composed by a BiLSTM whose final forward/backward states form the text
-embedding.
+embedding. The word table, ``word_emb``, never requires a gradient.
 
 Encoding is batched, and each LSTM input projection, bias included, is
 computed once per distinct row, then gathered for every occurrence:
@@ -86,23 +86,6 @@ def param_rng(seed: int | None, name: str) -> np.random.Generator:
 
 
 @dataclass
-class EmbeddingTable:
-    """Word-vector matrix; row 0 is the OOV row. ``random_rows`` marks rows
-    that were randomly initialized rather than loaded from a vector file."""
-
-    tensor: Tensor
-    random_rows: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.tensor.shape[1]
-
-    @property
-    def frozen(self) -> bool:
-        return not self.tensor.requires_grad
-
-
-@dataclass
 class LstmParams:
     """Fused-gate LSTM weights; gate order along columns is i, f, g, o."""
 
@@ -128,19 +111,17 @@ def init_lstm(seed: int, name: str, in_dim: int, hidden: int) -> LstmParams:
     )
 
 
-def random_embedding_table(n_words: int, dim: int, seed: int) -> EmbeddingTable:
-    rng = param_rng(seed, "word_emb")
-    data = rng.uniform(-0.05, 0.05, (n_words, dim))
-    return EmbeddingTable(
-        tensor=Tensor(data, requires_grad=False, name="word_emb"),
-        random_rows=np.ones(n_words, dtype=bool),
-    )
+def random_embedding_table(n_words: int, dim: int, seed: int) -> Tensor:
+    """The frozen ``word_emb`` table drawn from U(-0.05, 0.05); row 0 is the OOV row."""
+    data = param_rng(seed, "word_emb").uniform(-0.05, 0.05, (n_words, dim))
+    return Tensor(data, name="word_emb")
 
 
 def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, seed: int = 0,
-                               fallback_dim: int = 300) -> EmbeddingTable:
-    """Whitespace-separated text vectors; vocabulary rows missing from the
-    file (and the OOV row) are drawn from U(-0.05, 0.05). Width is inferred
+                               fallback_dim: int = 300) -> Tensor:
+    """The frozen ``word_emb`` table from whitespace-separated text vectors;
+    vocabulary rows missing from the file (and the OOV row) are drawn from
+    U(-0.05, 0.05), as ``random_embedding_table`` draws them. Width is inferred
     from the file; an empty file falls back to ``fallback_dim``. A vocabulary
     word's line with a component that is not a finite number raises
     ``EncoderError``."""
@@ -171,24 +152,21 @@ def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, seed: int = 
             vectors[token] = vec
     dim = width if width is not None else fallback_dim
     table = random_embedding_table(vocab.n_words, dim, seed)
-    random_rows = np.ones(vocab.n_words, dtype=bool)
     for token, vec in vectors.items():
-        row = vocab.word_to_id[token]
-        table.tensor.data[row] = vec
-        random_rows[row] = False
-    return EmbeddingTable(tensor=table.tensor, random_rows=random_rows)
+        table.data[vocab.word_to_id[token]] = vec
+    return table
 
 
 @dataclass
 class EncoderParams:
-    word: EmbeddingTable
+    word: Tensor  # ``word_emb``, frozen: it never requires a gradient
     char_table: Tensor
     char_lstm: LstmParams
     fwd: LstmParams
     bwd: LstmParams
 
     def named(self) -> dict[str, Tensor]:
-        out = {"word_emb": self.word.tensor, "char_emb": self.char_table}
+        out = {"word_emb": self.word, "char_emb": self.char_table}
         for prefix, lstm in (("char_lstm", self.char_lstm), ("lstm_fwd", self.fwd), ("lstm_bwd", self.bwd)):
             out[f"{prefix}.Wx"] = lstm.Wx
             out[f"{prefix}.Wh"] = lstm.Wh
@@ -197,17 +175,17 @@ class EncoderParams:
 
 
 def init_encoder_params(config: EncoderConfig, vocab: Vocabulary, seed: int,
-                        word_table: EmbeddingTable | None = None) -> EncoderParams:
-    if word_table is None:
-        word_table = random_embedding_table(vocab.n_words, config.word_dim, seed)
-    if word_table.tensor.shape[0] != vocab.n_words:
+                        word_emb: Tensor | None = None) -> EncoderParams:
+    if word_emb is None:
+        word_emb = random_embedding_table(vocab.n_words, config.word_dim, seed)
+    if word_emb.shape[0] != vocab.n_words:
         raise EncoderError(
-            f"embedding table has {word_table.tensor.shape[0]} rows; "
+            f"embedding table has {word_emb.shape[0]} rows; "
             f"the vocabulary has {vocab.n_words} words"
         )
-    if word_table.dim != config.word_dim:
+    if word_emb.shape[1] != config.word_dim:
         raise EncoderError(
-            f"embedding width {word_table.dim} != configured word_dim {config.word_dim}"
+            f"embedding width {word_emb.shape[1]} != configured word_dim {config.word_dim}"
         )
     char_rng = param_rng(seed, "char_emb")
     char_table = Tensor(
@@ -215,7 +193,7 @@ def init_encoder_params(config: EncoderConfig, vocab: Vocabulary, seed: int,
         requires_grad=True, name="char_emb",
     )
     return EncoderParams(
-        word=word_table,
+        word=word_emb,
         char_table=char_table,
         char_lstm=init_lstm(seed, "char_lstm", config.char_dim, config.char_lstm_dim),
         fwd=init_lstm(seed, "lstm_fwd", config.d, config.hidden),
@@ -264,8 +242,8 @@ class TextEncoder:
 
     @classmethod
     def create(cls, config: EncoderConfig, vocab: Vocabulary, seed: int,
-               word_table: EmbeddingTable | None = None) -> "TextEncoder":
-        return cls(config, vocab, init_encoder_params(config, vocab, seed, word_table))
+               word_emb: Tensor | None = None) -> "TextEncoder":
+        return cls(config, vocab, init_encoder_params(config, vocab, seed, word_emb))
 
     def named_params(self) -> dict[str, Tensor]:
         return self.params.named()
@@ -295,7 +273,7 @@ class TextEncoder:
         """The forward and backward word passes' input projections
         ``[word vector; char composition] @ Wx + b``, one row per word of
         ``words``, whose vocabulary ids are ``word_ids``."""
-        x = ad.concat([ad.rows(self.params.word.tensor, word_ids), self._char_compose_batch(words)],
+        x = ad.concat([ad.rows(self.params.word, word_ids), self._char_compose_batch(words)],
                       axis=1)
         fwd, bwd = self.params.fwd, self.params.bwd
         return ad.add(ad.matmul(x, fwd.Wx), fwd.b), ad.add(ad.matmul(x, bwd.Wx), bwd.b)

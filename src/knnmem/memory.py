@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document
-from .encoder import EncoderConfig, EmbeddingTable, TextEncoder, WordCache, param_rng
+from .encoder import EncoderConfig, TextEncoder, WordCache, param_rng
 from .retrieval import NeighborSet
 
 class ModelError(ValueError):
@@ -317,17 +317,18 @@ class KnnTextModel:
 
     @classmethod
     def create(cls, config: ModelConfig, vocab, seed: int | None,
-               word_table: EmbeddingTable | None = None,
+               word_emb: Tensor | None = None,
                dtype=ad.get_default_dtype()) -> "KnnTextModel":
         """A model of float width ``dtype``, float32 or float64: each drawn
-        parameter is cast to it once. A given ``word_table`` becomes
-        ``word_emb`` as it is, so one of another width raises ``ModelError``."""
+        parameter is cast to it once. A given ``word_emb`` table is used as
+        it is, so one of another width raises ``ModelError``. Every parameter
+        requires a gradient but ``word_emb`` and, at I = 0, ``match.W``."""
         dtype = np.dtype(dtype)
-        table = dtype if word_table is None else word_table.tensor.data.dtype
+        table = dtype if word_emb is None else word_emb.data.dtype
         if dtype.char not in "fd" or table != dtype:
             raise ModelError(f"float width {dtype}, word_emb {table}: "
                              "a model's parameters are all float32 or all float64")
-        encoder = TextEncoder.create(config.encoder, vocab, seed, word_table)
+        encoder = TextEncoder.create(config.encoder, vocab, seed, word_emb)
         matching = None
         if config.features.uses_memory:
             matching = MatchingParams.create(config.encoder.l, config.perspectives, seed)

@@ -9,7 +9,6 @@ document.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 import math
@@ -33,11 +32,10 @@ from .corpus import (
     build_vocab,
     subsample,
 )
-from .encoder import EmbeddingTable, EncoderConfig, load_pretrained_embeddings
+from .encoder import EncoderConfig, load_pretrained_embeddings
 from .memory import KnnTextModel, ModelConfig, preset
 from .retrieval import (
     Bm25Params,
-    InvertedIndex,
     Memory,
     NeighborSet,
     RetrievalError,
@@ -77,7 +75,6 @@ class TrainConfig:
     preset: str = "M7"
     clip_norm: float = 5.0
     min_count: int = 1
-    train_oov_embeddings: bool = False
     float_width: int = 64  # the model's, 64 or 32 bits
 
     def __post_init__(self):
@@ -85,6 +82,8 @@ class TrainConfig:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if self.min_count < 1:
+            raise TrainingError(f"min_count must be >= 1, got {self.min_count}")
         if self.k_neighbors < 0:
             raise TrainingError("k_neighbors must be >= 0")
         if self.perspectives < 0:
@@ -157,7 +156,6 @@ def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
     tensors = {name: p.data.copy() for name, p in model.named_params().items()}
     for t in tensors.values():  # ``model_from_checkpoint`` makes them parameter arrays
         t.flags.writeable = False
-    packed = np.packbits(model.encoder.params.word.random_rows.astype(np.uint8))
     manifest = {
         "format": "knnmem-checkpoint",
         "model": {
@@ -175,14 +173,10 @@ def make_checkpoint(model: KnnTextModel, vocab: Vocabulary, epoch: int,
             "words": sorted(vocab.word_to_id, key=vocab.word_to_id.__getitem__),
             "chars": sorted(vocab.char_to_id, key=vocab.char_to_id.__getitem__),
         },
-        "word_random_rows": base64.b64encode(packed.tobytes()).decode("ascii"),
         "epoch": epoch,
         "dev_accuracy": dev_accuracy,
         "config_echo": config_echo or {},
-        "tensors": [
-            {"name": name, "shape": list(p.data.shape), "frozen": not p.requires_grad}
-            for name, p in model.named_params().items()
-        ],
+        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in tensors.items()],
     }
     return Checkpoint(manifest=manifest, tensors=tensors)
 
@@ -227,8 +221,6 @@ def _checkpoint_reader(manifest) -> tuple[Callable[[bytes], Checkpoint], int]:
             raise ValueError(f"tensor name {name!r} is not a string")
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"tensor {name} shape {shape!r} is not a list of integers >= 0")
-        if type(spec["frozen"]) is not bool:
-            raise ValueError(f"tensor {name} frozen flag {spec['frozen']!r} is not a boolean")
         specs.append((name, tuple(shape)))
     memory = manifest.pop("memory", None)
     try:
@@ -268,7 +260,8 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
     ``word_emb``. The model takes the stored width, and each checkpoint
     tensor becomes the parameter array itself, without a copy, so the
     parameter arrays are read-only: an in-place write (or ``grad_check``)
-    raises until ``.data`` is rebound, as ``Adam.step`` does."""
+    raises until ``.data`` is rebound, as ``Adam.step`` does. Which tensors
+    train is not stored: it is ``KnnTextModel.create``'s."""
     manifest = checkpoint.manifest
     try:
         vc, mc = manifest["vocab"], manifest["model"]
@@ -286,7 +279,6 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
             n_classes=mc["n_classes"],
             neighbor_classes=mc["neighbor_classes"],
         )
-        packed = base64.b64decode(manifest["word_random_rows"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest: {exc}") from None
     if word_hash != vocab.word_hash():
@@ -302,16 +294,9 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
     if stored is None or stored.shape != want:
         got = "missing" if stored is None else f"shape {list(stored.shape)}"
         raise CheckpointError(f"checkpoint word_emb is {got}; expected shape {list(want)}")
-    random_rows = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
-    if random_rows.size < vocab.n_words:
-        raise CheckpointError(
-            f"checkpoint word_random_rows holds {random_rows.size} bits; "
-            f"expected at least {vocab.n_words}"
-        )
     # The stored table stands in for the random one, which would only be overwritten.
-    word_table = EmbeddingTable(Tensor(stored, name="word_emb"),
-                                random_rows[: vocab.n_words].astype(bool))
-    model = KnnTextModel.create(config, vocab, seed=None, word_table=word_table, dtype=stored.dtype)
+    word_emb = Tensor(stored, name="word_emb")
+    model = KnnTextModel.create(config, vocab, seed=None, word_emb=word_emb, dtype=stored.dtype)
     params = model.named_params()
     missing = params.keys() - {spec["name"] for spec in manifest["tensors"]}
     if missing:
@@ -329,9 +314,8 @@ def model_from_checkpoint(checkpoint: Checkpoint, vocab: Vocabulary | None = Non
             raise CheckpointError(f"checkpoint tensor {name} is {tensor.dtype}, word_emb {stored.dtype}")
         if not np.isfinite(tensor).all():
             raise CheckpointError(f"checkpoint tensor {name} holds a non-finite value")
-        if params[name] is not word_table.tensor:  # word_emb holds its array already
+        if params[name] is not word_emb:  # word_emb holds its array already
             params[name].data = tensor
-        params[name].requires_grad = not spec["frozen"]
     return model
 
 
@@ -423,11 +407,7 @@ def train(model: KnnTextModel, train_docs: Sequence[Document], dev_docs: Sequenc
         raise TrainingError("empty training corpus")
     params = model.named_params()
     trainable = [p for p in params.values() if p.requires_grad]
-    row_masks = {}
-    word = model.encoder.params.word
-    if word.tensor.requires_grad and not word.random_rows.all():
-        row_masks["word_emb"] = word.random_rows
-    optimizer = Adam(params, lr=config.lr, row_masks=row_masks)
+    optimizer = Adam(params, lr=config.lr)
     if neighbors is not None:
         neighbors = {doc_id: ns.top(config.k_neighbors) for doc_id, ns in neighbors.items()}
     rng = np.random.default_rng([config.seed, zlib.crc32(b"epoch-shuffle")])
@@ -492,9 +472,7 @@ class PipelineResult:
     dev_report: EvalReport
     model: KnnTextModel
     vocab: Vocabulary
-    index: InvertedIndex | None
-    neighbors: dict[int, NeighborSet] | None
-    neighbor_docs: dict[int, Document] | None
+    neighbors: dict[int, NeighborSet] | None  # the training and dev documents' neighbours
 
 
 def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
@@ -538,12 +516,12 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
     features = preset(config.preset)
     vocab = build_vocab(train_docs, min_count=config.min_count)
     dtype = np.float32 if config.float_width == 32 else np.float64
-    word_table = None
+    word_emb = None
     if embeddings is not None:
-        word_table = load_pretrained_embeddings(embeddings, vocab, seed=config.seed,
-                                                fallback_dim=encoder_config.word_dim)
-        word_table.tensor.data = word_table.tensor.data.astype(dtype)
-        encoder_config = dataclasses.replace(encoder_config, word_dim=word_table.dim)
+        word_emb = load_pretrained_embeddings(embeddings, vocab, seed=config.seed,
+                                              fallback_dim=encoder_config.word_dim)
+        word_emb.data = word_emb.data.astype(dtype)
+        encoder_config = dataclasses.replace(encoder_config, word_dim=word_emb.shape[1])
     model_config = ModelConfig(
         encoder=encoder_config,
         preset=config.preset,
@@ -552,12 +530,10 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         neighbor_classes=(external_label_space.c if external_docs is not None
                           and features.use_attn_label else None),
     )
-    model = KnnTextModel.create(model_config, vocab, seed=config.seed, word_table=word_table,
+    model = KnnTextModel.create(model_config, vocab, seed=config.seed, word_emb=word_emb,
                                 dtype=dtype)
-    if config.train_oov_embeddings:
-        model.encoder.params.word.tensor.requires_grad = True
 
-    index = memory = None
+    memory = None
     neighbors: dict[int, NeighborSet] | None = None
     neighbor_docs: dict[int, Document] | None = None
     if features.uses_memory:
@@ -584,9 +560,7 @@ def run_pipeline(train_docs: Sequence[Document], dev_docs: Sequence[Document],
         dev_report=result.dev_report,
         model=best_model,
         vocab=vocab,
-        index=index,
         neighbors=neighbors,
-        neighbor_docs=neighbor_docs,
     )
 
 

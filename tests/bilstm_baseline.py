@@ -16,7 +16,7 @@ import numpy as np
 from knnmem import autodiff as ad
 from knnmem.autodiff import Tensor
 from knnmem.corpus import Document, Vocabulary
-from knnmem.encoder import EmbeddingTable, EncoderConfig, TextEncoder, param_rng
+from knnmem.encoder import EncoderConfig, TextEncoder, param_rng
 
 
 @dataclass
@@ -35,8 +35,8 @@ class BilstmBaseline:
 
     @classmethod
     def create(cls, config: EncoderConfig, vocab: Vocabulary, n_classes: int, seed: int,
-               word_table: EmbeddingTable | None = None) -> "BilstmBaseline":
-        encoder = TextEncoder.create(config, vocab, seed, word_table)
+               word_emb: Tensor | None = None) -> "BilstmBaseline":
+        encoder = TextEncoder.create(config, vocab, seed, word_emb)
         rng = param_rng(seed, "clf.W")
         clf_W = Tensor(rng.uniform(-0.08, 0.08, (config.l, n_classes)),
                        requires_grad=True, name="clf.W")

@@ -462,22 +462,6 @@ class TestAdam:
         assert frozen.data.tobytes() == before.tobytes()
         assert live.data[0] != 1.0
 
-    def test_row_mask_restricts_updates(self):
-        table = Tensor(np.zeros((3, 2)), requires_grad=True)
-        opt = Adam({"t": table}, lr=0.1, row_masks={"t": np.array([1.0, 0.0, 1.0])})
-        table.grad = np.ones((3, 2))
-        opt.step()
-        assert np.all(table.data[1] == 0.0)
-        assert np.all(table.data[0] != 0.0) and np.all(table.data[2] != 0.0)
-
-    def test_float32_row_mask_keeps_float32(self):
-        table = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
-        opt = Adam({"t": table}, lr=0.1, row_masks={"t": np.array([True, False, True])})
-        table.grad = np.ones((3, 2), dtype=np.float32)
-        opt.step()
-        assert opt.row_masks["t"].dtype == table.data.dtype == np.float32
-        assert np.all(table.data[1] == 0.0) and np.all(table.data[0] != 0.0)
-
     def test_matches_reference_adam_trajectory(self):
         # Independent scalar reference implementation of Adam with bias correction.
         rng = np.random.default_rng(16)

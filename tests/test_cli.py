@@ -1,4 +1,5 @@
 import argparse
+import base64
 import dataclasses
 import json
 import struct
@@ -199,24 +200,42 @@ class TestTrainEvalPredict:
         assert record["neighbors"]
         assert {"doc_id", "bm25", "label", "attention"} <= set(record["neighbors"][0])
 
-    @pytest.mark.parametrize("stop_grad", [True, False])
+    @pytest.mark.parametrize("stop_grad, frozen", [
+        (True, None), (False, None), (None, {}), (None, {"word_emb": False}),
+    ], ids=["True", "False", "word_random_rows-frozen", "word_emb-not-frozen"])
     def test_checkpoint_with_removed_stop_grad_key_serves_the_same(self, trained, tmp_path,
-                                                                 capsys, stop_grad):
-        # Checkpoints written while ``stop_grad_neighbors`` existed carry it in
-        # their model manifest; restore ignores it.
+                                                                 capsys, stop_grad, frozen):
+        # Checkpoints written by earlier code carry keys that restore ignores:
+        # ``stop_grad_neighbors`` in their model manifest, or the packed bits of
+        # the randomly drawn word rows and each tensor's ``frozen`` flag, which
+        # was false on ``word_emb`` after a run that trained it.
         ckpt = trained / "model.ckpt"
-        assert "stop_grad_neighbors" not in trainer.load_checkpoint(ckpt).manifest["model"]
+        blob = ckpt.read_bytes()
+        (size,) = struct.unpack("<Q", blob[8:16])
+        manifest = json.loads(blob[16:16 + size])
+        assert "stop_grad_neighbors" not in manifest["model"]
+        assert "word_random_rows" not in manifest
+        assert all(set(spec) == {"name", "shape"} for spec in manifest["tensors"])
+        if stop_grad is not None:
+            manifest["model"]["stop_grad_neighbors"] = stop_grad
+        if frozen is not None:
+            bits = np.packbits(np.ones(manifest["vocab"]["n_words"], dtype=np.uint8))
+            manifest["word_random_rows"] = base64.b64encode(bits.tobytes()).decode("ascii")
+            for spec in manifest["tensors"]:
+                spec["frozen"] = frozen.get(spec["name"], spec["name"] == "word_emb")
         old = tmp_path / "old.ckpt"
-        rewrite_manifest(ckpt, old, (("model", "stop_grad_neighbors"), stop_grad))
+        rewrite_manifest(ckpt, old, json.dumps(manifest).encode("utf-8"))
         texts = tmp_path / "texts.txt"
         texts.write_text("c0w1 c0w2 f3\nc1w0 c1w3 f2\nc2w2 zzz\n", encoding="utf-8")
         outputs = []
         for i, path in enumerate((old, ckpt)):
             model = trainer.model_from_checkpoint(trainer.load_checkpoint(path))
+            assert not model.encoder.params.word.requires_grad
+            trains = {name: p.requires_grad for name, p in model.named_params().items()}
             prov = tmp_path / f"prov{i}.jsonl"
             assert run(["predict", "--checkpoint", path, "--input", texts,
                         "--provenance", prov]) == 0
-            outputs.append((model.config, capsys.readouterr().out, prov.read_bytes()))
+            outputs.append((model.config, trains, capsys.readouterr().out, prov.read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_predict_rejects_serve_time_min_count(self, trained, capsys):
@@ -232,9 +251,9 @@ class TestTrainEvalPredict:
         ((("vocab",), _DROP), _MALFORMED),
         ((("model",), _DROP), _MALFORMED),
         ((("vocab", "words"), 5), _MALFORMED),
-        ((("word_random_rows",), _DROP), _MALFORMED),
-        ((("word_random_rows",), "!!!"), _MALFORMED),
-        ((("word_random_rows",), "AA=="), "at least"),
+        ((("tensors", 0, "name"), 5), _MALFORMED),
+        ((("tensors",), _DROP), _MALFORMED),
+        ((("model", "encoder", "width"), 3), _MALFORMED),
         ((("tensors", 0, "shape"), [-1, 4]), _MALFORMED),
         ((("tensors", 0, "shape"), [2.5, 4]), _MALFORMED),
         ((("tensors", 0, "shape"), "4x4"), _MALFORMED),
@@ -590,17 +609,19 @@ class TestLibraryCheckpointServes:
             bm25_params=params, **external)
         ckpt = tmp_path / "model.ckpt"
         trainer.save_checkpoint(ckpt, result.train_result.checkpoint)
+        memory = result.train_result.checkpoint.memory
+        memory_docs = None if memory is None else memory.docs
 
         def served(docs):
             """The documents as serving numbers them, and their neighbours."""
-            if result.index is None:
+            if memory is None:
                 return docs, None
-            offset = max(result.neighbor_docs) + 1
+            offset = max(memory_docs) + 1
             docs = [dataclasses.replace(d, id=d.id + offset) for d in docs]
-            return docs, {d.id: search_knn(result.index, d, 2, params=params) for d in docs}
+            return docs, {d.id: search_knn(memory.index, d, 2, params=params) for d in docs}
 
         eval_docs, neighbors = served(load_dataset(data_dir / "eval.csv", self.LABELS))
-        want = trainer.evaluate(result.model, eval_docs, neighbors, result.neighbor_docs)
+        want = trainer.evaluate(result.model, eval_docs, neighbors, memory_docs)
         assert run(["eval", "--checkpoint", ckpt, "--data", data_dir / "eval.csv",
                     "--out-dir", tmp_path / "eval"]) == 0
         payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
@@ -617,7 +638,7 @@ class TestLibraryCheckpointServes:
                                            tokens=tuple(tokenize(t)))
                                   for i, t in enumerate(self.TEXTS)])
         records = trainer.predict_with_provenance(result.model, docs, neighbors,
-                                                  result.neighbor_docs, has_gold=False)
+                                                  memory_docs, has_gold=False)
         assert capsys.readouterr().out.split() == \
             [self.LABELS.names[r["predicted"]] for r in records]
         assert [json.loads(line) for line in prov.read_text().splitlines()] == \
@@ -800,8 +821,10 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("key, value", [("threads", 2), ("mode", "vanilla_cosine"),
                                             ("self_exclude", False),
-                                            ("stop_grad_neighbors", True)],
-                             ids=["threads", "mode", "self_exclude", "stop_grad_neighbors"])
+                                            ("stop_grad_neighbors", True),
+                                            ("train_oov_embeddings", True)],
+                             ids=["threads", "mode", "self_exclude", "stop_grad_neighbors",
+                                  "train_oov_embeddings"])
     def test_removed_threads_key_is_usage_error(self, data_dir, tmp_path, capsys, key, value):
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps({"epochs": 1, key: value}), encoding="utf-8")
@@ -817,8 +840,9 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
-    def test_removed_stop_grad_flags_are_usage_errors(self, data_dir, tmp_path, capsys):
-        for flag in ("--stop-grad-neighbors", "--no-stop-grad-neighbors"):
+    def test_removed_boolean_flags_are_usage_errors(self, data_dir, tmp_path, capsys):
+        for flag in ("--stop-grad-neighbors", "--no-stop-grad-neighbors",
+                     "--train-oov-embeddings", "--no-train-oov-embeddings"):
             code = run(["train", flag, "--train", data_dir / "train.csv",
                         "--out-dir", tmp_path / "run"])
             assert code == 1
@@ -826,7 +850,8 @@ class TestConfigHandling:
             assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
         with pytest.raises(SystemExit):
             main(["train", "--help"])
-        assert "stop-grad" not in capsys.readouterr().out
+        help_text = capsys.readouterr().out
+        assert "stop-grad" not in help_text and "train-oov" not in help_text
 
     @pytest.mark.parametrize("counts", [["a", 2], [None], [1.5], [True]],
                              ids=["string", "null", "float", "bool"])
@@ -915,6 +940,7 @@ class TestConfigHandling:
         ("--lr", "0", 1, "lr must be > 0, got 0.0"),
         ("--clip-norm", "-1", 1, "clip_norm must be >= 0"),
         ("--float-width", "16", 1, "float_width must be 32 or 64, got 16"),
+        ("--min-count", "0", 1, "min_count must be >= 1, got 0"),
     ])
     def test_count_below_range_is_refused(self, data_dir, tmp_path, capsys, flag, value,
                                           code, match):
@@ -1002,12 +1028,13 @@ class TestBm25ParamsReachTraining:
         assert code == 0
         (train_docs, dev_docs, result), = calls
         params = Bm25Params(k1=0.5, b=0.3)
+        index = result.train_result.checkpoint.memory.index
         for d in train_docs:
-            want = search_knn(result.index, d, 2, exclude_id=d.id, params=params)
+            want = search_knn(index, d, 2, exclude_id=d.id, params=params)
             assert result.neighbors[d.id] == NeighborSet(d.id, want.neighbors)
         for d in dev_docs:
-            assert result.neighbors[d.id] == search_knn(result.index, d, 2, params=params)
-        assert any(result.neighbors[d.id] != search_knn(result.index, d, 2) for d in dev_docs)
+            assert result.neighbors[d.id] == search_knn(index, d, 2, params=params)
+        assert any(result.neighbors[d.id] != search_knn(index, d, 2) for d in dev_docs)
 
 
 class TestEmbeddingsFollowVocabulary:
@@ -1040,6 +1067,6 @@ class TestEmbeddingsFollowVocabulary:
         model = model_from_checkpoint(load_checkpoint(out / "model.ckpt"))
         vocab = model.encoder.vocab
         assert vocab.n_words < len(words) + 1
-        table = model.encoder.params.word.tensor.data
+        table = model.encoder.params.word.data
         for word, row in vocab.word_to_id.items():
             assert np.array_equal(table[row], vectors[word]), word

@@ -75,7 +75,7 @@ def reference_encode_batch(enc, token_seqs):
 
     def x_at(pos):
         toks = [seq[min(p, len(seq) - 1)] for seq, p in zip(seqs, pos)]
-        return ad.concat([ad.rows(params.word.tensor, [vocab.word_id(t) for t in toks]),
+        return ad.concat([ad.rows(params.word, [vocab.word_id(t) for t in toks]),
                           ad.rows(char_vecs, [uniq[t] for t in toks])], axis=1)
 
     finals = []
@@ -114,7 +114,7 @@ class TestFusedMatchesStepReference:
     def test_values_and_every_gradient(self, config):
         vocab = make_vocab([" ".join(s) for s in RAGGED[:3]])
         enc = TextEncoder.create(config, vocab, seed=13)
-        enc.params.word.tensor.requires_grad = True  # cover word_emb's gradient too
+        enc.params.word.requires_grad = True  # cover word_emb's gradient too
         weights = np.random.default_rng(3).uniform(-1.0, 1.0, (len(RAGGED), config.l))
         got, got_grads = encoder_grads(enc, TextEncoder.encode_batch, RAGGED, weights)
         want, want_grads = encoder_grads(enc, reference_encode_batch, RAGGED, weights)
@@ -151,7 +151,7 @@ class TestFusedMatchesStepReference:
         tol = 1000 * np.finfo(np.float32).eps
         vocab = make_vocab([" ".join(s) for s in RAGGED[:3]])
         enc = at_width(TextEncoder.create(config, vocab, seed=13), np.float32)
-        enc.params.word.tensor.requires_grad = True
+        enc.params.word.requires_grad = True
         weights = np.random.default_rng(3).uniform(-1.0, 1.0, (len(RAGGED), config.l))
         weights = weights.astype(np.float32)
         got, got_grads = encoder_grads(enc, TextEncoder.encode_batch, RAGGED, weights)
@@ -185,7 +185,7 @@ class TestFusedMatchesStepReference:
 
 def word_inputs(enc, tokens):
     """The (len(tokens), d) LSTM inputs [word embedding; char composition]."""
-    word_rows = ad.rows(enc.params.word.tensor, [enc.vocab.word_id(t) for t in tokens])
+    word_rows = ad.rows(enc.params.word, [enc.vocab.word_id(t) for t in tokens])
     return ad.concat([word_rows, enc._char_compose_batch(tokens)], axis=1).data
 
 
@@ -328,13 +328,13 @@ class TestWordRepresent:
     def test_oov_uses_row_zero(self, tiny_encoder):
         enc = tiny_encoder
         vec = word_inputs(enc, ["zzzz"])[0]
-        assert np.allclose(vec[: TINY.word_dim], enc.params.word.tensor.data[0])
+        assert np.allclose(vec[: TINY.word_dim], enc.params.word.data[0])
 
     def test_known_token_uses_its_row(self, tiny_encoder):
         enc = tiny_encoder
         row = enc.vocab.word_id("cat")
         vec = word_inputs(enc, ["cat"])[0]
-        assert np.allclose(vec[: TINY.word_dim], enc.params.word.tensor.data[row])
+        assert np.allclose(vec[: TINY.word_dim], enc.params.word.data[row])
 
     def test_batch_words_reach_projection_with_vocabulary_ids(self, tiny_encoder, monkeypatch):
         # encode_batch maps its distinct words to ids in one pass; OOV words get row 0.
@@ -444,11 +444,11 @@ class TestFrozenEmbeddings:
         with Tape() as tape:
             loss = ad.sum(enc.encode_batch([["the", "cat"]]))
         tape.backward(loss)
-        assert enc.params.word.tensor.grad is None
+        assert enc.params.word.grad is None
         assert enc.params.char_table.grad is not None
 
     def test_table_is_frozen_flagged(self, tiny_encoder):
-        assert tiny_encoder.params.word.frozen
+        assert not tiny_encoder.params.word.requires_grad
 
 
 class TestPretrainedEmbeddings:
@@ -460,17 +460,17 @@ class TestPretrainedEmbeddings:
         p.write_text("alpha 1.0 2.0 3.0\nbeta -1.0 0.5 0.25\n", encoding="utf-8")
         vocab = self.vocab()
         table = load_pretrained_embeddings(p, vocab, seed=5)
-        assert table.dim == 3
-        assert np.array_equal(table.tensor.data[vocab.word_id("alpha")], [1.0, 2.0, 3.0])
-        assert not table.random_rows[vocab.word_id("alpha")]
-        assert table.random_rows[vocab.word_id("gamma")]
-        assert table.random_rows[0]
+        drawn = random_embedding_table(vocab.n_words, 3, seed=5).data
+        assert table.shape[1] == 3
+        assert np.array_equal(table.data[vocab.word_id("alpha")], [1.0, 2.0, 3.0])
+        for row in (vocab.word_id("gamma"), 0):  # not in the file; row 0 is the OOV row
+            assert np.array_equal(table.data[row], drawn[row])
 
     def test_width_inferred(self, tmp_path):
         p = tmp_path / "vecs.txt"
         p.write_text("alpha " + " ".join(["0.1"] * 50) + "\n", encoding="utf-8")
         table = load_pretrained_embeddings(p, self.vocab(), seed=0)
-        assert table.dim == 50
+        assert table.shape[1] == 50
 
     def test_inconsistent_width_rejected(self, tmp_path):
         p = tmp_path / "vecs.txt"
@@ -490,19 +490,21 @@ class TestPretrainedEmbeddings:
     def test_empty_file_all_random_frozen(self, tmp_path):
         p = tmp_path / "vecs.txt"
         p.write_text("", encoding="utf-8")
-        table = load_pretrained_embeddings(p, self.vocab(), seed=1, fallback_dim=7)
-        assert table.dim == 7
-        assert table.random_rows.all()
-        assert table.frozen
+        vocab = self.vocab()
+        table = load_pretrained_embeddings(p, vocab, seed=1, fallback_dim=7)
+        assert table.shape[1] == 7
+        assert np.array_equal(table.data, random_embedding_table(vocab.n_words, 7, seed=1).data)
+        assert not table.requires_grad
 
     def test_missing_rows_in_uniform_range(self, tmp_path):
         p = tmp_path / "vecs.txt"
         p.write_text("alpha 9.0 9.0 9.0\n", encoding="utf-8")
-        table = load_pretrained_embeddings(p, self.vocab(), seed=2)
-        random_part = table.tensor.data[table.random_rows]
+        vocab = self.vocab()
+        table = load_pretrained_embeddings(p, vocab, seed=2)
+        random_part = np.delete(table.data, vocab.word_id("alpha"), axis=0)
         assert np.all(np.abs(random_part) <= 0.05)
 
     def test_random_table_deterministic(self):
-        a = random_embedding_table(10, 4, seed=3).tensor.data
-        b = random_embedding_table(10, 4, seed=3).tensor.data
+        a = random_embedding_table(10, 4, seed=3).data
+        b = random_embedding_table(10, 4, seed=3).data
         assert np.array_equal(a, b)

@@ -45,6 +45,12 @@ def quick_config(**kwargs):
     return TrainConfig(**base)
 
 
+def memory_docs(result):
+    """The documents that ``result``'s checkpoint retrieves from; None without a memory."""
+    memory = result.train_result.checkpoint.memory
+    return None if memory is None else memory.docs
+
+
 @pytest.fixture(scope="module")
 def world():
     train_docs, labels = make_separable_corpus(10, 3, seed=1)
@@ -59,7 +65,7 @@ class TestTrainLoop:
         train_docs, dev_docs, labels = world
         config = quick_config(epochs=40, lr=3e-2, preset="M1")
         result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
-        final = evaluate(result.model, train_docs, result.neighbors, result.neighbor_docs)
+        final = evaluate(result.model, train_docs, result.neighbors, memory_docs(result))
         assert final.accuracy == 1.0
 
     def test_same_corpus_neighbors_exclude_the_query(self, world):
@@ -108,11 +114,11 @@ class TestTrainLoop:
         model_config = ModelConfig(encoder=TINY, preset="M7", perspectives=2,
                                    n_classes=labels.c)
         model = KnnTextModel.create(model_config, vocab, seed=0)
-        before = model.encoder.params.word.tensor.data.copy()
+        before = model.encoder.params.word.data.copy()
         neighbors = {d.id: NeighborSet(d.id, ()) for d in train_docs + dev_docs}
         train(model, train_docs, dev_docs, neighbors, {d.id: d for d in train_docs},
               config, vocab)
-        assert model.encoder.params.word.tensor.data.tobytes() == before.tobytes()
+        assert model.encoder.params.word.data.tobytes() == before.tobytes()
 
     def test_non_finite_loss_aborts_with_location(self, world):
         train_docs, dev_docs, labels = world
@@ -218,10 +224,10 @@ class TestTrainLoop:
         checkpoint = result.train_result.checkpoint
         assert checkpoint.manifest["label_names"] == list(labels.names)
         if preset_name == "M1":
-            assert checkpoint.memory is None and result.index is None
+            assert checkpoint.memory is None and result.neighbors is None
             return
         memory = checkpoint.memory
-        assert memory.index is result.index and memory.docs == result.neighbor_docs
+        assert memory.docs == {d.id: d for d in train_docs}
         assert (memory.labels, memory.params, memory.k) == (labels, params, 2)
 
     def test_train_builds_no_memory_bank(self, world):
@@ -254,7 +260,7 @@ class TestEvaluate:
         train_docs, dev_docs, labels = world
         config = quick_config(epochs=40, lr=3e-2, preset="M1")
         result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
-        report = evaluate(result.model, train_docs, result.neighbors, result.neighbor_docs)
+        report = evaluate(result.model, train_docs, result.neighbors, memory_docs(result))
         assert report.accuracy == 1.0
         assert np.all(report.confusion == np.diag(np.diag(report.confusion)))
 
@@ -282,7 +288,7 @@ class TestEvaluate:
     def test_confusion_rows_match_support(self, world):
         train_docs, dev_docs, labels = world
         result = run_pipeline(train_docs, dev_docs, labels, quick_config(), TINY)
-        report = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs)
+        report = evaluate(result.model, dev_docs, result.neighbors, memory_docs(result))
         for label in range(labels.c):
             support = sum(1 for d in dev_docs if d.label == label)
             assert report.confusion[label].sum() == support
@@ -291,9 +297,9 @@ class TestEvaluate:
     def test_accuracy_matches_provenance_recount(self, world):
         train_docs, dev_docs, labels = world
         result = run_pipeline(train_docs, dev_docs, labels, quick_config(), TINY)
-        report = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs)
+        report = evaluate(result.model, dev_docs, result.neighbors, memory_docs(result))
         records = predict_with_provenance(result.model, dev_docs, result.neighbors,
-                                          result.neighbor_docs)
+                                          memory_docs(result))
         recount = sum(1 for r in records if r["predicted"] == r["gold"]) / len(records)
         assert report.accuracy == pytest.approx(recount)
 
@@ -309,7 +315,7 @@ class TestEvaluate:
         config = quick_config(epochs=3, lr=3e-2, preset=preset_name,
                               float_width=8 * np.dtype(dtype).itemsize)
         result = run_pipeline(train_docs, dev_docs, labels, config, TINY)
-        again = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs)
+        again = evaluate(result.model, dev_docs, result.neighbors, memory_docs(result))
         assert result.model.classifier.W.data.dtype == dtype
         assert result.dev_report.accuracy == again.accuracy
         assert result.dev_report.per_class == again.per_class
@@ -319,7 +325,7 @@ class TestEvaluate:
         train_docs, dev_docs, labels = world
         result = run_pipeline(train_docs, dev_docs, labels, quick_config(k_neighbors=2), TINY)
         top1 = {doc_id: ns.top(1) for doc_id, ns in result.neighbors.items()}
-        records = predict_with_provenance(result.model, dev_docs, top1, result.neighbor_docs)
+        records = predict_with_provenance(result.model, dev_docs, top1, memory_docs(result))
         assert all(len(r["neighbors"]) <= 1 for r in records)
         assert any(r["neighbors"] for r in records)
         sample = next(r for r in records if r["neighbors"])
@@ -344,13 +350,13 @@ class TestCheckpoints:
         reloaded = model_from_checkpoint(load_checkpoint(path), result.vocab)
         base = result.model.forward_batch(dev_docs[:5],
                                           {d.id: result.neighbors[d.id].top(2) for d in dev_docs[:5]},
-                                          result.neighbor_docs)
+                                          memory_docs(result))
         got = reloaded.forward_batch(dev_docs[:5],
                                      {d.id: result.neighbors[d.id].top(2) for d in dev_docs[:5]},
-                                     result.neighbor_docs)
+                                     memory_docs(result))
         assert base.logits.tobytes() == got.logits.tobytes()
-        r1 = evaluate(result.model, dev_docs, result.neighbors, result.neighbor_docs)
-        r2 = evaluate(reloaded, dev_docs, result.neighbors, result.neighbor_docs)
+        r1 = evaluate(result.model, dev_docs, result.neighbors, memory_docs(result))
+        r2 = evaluate(reloaded, dev_docs, result.neighbors, memory_docs(result))
         assert r1.accuracy == r2.accuracy
 
     def test_restore_takes_checkpoint_tensors_without_copy(self, world, tmp_path):
@@ -424,8 +430,8 @@ class TestCheckpoints:
         reloaded = model_from_checkpoint(load_checkpoint(path))
         assert reloaded.encoder.vocab.word_hash() == result.vocab.word_hash()
         neighbors = {d.id: result.neighbors[d.id].top(2) for d in dev_docs[:5]}
-        base = result.model.forward_batch(dev_docs[:5], neighbors, result.neighbor_docs)
-        got = reloaded.forward_batch(dev_docs[:5], neighbors, result.neighbor_docs)
+        base = result.model.forward_batch(dev_docs[:5], neighbors, memory_docs(result))
+        got = reloaded.forward_batch(dev_docs[:5], neighbors, memory_docs(result))
         assert base.logits.tobytes() == got.logits.tobytes()
 
     @staticmethod
@@ -448,13 +454,30 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, result.train_result.checkpoint)
         checkpoint = load_checkpoint(path)
-        assert {"name": "match.W", "shape": [1, TINY.l], "frozen": True} in checkpoint.manifest["tensors"]
+        assert {"name": "match.W", "shape": [1, TINY.l]} in checkpoint.manifest["tensors"]
         reloaded = model_from_checkpoint(checkpoint)
         W = reloaded.matching.W
         assert np.array_equal(W.data, np.ones((1, TINY.l))) and not W.requires_grad
-        args = (dev_docs, result.neighbors, result.neighbor_docs)
+        args = (dev_docs, result.neighbors, checkpoint.memory.docs)
         assert (predict_with_provenance(reloaded, *args)
                 == predict_with_provenance(result.model, *args))
+
+    @pytest.mark.parametrize("preset_name, perspectives", [("M7", 2), ("M7", 0), ("M1", 2)],
+                             ids=["M7-I2", "M7-I0", "M1"])
+    def test_restore_trains_what_create_trains(self, world, tmp_path, preset_name, perspectives):
+        # A checkpoint stores no trainability: a restored model's is create's.
+        train_docs, _, labels = world
+        vocab = build_vocab(train_docs)
+        config = ModelConfig(encoder=TINY, preset=preset_name, perspectives=perspectives,
+                             n_classes=labels.c)
+        created = KnnTextModel.create(config, vocab, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_checkpoint(created, vocab, epoch=1, dev_accuracy=0.5))
+        restored = model_from_checkpoint(load_checkpoint(path))
+        trains = {name: p.requires_grad for name, p in created.named_params().items()}
+        assert {name: p.requires_grad for name, p in restored.named_params().items()} == trains
+        frozen = {"word_emb"} | ({"match.W"} if perspectives == 0 else set())
+        assert {name for name, t in trains.items() if not t} == frozen
 
     def test_stored_vocab_must_match_its_hash(self, world):
         train_docs, _, labels = world
@@ -475,7 +498,7 @@ class TestCheckpoints:
 
         monkeypatch.setattr(encoder, "random_embedding_table", forbidden)
         model = model_from_checkpoint(ckpt)
-        assert np.array_equal(model.encoder.params.word.tensor.data, ckpt.tensors["word_emb"])
+        assert np.array_equal(model.encoder.params.word.data, ckpt.tensors["word_emb"])
 
     def test_missing_word_emb_is_error(self, world):
         train_docs, _, labels = world
@@ -605,7 +628,7 @@ class TestTwoWidths:
         config = ModelConfig(encoder=TINY, preset="M1", n_classes=labels.c)
         table = random_embedding_table(vocab.n_words, TINY.word_dim, seed=0)
         with pytest.raises(ModelError, match="float width float32, word_emb float64"):
-            KnnTextModel.create(config, vocab, seed=0, word_table=table, dtype=np.float32)
+            KnnTextModel.create(config, vocab, seed=0, word_emb=table, dtype=np.float32)
         with pytest.raises(ModelError, match="float width float16, word_emb float16"):
             KnnTextModel.create(config, vocab, seed=0, dtype=np.float16)
 
@@ -736,10 +759,9 @@ class TestEmbeddingsFollowVocabulary:
         vocab = model.encoder.vocab
         assert vocab.n_words < full_vocab.n_words
         table = model.encoder.params.word
-        assert table.tensor.shape[0] == vocab.n_words
+        assert table.shape[0] == vocab.n_words
         for word, row in vocab.word_to_id.items():
-            assert np.array_equal(table.tensor.data[row], vectors[word]), word
-            assert not table.random_rows[row]
+            assert np.array_equal(table.data[row], vectors[word]), word
 
     def test_table_rows_must_match_vocabulary(self, world):
         from knnmem.encoder import EncoderError, random_embedding_table
@@ -749,7 +771,7 @@ class TestEmbeddingsFollowVocabulary:
         config = ModelConfig(encoder=TINY, preset="M7", perspectives=2, n_classes=labels.c)
         table = random_embedding_table(vocab.n_words + 5, TINY.word_dim, seed=0)
         with pytest.raises(EncoderError, match="rows"):
-            KnnTextModel.create(config, vocab, seed=0, word_table=table)
+            KnnTextModel.create(config, vocab, seed=0, word_emb=table)
 
 
 class TestGradNormTelemetry:
