@@ -221,12 +221,18 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, n: int, chunk: b
         out[bulk:n] = (pad @ b)[:n - bulk]
 
 
+def matmul_rows(a: np.ndarray, b: np.ndarray, chunk: bool = True) -> np.ndarray:
+    """``a @ b`` through ``_matmul_rows``: chunked, each row's bytes are
+    those of the row alone."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    _matmul_rows(a, b, out, a.shape[0], chunk)
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise AutodiffError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a.data, b.data))
-    _matmul_rows(a.data, b.data, data, a.shape[0], chunk=_ACTIVE_TAPE is None)
-    out = Tensor(data)
+    out = Tensor(matmul_rows(a.data, b.data, chunk=_ACTIVE_TAPE is None))
 
     def backward(g):
         if a.requires_grad:
@@ -235,6 +241,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return _record(out, (a, b), backward)
+
+
+def project(table: Tensor, ids, char: Tensor, Wx: Tensor, b: Tensor) -> Tensor:
+    """An LSTM input projection split at the table's width ``d``:
+    ``table[ids] @ Wx[:d] + char @ Wx[d:] + b``, which is
+    ``concat([rows(table, ids), char], axis=1) @ Wx + b`` up to rounding, as
+    one tape node.
+
+    Each half is one ``matmul_rows`` product, chunked only without a tape;
+    the halves are added, then ``b``. A caller holding a row's word half
+    already (``encoder.WordCache`` holds the OOV row's) gets the same bytes
+    by adding in that order. The backward forms ``Wx``'s gradient from both
+    halves, ``b``'s, and ``char``'s from the ``Wx[d:]`` rows only; it forms
+    the table's only when the table requires one, which the encoder's frozen
+    word table never does.
+    """
+    idx = np.asarray(ids, dtype=np.int64)
+    d = table.shape[1] if table.ndim == 2 else -1
+    width = Wx.shape[1] if Wx.ndim == 2 else -1
+    if (idx.ndim != 1 or char.ndim != 2 or char.shape[0] != idx.size
+            or Wx.shape != (d + char.shape[1], width) or b.shape not in ((width,), (1, width))):
+        raise AutodiffError(f"project: incompatible shapes table {table.shape}, ids {idx.shape},"
+                            f" char {char.shape}, Wx {Wx.shape} and b {b.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise AutodiffError(f"project: index out of range for table with {table.shape[0]} rows")
+    chunk = _ACTIVE_TAPE is None
+    words, W = table.data[idx], Wx.data
+    data = matmul_rows(words, W[:d], chunk)
+    data += matmul_rows(char.data, W[d:], chunk)
+    data += b.data
+    out = Tensor(data)
+
+    def backward(g):
+        if Wx.requires_grad:
+            dW = np.empty_like(W)
+            np.matmul(words.T, g, out=dW[:d])
+            np.matmul(char.data.T, g, out=dW[d:])
+            _accum(Wx, dW)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+        if char.requires_grad:
+            _accum(char, g @ W[d:].T)
+        if table.requires_grad:
+            _accum(table, _scatter_add_rows(idx, g @ W[:d].T, table.shape[0]))
+
+    return _record(out, (table, char, Wx, b), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

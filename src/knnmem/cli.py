@@ -235,25 +235,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if bool(args.text) == bool(args.input):
+    if (args.text is None) == (args.input is None):
         raise UsageError("provide exactly one of --text or --input")
-    texts = [args.text] if args.text else list(utf8_lines(args.input, CorpusError))
-    texts = [t.rstrip("\n") for t in texts if t.strip()]
+    if args.text is not None:
+        texts = [("--text", args.text)]
+    else:
+        texts = [(f"{args.input}: line {n}", line.rstrip("\n"))
+                 for n, line in enumerate(utf8_lines(args.input, CorpusError), start=1)]
+    texts = [(where, text) for where, text in texts if text.strip()]
     if not texts:
         raise CorpusError("no input text to classify")
-    model, memory, labels = _restore(args.checkpoint)
     docs = []
-    for i, text in enumerate(texts):
+    for where, text in texts:
         tokens = tokenize(text)
         if not tokens:
-            raise CorpusError(f"input {i + 1} has no tokens after tokenization")
-        docs.append(Document(id=i, label=0, title=text, body="", tokens=tuple(tokens)))
+            raise CorpusError(f"{where} has no tokens after tokenization")
+        docs.append(Document(id=len(docs), label=0, title=text, body="", tokens=tuple(tokens)))
+    model, memory, labels = _restore(args.checkpoint)
     docs, neighbors, neighbor_docs = _with_neighbors(memory, docs)
     records = predict_with_provenance(model, docs, neighbors, neighbor_docs, has_gold=False)
+    # Provenance first, so that a run that cannot write it prints no label.
+    if args.provenance:
+        write_provenance(args.provenance, records)
     for record in records:
         print(labels.names[record["predicted"]])
     if args.provenance:
-        write_provenance(args.provenance, records)
         print(f"wrote {args.provenance}", file=sys.stderr)
     return 0
 

@@ -9,7 +9,12 @@ computed once per distinct row, then gathered for every occurrence:
   (``char_table @ Wx + b``) and runs over the batch's unique words, whose
   characters are mapped to ids with one sorted-table lookup;
 - each word direction projects ``[word vector; char composition]`` once
-  per unique word in the batch (``x @ Wx + b``).
+  per unique word in the batch, split at the frozen word table's width
+  ``d``: one ``autodiff.project`` computes ``word_emb[ids] @ Wx[:d] +
+  char @ Wx[d:] + b``. Its word half reads only frozen rows; training
+  forms the gradient of ``Wx``, ``b`` and the char compositions, not of
+  the table. A ``WordCache`` keeps the OOV row's word half per direction,
+  so a served OOV word costs its char pass and its char half.
 
 Each of the three passes is then one ``autodiff.lstm_sequence`` node: the
 recurrence runs in numpy over one row per distinct prefix of the pass's
@@ -23,7 +28,7 @@ and a hand-written backward through time reads the gates, ``h_prev``,
 maximum reads nothing after its last step, so its state carries over
 exactly: padding never enters a sequence's embedding. Untaped, each
 product whose rows are items (the input projections and every recurrence
-step) is aligned and chunked (``autodiff._matmul_rows``), so an
+step) is aligned and chunked (``autodiff.matmul_rows``), so an
 embedding's bytes do not depend on its batch: a ``memory.MemoryBank``
 caches exact rows. A taped encode runs each product unchunked, over all
 its rows at once, so a row may differ from its untaped bytes by about one
@@ -272,11 +277,11 @@ class TextEncoder:
     def _project(self, word_ids: np.ndarray, words: Sequence[str]) -> tuple[Tensor, Tensor]:
         """The forward and backward word passes' input projections
         ``[word vector; char composition] @ Wx + b``, one row per word of
-        ``words``, whose vocabulary ids are ``word_ids``."""
-        x = ad.concat([ad.rows(self.params.word, word_ids), self._char_compose_batch(words)],
-                      axis=1)
-        fwd, bwd = self.params.fwd, self.params.bwd
-        return ad.add(ad.matmul(x, fwd.Wx), fwd.b), ad.add(ad.matmul(x, bwd.Wx), bwd.b)
+        ``words``, whose vocabulary ids are ``word_ids``: one
+        ``autodiff.project`` per direction, split at the frozen word table."""
+        char = self._char_compose_batch(words)
+        return tuple(ad.project(self.params.word, word_ids, char, p.Wx, p.b)
+                     for p in (self.params.fwd, self.params.bwd))
 
     def encode_batch(self, token_seqs: Sequence[Sequence[str]]) -> Tensor:
         """Encode a batch of token sequences into a (batch, 2*hidden) tensor."""
@@ -306,9 +311,14 @@ class TextEncoder:
 
 class WordCache(TextEncoder):
     """``encoder`` caching each known word's two input projections in row
-    ``slot[id]`` (-1 until first asked for) of tables filled in that order: a
-    request projects the known words it lacks and its OOV words in one
-    ``TextEncoder._project`` call. ``memory.MemoryBank`` holds one per weights.
+    ``slot[id]`` (-1 until first asked for) of tables filled in that order,
+    and, per direction, the OOV row's word half ``word_emb[0] @ Wx[:d]``.
+    A request runs one char pass over the known words it lacks and its OOV
+    words: the known ones are projected by ``autodiff.project`` and kept,
+    and an OOV word's row is its cached word half plus its char half
+    ``char @ Wx[d:]``, plus ``b``, added in ``autodiff.project``'s order,
+    so every row is byte-identical to ``TextEncoder._project``'s.
+    ``memory.MemoryBank`` holds one per weights.
     """
 
     def __init__(self, encoder: TextEncoder):
@@ -316,22 +326,30 @@ class WordCache(TextEncoder):
         shape = (self.vocab.n_words, 4 * self.config.hidden)
         self._rows = tuple(np.empty(shape, dtype=self.params.fwd.Wx.data.dtype) for _ in range(2))
         self.slot = np.full(self.vocab.n_words, -1, dtype=np.int64)
+        self._lstms = (self.params.fwd, self.params.bwd)
+        d = self.config.word_dim
+        oov_row = self.params.word.data[Vocabulary.OOV_ID:Vocabulary.OOV_ID + 1]
+        self._oov_half = tuple(ad.matmul_rows(oov_row, p.Wx.data[:d]) for p in self._lstms)
 
     def _project(self, word_ids: np.ndarray, words: Sequence[str]) -> tuple[Tensor, Tensor]:
         oov = word_ids == Vocabulary.OOV_ID
         fresh = np.flatnonzero(oov | (self.slot[word_ids] < 0))
         if fresh.size:
-            new = super()._project(word_ids[fresh], [words[i] for i in fresh.tolist()])
+            char = self._char_compose_batch([words[i] for i in fresh.tolist()]).data
             known = ~oov[fresh]
-            rows = self.slot.max() + 1 + np.arange(np.count_nonzero(known))
-            for table, proj in zip(self._rows, new):
-                table[rows] = proj.data[known]
-            self.slot[word_ids[fresh[known]]] = rows
-            if fresh.size == word_ids.size:
-                return new
+            ids = word_ids[fresh[known]]
+            if ids.size:
+                rows = self.slot.max() + 1 + np.arange(ids.size)
+                for table, p in zip(self._rows, self._lstms):
+                    table[rows] = ad.project(self.params.word, ids, Tensor(char[known]),
+                                             p.Wx, p.b).data
+                self.slot[ids] = rows
         # Whole-row gathers: each direction's rows stay C-contiguous.
         proj = [table[self.slot[word_ids]] for table in self._rows]
         if oov.any():
-            for out, rows in zip(proj, new):
-                out[oov] = rows.data[oov[fresh]]
+            d = self.config.word_dim
+            for out, half, p in zip(proj, self._oov_half, self._lstms):
+                rows = half + ad.matmul_rows(char[~known], p.Wx.data[d:])
+                rows += p.b.data
+                out[oov] = rows
         return Tensor(proj[0]), Tensor(proj[1])

@@ -208,7 +208,10 @@ class MemoryBank:
     style of a kNN-LM datastore: computed once per set of weights, not once
     per request. ``table`` row ``row_of[i]`` holds doc id ``i``'s embedding
     and ``words`` (``encoder.WordCache``) each known word's projections,
-    encoded when first asked for, byte-identical to encoding them alone.
+    encoded when first asked for, and the OOV row's word half
+    (``word_emb[0] @ Wx[:d]``, from the frozen table), to which each OOV
+    word adds its char half. Every row is byte-identical to encoding its
+    text or word alone.
 
     The bank holds only while every encoder parameter's ``.data`` is the
     array it was built from. Building marks those arrays read-only, so an

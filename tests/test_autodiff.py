@@ -21,6 +21,7 @@ from knnmem.autodiff import (
     matmul,
     mul,
     perspective_cosine,
+    project,
     reshape,
     rows,
     scalar_mul,
@@ -709,6 +710,86 @@ class TestLstmSequence:
         assert self.peak_bytes(400, tape=False) - self.peak_bytes(25, tape=False) < 50_000
         no_grad = self.peak_bytes(400, tape=True, requires_grad=False)
         assert no_grad - self.peak_bytes(25, tape=True, requires_grad=False) < 50_000
+
+
+def project_inputs(rng, ids, dtype=np.float64, d=6, c=3, width=8, n_table=5):
+    """A trainable ``(n_table, d)`` table, ``(len(ids), c)`` char rows, and
+    ``Wx`` and ``b`` of ``width`` columns, all of float width ``dtype``."""
+    def draw(*shape):
+        return Tensor(rng.uniform(-1.0, 1.0, shape).astype(dtype), requires_grad=True)
+    return draw(n_table, d), np.asarray(ids), draw(len(ids), c), draw(d + c, width), draw(1, width)
+
+
+class TestProject:
+    """``project(table, ids, char, Wx, b)`` is ``[table[ids]; char] @ Wx + b``
+    split at the table's width, as one tape node."""
+
+    def test_grad_check_with_repeated_oov_rows(self):
+        rng = np.random.default_rng(52)
+        table, ids, char, Wx, b = project_inputs(rng, [0, 3, 0, 1, 0, 4, 0])
+        weights = rng.uniform(-1.0, 1.0, (ids.size, Wx.shape[1]))
+
+        def loss_fn():
+            return ad.sum(mul(tanh(project(table, ids, char, Wx, b)), weights))
+
+        fd_check(loss_fn, {"table": table, "char": char, "Wx": Wx, "b": b})
+
+    def test_frozen_table_gets_no_gradient(self):
+        rng = np.random.default_rng(53)
+        table, ids, char, Wx, b = project_inputs(rng, [0, 2, 0])
+        table.requires_grad = False
+        with Tape() as tape:
+            out = project(table, ids, char, Wx, b)
+            loss = ad.sum(out)
+        tape.backward(loss)
+        assert len(tape) == 2  # project and the sum
+        g = np.ones_like(out.data)
+        assert table.grad is None
+        assert np.allclose(char.grad, g @ Wx.data[table.shape[1]:].T, rtol=1e-15, atol=1e-15)
+        assert np.allclose(Wx.grad, np.concatenate([table.data[ids], char.data], axis=1).T @ g,
+                           rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_values_match_concat_product(self, dtype):
+        # Tolerance, fixed before the first run: both sides are sums of the
+        # same d + c products and b, in different orders, so each lies
+        # within (d + c + 1) * eps / 2 * sum(|terms|) of the exact value
+        # (Higham, section 3.1), and they differ by at most twice that.
+        rng = np.random.default_rng(54)
+        ids = rng.integers(0, 40, 64)
+        ids[::5] = 0
+        table, ids, char, Wx, b = project_inputs(rng, ids, dtype, d=300, c=50, width=400,
+                                                 n_table=40)
+        x = np.concatenate([table.data[ids], char.data], axis=1)
+        want = matmul(Tensor(x), Wx).data + b.data
+        for taped in (False, True):
+            if taped:
+                with Tape():
+                    got = project(table, ids, char, Wx, b).data
+            else:
+                got = project(table, ids, char, Wx, b).data
+            mass = np.abs(x) @ np.abs(Wx.data) + np.abs(b.data)
+            assert got.dtype == dtype
+            assert np.all(np.abs(got - want) <= (300 + 50 + 1) * np.finfo(dtype).eps * mass)
+
+    def test_shape_mismatch_names_the_shapes(self):
+        rng = np.random.default_rng(55)
+        table, ids, char, Wx, b = project_inputs(rng, [0, 1, 2])
+        bad = {
+            "char": (table, ids, Tensor(np.ones((2, 3))), Wx, b),
+            "Wx": (table, ids, char, Tensor(np.ones((8, 8))), b),
+            "b": (table, ids, char, Wx, Tensor(np.ones((1, 7)))),
+            "ids": (table, np.zeros((3, 1), dtype=np.int64), char, Wx, b),
+        }
+        for name, args in bad.items():
+            shapes = [a.shape for a in args]
+            want = (f"project: incompatible shapes table {shapes[0]}, ids {shapes[1]},"
+                    f" char {shapes[2]}, Wx {shapes[3]} and b {shapes[4]}")
+            with pytest.raises(AutodiffError) as err:
+                project(*args)
+            assert str(err.value) == want, name
+        with pytest.raises(AutodiffError, match="project: index out of range for table with 5 rows"):
+            project(table, [0, 5, 1], char, Wx, b)
 
 
 class TestRowsBackward:

@@ -409,9 +409,40 @@ class TestTrainEvalPredict:
         code = run(["predict", *serving(trained), "--input", empty])
         assert code == 2
 
-    def test_predict_requires_exactly_one_source(self, trained, capsys):
+    def test_predict_requires_exactly_one_source(self, trained, tmp_path, capsys):
         code = run(["predict", *serving(trained)])
         assert code == 1
+        texts = tmp_path / "texts.txt"
+        texts.write_text("c0w1 f3\n", encoding="utf-8")
+        for text in ("", "c0w1 f3"):
+            assert run(["predict", *serving(trained), "--text", text, "--input", texts]) == 1
+            captured = capsys.readouterr()
+            assert "provide exactly one of --text or --input" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["", "   "], ids=["empty", "blank"])
+    def test_predict_empty_text_is_data_error(self, trained, capsys, text):
+        assert run(["predict", *serving(trained), "--text", text]) == 2
+        captured = capsys.readouterr()
+        assert "no input text to classify" in captured.err and captured.out == ""
+
+    def test_predict_names_the_line_without_tokens(self, trained, tmp_path, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("a b c\n\n!!!\n", encoding="utf-8")
+        assert run(["predict", *serving(trained), "--input", texts]) == 2
+        captured = capsys.readouterr()
+        assert f"{texts}: line 3 has no tokens after tokenization" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert run(["predict", *serving(trained), "--text", "!!!"]) == 2
+        assert "--text has no tokens after tokenization" in capsys.readouterr().err
+
+    def test_unwritable_provenance_prints_no_label(self, trained, tmp_path, capsys):
+        prov = tmp_path / "missing_dir" / "p.jsonl"
+        assert run(["predict", *serving(trained), "--text", "c0w1 c0w2 f3",
+                    "--provenance", prov]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert not prov.exists()
 
 
 class TestTrainReruns:

@@ -603,6 +603,29 @@ class TestBatchInvariance:
             assert bank.table[row].tobytes() == alone[doc_id].tobytes(), blas_build()
 
 
+class TestTrainStep:
+    def test_paper_sized_step_forms_no_word_table_gradient(self):
+        # One step as `train` takes it, at the benchmark's M7 training shape:
+        # paper dimensions, K = 5, I = 5, a batch of 32.
+        docs, labels = make_topical_corpus(64, TopicalSpec(seed=5))
+        index = build_index(docs)
+        neighbors = {d.id: search_knn(index, d, 5, exclude_id=d.id) for d in docs[:32]}
+        config = ModelConfig(encoder=EncoderConfig(), preset="M7", perspectives=5,
+                             n_classes=labels.c)
+        model = KnnTextModel.create(config, build_vocab(docs[32:]), seed=0)
+        word = model.encoder.params.word.data.copy()
+        params = model.named_params()
+        optimizer = Adam(params, lr=1e-2)
+        ad.zero_grads(params.values())
+        with Tape() as tape:
+            result = model.forward_batch(docs[:32], neighbors, {d.id: d for d in docs})
+        tape.backward(result.loss)
+        optimizer.step()
+        assert params["word_emb"].grad is None
+        assert params["word_emb"].data.tobytes() == word.tobytes()
+        assert all(p.grad is not None for n, p in params.items() if n != "word_emb")
+
+
 class TestNonFiniteParameters:
     PARAMETERS = ["word_emb", "char_emb", "char_lstm.Wx", "char_lstm.Wh", "char_lstm.b",
                   "lstm_fwd.Wx", "lstm_fwd.Wh", "lstm_fwd.b", "lstm_bwd.Wx", "lstm_bwd.Wh",
@@ -796,10 +819,42 @@ class TestMemoryBank:
             assert np.array_equal(banked.predictions, ref.predictions)
             assert np.max(np.abs(banked.probabilities - ref.probabilities)) <= 1e-12
 
+    def oov_words(self, world, n):
+        """``n`` words outside the vocabulary, spelt from known words."""
+        vocab = world[3]
+        words = [w + "qz" for w in sorted(vocab.word_to_id)[1:n + 1]]
+        assert len(words) == n and not any(w in vocab.word_to_id for w in words)
+        return words
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("kind, n", [("oov", 1), ("known", 1), ("oov", 64), ("mixed", 64),
+                                         ("known", 64)])
+    def test_oov_rows_match_unbanked(self, world, dtype, kind, n):
+        # Each request first warms the cache with other known words and
+        # another OOV word, so cached, fresh and OOV rows meet in one request.
+        memory, queries, neighbors, vocab, c = world
+        lookup = {d.id: d for d in memory}
+        config = ModelConfig(encoder=self.ENC, preset="M7", perspectives=3, n_classes=c)
+        model = KnnTextModel.create(config, vocab, seed=0, dtype=dtype)
+        known = self.known_words(world, memory)[1]
+        oov = self.oov_words(world, 2 * n)
+        words = {"oov": oov[:n], "known": known[:n],
+                 "mixed": [w for pair in zip(known, oov) for w in pair][:n]}[kind]
+        assert len(known) > 128
+        model.forward_batch([doc(10_000, 0, " ".join(known[::2][:n] + oov[n:n + 1]))],
+                            {10_000: neighbors[queries[0].id]}, lookup)
+        ids = np.array([vocab.word_id(w) for w in words], dtype=np.int64)
+        got = model.bank.words._project(ids, words)
+        want = TextEncoder._project(model.encoder, ids, words)
+        for g, w in zip(got, want):
+            assert g.data.dtype == dtype
+            assert g.data.tobytes() == w.data.tobytes(), blas_build()
+
     def test_adam_step_rebuilds_word_rows(self, world):
         memory, queries, neighbors, _, _ = world
         lookup = {d.id: d for d in memory}
         ids, words = self.known_words(world, queries[:8])
+        ids, words = np.append(ids, 0), words + self.oov_words(world, 1)
         model = self.make(world)
         model.forward_batch(queries[:8], neighbors, lookup)
         before = model.bank.words
@@ -810,9 +865,12 @@ class TestMemoryBank:
         optimizer.step()
         model.forward_batch(queries[:8], neighbors, lookup)
         assert model.bank.words is not before
-        got = model.bank.words._project(ids, words)[0].data
-        assert got.tobytes() == TextEncoder._project(model.encoder, ids, words)[0].data.tobytes()
-        assert np.max(np.abs(got - before._project(ids, words)[0].data)) > 1e-6
+        for got, want, old in zip(model.bank.words._project(ids, words),
+                                  TextEncoder._project(model.encoder, ids, words),
+                                  before._project(ids, words)):
+            assert got.data.tobytes() == want.data.tobytes(), blas_build()
+            # The OOV row, last, has its word half rebuilt as well as its char half.
+            assert np.abs(got.data - old.data).max(axis=1).min() > 1e-6
 
     def test_mapping_grown_in_place_gets_exact_rows(self, world):
         memory, _, _, _, _ = world
