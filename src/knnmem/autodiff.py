@@ -250,12 +250,10 @@ def project(table: Tensor, ids, char: Tensor, Wx: Tensor, b: Tensor) -> Tensor:
     one tape node.
 
     Each half is one ``matmul_rows`` product, chunked only without a tape;
-    the halves are added, then ``b``. A caller holding a row's word half
-    already (``encoder.WordCache`` holds the OOV row's) gets the same bytes
-    by adding in that order. The backward forms ``Wx``'s gradient from both
-    halves, ``b``'s, and ``char``'s from the ``Wx[d:]`` rows only; it forms
-    the table's only when the table requires one, which the encoder's frozen
-    word table never does.
+    the halves are added, then ``b``. The backward forms ``Wx``'s gradient
+    from both halves, ``b``'s, and ``char``'s from the ``Wx[d:]`` rows only;
+    it forms the table's only when the table requires one, which the
+    encoder's frozen word table never does.
     """
     idx = np.asarray(ids, dtype=np.int64)
     d = table.shape[1] if table.ndim == 2 else -1
@@ -775,7 +773,14 @@ def clip_global_norm(params: Iterable[Tensor], max_norm: float) -> float:
 
 class Adam:
     """Adam with bias correction; a tensor that requires no gradient is
-    never touched."""
+    never touched.
+
+    ``step`` updates ``m`` and ``v`` in place and builds the update in one
+    temporary buffer and the new parameter array, with the operations of the
+    textbook formula in its order, so the bytes are the formula's. It binds
+    ``p.data`` to that new array and never writes the old one: a banked or
+    restored parameter's array is read-only.
+    """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -794,11 +799,20 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise AutodiffError(f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} for {name}")
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v, buf = self.m[name], self.v[name], np.empty_like(p.data)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=buf)
+            v *= self.beta2
+            np.multiply(g, g, out=buf)
+            v += np.multiply(1.0 - self.beta2, buf, out=buf)
+            # buf = sqrt(v_hat) + eps; step = lr * m_hat / buf.
+            np.divide(v, 1.0 - self.beta2 ** t, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            step = np.divide(m, 1.0 - self.beta1 ** t)
+            np.multiply(self.lr, step, out=step)
+            step /= buf
+            p.data = np.subtract(p.data, step, out=step)
 
 
 @dataclass

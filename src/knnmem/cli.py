@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -140,6 +141,18 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _blas() -> dict:
+    """The BLAS build and the thread settings this process saw, recorded in
+    ``train_report.json`` and ``eval.json``: a product's bytes can depend on
+    both, so two artifacts that differ can be told apart."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpus": cpus}
+
+
 def cmd_train(config: RunConfig) -> int:
     train_config, encoder_config = config.train_config(), config.encoder_config()
     train_docs, dev_docs, labels = _load_train_dev(config)
@@ -162,7 +175,7 @@ def cmd_train(config: RunConfig) -> int:
     )
     save_checkpoint(out / "model.ckpt", pipeline.train_result.checkpoint)
     (out / "train_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        json.dumps(dict(report, blas=_blas()), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     for stats in pipeline.train_result.history:
         print(f"epoch {stats.epoch}: train_loss {stats.train_loss:.4f} "
               f"dev_accuracy {stats.dev_accuracy:.4f}")
@@ -223,6 +236,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "confusion": report.confusion.tolist(),
         "total": report.total,
         "config": served,
+        "blas": _blas(),
     }
     (out / "eval.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                    encoding="utf-8")

@@ -13,8 +13,8 @@ computed once per distinct row, then gathered for every occurrence:
   ``d``: one ``autodiff.project`` computes ``word_emb[ids] @ Wx[:d] +
   char @ Wx[d:] + b``. Its word half reads only frozen rows; training
   forms the gradient of ``Wx``, ``b`` and the char compositions, not of
-  the table. A ``WordCache`` keeps the OOV row's word half per direction,
-  so a served OOV word costs its char pass and its char half.
+  the table. A ``WordCache`` keeps both rows of each spelling it has
+  served, known or OOV, so a served word it has seen costs a row gather.
 
 Each of the three passes is then one ``autodiff.lstm_sequence`` node: the
 recurrence runs in numpy over one row per distinct prefix of the pass's
@@ -310,14 +310,20 @@ class TextEncoder:
 
 
 class WordCache(TextEncoder):
-    """``encoder`` caching each known word's two input projections in row
-    ``slot[id]`` (-1 until first asked for) of tables filled in that order,
-    and, per direction, the OOV row's word half ``word_emb[0] @ Wx[:d]``.
-    A request runs one char pass over the known words it lacks and its OOV
-    words: the known ones are projected by ``autodiff.project`` and kept,
-    and an OOV word's row is its cached word half plus its char half
-    ``char @ Wx[d:]``, plus ``b``, added in ``autodiff.project``'s order,
-    so every row is byte-identical to ``TextEncoder._project``'s.
+    """``encoder`` caching each word's two input projections by spelling.
+
+    ``slot`` maps a spelling to its row of two tables, filled in the order
+    the spellings were first asked for. The tables have room for every
+    known word (``vocab.n_words`` rows, resident only once written) and
+    double, with their contents, when OOV spellings outgrow them. A request
+    runs one char pass and one ``autodiff.project`` per direction over the
+    spellings it lacks, known and OOV alike (an OOV word's id is 0), and
+    gathers the rest. A row depends only on its spelling and the weights,
+    and untaped the char pass and ``project`` give each row the bytes of
+    that row alone, so a cached row is byte-identical to
+    ``TextEncoder._project``'s. Request text supplies the keys, so the
+    cache holds at most ``bound`` = 2 · ``vocab.n_words`` spellings: a
+    request that leaves it holding more drops them all.
     ``memory.MemoryBank`` holds one per weights.
     """
 
@@ -325,31 +331,28 @@ class WordCache(TextEncoder):
         super().__init__(encoder.config, encoder.vocab, encoder.params)
         shape = (self.vocab.n_words, 4 * self.config.hidden)
         self._rows = tuple(np.empty(shape, dtype=self.params.fwd.Wx.data.dtype) for _ in range(2))
-        self.slot = np.full(self.vocab.n_words, -1, dtype=np.int64)
+        self.slot: dict[str, int] = {}
+        self.bound = 2 * self.vocab.n_words
         self._lstms = (self.params.fwd, self.params.bwd)
-        d = self.config.word_dim
-        oov_row = self.params.word.data[Vocabulary.OOV_ID:Vocabulary.OOV_ID + 1]
-        self._oov_half = tuple(ad.matmul_rows(oov_row, p.Wx.data[:d]) for p in self._lstms)
 
     def _project(self, word_ids: np.ndarray, words: Sequence[str]) -> tuple[Tensor, Tensor]:
-        oov = word_ids == Vocabulary.OOV_ID
-        fresh = np.flatnonzero(oov | (self.slot[word_ids] < 0))
-        if fresh.size:
-            char = self._char_compose_batch([words[i] for i in fresh.tolist()]).data
-            known = ~oov[fresh]
-            ids = word_ids[fresh[known]]
-            if ids.size:
-                rows = self.slot.max() + 1 + np.arange(ids.size)
-                for table, p in zip(self._rows, self._lstms):
-                    table[rows] = ad.project(self.params.word, ids, Tensor(char[known]),
-                                             p.Wx, p.b).data
-                self.slot[ids] = rows
+        slot = self.slot
+        fresh = {w: i for i, w in enumerate(words) if w not in slot}
+        if fresh:
+            start, stop = len(slot), len(slot) + len(fresh)
+            if stop > len(self._rows[0]):
+                grown = tuple(np.empty((2 * stop, t.shape[1]), dtype=t.dtype) for t in self._rows)
+                for new, old in zip(grown, self._rows):
+                    new[:start] = old[:start]
+                self._rows = grown
+            char = self._char_compose_batch(list(fresh))
+            ids = word_ids[list(fresh.values())]
+            for table, p in zip(self._rows, self._lstms):
+                table[start:stop] = ad.project(self.params.word, ids, char, p.Wx, p.b).data
+            slot.update(zip(fresh, range(start, stop)))
         # Whole-row gathers: each direction's rows stay C-contiguous.
-        proj = [table[self.slot[word_ids]] for table in self._rows]
-        if oov.any():
-            d = self.config.word_dim
-            for out, half, p in zip(proj, self._oov_half, self._lstms):
-                rows = half + ad.matmul_rows(char[~known], p.Wx.data[d:])
-                rows += p.b.data
-                out[oov] = rows
-        return Tensor(proj[0]), Tensor(proj[1])
+        index = np.fromiter(map(slot.__getitem__, words), dtype=np.int64, count=len(words))
+        proj = tuple(Tensor(table[index]) for table in self._rows)
+        if len(slot) > self.bound:
+            self.slot = {}
+        return proj

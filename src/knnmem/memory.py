@@ -206,12 +206,16 @@ class ClassifierParams:
 class MemoryBank:
     """Inference-time rows that depend only on the encoder weights, in the
     style of a kNN-LM datastore: computed once per set of weights, not once
-    per request. ``table`` row ``row_of[i]`` holds doc id ``i``'s embedding
-    and ``words`` (``encoder.WordCache``) each known word's projections,
-    encoded when first asked for, and the OOV row's word half
-    (``word_emb[0] @ Wx[:d]``, from the frozen table), to which each OOV
-    word adds its char half. Every row is byte-identical to encoding its
-    text or word alone.
+    per request. ``table`` row ``row_of[i]`` holds doc id ``i``'s embedding,
+    and ``words`` (``encoder.WordCache``) each word's two input projections
+    keyed by its spelling, known and OOV words alike, each encoded when
+    first asked for. A word's projections depend only on its spelling and
+    the weights, and an untaped row's bytes not on its batch, so every row
+    is byte-identical to encoding its text or word alone. Request text
+    supplies the spellings, so ``words`` holds at most 2 · ``n_words`` of
+    them (its ``bound``, from the vocabulary) and drops them all when a
+    request takes it past that; ``table`` holds at most one row per doc id
+    of ``neighbor_docs``.
 
     The bank holds only while every encoder parameter's ``.data`` is the
     array it was built from. Building marks those arrays read-only, so an
@@ -303,8 +307,8 @@ class ModelConfig:
 class KnnTextModel:
     """Full model: shared text encoder, kNN memory head, softmax classifier.
 
-    ``bank`` serves an untaped forward its neighbour rows and its known
-    input words' projections; ``trainer.train`` sets it to ``None``, to
+    ``bank`` serves an untaped forward its neighbour rows and its input
+    words' projections; ``trainer.train`` sets it to ``None``, to
     encode each batch's neighbours with it. The parameter arrays of a
     restored model, and the encoder arrays of a banked one, are read-only:
     update them by rebinding ``.data``, as ``Adam.step`` does, never in place.

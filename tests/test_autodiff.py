@@ -478,6 +478,52 @@ class TestAdam:
             theta -= 0.01 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
             assert p.data[0] == pytest.approx(theta, rel=1e-12)
 
+    @staticmethod
+    def reference_step(state, params, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        """The out-of-place Adam formula, term by term: the bytes ``Adam.step``
+        must reproduce. ``state`` maps a name to its ``(m, v)``."""
+        for name, p in params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m, v = state[name]
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+            state[name] = (m, v)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_in_place_step_matches_out_of_place_formula(self, dtype):
+        rng = np.random.default_rng(71)
+        shapes = {"W": (37, 400), "b": (1, 400), "idle": (5, 3)}
+
+        def params():
+            return {name: Tensor(rng.uniform(-0.1, 0.1, shape).astype(dtype), requires_grad=True)
+                    for name, shape in shapes.items()}
+
+        got = params()
+        want = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in got.items()}
+        opt = Adam(got, lr=3e-3)
+        state = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in want.items()}
+        for t in range(1, 7):
+            for name, shape in shapes.items():
+                # "idle" gets no gradient after step 2: its steps read zeros
+                # and still move it, by its moments.
+                grad = None if name == "idle" and t > 2 else rng.normal(size=shape).astype(dtype)
+                got[name].grad = want[name].grad = grad
+            before = {name: p.data for name, p in got.items()}
+            for p in before.values():
+                p.flags.writeable = False  # a banked or restored array is read-only
+            opt.step()
+            self.reference_step(state, want, t, lr=3e-3)
+            for name, p in got.items():
+                assert p.data.dtype == dtype and p.data is not before[name]
+                assert p.data.tobytes() == want[name].data.tobytes(), name
+                assert opt.m[name].tobytes() == state[name][0].tobytes()
+                assert opt.v[name].tobytes() == state[name][1].tobytes()
+            assert got["idle"].grad is None or t <= 2
+            assert not np.array_equal(got["idle"].data, before["idle"])
+
     def test_gradient_shape_mismatch(self):
         p = Tensor(np.ones(3), requires_grad=True)
         opt = Adam({"p": p})

@@ -2,6 +2,7 @@ import argparse
 import base64
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -145,6 +146,24 @@ class TestTrainEvalPredict:
             "float_width": 64, "label_names": ["class_0", "class_1", "class_2"],
             "k1": 1.2, "b": 0.75, "k_neighbors": 2}
 
+    def test_reports_record_the_blas_build(self, trained, data_dir, tmp_path, monkeypatch):
+        # train_report.json and eval.json name the BLAS build and the thread
+        # settings the process saw; the checkpoint's config echo does not.
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        want = {"name": build["name"], "version": build["version"],
+                "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+                "cpus": len(os.sched_getaffinity(0))}
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert run(["eval", *serving(trained), "--data", data_dir / "eval.csv",
+                    "--out-dir", tmp_path]) == 0
+        assert json.loads((tmp_path / "eval.json").read_text())["blas"] == want
+        report = json.loads((trained / "train_report.json").read_text())
+        assert set(report["blas"]) == set(want) and report["blas"]["cpus"] == want["cpus"]
+        assert (report["blas"]["name"], report["blas"]["version"]) == (build["name"], build["version"])
+        manifest = trainer.load_checkpoint(trained / "model.ckpt").manifest
+        assert "blas" not in manifest and "blas" not in manifest["config_echo"]
+
     def test_eval_class_mismatch_is_error(self, trained, data_dir, tmp_path, capsys):
         # Label names that do not number the model's classes cannot be served.
         bad = tmp_path / "bad.ckpt"
@@ -190,6 +209,42 @@ class TestTrainEvalPredict:
         docs = memory_of(trained).docs
         assert len(listed) == 2
         assert calls == [[("c0w1", "c0w2", "f3")] + [docs[i].tokens for i in listed]]
+
+    def test_predict_input_of_repeated_oov_word_matches_single_texts(self, trained, tmp_path,
+                                                                     monkeypatch, capsys):
+        # 67 lines are two batches, so the second reads the OOV word's rows
+        # from the cache the first filled; each record is the bytes of its
+        # text predicted alone, but for its id.
+        texts = ["zqxvk", "c0w1 zqxvk f3", "zqxvk c1w0 zqxvk", "f2 zqxvk"]
+        lines = [texts[j % len(texts)] for j in range(67)]
+        (tmp_path / "in.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        prov = tmp_path / "prov.jsonl"
+        composed = []
+        compose = TextEncoder._char_compose_batch
+
+        def spy(self, words):
+            composed.extend(words)
+            return compose(self, words)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TextEncoder, "_char_compose_batch", spy)
+            assert run(["predict", *serving(trained), "--input", tmp_path / "in.txt",
+                        "--provenance", prov]) == 0
+        assert composed.count("zqxvk") == 1
+        served = trainer.model_from_checkpoint(trainer.load_checkpoint(trained / "model.ckpt"))
+        assert "zqxvk" not in served.encoder.vocab.word_to_id
+        alone = []
+        for j, text in enumerate(texts):
+            assert run(["predict", *serving(trained), "--text", text,
+                        "--provenance", tmp_path / f"{j}.jsonl"]) == 0
+            alone.append(json.loads((tmp_path / f"{j}.jsonl").read_text()))
+        records = [json.loads(line) for line in prov.read_text().splitlines()]
+        assert len(records) == 67
+        offset = alone[0]["id"]
+        for j, record in enumerate(records):
+            assert record.pop("id") == offset + j
+            want = {k: v for k, v in alone[j % len(texts)].items() if k != "id"}
+            assert json.dumps(record, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_predict_provenance_dump(self, trained, tmp_path, capsys):
         prov = tmp_path / "prov.jsonl"

@@ -787,19 +787,22 @@ class TestMemoryBank:
 
     def test_bank_holds_exactly_the_rows_requested(self, world):
         # A request encodes its neighbours the bank lacks, in one batch, with
-        # their words; its input words join them, and nothing else is encoded.
+        # their words; its input words, known and OOV, join them by spelling,
+        # and nothing else is encoded.
         memory, queries, neighbors, vocab, _ = world
         lookup = {d.id: d for d in memory}
         model = self.make(world)
-        want_docs, want_words = set(), set()
+        want_docs, want_words, want_oov = set(), set(), set()
         for query in queries[:3]:
             model.forward_batch([query], neighbors, lookup)
             nbrs = [lookup[i] for i in neighbors[query.id].ids()]
             want_docs |= {d.id for d in nbrs}
-            want_words |= set(self.known_words(world, nbrs + [query])[0].tolist())
+            want_words |= {t for d in nbrs + [query] for t in d.tokens}
+            want_oov |= set(query.tokens) - vocab.word_to_id.keys()
             assert set(model.bank.row_of) == want_docs
-            held = set(np.flatnonzero(model.bank.words.slot >= 0).tolist())
-            assert held == want_words < set(range(1, vocab.n_words))
+            held = set(model.bank.words.slot)
+            assert held == want_words and held - vocab.word_to_id.keys() == want_oov
+        assert want_oov  # the queries hold OOV words
 
     def test_oov_and_mixed_texts_match_unbanked(self, world):
         memory, queries, neighbors, vocab, _ = world
@@ -822,16 +825,17 @@ class TestMemoryBank:
     def oov_words(self, world, n):
         """``n`` words outside the vocabulary, spelt from known words."""
         vocab = world[3]
-        words = [w + "qz" for w in sorted(vocab.word_to_id)[1:n + 1]]
+        words = [w + end for end in ("qz", "zq", "qqz") for w in sorted(vocab.word_to_id)[1:]][:n]
         assert len(words) == n and not any(w in vocab.word_to_id for w in words)
         return words
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @pytest.mark.parametrize("kind, n", [("oov", 1), ("known", 1), ("oov", 64), ("mixed", 64),
                                          ("known", 64)])
-    def test_oov_rows_match_unbanked(self, world, dtype, kind, n):
+    def test_oov_rows_match_unbanked(self, world, dtype, kind, n, monkeypatch):
         # Each request first warms the cache with other known words and
         # another OOV word, so cached, fresh and OOV rows meet in one request.
+        # A second request for the same words runs no char pass.
         memory, queries, neighbors, vocab, c = world
         lookup = {d.id: d for d in memory}
         config = ModelConfig(encoder=self.ENC, preset="M7", perspectives=3, n_classes=c)
@@ -844,11 +848,15 @@ class TestMemoryBank:
         model.forward_batch([doc(10_000, 0, " ".join(known[::2][:n] + oov[n:n + 1]))],
                             {10_000: neighbors[queries[0].id]}, lookup)
         ids = np.array([vocab.word_id(w) for w in words], dtype=np.int64)
-        got = model.bank.words._project(ids, words)
         want = TextEncoder._project(model.encoder, ids, words)
-        for g, w in zip(got, want):
-            assert g.data.dtype == dtype
-            assert g.data.tobytes() == w.data.tobytes(), blas_build()
+        cache = model.bank.words
+        for request in ("fresh", "cached"):
+            got = cache._project(ids, words)
+            for g, w in zip(got, want):
+                assert g.data.dtype == dtype
+                assert g.data.tobytes() == w.data.tobytes(), (request, blas_build())
+            assert set(words) <= cache.slot.keys()
+            monkeypatch.setattr(cache, "_char_compose_batch", None)  # a char pass would raise
 
     def test_adam_step_rebuilds_word_rows(self, world):
         memory, queries, neighbors, _, _ = world
@@ -858,6 +866,8 @@ class TestMemoryBank:
         model = self.make(world)
         model.forward_batch(queries[:8], neighbors, lookup)
         before = model.bank.words
+        old = [p.data for p in before._project(ids, words)]
+        assert set(words) <= before.slot.keys()  # the OOV word's rows are cached too
         optimizer = Adam(model.named_params(), lr=1e-2)
         with Tape() as tape:
             result = model.forward_batch(queries[:8], neighbors, lookup)
@@ -865,12 +875,32 @@ class TestMemoryBank:
         optimizer.step()
         model.forward_batch(queries[:8], neighbors, lookup)
         assert model.bank.words is not before
-        for got, want, old in zip(model.bank.words._project(ids, words),
-                                  TextEncoder._project(model.encoder, ids, words),
-                                  before._project(ids, words)):
+        for got, want, stale in zip(model.bank.words._project(ids, words),
+                                    TextEncoder._project(model.encoder, ids, words), old):
             assert got.data.tobytes() == want.data.tobytes(), blas_build()
-            # The OOV row, last, has its word half rebuilt as well as its char half.
-            assert np.abs(got.data - old.data).max(axis=1).min() > 1e-6
+            # Every row is recomputed, the cached OOV row, last, as well.
+            assert np.abs(got.data - stale).max(axis=1).min() > 1e-6
+
+    def test_cached_spellings_stay_within_the_bound(self, world):
+        # Requests of fresh OOV words outgrow the tables (n_words rows), then
+        # fill the cache past 2 * n_words spellings; it never holds more, and
+        # every row stays exact: rows copied by the growth, and the rows of
+        # one request larger than the bound.
+        _, _, _, vocab, _ = world
+        model = self.make(world)
+        model.bank.encode(model.encoder, [["warm"]], [], {})
+        cache = model.bank.words
+        assert cache.bound == 2 * vocab.n_words == 1020
+        oov = self.oov_words(world, 1500)
+        held = []
+        for words in (oov[:400], oov[400:800], oov[200:600], oov[800:1200], oov[:400],
+                      oov[300:1500]):
+            ids = np.zeros(len(words), dtype=np.int64)
+            want = TextEncoder._project(model.encoder, ids, words)
+            for got, w in zip(cache._project(ids, words), want):
+                assert got.data.tobytes() == w.data.tobytes(), blas_build()
+            held.append(len(cache.slot))
+        assert held == [401, 801, 801, 0, 400, 0]
 
     def test_mapping_grown_in_place_gets_exact_rows(self, world):
         memory, _, _, _, _ = world
